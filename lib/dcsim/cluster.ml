@@ -1,7 +1,9 @@
 type t = {
   shards : Engine.t array;
   mutable lookahead : Simtime.span option;
-  mutable running : Engine.t option;
+  (* Index of the executing shard, or -1: an index, not an [Engine.t
+     option], so setting it per shard per window allocates nothing. *)
+  mutable running : int;
   mutable stopping : bool;
   mutable windows : int;
   (* End of the last lockstep window started. After a mid-window stop,
@@ -25,7 +27,7 @@ let create ~shards =
   {
     shards;
     lookahead = None;
-    running = None;
+    running = -1;
     stopping = false;
     windows = 0;
     horizon = Simtime.zero;
@@ -45,22 +47,21 @@ let constrain_lookahead t span =
 
 let lookahead t = t.lookahead
 
-let next_event_time t =
-  Array.fold_left
-    (fun acc e ->
-      match (Engine.next_event_time e, acc) with
-      | None, acc -> acc
-      | (Some _ as x), None -> x
-      | Some x, Some y -> Some (Simtime.min x y))
-    None t.shards
+(* Earliest pending event over all shards, [Simtime.never] if none. *)
+let min_time t =
+  let m = ref Simtime.never in
+  for i = 0 to Array.length t.shards - 1 do
+    let x = Engine.min_time t.shards.(i) in
+    if (x :> int) < (!m :> int) then m := x
+  done;
+  !m
 
 let now t =
-  match t.running with
-  | Some e -> Engine.now e
-  | None ->
-      Array.fold_left
-        (fun acc e -> Simtime.max acc (Engine.now e))
-        Simtime.zero t.shards
+  if t.running >= 0 then Engine.now t.shards.(t.running)
+  else
+    Array.fold_left
+      (fun acc e -> Simtime.max acc (Engine.now e))
+      Simtime.zero t.shards
 
 let events_processed t =
   Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 t.shards
@@ -69,24 +70,32 @@ let windows_run t = t.windows
 
 let stop t =
   t.stopping <- true;
-  match t.running with Some e -> Engine.stop e | None -> ()
+  if t.running >= 0 then Engine.stop t.shards.(t.running)
 
-(* Run one shard's slice of a window, tracking which engine is live so
-   [now] (and the trace clock built on it) reads the executing shard. *)
-let run_shard_window t e ~until_exclusive =
-  t.running <- Some e;
-  Engine.run_window e ~until_exclusive;
-  t.running <- None
+(* Run every shard in array order to the exclusive [window_end] — an
+   idle shard too ends there — or, when the inclusive [limit] falls
+   inside the window, under [Engine.run ~until]'s parking rule. [running]
+   lets [now] (the trace clock) read the executing shard. *)
+let run_window t ~(window_end : Simtime.t) ~(limit : Simtime.t) =
+  let final = (limit :> int) < (window_end :> int) in
+  for i = 0 to Array.length t.shards - 1 do
+    if not t.stopping then begin
+      let e = t.shards.(i) in
+      t.running <- i;
+      if final then Engine.run ~until:limit e
+      else Engine.run_window e ~until_exclusive:window_end;
+      t.running <- -1
+    end
+  done
 
 (* One shard: no cross-shard channel can exist, so no lookahead bound
    is needed and the cluster degenerates to the plain event loop — a
    single-rack run keeps its exact historical event schedule. *)
 let run_single ?until t =
-  let e = t.shards.(0) in
-  t.running <- Some e;
+  t.running <- 0;
   Fun.protect
-    ~finally:(fun () -> t.running <- None)
-    (fun () -> Engine.run ?until e)
+    ~finally:(fun () -> t.running <- -1)
+    (fun () -> Engine.run ?until t.shards.(0))
 
 let run_sharded ?until t =
   let lookahead =
@@ -97,52 +106,34 @@ let run_sharded ?until t =
           "Cluster.run: no channel registered a lookahead bound (create the \
            cross-shard Fabric.Channels with ~cluster)"
   in
+  let limit = Option.value until ~default:Simtime.never in
   (* Complete a window a previous [stop] interrupted: within one window
      every send still lands at or after the horizon, so finishing it is
      safe and restores all shards to a common boundary. *)
   if
     Simtime.(t.horizon > Simtime.zero)
     && Array.exists (fun e -> Simtime.(Engine.now e < t.horizon)) t.shards
-  then
-    Array.iter
-      (fun e ->
-        if not t.stopping then run_shard_window t e ~until_exclusive:t.horizon)
-      t.shards;
+  then run_window t ~window_end:t.horizon ~limit:Simtime.never;
   let continue = ref true in
   while !continue && not t.stopping do
-    match next_event_time t with
-    | None -> continue := false
-    | Some start -> (
-        match until with
-        | Some limit when Simtime.(start > limit) ->
-            (* Every pending event lies beyond the horizon: park all
-               clocks at the limit, as [Engine.run ~until] would. *)
-            Array.iter (fun e -> Engine.advance_clock e limit) t.shards;
-            continue := false
-        | _ ->
-            let window_end = Simtime.add start lookahead in
-            t.windows <- t.windows + 1;
-            t.horizon <- window_end;
-            let final =
-              match until with
-              | Some limit when Simtime.(limit < window_end) -> Some limit
-              | _ -> None
-            in
-            Array.iter
-              (fun e ->
-                if not t.stopping then begin
-                  t.running <- Some e;
-                  (match final with
-                  | Some limit -> Engine.run ~until:limit e
-                  | None -> Engine.run_window e ~until_exclusive:window_end);
-                  t.running <- None
-                end)
-              t.shards;
-            (* A fully executed window (partial or not) leaves every
-               shard on a consistent boundary: nothing to complete on
-               the next [run]. *)
-            if not t.stopping then t.horizon <- Simtime.zero;
-            if final <> None then continue := false)
+    let start = min_time t in
+    if (start :> int) = (Simtime.never :> int) then continue := false
+    else if (start :> int) > (limit :> int) then begin
+      (* Every pending event lies beyond the horizon: park all clocks
+         at the limit, as [Engine.run ~until] would. *)
+      Array.iter (fun e -> Engine.advance_clock e limit) t.shards;
+      continue := false
+    end
+    else begin
+      let window_end = Simtime.add start lookahead in
+      t.windows <- t.windows + 1;
+      t.horizon <- window_end;
+      run_window t ~window_end ~limit;
+      (* A fully executed window (partial or not) leaves every shard on
+         a consistent boundary: nothing to complete on the next [run]. *)
+      if not t.stopping then t.horizon <- Simtime.zero;
+      if (limit :> int) < (window_end :> int) then continue := false
+    end
   done
 
 let run ?until t =

@@ -47,10 +47,10 @@ val lookahead : t -> Simtime.span option
 
 val run : ?until:Simtime.t -> t -> unit
 (** Advance all shards in lockstep windows until every queue drains,
-    [until] is reached, or {!stop} is called. With [until], events
-    scheduled later remain queued and all shard clocks stop at [until].
-    Empty stretches are skipped: each window starts at the earliest
-    pending event across all shards.
+    [until] is reached, or {!stop} is called. Every shard, idle or not,
+    ends a full window on its end; in the window holding [until] each
+    shard follows [Engine.run ~until]'s parking rule. Empty stretches
+    are skipped: each window starts at the earliest pending event.
 
     With a single shard this is exactly [Engine.run ?until]. With
     several, a lookahead bound must have been registered.
@@ -69,9 +69,6 @@ val now : t -> Simtime.t
 (** The executing shard's clock while {!run} is live (use this as the
     trace clock: events are always emitted by some running shard), and
     the maximum shard clock otherwise. *)
-
-val next_event_time : t -> Simtime.t option
-(** Earliest pending event across all shards, if any. *)
 
 val events_processed : t -> int
 (** Total events executed, summed over shards. *)

@@ -20,8 +20,8 @@ let create ?(seed = 42) () =
 let now t = t.clock
 let rng t = t.rng
 
-let at t time fn =
-  if Simtime.(time < t.clock) then
+let at t (time : Simtime.t) fn =
+  if (time :> int) < (t.clock :> int) then
     invalid_arg
       (Format.asprintf "Engine.at: %a is before current time %a" Simtime.pp
          time Simtime.pp t.clock);
@@ -42,55 +42,46 @@ let every t ?start span fn =
   in
   ignore (at t first tick)
 
+let advance_clock t (time : Simtime.t) =
+  if (t.clock :> int) < (time :> int) then t.clock <- time
+
+(* The one event loop behind every entry point: fire events while the
+   earliest is strictly before [bound] and no [stop] is pending.
+   Nothing here allocates, so an event costs its heap entry alone. *)
+let rec fire_before t bound =
+  if not t.stopping then begin
+    let time = Event_queue.min_time t.queue in
+    if (time :> int) < bound then begin
+      let fn = Event_queue.pop_min t.queue in
+      t.clock <- time;
+      t.processed <- t.processed + 1;
+      fn ();
+      fire_before t bound
+    end
+  end
+
 let run ?until t =
   t.stopping <- false;
-  let continue = ref true in
-  while !continue do
-    if t.stopping then continue := false
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> continue := false
-      | Some time -> (
-          match until with
-          | Some limit when Simtime.(time > limit) ->
-              t.clock <- limit;
-              continue := false
-          | _ -> (
-              match Event_queue.pop t.queue with
-              | None -> continue := false
-              | Some (time, fn) ->
-                  t.clock <- time;
-                  t.processed <- t.processed + 1;
-                  fn ()))
-  done
+  match until with
+  | None -> fire_before t (Simtime.never :> int)
+  | Some (limit : Simtime.t) ->
+      fire_before t ((limit :> int) + 1);
+      (* Park at the limit only while a later event is still queued: a
+         queue that drained early leaves the clock on its last event.
+         Never park backwards, or [at] would accept the past. *)
+      if (not t.stopping) && not (Event_queue.is_empty t.queue) then
+        advance_clock t limit
 
-let run_window t ~until_exclusive =
+let run_window t ~(until_exclusive : Simtime.t) =
   t.stopping <- false;
-  let continue = ref true in
-  while !continue do
-    if t.stopping then continue := false
-    else
-      match Event_queue.peek_time t.queue with
-      | None -> continue := false
-      | Some time when Simtime.(time >= until_exclusive) -> continue := false
-      | Some _ -> (
-          match Event_queue.pop t.queue with
-          | None -> continue := false
-          | Some (time, fn) ->
-              t.clock <- time;
-              t.processed <- t.processed + 1;
-              fn ())
-  done;
+  fire_before t (until_exclusive :> int);
   (* Leave the clock at the window boundary so a cross-shard injection
      landing exactly on the boundary (the earliest instant the lookahead
      invariant allows) still satisfies [at]'s not-in-the-past guard. *)
-  if (not t.stopping) && Simtime.(t.clock < until_exclusive) then
-    t.clock <- until_exclusive
+  if not t.stopping then advance_clock t until_exclusive
 
-let next_event_time t = Event_queue.peek_time t.queue
+let min_time t = Event_queue.min_time t.queue
 let pending_events t = Event_queue.length t.queue
-
-let advance_clock t time = if Simtime.(t.clock < time) then t.clock <- time
 
 let stop t = t.stopping <- true
 let events_processed t = t.processed

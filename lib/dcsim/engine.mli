@@ -28,8 +28,9 @@ val every :
     instant. *)
 
 val run : ?until:Simtime.t -> t -> unit
-(** Execute events in order. With [until], events scheduled later than
-    the limit remain in the queue and the clock stops at [until]. *)
+(** Execute events in order. With [until], events up to and including
+    it fire; if a later event remains queued the clock then parks at
+    [until] (never backwards), else it stays on the last event. *)
 
 val run_window : t -> until_exclusive:Simtime.t -> unit
 (** Execute events with timestamps {e strictly before} [until_exclusive]
@@ -41,9 +42,9 @@ val run_window : t -> until_exclusive:Simtime.t -> unit
     mid-window the clock stays on the last executed event so the window
     can be resumed. *)
 
-val next_event_time : t -> Simtime.t option
-(** Timestamp of the earliest pending event, without running it. The
-    cluster scheduler uses this to skip idle windows. *)
+val min_time : t -> Simtime.t
+(** Timestamp of the earliest pending event, or {!Simtime.never} if
+    none. The cluster scheduler uses this to skip idle windows. *)
 
 val pending_events : t -> int
 (** Events currently in the queue (scheduled and not yet fired). *)

@@ -44,33 +44,39 @@ let create () = { heap = [||]; size = 0; next_seq = 0; live = 0 }
 let is_empty t = t.live = 0
 let length t = t.live
 
+(* Times compare as raw ints through [Simtime.t]'s [private int]
+   coercion. dune's dev profile compiles every module with -opaque, so
+   a cross-module call such as [Simtime.compare] is never inlined and
+   would cost a real call per heap comparison. *)
 let before a b =
-  Simtime.compare a.time b.time < 0
-  || (Simtime.equal a.time b.time && a.seq < b.seq)
+  let ta = (a.time :> int) and tb = (b.time :> int) in
+  ta < tb || (ta = tb && a.seq < b.seq)
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
+(* Both sifts move a hole rather than swapping: [e] is written once,
+   into the slot where the walk stops. *)
+let rec sift_up heap i e =
+  if i = 0 then heap.(0) <- e
+  else
     let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+    let p = heap.(parent) in
+    if before e p then begin
+      heap.(i) <- p;
+      sift_up heap parent e
     end
-  end
+    else heap.(i) <- e
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let rec sift_down heap size i e =
+  let l = (2 * i) + 1 in
+  if l >= size then heap.(i) <- e
+  else
+    let r = l + 1 in
+    let c = if r < size && before heap.(r) heap.(l) then r else l in
+    let child = heap.(c) in
+    if before child e then begin
+      heap.(i) <- child;
+      sift_down heap size c e
+    end
+    else heap.(i) <- e
 
 let grow t =
   let capacity = Array.length t.heap in
@@ -85,10 +91,9 @@ let push t time payload =
   let entry = { time; seq = t.next_seq; payload; cancelled = false; consumed = false } in
   t.next_seq <- t.next_seq + 1;
   grow t;
-  t.heap.(t.size) <- entry;
   t.size <- t.size + 1;
   t.live <- t.live + 1;
-  sift_up t (t.size - 1);
+  sift_up t.heap (t.size - 1) entry;
   Obj.repr entry
 
 (* Drop every cancelled entry in one pass and re-heapify. O(size);
@@ -107,7 +112,7 @@ let compact t =
   t.size <- !j;
   Array.fill t.heap t.size (old_size - t.size) (dummy ());
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
+    sift_down t.heap t.size i t.heap.(i)
   done;
   (* Shed capacity the burst of cancellations no longer needs. *)
   let capacity = Array.length t.heap in
@@ -129,39 +134,39 @@ let cancel t handle =
     true
   end
 
-let pop_entry t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      t.heap.(t.size) <- dummy ();
-      sift_down t 0
-    end
-    else t.heap.(0) <- dummy ();
-    top.consumed <- true;
-    Some top
-  end
+(* Remove the root of a non-empty heap; the last entry fills the hole. *)
+let remove_top t =
+  let top = t.heap.(0) in
+  let last = t.size - 1 in
+  let filler = t.heap.(last) in
+  t.heap.(last) <- dummy ();
+  t.size <- last;
+  if last > 0 then sift_down t.heap last 0 filler;
+  top.consumed <- true;
+  top
 
-let rec pop t =
-  match pop_entry t with
-  | None -> None
-  | Some entry ->
-      if entry.cancelled then pop t
-      else begin
-        t.live <- t.live - 1;
-        Some (entry.time, entry.payload)
-      end
-
-let rec peek_time t =
-  if t.size = 0 then None
-  else begin
+let rec min_time t =
+  if t.size = 0 then Simtime.never
+  else
     let top = t.heap.(0) in
     if top.cancelled then begin
-      (* Discard the cancelled top so repeated peeks stay cheap. *)
-      ignore (pop_entry t);
-      peek_time t
+      (* Discard the cancelled top so repeated calls stay cheap. *)
+      ignore (remove_top t);
+      min_time t
     end
-    else Some top.time
-  end
+    else top.time
+
+let pop_min t =
+  if t.live = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  (* With a live entry left, [min_time] leaves one at the root. *)
+  ignore (min_time t);
+  t.live <- t.live - 1;
+  (remove_top t).payload
+
+let peek_time t = if t.live = 0 then None else Some (min_time t)
+
+let pop t =
+  if t.live = 0 then None
+  else
+    let time = min_time t in
+    Some (time, pop_min t)

@@ -14,6 +14,8 @@ type handle
 (** Identifies a scheduled event so it can be cancelled. *)
 
 val push : 'a t -> Simtime.t -> 'a -> handle
+(** Allocates the heap entry (6 words) and nothing else. *)
+
 val cancel : 'a t -> handle -> bool
 (** [cancel q h] removes the event; returns [false] if it already fired
     or was already cancelled — both are safe no-ops that leave
@@ -23,8 +25,16 @@ val cancel : 'a t -> handle -> bool
     heavy reschedule churn. Popped and compacted-away slots are
     cleared, so the queue does not retain payload closures. *)
 
+val min_time : 'a t -> Simtime.t
+(** Earliest live timestamp, or {!Simtime.never} if empty. Drops
+    cancelled entries off the top; allocates nothing. *)
+
+val pop_min : 'a t -> 'a
+(** Remove the {!min_time} event and return its payload, allocating
+    nothing. @raise Invalid_argument if empty. *)
+
 val pop : 'a t -> (Simtime.t * 'a) option
-(** Remove and return the earliest live event. *)
+(** Boxed {!min_time} + {!pop_min}, for callers off the hot path. *)
 
 val peek_time : 'a t -> Simtime.t option
-(** Timestamp of the earliest live event without removing it. *)
+(** Boxed {!min_time}, for callers off the hot path. *)

@@ -2,6 +2,7 @@ type t = int
 type span = int
 
 let zero = 0
+let never = max_int
 let of_ns ns = ns
 let of_us us = int_of_float (us *. 1e3)
 let of_ms ms = int_of_float (ms *. 1e6)

@@ -27,6 +27,9 @@ val to_sec : t -> float
 val add : t -> span -> t
 (** The instant one duration later. *)
 
+val never : t
+(** After every schedulable instant: the "nothing pending" sentinel. *)
+
 (** {2 Durations: construction, arithmetic and conversion} *)
 
 val span_ns : int -> span

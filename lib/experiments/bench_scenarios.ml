@@ -192,15 +192,19 @@ let run_measurement ~smoke =
 
 (* --- event queue --- *)
 
+(* Drain the way the engine's loop does: [min_time], then [pop_min]. *)
+let drain_queue q =
+  while (Dcsim.Event_queue.min_time q :> int) < (Simtime.never :> int) do
+    ignore (Dcsim.Event_queue.pop_min q)
+  done
+
 let eventq_churn ~smoke ~events =
   let rng = Rng.create ~seed:7 in
   let times = Array.init events (fun _ -> Rng.int rng 1_000_000_000) in
   let run_scenario () =
     let q = Dcsim.Event_queue.create () in
     Array.iter (fun ns -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns ns) ns)) times;
-    while Dcsim.Event_queue.pop q <> None do
-      ()
-    done
+    drain_queue q
   in
   let min_time = if smoke then 0.02 else 0.2 in
   let timed = time_runs ~min_time run_scenario in
@@ -225,9 +229,7 @@ let eventq_cancel_heavy ~smoke ~events =
     Array.iter
       (fun (i, h) -> if doomed.(i) then ignore (Dcsim.Event_queue.cancel q h))
       handles;
-    while Dcsim.Event_queue.pop q <> None do
-      ()
-    done
+    drain_queue q
   in
   let min_time = if smoke then 0.02 else 0.2 in
   let timed = time_runs ~min_time run_scenario in
@@ -817,6 +819,36 @@ let run_workloads ~smoke =
     loadgen_curve_case ~smoke;
   ]
 
+(* --- event core ---
+
+   One static closure on shard 0 reschedules itself [span] later, so an
+   event owes nothing but its 6-word heap entry. The cluster's
+   lookahead equals [span], so with 17 shards each window holds exactly
+   one event while 16 shards idle through it: any allocation per shard
+   per window costs >= 32 words per event. *)
+let engine_loop_case ~smoke ~shards =
+  let events = if smoke then 20_000 else 1_000_000 in
+  let span = Simtime.span_ns 1_000 in
+  let engines = Array.init shards (fun _ -> Engine.create ()) in
+  let cluster = Dcsim.Cluster.create ~shards:engines in
+  Dcsim.Cluster.constrain_lookahead cluster span;
+  let run_scenario () =
+    let left = ref events in
+    let rec tick () =
+      decr left;
+      if !left > 0 then ignore (Engine.after engines.(0) span tick)
+    in
+    ignore (Engine.after engines.(0) span tick);
+    Dcsim.Cluster.run cluster
+  in
+  let min_time = if smoke then 0.02 else 0.2 in
+  let timed = time_runs ~min_time run_scenario in
+  mk_result
+    ~scenario:(Printf.sprintf "engine-loop/%dshards" shards)
+    ~unit_:"event"
+    ~params:[ ("events", float_of_int events); ("shards", float_of_int shards) ]
+    ~ops:events timed
+
 (* --- allocation regression gate (@alloc-check) ---
 
    Allocation counts are deterministic, so smoke sizes suffice. The
@@ -853,6 +885,10 @@ let alloc_check () =
       ("loadgen/churn-event", 100.0);
       (* One boxed float argument + result across the module boundary. *)
       ("loadgen/curve-sample", 6.0);
+      (* Scheduling and firing an event allocates its 6-word heap entry
+         and nothing else, on one engine and across a cluster window. *)
+      ("engine-loop/1shards", 6.0 +. zero_bar);
+      ("engine-loop/17shards", 6.0 +. zero_bar);
     ]
   in
   let results =
@@ -865,6 +901,8 @@ let alloc_check () =
         loadgen_launch_case ~smoke:true;
         loadgen_churn_case ~smoke:true;
         loadgen_curve_case ~smoke:true;
+        engine_loop_case ~smoke:true ~shards:1;
+        engine_loop_case ~smoke:true ~shards:17;
       ]
   in
   List.filter_map
@@ -918,7 +956,8 @@ let engine_case ~smoke ~racks =
 
 let run_engine ~smoke =
   let rack_counts = if smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ] in
-  List.map (fun racks -> engine_case ~smoke ~racks) rack_counts
+  List.map (fun shards -> engine_loop_case ~smoke ~shards) [ 1; 17 ]
+  @ List.map (fun racks -> engine_case ~smoke ~racks) rack_counts
 
 (* --- JSON emission --- *)
 

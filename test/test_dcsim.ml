@@ -185,6 +185,39 @@ let test_engine_until () =
   Engine.run e;
   checki "rest" 2 !fired
 
+(* The clock-parking rules of [run ~until]: the limit is inclusive,
+   and the clock parks on it only while a later event is queued. *)
+let test_engine_until_inclusive () =
+  let e = Engine.create () in
+  let fired = ref [] in
+  List.iter
+    (fun t -> ignore (Engine.at e (Simtime.of_ns t) (fun () -> fired := t :: !fired)))
+    [ 10; 20 ];
+  Engine.run ~until:(Simtime.of_ns 10) e;
+  check (Alcotest.list Alcotest.int) "event at the limit fired" [ 10 ] !fired;
+  checki "clock at the limit" 10 (Simtime.to_ns (Engine.now e))
+
+let test_engine_until_drained_early () =
+  let e = Engine.create () in
+  ignore (Engine.at e (Simtime.of_ns 10) (fun () -> ()));
+  Engine.run ~until:(Simtime.of_ns 100) e;
+  checki "clock stays on the last event" 10 (Simtime.to_ns (Engine.now e))
+
+(* Regression: a limit below the clock used to park the clock on the
+   limit, moving time backwards so [at] accepted an event in the past. *)
+let test_engine_until_never_backwards () =
+  let e = Engine.create () in
+  ignore (Engine.at e (Simtime.of_ns 10) (fun () -> ()));
+  Engine.run e;
+  ignore (Engine.at e (Simtime.of_ns 50) (fun () -> ()));
+  Engine.run ~until:(Simtime.of_ns 5) e;
+  checki "clock did not move back" 10 (Simtime.to_ns (Engine.now e));
+  checkb "the past is still rejected" true
+    (try
+       ignore (Engine.at e (Simtime.of_ns 7) (fun () -> ()));
+       false
+     with Invalid_argument _ -> true)
+
 let test_engine_after_and_cancel () =
   let e = Engine.create () in
   let fired = ref false in
@@ -373,24 +406,83 @@ let test_littles_law () =
 
 (* --- Property tests --- *)
 
-let prop_event_queue_sorted =
-  QCheck2.Test.make ~name:"event queue pops in time order" ~count:200
-    QCheck2.Gen.(list_size (int_range 1 50) (int_range 0 1_000_000))
-    (fun times ->
-      let q = Dcsim.Event_queue.create () in
-      List.iter (fun t -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns t) t)) times;
-      let rec drain acc =
-        match Dcsim.Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
+(* Reference model for the event queue: every pushed entry, by push
+   index, with its time and fate. The next event is the live entry with
+   the least (time, push index). Payloads are push indexes, so a tie
+   broken out of order shows up; times span only 0-7, so ties are
+   everywhere. A push-heavy prefix grows the heap past the 64-entry
+   compaction threshold and a cancel-heavy tail then lets cancelled
+   entries dominate it, so both lazy deletion and compaction run.
+   Cancels pick any entry ever pushed, fired ones included. *)
+type model_fate = Live | Cancelled | Fired
+
+let queue_op_gen ~push ~cancel ~pop =
+  QCheck2.Gen.(
+    frequency
+      [
+        (push, map (fun t -> `Push t) (int_range 0 7));
+        (cancel, map (fun k -> `Cancel k) nat);
+        (pop, pure `Pop);
+        (1, pure `Min);
+      ])
+
+let prop_event_queue_model =
+  QCheck2.Test.make ~name:"event queue matches a (time, push index) model"
+    ~count:200
+    QCheck2.Gen.(
+      map2 ( @ )
+        (list_size (int_range 70 150) (queue_op_gen ~push:8 ~cancel:1 ~pop:1))
+        (list_size (int_range 50 200) (queue_op_gen ~push:2 ~cancel:6 ~pop:2)))
+    (fun ops ->
+      let module Q = Dcsim.Event_queue in
+      let q = Q.create () in
+      let n = List.length ops in
+      let times = Array.make n 0 and fates = Array.make n Fired in
+      let handles = Array.make n None and pushed = ref 0 in
+      let next () =
+        let best = ref (-1) in
+        for i = !pushed - 1 downto 0 do
+          if fates.(i) = Live && (!best < 0 || times.(i) <= times.(!best)) then
+            best := i
+        done;
+        !best
       in
-      let popped = drain [] in
-      popped = List.sort compare times
-      || (* stable for duplicates in push order: compare as multiset+sorted *)
-      List.sort compare popped = List.sort compare times
-      && List.for_all2 ( <= )
-           (List.filteri (fun i _ -> i < List.length popped - 1) popped)
-           (List.tl popped))
+      let live () = Array.fold_left (fun n f -> if f = Live then n + 1 else n) 0 fates in
+      let step op =
+        (match op with
+        | `Push t ->
+            let i = !pushed in
+            times.(i) <- t;
+            fates.(i) <- Live;
+            handles.(i) <- Some (Q.push q (Simtime.of_ns t) i);
+            incr pushed;
+            true
+        | `Cancel k when !pushed > 0 ->
+            let i = k mod !pushed in
+            let expected = fates.(i) = Live in
+            if expected then fates.(i) <- Cancelled;
+            Q.cancel q (Option.get handles.(i)) = expected
+        | `Cancel _ -> true
+        | `Pop -> (
+            match next () with
+            | -1 -> (try ignore (Q.pop_min q); false with Invalid_argument _ -> true)
+            | i ->
+                fates.(i) <- Fired;
+                Q.pop_min q = i)
+        | `Min -> (
+            match next () with
+            | -1 -> Q.min_time q = Simtime.never
+            | i -> Simtime.to_ns (Q.min_time q) = times.(i)))
+        && Q.length q = live ()
+      in
+      let rec drain () =
+        match next () with
+        | -1 -> Q.is_empty q && Q.min_time q = Simtime.never
+        | i ->
+            fates.(i) <- Fired;
+            Simtime.to_ns (Q.min_time q) = times.(i) && Q.pop_min q = i && drain ()
+      in
+      List.for_all step ops && drain ())
 
 let prop_event_queue_length_under_churn =
   (* Random interleavings of push / cancel / pop (including cancels of
@@ -468,6 +560,9 @@ let suite =
     t "median in place" test_median_in_place;
     t "engine runs in order" test_engine_runs_in_order;
     t "engine until" test_engine_until;
+    t "engine until is inclusive" test_engine_until_inclusive;
+    t "engine until drained early keeps clock" test_engine_until_drained_early;
+    t "engine until never moves clock back" test_engine_until_never_backwards;
     t "engine after/cancel" test_engine_after_and_cancel;
     t "engine rejects past" test_engine_rejects_past;
     t "engine every" test_engine_every;
@@ -487,7 +582,7 @@ let suite =
     t "md1 below mm1" test_md1_below_mm1;
     t "mmc wait" test_mmc;
     t "littles law" test_littles_law;
-    QCheck_alcotest.to_alcotest prop_event_queue_sorted;
+    QCheck_alcotest.to_alcotest prop_event_queue_model;
     QCheck_alcotest.to_alcotest prop_event_queue_length_under_churn;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_summary_mean_bounds;

@@ -43,8 +43,7 @@ let test_run_window_empty_advances_clock () =
   Engine.run_window e ~until_exclusive:(ns 100);
   checki "clock advanced through the empty window" 100
     (Simtime.to_ns (Engine.now e));
-  check (Alcotest.option Alcotest.int) "nothing pending" None
-    (Option.map Simtime.to_ns (Engine.next_event_time e))
+  checkb "nothing pending" true (Engine.min_time e = Simtime.never)
 
 let test_advance_clock_monotone () =
   let e = Engine.create () in
@@ -228,6 +227,55 @@ let test_cluster_until_parks_clocks () =
   Cluster.run cluster;
   checki "resumed past the limit" 2 !fired
 
+(* In the final, partial window every shard runs under [Engine.run]'s
+   parking rule: a shard whose queue drained keeps its clock, and a
+   shard still holding a later event parks at the limit. *)
+let test_cluster_final_window_parking () =
+  let e0 = Engine.create () and e1 = Engine.create () and e2 = Engine.create () in
+  let cluster = Cluster.create ~shards:[| e0; e1; e2 |] in
+  Cluster.constrain_lookahead cluster (span 10_000);
+  ignore (Engine.at e0 (ns 1_000) (fun () -> ()));
+  ignore (Engine.at e1 (ns 3_000) (fun () -> ()));
+  ignore (Engine.at e1 (ns 50_000) (fun () -> ()));
+  Cluster.run ~until:(ns 5_000) cluster;
+  checki "one window" 1 (Cluster.windows_run cluster);
+  checki "drained shard stays on its last event" 1_000
+    (Simtime.to_ns (Engine.now e0));
+  checki "shard with a later event parks at the limit" 5_000
+    (Simtime.to_ns (Engine.now e1));
+  checki "empty shard keeps its clock" 0 (Simtime.to_ns (Engine.now e2))
+
+(* A stop mid-window leaves later shards untouched; the next run first
+   finishes that window, and every shard, idle ones included, ends each
+   full window on its end. *)
+let test_cluster_stop_then_resume () =
+  let e0 = Engine.create () and e1 = Engine.create () and e2 = Engine.create () in
+  let cluster = Cluster.create ~shards:[| e0; e1; e2 |] in
+  Cluster.constrain_lookahead cluster (span 10_000);
+  let fired = ref [] in
+  let at e t f =
+    ignore
+      (Engine.at e (ns t) (fun () ->
+           fired := t :: !fired;
+           f ()))
+  in
+  at e0 1_000 (fun () -> Cluster.stop cluster);
+  at e0 2_000 ignore;
+  at e1 3_000 ignore;
+  Cluster.run cluster;
+  check Alcotest.(list int) "stopped after the first event" [ 1_000 ]
+    (List.rev !fired);
+  checki "stopped shard stays on its event" 1_000 (Simtime.to_ns (Engine.now e0));
+  checki "later shard untouched" 0 (Simtime.to_ns (Engine.now e1));
+  at e1 12_000 ignore;
+  Cluster.run cluster;
+  check Alcotest.(list int) "interrupted window finished, then the next"
+    [ 1_000; 2_000; 3_000; 12_000 ] (List.rev !fired);
+  checki "two windows" 2 (Cluster.windows_run cluster);
+  List.iter
+    (fun e -> checki "window end" 22_000 (Simtime.to_ns (Engine.now e)))
+    [ e0; e1; e2 ]
+
 let test_cluster_single_shard_degenerates () =
   let e = Engine.create () in
   let cluster = Cluster.create ~shards:[| e |] in
@@ -374,6 +422,10 @@ let suite =
       test_cluster_lockstep_ping_pong;
     Alcotest.test_case "cluster: run ~until parks all clocks" `Quick
       test_cluster_until_parks_clocks;
+    Alcotest.test_case "cluster: final partial window parking" `Quick
+      test_cluster_final_window_parking;
+    Alcotest.test_case "cluster: stop then resume finishes the window" `Quick
+      test_cluster_stop_then_resume;
     Alcotest.test_case "cluster: single shard degenerates to Engine.run"
       `Quick test_cluster_single_shard_degenerates;
     QCheck_alcotest.to_alcotest prop_sharded_matches_single;
