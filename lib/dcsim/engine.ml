@@ -25,9 +25,17 @@ let at t (time : Simtime.t) fn =
     invalid_arg
       (Format.asprintf "Engine.at: %a is before current time %a" Simtime.pp
          time Simtime.pp t.clock);
+  (* [never] is the queue's "empty" sentinel: an event there never fires. *)
+  if time = Simtime.never then invalid_arg "Engine.at: Simtime.never";
   Event_queue.push t.queue time fn
 
-let after t span fn = at t (Simtime.add t.clock span) fn
+let after t span fn =
+  let time = Simtime.add t.clock span in
+  if (span :> int) > 0 && (time :> int) < (t.clock :> int) then
+    invalid_arg (Format.asprintf "Engine.after: %a + %a overflows Simtime"
+                   Simtime.pp t.clock Simtime.pp_span span);
+  at t time fn
+
 let cancel t handle = Event_queue.cancel t.queue handle
 
 let every t ?start span fn =
@@ -47,7 +55,7 @@ let advance_clock t (time : Simtime.t) =
 
 (* The one event loop behind every entry point: fire events while the
    earliest is strictly before [bound] and no [stop] is pending.
-   Nothing here allocates, so an event costs its heap entry alone. *)
+   Nothing here allocates, and neither does the queue. *)
 let rec fire_before t bound =
   if not t.stopping then begin
     let time = Event_queue.min_time t.queue in

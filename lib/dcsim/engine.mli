@@ -13,10 +13,12 @@ val rng : t -> Rng.t
 type handle
 
 val at : t -> Simtime.t -> (unit -> unit) -> handle
-(** Schedule a closure at an absolute instant (must not be in the past). *)
+(** Schedule a closure at an absolute instant.
+    @raise Invalid_argument if it is in the past or {!Simtime.never}. *)
 
 val after : t -> Simtime.span -> (unit -> unit) -> handle
-(** Schedule a closure [span] after the current time. *)
+(** Schedule a closure [span] after the current time.
+    @raise Invalid_argument as {!at} does, or if the sum overflows. *)
 
 val cancel : t -> handle -> bool
 

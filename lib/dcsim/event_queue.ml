@@ -1,172 +1,163 @@
-type 'a entry = {
-  time : Simtime.t;
-  seq : int;
-  payload : 'a;
-  mutable cancelled : bool;
-  (* Set once the entry has permanently left the heap (popped, or
-     dropped during lazy deletion / compaction). Distinguishing
-     "cancelled" from "consumed" makes cancel-after-fire and
-     double-cancel safe no-ops: neither touches [live] twice. *)
-  mutable consumed : bool;
-}
+(* A binary min-heap over parallel unboxed arrays. Positions [0, size)
+   are the heap, keyed by [times], [seqs] and [slots]. [slots] is always
+   a permutation of the slot indices: positions [size, capacity) hold
+   the free slots, the next one to reuse at [size]. A slot keeps what
+   stays put while the keys move: its payload and its position.
+
+   The keys are immediates, so a sift moves a hole through int arrays
+   and never runs the write barrier; only a payload cell is written,
+   once on push and once on removal. Every index is in bounds by
+   construction (positions and slots are below the capacity, and
+   [cancel] checks the slot it decodes), so [a.(i)] skips the check. *)
+module Array = struct
+  include Array
+
+  external get : 'a array -> int -> 'a = "%array_unsafe_get"
+  external set : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+end
 
 type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] has [size] live slots; slots >= [size] always hold the
-     shared dummy entry so popped payloads (often closures) are not
-     retained by the array. *)
+  mutable times : Simtime.t array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable payloads : 'a array;
+  mutable positions : int array;
   mutable size : int;
   mutable next_seq : int;
-  mutable live : int;
 }
 
-type handle = Obj.t
-(* The handle is the entry itself, hidden behind Obj.t so the interface
-   need not expose the payload type parameter. Cancellation just flips
-   the entry's flag; the heap drops cancelled entries lazily on pop, or
-   eagerly when they come to dominate (see [maybe_compact]). *)
+(* [(seq lsl slot_bits) lor slot]. A slot outlives its occupant, so the
+   occupant's sequence number tells a live handle from a stale one. *)
+type handle = int
 
-(* One shared filler for vacated slots. Its payload is (), an
-   immediate, so it pins nothing; it is never read as a live entry
-   because slots >= [size] are never accessed. *)
-let shared_dummy : Obj.t entry =
+let slot_bits = 24
+let max_slots = 1 lsl slot_bits
+let max_seq = max_int lsr slot_bits
+
+(* Fills vacated payload cells: the immediate [()] pins nothing, and a
+   cell is read only while its slot is occupied. *)
+let vacant () : 'a = Obj.magic ()
+
+let create () =
   {
-    time = Simtime.zero;
-    seq = min_int;
-    payload = Obj.repr ();
-    cancelled = true;
-    consumed = true;
+    times = [||];
+    seqs = [||];
+    slots = [||];
+    payloads = [||];
+    positions = [||];
+    size = 0;
+    next_seq = 0;
   }
 
-let dummy () : 'a entry = Obj.magic shared_dummy
-
-let create () = { heap = [||]; size = 0; next_seq = 0; live = 0 }
-let is_empty t = t.live = 0
-let length t = t.live
+let is_empty t = t.size = 0
+let length t = t.size
 
 (* Times compare as raw ints through [Simtime.t]'s [private int]
    coercion. dune's dev profile compiles every module with -opaque, so
    a cross-module call such as [Simtime.compare] is never inlined and
    would cost a real call per heap comparison. *)
-let before a b =
-  let ta = (a.time :> int) and tb = (b.time :> int) in
-  ta < tb || (ta = tb && a.seq < b.seq)
+let[@inline] before (ta : Simtime.t) (sa : int) (tb : Simtime.t) sb =
+  let ta = (ta :> int) and tb = (tb :> int) in
+  ta < tb || (ta = tb && sa < sb)
 
-(* Both sifts move a hole rather than swapping: [e] is written once,
-   into the slot where the walk stops. *)
-let rec sift_up heap i e =
-  if i = 0 then heap.(0) <- e
-  else
-    let parent = (i - 1) / 2 in
-    let p = heap.(parent) in
-    if before e p then begin
-      heap.(i) <- p;
-      sift_up heap parent e
-    end
-    else heap.(i) <- e
+(* The sifts take the key arrays as arguments, so each step reads
+   locals instead of reloading the record's mutable fields. *)
+let[@inline] place (times : Simtime.t array) (seqs : int array)
+    (slots : int array) (positions : int array) i time seq slot =
+  times.(i) <- time;
+  seqs.(i) <- seq;
+  slots.(i) <- slot;
+  positions.(slot) <- i
 
-let rec sift_down heap size i e =
+(* Both sifts carry the key being placed, move the hole past every entry
+   it must pass, and write the key once, where the walk stops. *)
+let rec sift_up times seqs slots positions i time seq slot =
+  let p = (i - 1) / 2 in
+  if i > 0 && before time seq times.(p) seqs.(p) then begin
+    place times seqs slots positions i times.(p) seqs.(p) slots.(p);
+    sift_up times seqs slots positions p time seq slot
+  end
+  else place times seqs slots positions i time seq slot
+
+let rec sift_down times seqs slots positions size i time seq slot =
   let l = (2 * i) + 1 in
-  if l >= size then heap.(i) <- e
-  else
-    let r = l + 1 in
-    let c = if r < size && before heap.(r) heap.(l) then r else l in
-    let child = heap.(c) in
-    if before child e then begin
-      heap.(i) <- child;
-      sift_down heap size c e
-    end
-    else heap.(i) <- e
+  let c =
+    if l + 1 < size && before times.(l + 1) seqs.(l + 1) times.(l) seqs.(l)
+    then l + 1
+    else l
+  in
+  if c < size && before times.(c) seqs.(c) time seq then begin
+    place times seqs slots positions i times.(c) seqs.(c) slots.(c);
+    sift_down times seqs slots positions size c time seq slot
+  end
+  else place times seqs slots positions i time seq slot
 
 let grow t =
-  let capacity = Array.length t.heap in
-  if t.size = capacity then begin
-    let new_capacity = Stdlib.max 16 (2 * capacity) in
-    let heap = Array.make new_capacity (dummy ()) in
-    Array.blit t.heap 0 heap 0 t.size;
-    t.heap <- heap
-  end
+  let capacity = Array.length t.slots in
+  if capacity = max_slots then
+    failwith "Event_queue.push: too many pending events for a handle";
+  let added = Stdlib.min max_slots (Stdlib.max 16 (2 * capacity)) - capacity in
+  let extend a filler = Array.append a (Array.make added filler) in
+  (* Each new slot is free and starts at the position of its index. *)
+  let fresh a = Array.append a (Array.init added (( + ) capacity)) in
+  t.times <- extend t.times Simtime.zero;
+  t.seqs <- extend t.seqs 0;
+  t.payloads <- extend t.payloads (vacant ());
+  t.slots <- fresh t.slots;
+  t.positions <- fresh t.positions
 
 let push t time payload =
-  let entry = { time; seq = t.next_seq; payload; cancelled = false; consumed = false } in
-  t.next_seq <- t.next_seq + 1;
-  grow t;
-  t.size <- t.size + 1;
-  t.live <- t.live + 1;
-  sift_up t.heap (t.size - 1) entry;
-  Obj.repr entry
+  let seq = t.next_seq in
+  if seq > max_seq then failwith "Event_queue.push: sequence numbers exhausted";
+  if t.size = Array.length t.slots then grow t;
+  let i = t.size in
+  let slot = t.slots.(i) in
+  t.next_seq <- seq + 1;
+  t.size <- i + 1;
+  t.payloads.(slot) <- payload;
+  sift_up t.times t.seqs t.slots t.positions i time seq slot;
+  (seq lsl slot_bits) lor slot
 
-(* Drop every cancelled entry in one pass and re-heapify. O(size);
-   amortised against the cancellations that triggered it. *)
-let compact t =
-  let old_size = t.size in
-  let j = ref 0 in
-  for i = 0 to old_size - 1 do
-    let e = t.heap.(i) in
-    if e.cancelled then e.consumed <- true
-    else begin
-      t.heap.(!j) <- e;
-      incr j
-    end
-  done;
-  t.size <- !j;
-  Array.fill t.heap t.size (old_size - t.size) (dummy ());
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t.heap t.size i t.heap.(i)
-  done;
-  (* Shed capacity the burst of cancellations no longer needs. *)
-  let capacity = Array.length t.heap in
-  if capacity > 16 && t.size * 4 < capacity then
-    t.heap <- Array.sub t.heap 0 (Stdlib.max 16 (capacity / 2))
-
-let compact_threshold = 64
-
-let maybe_compact t =
-  if t.size >= compact_threshold && 2 * t.live < t.size then compact t
+(* Remove the entry at position [i] and return its payload. The last
+   entry fills the hole and sifts whichever way restores the order; the
+   freed slot takes the last position, on top of the free ones. *)
+let remove_at t i =
+  let freed = t.slots.(i) and last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    let time = t.times.(last) and seq = t.seqs.(last) and slot = t.slots.(last) in
+    let p = (i - 1) / 2 in
+    if i > 0 && before time seq t.times.(p) t.seqs.(p) then
+      sift_up t.times t.seqs t.slots t.positions i time seq slot
+    else sift_down t.times t.seqs t.slots t.positions last i time seq slot
+  end;
+  t.slots.(last) <- freed;
+  t.positions.(freed) <- last;
+  let payload = t.payloads.(freed) in
+  t.payloads.(freed) <- vacant ();
+  payload
 
 let cancel t handle =
-  let entry : 'a entry = Obj.obj handle in
-  if entry.cancelled || entry.consumed then false
-  else begin
-    entry.cancelled <- true;
-    t.live <- t.live - 1;
-    maybe_compact t;
-    true
-  end
+  let slot = handle land (max_slots - 1) in
+  (* A free slot sits at or past [size]; a reused one holds a newer
+     sequence number. *)
+  let live =
+    slot < Array.length t.positions
+    &&
+    let i = t.positions.(slot) in
+    i < t.size && t.seqs.(i) = handle lsr slot_bits
+  in
+  if live then ignore (remove_at t t.positions.(slot));
+  live
 
-(* Remove the root of a non-empty heap; the last entry fills the hole. *)
-let remove_top t =
-  let top = t.heap.(0) in
-  let last = t.size - 1 in
-  let filler = t.heap.(last) in
-  t.heap.(last) <- dummy ();
-  t.size <- last;
-  if last > 0 then sift_down t.heap last 0 filler;
-  top.consumed <- true;
-  top
-
-let rec min_time t =
-  if t.size = 0 then Simtime.never
-  else
-    let top = t.heap.(0) in
-    if top.cancelled then begin
-      (* Discard the cancelled top so repeated calls stay cheap. *)
-      ignore (remove_top t);
-      min_time t
-    end
-    else top.time
+let min_time t = if t.size = 0 then Simtime.never else t.times.(0)
 
 let pop_min t =
-  if t.live = 0 then invalid_arg "Event_queue.pop_min: empty queue";
-  (* With a live entry left, [min_time] leaves one at the root. *)
-  ignore (min_time t);
-  t.live <- t.live - 1;
-  (remove_top t).payload
-
-let peek_time t = if t.live = 0 then None else Some (min_time t)
+  if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
+  remove_at t 0
 
 let pop t =
-  if t.live = 0 then None
+  if t.size = 0 then None
   else
-    let time = min_time t in
-    Some (time, pop_min t)
+    let time = t.times.(0) in
+    Some (time, remove_at t 0)

@@ -11,23 +11,24 @@ val is_empty : 'a t -> bool
 val length : 'a t -> int
 
 type handle
-(** Identifies a scheduled event so it can be cancelled. *)
+(** Identifies a scheduled event so it can be cancelled. An immediate
+    int, meaningful only to the queue that issued it: another queue may
+    read it as one of its own events. *)
 
 val push : 'a t -> Simtime.t -> 'a -> handle
-(** Allocates the heap entry (6 words) and nothing else. *)
+(** Allocates nothing, apart from doubling the queue's arrays when they
+    fill. @raise Failure past 2{^24} pending events or 2{^38} pushes,
+    which a handle cannot tell apart. *)
 
 val cancel : 'a t -> handle -> bool
-(** [cancel q h] removes the event; returns [false] if it already fired
-    or was already cancelled — both are safe no-ops that leave
-    {!length} untouched. Cancellation is amortised O(1): deletion is
-    lazy, but once cancelled entries outnumber live ones the heap is
-    compacted in a single pass so it cannot grow without bound under
-    heavy reschedule churn. Popped and compacted-away slots are
-    cleared, so the queue does not retain payload closures. *)
+(** [cancel q h] removes the event at once, in O(log n). It returns
+    [false] and changes nothing if the event already fired or was
+    already cancelled. A removed event's payload cell is cleared, so the
+    queue does not retain fired or cancelled closures. *)
 
 val min_time : 'a t -> Simtime.t
-(** Earliest live timestamp, or {!Simtime.never} if empty. Drops
-    cancelled entries off the top; allocates nothing. *)
+(** Earliest timestamp, or {!Simtime.never} if empty. Allocates
+    nothing. *)
 
 val pop_min : 'a t -> 'a
 (** Remove the {!min_time} event and return its payload, allocating
@@ -35,6 +36,3 @@ val pop_min : 'a t -> 'a
 
 val pop : 'a t -> (Simtime.t * 'a) option
 (** Boxed {!min_time} + {!pop_min}, for callers off the hot path. *)
-
-val peek_time : 'a t -> Simtime.t option
-(** Boxed {!min_time}, for callers off the hot path. *)

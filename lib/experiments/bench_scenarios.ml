@@ -239,9 +239,40 @@ let eventq_cancel_heavy ~smoke ~events =
     ~params:[ ("events", float_of_int events); ("cancel_fraction", 0.9) ]
     ~ops:events timed
 
+(* The retransmission-timer pattern: [timers] armed timers, and each
+   step cancels one and re-arms it later, as TCP does on every ack. *)
+let eventq_rearm ~smoke ~timers =
+  let steps = if smoke then 2_000 else 200_000 in
+  let rng = Rng.create ~seed:13 in
+  let delays = Array.init steps (fun _ -> 1 + Rng.int rng 1_000_000) in
+  let q = Dcsim.Event_queue.create () in
+  let handles =
+    Array.init timers (fun i -> Dcsim.Event_queue.push q (Simtime.of_ns i) i)
+  in
+  let clock = ref 0 in
+  let run_scenario () =
+    for s = 0 to steps - 1 do
+      let i = s mod timers in
+      ignore (Dcsim.Event_queue.cancel q handles.(i));
+      handles.(i) <- Dcsim.Event_queue.push q (Simtime.of_ns (!clock + delays.(s))) i;
+      incr clock
+    done
+  in
+  let min_time = if smoke then 0.02 else 0.2 in
+  let timed = time_runs ~min_time run_scenario in
+  mk_result
+    ~scenario:(Printf.sprintf "eventq-rearm/%d" timers)
+    ~unit_:"rearm"
+    ~params:[ ("timers", float_of_int timers); ("steps", float_of_int steps) ]
+    ~ops:steps timed
+
 let run_eventqueue ~smoke =
   let events = if smoke then 2_000 else 200_000 in
-  [ eventq_churn ~smoke ~events; eventq_cancel_heavy ~smoke ~events ]
+  [
+    eventq_churn ~smoke ~events;
+    eventq_cancel_heavy ~smoke ~events;
+    eventq_rearm ~smoke ~timers:1024;
+  ]
 
 (* --- observability: emission overhead (docs/BENCH.md) ---
 
@@ -822,7 +853,7 @@ let run_workloads ~smoke =
 (* --- event core ---
 
    One static closure on shard 0 reschedules itself [span] later, so an
-   event owes nothing but its 6-word heap entry. The cluster's
+   event should allocate nothing at all. The cluster's
    lookahead equals [span], so with 17 shards each window holds exactly
    one event while 16 shards idle through it: any allocation per shard
    per window costs >= 32 words per event. *)
@@ -885,10 +916,11 @@ let alloc_check () =
       ("loadgen/churn-event", 100.0);
       (* One boxed float argument + result across the module boundary. *)
       ("loadgen/curve-sample", 6.0);
-      (* Scheduling and firing an event allocates its 6-word heap entry
-         and nothing else, on one engine and across a cluster window. *)
-      ("engine-loop/1shards", 6.0 +. zero_bar);
-      ("engine-loop/17shards", 6.0 +. zero_bar);
+      (* Scheduling and firing an event allocates nothing, on one
+         engine and across a cluster window; nor does re-arming a timer. *)
+      ("engine-loop/1shards", zero_bar);
+      ("engine-loop/17shards", zero_bar);
+      ("eventq-rearm/1024", zero_bar);
     ]
   in
   let results =
@@ -903,6 +935,7 @@ let alloc_check () =
         loadgen_curve_case ~smoke:true;
         engine_loop_case ~smoke:true ~shards:1;
         engine_loop_case ~smoke:true ~shards:17;
+        eventq_rearm ~smoke:true ~timers:1024;
       ]
   in
   List.filter_map

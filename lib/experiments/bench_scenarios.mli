@@ -34,9 +34,10 @@ val run_measurement : smoke:bool -> result list
     updates, and interval report building with medians. *)
 
 val run_eventqueue : smoke:bool -> result list
-(** Raw event-queue churn (smoke-scaled): push/pop ordering load and a
-    cancel-heavy variant where 90% of pushed events are cancelled,
-    exercising lazy deletion plus heap compaction. *)
+(** Raw event-queue churn (smoke-scaled): push/pop ordering load, a
+    cancel-heavy variant where 90% of pushed events are cancelled (each
+    removed at once), and timer re-arming: 1024 armed timers, each op
+    cancelling one and pushing it again later. *)
 
 val run_obs : smoke:bool -> result list
 (** Observability emission overhead: one faithful trace emission site

@@ -82,10 +82,7 @@ let test_queue_peek_skips_cancelled () =
   let h = Dcsim.Event_queue.push q (Simtime.of_ns 1) 1 in
   ignore (Dcsim.Event_queue.push q (Simtime.of_ns 7) 2);
   ignore (Dcsim.Event_queue.cancel q h);
-  (match Dcsim.Event_queue.peek_time q with
-  | Some t -> checki "peek" 7 (Simtime.to_ns t)
-  | None -> Alcotest.fail "expected peek");
-  ()
+  checki "peek" 7 (Simtime.to_ns (Dcsim.Event_queue.min_time q))
 
 let test_queue_cancel_after_pop () =
   (* Regression: cancelling a handle whose event already fired must be
@@ -99,20 +96,26 @@ let test_queue_cancel_after_pop () =
   checkb "cancel after fire is a no-op" false (Dcsim.Event_queue.cancel q h1);
   checki "length uncorrupted" 1 (Dcsim.Event_queue.length q);
   checkb "not empty" false (Dcsim.Event_queue.is_empty q);
-  (* Cancel-then-pop-then-cancel: the lazily-discarded entry must not
-     be cancellable a second time either. *)
+  (* Cancel-then-pop-then-cancel: the cancelled entry must not be
+     cancellable a second time either. *)
   let h2 = Dcsim.Event_queue.push q (Simtime.of_ns 1) 3 in
   checkb "cancel live" true (Dcsim.Event_queue.cancel q h2);
   (match Dcsim.Event_queue.pop q with
   | Some (_, v) -> checki "skips cancelled" 2 v
   | None -> Alcotest.fail "expected survivor");
-  checkb "cancel after lazy discard" false (Dcsim.Event_queue.cancel q h2);
+  checkb "cancel after cancel and pop" false (Dcsim.Event_queue.cancel q h2);
   checki "drained" 0 (Dcsim.Event_queue.length q);
   checkb "pop on empty" true (Dcsim.Event_queue.pop q = None)
 
-let test_queue_compaction () =
-  (* Mass cancellation triggers heap compaction; ordering and length
-     must survive it. *)
+let drain_payloads q =
+  let rec go acc =
+    match Dcsim.Event_queue.pop q with
+    | None -> List.rev acc
+    | Some (_, v) -> go (v :: acc)
+  in
+  go []
+
+let test_queue_order_after_mass_cancel () =
   let q = Dcsim.Event_queue.create () in
   let handles =
     List.init 10_000 (fun i -> (i, Dcsim.Event_queue.push q (Simtime.of_ns i) i))
@@ -122,14 +125,66 @@ let test_queue_compaction () =
       if i mod 1000 <> 0 then checkb "cancel" true (Dcsim.Event_queue.cancel q h))
     handles;
   checki "live survivors" 10 (Dcsim.Event_queue.length q);
-  let rec drain acc =
-    match Dcsim.Event_queue.pop q with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
   Alcotest.check (Alcotest.list Alcotest.int) "survivors in order"
     [ 0; 1000; 2000; 3000; 4000; 5000; 6000; 7000; 8000; 9000 ]
-    (drain [])
+    (drain_payloads q)
+
+let test_queue_stale_handle_after_reuse () =
+  (* A freed slot is reused by the next push: the old handle must not
+     reach the new occupant, whether its event fired or was cancelled. *)
+  let module Q = Dcsim.Event_queue in
+  let q = Q.create () in
+  let fired = Q.push q (Simtime.of_ns 1) "fired" in
+  ignore (Q.pop q);
+  let cancelled = Q.push q (Simtime.of_ns 2) "cancelled" in
+  checkb "cancel live" true (Q.cancel q cancelled);
+  ignore (Q.push q (Simtime.of_ns 3) "new");
+  checkb "fired handle is stale" false (Q.cancel q fired);
+  checkb "cancelled handle is stale" false (Q.cancel q cancelled);
+  checki "length" 1 (Q.length q);
+  Alcotest.(check (list string)) "new event fires" [ "new" ] (drain_payloads q)
+
+let test_queue_handles_survive_growth () =
+  (* The first 16 handles predate two doublings of the queue's arrays.
+     Pushed in falling time order, those entries sit away from their
+     slots' indices, and the later-timed pushes never move them. *)
+  let module Q = Dcsim.Event_queue in
+  let q = Q.create () in
+  let time i = if i < 16 then 100 - i else 1000 + i in
+  let handles = Array.init 64 (fun i -> Q.push q (Simtime.of_ns (time i)) i) in
+  Array.iteri
+    (fun i h -> if i < 16 && i mod 2 = 0 then checkb "cancel" true (Q.cancel q h))
+    handles;
+  checki "length" 56 (Q.length q);
+  let expected =
+    List.filter (fun i -> i mod 2 = 1) (List.init 16 (fun i -> 15 - i))
+    @ List.init 48 (( + ) 16)
+  in
+  Alcotest.(check (list int)) "order" expected (drain_payloads q)
+
+let test_queue_cancel_positions () =
+  (* One cancel per fresh queue, of each entry in turn: the root, the
+     last position, and interior entries. Pushed in this order the heap
+     is the array itself, so cancelling 101 (position 3) moves the last
+     entry, the second 1, under 100: it must sift up, or 100 pops
+     first. The two 1s must still pop in push order. *)
+  let times = [| 0; 100; 1; 101; 102; 150; 1 |] in
+  let n = Array.length times in
+  for k = 0 to n - 1 do
+    let q = Dcsim.Event_queue.create () in
+    let handles =
+      Array.mapi (fun i t -> Dcsim.Event_queue.push q (Simtime.of_ns t) i) times
+    in
+    checkb "cancel" true (Dcsim.Event_queue.cancel q handles.(k));
+    let expected =
+      List.stable_sort
+        (fun a b -> compare times.(a) times.(b))
+        (List.filter (( <> ) k) (List.init n Fun.id))
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "order after cancelling #%d" k)
+      expected (drain_payloads q)
+  done
 
 (* --- Ring --- *)
 
@@ -233,6 +288,24 @@ let test_engine_rejects_past () =
   Alcotest.check_raises "past schedule"
     (Invalid_argument "Engine.at: 1.0us is before current time 5.0us")
     (fun () -> ignore (Engine.at e (Simtime.of_us 1.0) (fun () -> ())))
+
+let test_engine_rejects_never () =
+  (* [never] is the queue's "empty" sentinel: an event there was
+     accepted, then stranded, since [run] and [Cluster.run] read
+     [min_time = never] as an empty queue. *)
+  let e = Engine.create () in
+  let noop () = () in
+  Alcotest.check_raises "at never" (Invalid_argument "Engine.at: Simtime.never")
+    (fun () -> ignore (Engine.at e Simtime.never noop));
+  checki "nothing queued" 0 (Engine.pending_events e);
+  ignore (Engine.at e (Simtime.of_ns 10) noop);
+  Engine.run e;
+  Alcotest.check_raises "after onto never"
+    (Invalid_argument "Engine.at: Simtime.never")
+    (fun () -> ignore (Engine.after e (Simtime.span_ns (max_int - 10)) noop));
+  Alcotest.check_raises "after overflows"
+    (Invalid_argument "Engine.after: 10ns + 4611686018.427s overflows Simtime")
+    (fun () -> ignore (Engine.after e (Simtime.span_ns max_int) noop))
 
 let test_engine_every () =
   let e = Engine.create () in
@@ -410,10 +483,10 @@ let test_littles_law () =
    index, with its time and fate. The next event is the live entry with
    the least (time, push index). Payloads are push indexes, so a tie
    broken out of order shows up; times span only 0-7, so ties are
-   everywhere. A push-heavy prefix grows the heap past the 64-entry
-   compaction threshold and a cancel-heavy tail then lets cancelled
-   entries dominate it, so both lazy deletion and compaction run.
-   Cancels pick any entry ever pushed, fired ones included. *)
+   everywhere. A push-heavy prefix grows the queue's arrays through
+   several doublings and a cancel-heavy tail then removes entries from
+   every heap position. Cancels pick any entry ever pushed, fired and
+   cancelled ones included, whose slots newer events may now hold. *)
 type model_fate = Live | Cancelled | Fired
 
 let queue_op_gen ~push ~cancel ~pop =
@@ -554,7 +627,10 @@ let suite =
     t "event queue fifo ties" test_queue_fifo_ties;
     t "event queue cancel" test_queue_cancel;
     t "event queue cancel after pop" test_queue_cancel_after_pop;
-    t "event queue compaction" test_queue_compaction;
+    t "event queue order after mass cancel" test_queue_order_after_mass_cancel;
+    t "event queue stale handle after reuse" test_queue_stale_handle_after_reuse;
+    t "event queue handles survive growth" test_queue_handles_survive_growth;
+    t "event queue cancel root/last/interior" test_queue_cancel_positions;
     t "event queue peek skips cancelled" test_queue_peek_skips_cancelled;
     t "ring buffer basics" test_ring_basics;
     t "median in place" test_median_in_place;
@@ -565,6 +641,7 @@ let suite =
     t "engine until never moves clock back" test_engine_until_never_backwards;
     t "engine after/cancel" test_engine_after_and_cancel;
     t "engine rejects past" test_engine_rejects_past;
+    t "engine rejects never and overflow" test_engine_rejects_never;
     t "engine every" test_engine_every;
     t "engine every past start clamps" test_engine_every_past_start_clamps;
     t "engine stop" test_engine_stop;
