@@ -269,8 +269,9 @@ let run_cmd =
             "Keep the last $(docv) trace events in an always-on in-memory \
              ring (the flight recorder). The ring is dumped as JSONL to \
              $(b,flight.jsonl) when a strict monitor stops the run, and at \
-             the end of a clean run; the dump feeds $(b,trace-export) like \
-             any trace. Recording costs nanoseconds per event and no \
+             the end of a clean run; $(b,fabric-chaos) also dumps it to \
+             $(b,flight.crash.jsonl) at its scripted crash. Every dump feeds \
+             $(b,trace-export) like any trace. Recording costs nanoseconds per event and no \
              steady-state allocation, so it is safe to leave on for any \
              run. $(b,0) (the default) disables it.")
   in

@@ -117,7 +117,6 @@ let guest_rx_cost_bulk ~bytes_len =
 
 let guest_rx_wakeup_jitter_mean = Simtime.span_us 2.0
 
-let vf_tx_cost = Simtime.span_us 0.6
 let vf_rx_host_interrupt_cost = Simtime.span_us 0.5
 let nic_fixed_latency = Simtime.span_us 0.8
 

@@ -64,12 +64,8 @@ val host_kernel_cpus : int
 
 (* --- processing units --- *)
 
-val tso_unit : int
-(** Max bytes the NIC segments in hardware: one vhost/softirq unit covers
-    up to this much bulk data on offload-capable paths. *)
-
 val units_for : vswitch_config -> bytes_len:int -> int
-(** Number of processing units for a message: [ceil (bytes/tso_unit)] on
+(** Number of processing units for a message: one per 64 KiB TSO unit on
     TSO-capable paths, per-MTU-frame when VXLAN tunneling defeats NIC
     offloads (§3.2.1). Always >= 1. *)
 
@@ -95,9 +91,6 @@ val guest_rx_wakeup_jitter_mean : Dcsim.Simtime.span
     message delivery into a guest application (latency only, no CPU). *)
 
 (* --- SR-IOV path --- *)
-
-val vf_tx_cost : Dcsim.Simtime.span
-(** Per-unit NIC VF DMA/doorbell cost, charged to the guest. *)
 
 val vf_rx_host_interrupt_cost : Dcsim.Simtime.span
 (** Per-unit host charge with SR-IOV: the hypervisor still isolates

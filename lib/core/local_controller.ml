@@ -457,5 +457,3 @@ let revalidate_vm_cache t ~vm_ip ~reason =
         (Vswitch.Flow_cache.revalidate
            (Vswitch.Ovs.vif_cache a.Host.Server.vif)
            ~now:(Engine.now t.engine) ~reason)
-
-let measurement_engine t = t.me

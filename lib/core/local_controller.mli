@@ -58,13 +58,6 @@ val set_uplink : t -> (uplink -> unit) -> unit
 (** Where uplink traffic — control-interval reports and directive acks
     — goes (the TOR controller's report channel). *)
 
-val handle_directive : t -> directive -> unit
-(** Apply an offload/demote decision: update the flow placer, block or
-    unblock the flow's software path (in-flight vswitch packets of a
-    freshly offloaded flow are lost — the §6.2.2 effect), and
-    recompute the FPS split for the affected VM. Idempotent: applying
-    the same directive twice is a no-op. *)
-
 val handle_sequenced : t -> sequenced -> unit
 (** Apply a sequenced directive from the (possibly lossy) channel. The
     directive is applied only if its [seq] exceeds the highest already
@@ -93,10 +86,6 @@ val revalidate_vm_cache : t -> vm_ip:Netcore.Ipv4.t -> reason:string -> unit
     (no-op if the VM is not resident). Called by the rule manager
     around VM migration stages so verdicts cached before the move are
     re-checked against the post-move rule state. *)
-
-val measurement_engine : t -> Measurement_engine.t
-(** The controller's own measurement engine (for inspection in tests
-    and experiments). *)
 
 (** {2 Crash and recovery}
 

@@ -239,5 +239,4 @@ let start t =
   end
 
 let stop t = t.running <- false
-let epochs_completed t = t.epochs
 let intervals_completed t = t.intervals

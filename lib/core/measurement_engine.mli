@@ -63,9 +63,6 @@ val stop : t -> unit
 val on_report : t -> (report -> unit) -> unit
 (** Called at the end of every control interval. *)
 
-val epochs_completed : t -> int
-(** Total epochs finished since creation (not reset by {!stop}). *)
-
 val intervals_completed : t -> int
 (** Total control intervals closed — equals the [interval_index] of the
     latest report. *)

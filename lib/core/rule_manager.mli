@@ -84,10 +84,6 @@ val commit_vm_migration : t -> migration -> new_server:string -> bool
     committed before).
     @raise Invalid_argument if [new_server] is unknown. *)
 
-val abort_vm_migration : t -> migration -> unit
-(** Explicitly abort a preparing migration (also run automatically when
-    the timeout expires). Idempotent; a no-op after commit. *)
-
 val adopt_vm_profile :
   t ->
   server:string ->

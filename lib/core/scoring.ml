@@ -1,4 +1,2 @@
 let score ~epochs_active ~median_pps ?(priority = 1.0) () =
   float_of_int epochs_active *. median_pps *. priority
-
-let compare_desc (a, _) (b, _) = Float.compare b a

@@ -9,8 +9,3 @@
 
 val score : epochs_active:int -> median_pps:float -> ?priority:float -> unit -> float
 (** [priority] defaults to 1.0. *)
-
-val compare_desc :
-  (float * 'a) -> (float * 'a) -> int
-(** Orders (score, _) pairs best-first; ties are stable under
-    List.stable_sort. *)

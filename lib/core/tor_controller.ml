@@ -2,8 +2,6 @@ module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
 module Fkey = Netcore.Fkey
 
-type install_status = Pending | Installed | Failed
-
 type offload_state = {
   os_pattern : Fkey.Pattern.t;
   os_tenant : Netcore.Tenant.id;
@@ -16,10 +14,6 @@ type offload_state = {
   os_entries : int;
   os_created : Simtime.t;  (* VRF install instant; install latency base *)
   mutable os_score : float;
-  (* Install state machine: [Pending] until the local controller acks
-     the offload directive, then [Installed]; [Failed] when retries are
-     exhausted, which triggers a TOR-side rollback. *)
-  mutable os_status : install_status;
   (* Causal spans: the whole offload (promotion -> demotion) and the
      install handshake inside it. [Obs.Span.none] when tracing is off. *)
   mutable os_span : Obs.Span.id;
@@ -156,7 +150,6 @@ type t = {
   (* Managed handles whose removal is scheduled (demote grace window):
      live in hardware, absent from intent, but not orphans. *)
   pending_removal : (int * Tor.Vrf.handle, unit) Hashtbl.t;
-  mutable decisions : int;
   mutable running : bool;
   (* Last (instant, vswitch tx, VF tx) sample for per-path pps deltas. *)
   mutable ts_prev : (Simtime.t * int * int) option;
@@ -213,7 +206,6 @@ let create ~engine ~config ~tor ~lookup_vm ?(tenant_priority = fun _ -> 1.0)
       probing = false;
       managed = Hashtbl.create 32;
       pending_removal = Hashtbl.create 8;
-      decisions = 0;
       running = false;
       ts_prev = None;
       ts_tenant_prev = Hashtbl.create 16;
@@ -540,7 +532,6 @@ let apply_offload t (c : Decision_engine.candidate) ~server =
                   os_entries = compiled.Rules.Rule_compiler.tcam_entries;
                   os_created = Engine.now t.engine;
                   os_score = c.score;
-                  os_status = Pending;
                   os_span = Obs.Span.none;
                   os_install_span = Obs.Span.none;
                 }
@@ -585,7 +576,6 @@ let apply_offload t (c : Decision_engine.candidate) ~server =
                     (Local_controller.Offload { vm_ip = c.vm_ip; pattern = c.pattern })
                     ~on_result:(function
                       | `Acked ->
-                          state.os_status <- Installed;
                           let now = Engine.now t.engine in
                           if Obs.Timeseries.enabled () then begin
                             let lat =
@@ -603,7 +593,6 @@ let apply_offload t (c : Decision_engine.candidate) ~server =
                             ~outcome:"installed";
                           state.os_install_span <- Obs.Span.none
                       | `Failed ->
-                          state.os_status <- Failed;
                           Obs.Span.finish ~now:(Engine.now t.engine)
                             state.os_install_span ~outcome:"failed";
                           state.os_install_span <- Obs.Span.none;
@@ -793,7 +782,6 @@ let sample_timeseries t =
   Obs.Timeseries.tick ~now ()
 
 let run_decision t =
-  t.decisions <- t.decisions + 1;
   if Obs.Timeseries.enabled () then sample_timeseries t;
   let candidates_table, server_of = build_candidates t in
   let candidates = Hashtbl.fold (fun _ c acc -> c :: acc) candidates_table [] in
@@ -883,11 +871,6 @@ let stop t =
 
 let offloaded_count t = List.length t.offloaded
 let offloaded_patterns t = List.map (fun os -> os.os_pattern) t.offloaded
-
-let pending_installs t =
-  List.length (List.filter (fun os -> os.os_status = Pending) t.offloaded)
-
-let decisions_made t = t.decisions
 
 let peer_alive t ~server =
   Option.map (fun peer -> peer.alive) (peer_of t server)

@@ -99,13 +99,6 @@ val offloaded_count : t -> int
 val offloaded_patterns : t -> Netcore.Fkey.Pattern.t list
 (** The installed aggregates' patterns, newest offload first. *)
 
-val pending_installs : t -> int
-(** Offloaded aggregates whose install state machine is still
-    [Pending] (directive sent, ack not yet received). *)
-
-val decisions_made : t -> int
-(** Decision ticks run since {!start} (one per control interval). *)
-
 val peer_alive : t -> server:string -> bool option
 (** The dead-peer detector's current verdict on a server's local
     controller ([None] if the server is unknown). A peer is declared

@@ -21,7 +21,6 @@ val of_ms : float -> t
 val of_sec : float -> t
 val to_ns : t -> int
 val to_us : t -> float
-val to_ms : t -> float
 val to_sec : t -> float
 
 val add : t -> span -> t

@@ -116,47 +116,6 @@ module Histogram = struct
   let max t = t.max_v
 end
 
-module Rate = struct
-  type t = {
-    mutable window_start : Simtime.t option;
-    mutable count : int;
-    mutable bytes_len : int;
-  }
-
-  let create () = { window_start = None; count = 0; bytes_len = 0 }
-
-  let observe t ~now ~count ~bytes_len =
-    if t.window_start = None then t.window_start <- Some now;
-    t.count <- t.count + count;
-    t.bytes_len <- t.bytes_len + bytes_len
-
-  let sample t ~now =
-    let result =
-      match t.window_start with
-      | None -> (0., 0.)
-      | Some start ->
-          let elapsed = Simtime.span_to_sec (Simtime.diff now start) in
-          if elapsed <= 0. then (0., 0.)
-          else
-            ( float_of_int t.count /. elapsed,
-              float_of_int t.bytes_len /. elapsed )
-    in
-    t.window_start <- Some now;
-    t.count <- 0;
-    t.bytes_len <- 0;
-    result
-end
-
-module Timeseries = struct
-  type t = { series_name : string; mutable rev_points : (Simtime.t * float) list }
-
-  let create series_name = { series_name; rev_points = [] }
-  let name t = t.series_name
-  let add t time v = t.rev_points <- (time, v) :: t.rev_points
-  let points t = List.rev t.rev_points
-  let length t = List.length t.rev_points
-end
-
 let median values =
   match values with
   | [] -> 0.

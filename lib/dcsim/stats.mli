@@ -1,4 +1,4 @@
-(** Measurement utilities: summaries, histograms, percentiles, rates.
+(** Measurement utilities: summaries, histograms, percentiles, medians.
 
     These back both the simulator's reported metrics (mean/99th latency,
     TPS, CPU utilisation) and FasTrak's measurement engine. *)
@@ -45,33 +45,6 @@ module Histogram : sig
       empty. [p] must be in (0, 100]. *)
 
   val max : t -> float
-end
-
-module Rate : sig
-  (** Windowed rate estimator: counts events/bytes per interval, as used
-      by the FasTrak measurement engine to compute pps and bps. *)
-
-  type t
-
-  val create : unit -> t
-  val observe : t -> now:Simtime.t -> count:int -> bytes_len:int -> unit
-  val sample : t -> now:Simtime.t -> float * float
-  (** [(pps, bps)] since the previous [sample] (or creation); resets the
-      window. Returns (0, 0) if no time has elapsed. *)
-end
-
-module Timeseries : sig
-  (** Append-only (time, value) series for experiment output. *)
-
-  type t
-
-  val create : string -> t
-  val name : t -> string
-  val add : t -> Simtime.t -> float -> unit
-  val points : t -> (Simtime.t * float) list
-  (** In insertion order. *)
-
-  val length : t -> int
 end
 
 val median : float list -> float

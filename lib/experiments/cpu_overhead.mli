@@ -16,17 +16,6 @@ type point = {
   cpus_host : float;  (** Hypervisor-side only. *)
 }
 
-val run_case :
-  label:string ->
-  config:Compute.Cost_params.vswitch_config ->
-  sriov:bool ->
-  ?vm_count:int ->
-  ?vif_limit:Rules.Rate_limit_spec.t ->
-  ?vf_limit:Rules.Rate_limit_spec.t ->
-  size:int ->
-  unit ->
-  point
-
 val run_fig4a : unit -> point list
 val run_fig4b : unit -> point list
 val print_points : title:string -> point list -> unit

@@ -33,7 +33,6 @@ let default_config =
     seed = 42;
   }
 
-let fabric_hop = Simtime.span_us 2.0
 let express_port = 7200
 
 type rack = {
@@ -86,10 +85,11 @@ type result = {
   lanes_total : int;
   offloaded_at_end : int;
   crash_outcome : string;
-  (* Compact flight-recorder snapshot captured at the crash instant
-     (Obs.Flight.to_compact), when a recorder was installed and the
-     scripted crash fired; decode with Obs.Flight.of_compact. *)
-  crash_flight : string option;
+  (* The flight recorder's ring at the crash instant, when a recorder
+     was installed and the scripted crash fired, and the file the crash
+     hook dumped it to. *)
+  crash_flight : (Simtime.t * Obs.Trace.event) list option;
+  crash_dump : string option;
   reconciled : bool;
 }
 
@@ -186,14 +186,8 @@ let run ?(config = default_config) () =
     }
   in
   let before = Obs.Metrics.snapshot () in
-  let rack_engines =
-    Array.init cfg.racks (fun i -> Engine.create ~seed:(cfg.seed + i) ())
-  in
-  let core_engine = Engine.create ~seed:(cfg.seed + cfg.racks + 1) () in
-  let cluster =
-    Cluster.create ~shards:(Array.append rack_engines [| core_engine |])
-  in
-  let core = Core_switch.create ~engine:core_engine () in
+  let mr = Multirack.create ~seed:cfg.seed ~racks:cfg.racks ~prefix:"fc" () in
+  let cluster = mr.Multirack.cluster in
   let rm_config =
     {
       Fastrak.Config.default with
@@ -204,16 +198,13 @@ let run ?(config = default_config) () =
   in
   let racks =
     Array.init cfg.racks (fun r ->
-        let rack_engine = rack_engines.(r) in
+        let rack_engine = mr.Multirack.engines.(r) in
         (* Tunneling on: the software path must VXLAN-encapsulate so
            demoted cross-rack flows can route over the core by outer
            server address — it is the failover path under test. *)
         let tb =
-          Testbed.create ~engine:rack_engine
-            ~config:Compute.Cost_params.with_tunneling
-            ~server_count:cfg.servers_per_rack ~rack:r
-            ~name_prefix:(Printf.sprintf "fc%d." r)
-            ()
+          Multirack.testbed mr ~config:Compute.Cost_params.with_tunneling r
+            ~servers:cfg.servers_per_rack
         in
         let vm k kind =
           Testbed.vm_spec
@@ -228,7 +219,7 @@ let run ?(config = default_config) () =
         (* Express uplink: GRE towards peer ToRs, with the schedule's
            drop/dup/reorder/jitter/down-window faults. *)
         let express_up =
-          Channel.create ~cluster ~copy:Netcore.Packet.copy
+          Multirack.uplink mr ~copy:Netcore.Packet.copy
             ?faults:
               (if Faults.Schedule.has_channel_faults sched then
                  Some
@@ -237,50 +228,18 @@ let run ?(config = default_config) () =
                         (Dcsim.Rng.split (Engine.rng rack_engine)
                            (Printf.sprintf "faults.fabric.r%d" r)))
                else None)
-            ~name:(Printf.sprintf "fc%d.express" r)
-            ~src:rack_engine ~dst:core_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Core_switch.receive core pkt)
-            ()
+            r "express"
         in
         (* Reliable uplink: the VXLAN software-path fallback. A lane
            outage must leave demoted flows a working route. *)
-        let soft_up =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "fc%d.soft" r)
-            ~src:rack_engine ~dst:core_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Core_switch.receive core pkt)
-            ()
-        in
-        let downlink =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "fc%d.down" r)
-            ~src:core_engine ~dst:rack_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Tor.Tor_switch.receive tb.Testbed.tor pkt)
-            ()
-        in
-        Core_switch.attach_rack core
-          ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor)
-          ~downlink ();
-        Array.iter
-          (fun s ->
-            Core_switch.register_server core ~server_ip:(Host.Server.ip s)
-              ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor))
-          tb.Testbed.servers;
+        let soft_up = Multirack.uplink mr r "soft" in
+        Multirack.attach mr r tb;
         Tor.Tor_switch.set_uplink tb.Testbed.tor (fun pkt ->
             Channel.send soft_up pkt);
         { tb; rack_engine; rm = None; xs; xr; express_up; soft_up; statics = ref [] })
   in
-  Obs.Trace.set_clock (fun () -> Cluster.now cluster);
-  Array.iter
-    (fun rk ->
-      Array.iter
-        (fun rk' ->
-          if rk != rk' then
-            Tor.Tor_switch.add_peer rk.tb.Testbed.tor
-              (Tor.Tor_switch.ip rk'.tb.Testbed.tor)
-              (fun pkt -> Channel.send rk.express_up pkt))
-        racks)
-    racks;
+  Multirack.connect_peers mr
+    (Array.map (fun rk -> (rk.tb, rk.express_up)) racks);
   (* Receive-side provisioning for both directions of each lane (data
      r -> r+1, acks r+1 -> r), before any install-fault hook arms. *)
   Array.iteri
@@ -380,6 +339,7 @@ let run ?(config = default_config) () =
      TOR controller. *)
   let snap = ref None in
   let crash_flight = ref None in
+  let crash_dump = ref None in
   let crash_armed =
     cfg.crash_at > 0.0 && cfg.crash_at < cfg.duration
   in
@@ -399,12 +359,13 @@ let run ?(config = default_config) () =
            (fun () ->
              snap := Some (Fastrak.Local_controller.snapshot lc);
              (* Black-box capture at the instant of failure: freeze the
-                recorder's view of the run so far (compact snapshot for
-                the result record) and write the JSONL dump. *)
+                recorder's view of the run so far and dump it to its own
+                file, which the end-of-run dump leaves alone. *)
              (match Obs.Flight.installed () with
-             | Some ring -> crash_flight := Some (Obs.Flight.to_compact ring)
+             | Some ring -> crash_flight := Some (Obs.Flight.events ring)
              | None -> ());
-             ignore (Obs.Flight.dump_installed ());
+             crash_dump :=
+               Option.map fst (Obs.Flight.dump_installed ~tag:"crash" ());
              Fastrak.Local_controller.crash lc));
       if cfg.restart_at > cfg.crash_at && cfg.restart_at < cfg.duration then
         ignore
@@ -489,8 +450,8 @@ let run ?(config = default_config) () =
     install_faults = counter_delta before "tor.tcam.install_faults";
     soft_errors = counter_delta before "tor.tcam.soft_errors";
     fabric_drops = counter_delta before "fabric.channel.drops";
-    core_routed = Core_switch.packets_routed core;
-    core_dropped = Core_switch.packets_dropped core;
+    core_routed = Core_switch.packets_routed mr.Multirack.core;
+    core_dropped = Core_switch.packets_dropped mr.Multirack.core;
     acl_drops = sum (fun rk -> Tor.Tor_switch.acl_drops rk.tb.Testbed.tor);
     no_route_drops =
       sum (fun rk -> Tor.Tor_switch.no_route_drops rk.tb.Testbed.tor);
@@ -499,6 +460,7 @@ let run ?(config = default_config) () =
     offloaded_at_end = sum (fun rk -> Fastrak.Rule_manager.offloaded_count (rm rk));
     crash_outcome;
     crash_flight = !crash_flight;
+    crash_dump = !crash_dump;
     reconciled;
   }
 
@@ -533,14 +495,10 @@ let print r =
     r.resyncs;
   Printf.printf "  controller crash: %s\n" r.crash_outcome;
   (match r.crash_flight with
-  | Some compact ->
-      let n =
-        match Obs.Flight.of_compact compact with
-        | Some events -> List.length events
-        | None -> 0
-      in
-      Printf.printf "  crash flight recorder: %d event(s), %d B compact\n" n
-        (String.length compact)
+  | Some events ->
+      Printf.printf "  crash flight recorder: %d event(s)%s\n"
+        (List.length events)
+        (match r.crash_dump with Some path -> " -> " ^ path | None -> "")
   | None -> ());
   Printf.printf
     "  core routed/dropped: %d/%d; tor acl drops: %d; tor no-route: %d\n"

@@ -65,12 +65,16 @@ type result = {
   lanes_total : int;
   offloaded_at_end : int;
   crash_outcome : string;
-  crash_flight : string option;
-      (** Compact flight-recorder snapshot ({!Obs.Flight.to_compact})
-          captured at the instant of the scripted crash — the
-          black-box record of what led up to the failure. [None]
-          unless a recorder was installed and the crash fired. Decode
-          with {!Obs.Flight.of_compact}. *)
+  crash_flight : (Dcsim.Simtime.t * Obs.Trace.event) list option;
+      (** The flight recorder's ring ({!Obs.Flight.events}) at the
+          instant of the scripted crash — the black-box record of what
+          led up to the failure. [None] unless a recorder was installed
+          and the crash fired. *)
+  crash_dump : string option;
+      (** Where the crash hook wrote that ring as JSONL: the recorder's
+          dump path tagged ["crash"] ({!Obs.Flight.dump_installed}), so
+          the end-of-run dump does not overwrite it. [None] without a
+          dump path. *)
   reconciled : bool;
 }
 

@@ -12,8 +12,6 @@ type path =
       (** Hardware path, with an optional NIC rate limit (used by the
           Figure 5 combined comparison). *)
 
-val path_label : path -> string
-
 type point = {
   path : path;
   size : int;
@@ -23,18 +21,6 @@ type point = {
   burst_tps : float;
   burst_latency_us : float;
 }
-
-val run_point :
-  ?vif_limit:Rules.Rate_limit_spec.t -> path:path -> size:int -> unit -> point
-(** Run all three netperf shapes for one (path, size). [vif_limit] is
-    the tc rate limit applied to VIF paths (Figure 5 uses 1 Gb/s). *)
-
-val fig3_paths : path list
-(** Baseline OVS, OVS+Tunneling, OVS+Rate-limiting, SR-IOV. *)
-
-val fig5_paths : path list
-(** OVS combined (tunneling + 1 Gb/s htb) vs SR-IOV with a 1 Gb/s NIC
-    limit. *)
 
 val run_fig3 : unit -> point list
 val run_fig5 : unit -> point list

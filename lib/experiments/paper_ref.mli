@@ -5,11 +5,6 @@
     (ratios and caps) and check them programmatically. Tables 1–4 are
     reproduced verbatim. *)
 
-val table1a : (string * float * float * float) list
-(** (interface, TPS, mean latency us, CPUs). *)
-
-val table1b : (string * float * float * float) list
-
 val table2 : (string * float * float * float * float) list
 (** (% via VIF, mean finish s, mean TPS, mean latency us, CPUs). *)
 

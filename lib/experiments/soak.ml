@@ -43,7 +43,6 @@ let default_config =
     seed = 42;
   }
 
-let fabric_hop = Simtime.span_us 2.0
 let express_port = 7000
 let gen_port_base = 30000
 
@@ -150,19 +149,8 @@ let run ?(config = default_config) () =
     invalid_arg "Soak.run: racks must be in 1..32";
   if cfg.servers_per_rack < 1 then
     invalid_arg "Soak.run: need at least one server per rack";
-  let rack_engines =
-    Array.init cfg.racks (fun i -> Engine.create ~seed:(cfg.seed + i) ())
-  in
-  let core_engine =
-    if cfg.racks > 1 then Engine.create ~seed:(cfg.seed + cfg.racks + 1) ()
-    else rack_engines.(0)
-  in
-  let shards =
-    if cfg.racks > 1 then Array.append rack_engines [| core_engine |]
-    else rack_engines
-  in
-  let cluster = Cluster.create ~shards in
-  let core = Core_switch.create ~engine:core_engine () in
+  let mr = Multirack.create ~seed:cfg.seed ~racks:cfg.racks ~prefix:"r" () in
+  let cluster = mr.Multirack.cluster in
   let rm_config =
     {
       Fastrak.Config.default with
@@ -172,13 +160,8 @@ let run ?(config = default_config) () =
   in
   let racks =
     Array.init cfg.racks (fun r ->
-        let rack_engine = rack_engines.(r) in
-        let tb =
-          Testbed.create ~engine:rack_engine
-            ~server_count:cfg.servers_per_rack ~rack:r
-            ~name_prefix:(Printf.sprintf "r%d." r)
-            ()
-        in
+        let rack_engine = mr.Multirack.engines.(r) in
+        let tb = Multirack.testbed mr r ~servers:cfg.servers_per_rack in
         let vm k kind =
           Testbed.vm_spec
             ~server:(k mod cfg.servers_per_rack)
@@ -194,28 +177,8 @@ let run ?(config = default_config) () =
         let str = Testbed.add_vm tb (vm 4 "str") in
         let mig = Testbed.add_vm tb (vm 5 "mig") in
         Testbed.connect_tunnels tb;
-        let uplink =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "r%d.up" r)
-            ~src:rack_engine ~dst:core_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Core_switch.receive core pkt)
-            ()
-        in
-        let downlink =
-          Channel.create ~cluster
-            ~name:(Printf.sprintf "r%d.down" r)
-            ~src:core_engine ~dst:rack_engine ~latency:fabric_hop
-            ~handler:(fun pkt -> Tor.Tor_switch.receive tb.Testbed.tor pkt)
-            ()
-        in
-        Core_switch.attach_rack core
-          ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor)
-          ~downlink ();
-        Array.iter
-          (fun s ->
-            Core_switch.register_server core ~server_ip:(Host.Server.ip s)
-              ~tor_ip:(Tor.Tor_switch.ip tb.Testbed.tor))
-          tb.Testbed.servers;
+        let uplink = Multirack.uplink mr r "up" in
+        Multirack.attach mr r tb;
         let rm =
           Fastrak.Rule_manager.create ~engine:rack_engine ~config:rm_config
             ~tor:tb.Testbed.tor
@@ -236,17 +199,7 @@ let run ?(config = default_config) () =
           server_cursor = ref 0;
         })
   in
-  Obs.Trace.set_clock (fun () -> Cluster.now cluster);
-  Array.iter
-    (fun rk ->
-      Array.iter
-        (fun rk' ->
-          if rk != rk' then
-            Tor.Tor_switch.add_peer rk.tb.Testbed.tor
-              (Tor.Tor_switch.ip rk'.tb.Testbed.tor)
-              (fun pkt -> Channel.send rk.uplink pkt))
-        racks)
-    racks;
+  Multirack.connect_peers mr (Array.map (fun rk -> (rk.tb, rk.uplink)) racks);
   Array.iter (fun rk -> Fastrak.Rule_manager.start rk.rm) racks;
   (* Express-lane ring under load: rack r's sender streams endlessly to
      rack r+1's sink over the pinned hardware path. These are the flows
@@ -366,8 +319,8 @@ let run ?(config = default_config) () =
     generator_words =
       sum_rk (fun rk ->
           match rk.lg with Some lg -> Loadgen.state_words lg | None -> 0);
-    core_routed = Core_switch.packets_routed core;
-    core_dropped = Core_switch.packets_dropped core;
+    core_routed = Core_switch.packets_routed mr.Multirack.core;
+    core_dropped = Core_switch.packets_dropped mr.Multirack.core;
     tor_no_route_drops =
       sum_rk (fun rk -> Tor.Tor_switch.no_route_drops rk.tb.Testbed.tor);
     acl_drops = sum_rk (fun rk -> Tor.Tor_switch.acl_drops rk.tb.Testbed.tor);

@@ -13,7 +13,6 @@ let print_header cells =
   print_endline (String.make (width * List.length cells) '-')
 
 let print_row cells = print_endline (String.concat "" (List.map pad cells))
-let print_sep n = print_endline (String.make (width * n) '-')
 
 let cell_f ?(decimals = 1) v =
   if Float.is_integer v && Float.abs v >= 1000.0 then

@@ -5,6 +5,5 @@
 val print_title : string -> unit
 val print_header : string list -> unit
 val print_row : string list -> unit
-val print_sep : int -> unit
 val cell_f : ?decimals:int -> float -> string
 val cell_i : int -> string

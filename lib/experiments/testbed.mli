@@ -32,8 +32,6 @@ val create :
     them — distinct across racks. The defaults reproduce the historic
     single-rack testbed exactly. *)
 
-val default_tenant : Netcore.Tenant.id
-
 type vm_spec = {
   server : int;  (** Index into [servers]. *)
   vm_name : string;
@@ -80,5 +78,3 @@ val force_path_vf : t -> Host.Server.attached -> unit
 
 val run_for : t -> seconds:float -> unit
 (** Advance the simulation by [seconds] from now. *)
-
-val attached_vm : Host.Server.attached -> Host.Vm.t

@@ -114,5 +114,4 @@ let source t = t.src
 let destination t = t.dst
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
-let messages_dropped t = t.dropped
 let in_flight t = t.sent - t.delivered - t.dropped

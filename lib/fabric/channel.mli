@@ -78,9 +78,6 @@ val messages_delivered : 'msg t -> int
 (** Messages whose handler has already run (duplicated deliveries
     count, so under faults this can exceed {!messages_sent}). *)
 
-val messages_dropped : 'msg t -> int
-(** Messages lost to fault injection. Always zero without [?faults]. *)
-
 val in_flight : 'msg t -> int
 (** Messages sent but neither delivered nor dropped. Can dip below
     zero transiently under duplication faults. *)

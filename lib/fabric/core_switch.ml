@@ -23,7 +23,6 @@ type t = {
   server_rack : (int, int) Hashtbl.t; (* server ip -> tor ip *)
   mutable routed : int;
   mutable dropped : int;
-  mutable port_dropped : int;
 }
 
 let create ~engine ?(name = "core") () =
@@ -34,7 +33,6 @@ let create ~engine ?(name = "core") () =
     server_rack = Hashtbl.create 64;
     routed = 0;
     dropped = 0;
-    port_dropped = 0;
   }
 
 let ip_key addr = Int32.to_int (Ipv4.to_int32 addr)
@@ -61,9 +59,7 @@ let port_out t port pkt =
   | None -> Channel.send port.downlink pkt
   | Some inj -> (
       match Faults.Injector.decide inj ~now:(Dcsim.Engine.now t.engine) with
-      | Faults.Injector.Drop ->
-          t.port_dropped <- t.port_dropped + 1;
-          Obs.Metrics.incr m_port_drops
+      | Faults.Injector.Drop -> Obs.Metrics.incr m_port_drops
       | Faults.Injector.Deliver { extra_delay; in_order = _; duplicate_delay } ->
           let after d k =
             if Dcsim.Simtime.span_to_ns d <= 0 then k ()
@@ -106,7 +102,5 @@ let receive t pkt =
 
 let name t = t.core_name
 let engine t = t.engine
-let racks_attached t = Hashtbl.length t.downlinks
 let packets_routed t = t.routed
 let packets_dropped t = t.dropped
-let port_drops t = t.port_dropped

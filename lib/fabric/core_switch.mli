@@ -30,12 +30,12 @@ val attach_rack :
     [downlink]. Re-attaching the same [tor_ip] replaces the route.
 
     With [?faults], every packet forwarded out this port draws a fault
-    verdict first: drops are counted (see {!port_drops} and the
-    [fabric.core.port_drops] counter), jitter delays the send on the
-    core shard before the downlink channel's own latency (lookahead
-    bounds stay valid), and duplicates send a {!Netcore.Packet.copy}.
-    Reorder verdicts are ignored — the downlink channel's FIFO clamp
-    re-imposes ordering anyway. *)
+    verdict first: drops are counted (the [fabric.core.port_drops]
+    counter), jitter delays the send on the core shard before the
+    downlink channel's own latency (lookahead bounds stay valid), and
+    duplicates send a {!Netcore.Packet.copy}. Reorder verdicts are
+    ignored — the downlink channel's FIFO clamp re-imposes ordering
+    anyway. *)
 
 val register_server : t -> server_ip:Netcore.Ipv4.t -> tor_ip:Netcore.Ipv4.t -> unit
 (** Record that the server at [server_ip] lives under the rack whose
@@ -53,15 +53,8 @@ val name : t -> string
 val engine : t -> Dcsim.Engine.t
 (** The shard engine the core runs on. *)
 
-val racks_attached : t -> int
-(** Number of distinct racks with a registered downlink. *)
-
 val packets_routed : t -> int
 (** Packets forwarded to a downlink so far. *)
 
 val packets_dropped : t -> int
 (** Packets dropped for lack of a route so far. *)
-
-val port_drops : t -> int
-(** Packets lost to per-port fault injection so far. Always zero when
-    no port has an injector. *)

@@ -1,9 +1,5 @@
 type path = Vif | Vf
 
-let pp_path ppf = function
-  | Vif -> Format.pp_print_string ppf "vif"
-  | Vf -> Format.pp_print_string ppf "vf"
-
 type t = {
   vif_tx : Netcore.Packet.t -> unit;
   vf_tx : Netcore.Packet.t -> unit;

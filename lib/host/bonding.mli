@@ -10,8 +10,6 @@
 
 type path = Vif | Vf
 
-val pp_path : Format.formatter -> path -> unit
-
 type t
 
 val create :

@@ -86,7 +86,6 @@ let deliver t pkt =
 let register_flow_handler t flow handler =
   Fkey.Table.replace t.flow_handlers flow handler
 
-let unregister_flow_handler t flow = Fkey.Table.remove t.flow_handlers flow
 let register_listener t ~port handler = Hashtbl.replace t.listeners port handler
 
 let cpus_used t ~over =
@@ -96,5 +95,3 @@ let cpus_used t ~over =
 let reset_cpu_accounting t =
   Compute.Cpu_pool.reset_accounting t.kernel;
   Compute.Cpu_pool.reset_accounting t.apps
-
-let unmatched_packets t = t.unmatched

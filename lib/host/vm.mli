@@ -42,12 +42,9 @@ val deliver : t -> Netcore.Packet.t -> unit
 val register_flow_handler : t -> Netcore.Fkey.t -> (Netcore.Packet.t -> unit) -> unit
 (** Exact-match delivery (connection sockets). *)
 
-val unregister_flow_handler : t -> Netcore.Fkey.t -> unit
-
 val register_listener : t -> port:int -> (Netcore.Packet.t -> unit) -> unit
 (** Port-level delivery for packets with no exact handler (server
     listening sockets). *)
 
 val cpus_used : t -> over:Dcsim.Simtime.span -> float
 val reset_cpu_accounting : t -> unit
-val unmatched_packets : t -> int

@@ -329,14 +329,6 @@ module Pattern = struct
     let compare a b = Stdlib.compare (bits a) (bits b)
     let hash m = bits m
 
-    let field_count m =
-      (if m.src_ip then 1 else 0)
-      + (if m.dst_ip then 1 else 0)
-      + (if m.src_port then 1 else 0)
-      + (if m.dst_port then 1 else 0)
-      + (if m.proto then 1 else 0)
-      + if m.tenant then 1 else 0
-
     let pp ppf m =
       let names =
         List.filter_map

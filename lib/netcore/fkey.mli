@@ -8,7 +8,6 @@
 type proto = Tcp | Udp | Icmp | Other of int
 
 val proto_compare : proto -> proto -> int
-val proto_to_string : proto -> string
 
 type t = {
   src_ip : Ipv4.t;
@@ -152,9 +151,6 @@ module Pattern : sig
 
     val project : t -> fkey -> pattern
     (** Pin the masked fields to the flow's values, wildcard the rest. *)
-
-    val field_count : t -> int
-    (** Number of masked fields, 0–6. *)
 
     val equal : t -> t -> bool
     val compare : t -> t -> int

@@ -95,10 +95,8 @@ let set_vf_tx_limit vf spec = Shaping.Shaper.set_spec vf.tx_shaper spec
 let set_vf_rx_limit vf spec = Shaping.Shaper.set_spec vf.rx_shaper spec
 let vf_tx_limit vf = Shaping.Shaper.spec vf.tx_shaper
 let vf_tx_backlogged_seconds vf = Shaping.Shaper.backlogged_seconds vf.tx_shaper
-let vf_rx_backlogged_seconds vf = Shaping.Shaper.backlogged_seconds vf.rx_shaper
 let vf_tx_bytes vf = Shaping.Shaper.forwarded_bytes vf.tx_shaper
 let vf_rx_bytes vf = Shaping.Shaper.forwarded_bytes vf.rx_shaper
-let vf_vlan vf = vf.vlan
 
 let transmit_from_vf vf pkt =
   Obs.Metrics.incr m_vf_tx;

@@ -39,12 +39,10 @@ val set_vf_tx_limit : vf -> Rules.Rate_limit_spec.t -> unit
 val set_vf_rx_limit : vf -> Rules.Rate_limit_spec.t -> unit
 val vf_tx_limit : vf -> Rules.Rate_limit_spec.t
 val vf_tx_backlogged_seconds : vf -> float
-val vf_rx_backlogged_seconds : vf -> float
 val vf_tx_bytes : vf -> int
 (** Cumulative bytes through the VF tx shaper (hardware-path demand). *)
 
 val vf_rx_bytes : vf -> int
-val vf_vlan : vf -> int
 
 val transmit_from_vf : vf -> Netcore.Packet.t -> unit
 (** Guest transmit entry: VLAN tag + hardware shaping + wire. The small

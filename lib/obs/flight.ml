@@ -97,389 +97,18 @@ let dump_jsonl t oc =
       incr n);
   !n
 
-let dump_installed () =
+(* [flight.jsonl] with tag "crash" becomes [flight.crash.jsonl]. *)
+let tagged path = function
+  | None -> path
+  | Some tag ->
+      Filename.remove_extension path ^ "." ^ tag ^ Filename.extension path
+
+let dump_installed ?tag () =
   match !installed_ref with
   | Some { ring; dump_path = Some path } ->
+      let path = tagged path tag in
       let oc = open_out path in
       let n = dump_jsonl ring oc in
       close_out oc;
       Some (path, n)
   | Some { dump_path = None; _ } | None -> None
-
-(* --- Compact binary codec ---
-
-   One tag byte per constructor, zigzag varints for ints, 8-byte
-   little-endian IEEE bits for floats, length-prefixed raw bytes for
-   strings; IPs and patterns reuse the trace string codecs. Used to
-   snapshot a ring at a crash instant (bounded, cheap, no file I/O on
-   the failure path) and decoded later into a JSONL dump. *)
-
-let add_varint b n =
-  (* zigzag so negative ints (adversarial event payloads) survive *)
-  let u = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
-  let rec go u =
-    if u land lnot 0x7f = 0 then Buffer.add_char b (Char.chr u)
-    else begin
-      Buffer.add_char b (Char.chr (0x80 lor (u land 0x7f)));
-      go (u lsr 7)
-    end
-  in
-  go u
-
-let read_varint s pos =
-  let n = String.length s in
-  let rec go acc shift =
-    if !pos >= n || shift > Sys.int_size then None
-    else begin
-      let c = Char.code s.[!pos] in
-      incr pos;
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then Some acc else go acc (shift + 7)
-    end
-  in
-  match go 0 0 with
-  | None -> None
-  | Some u -> Some ((u lsr 1) lxor (-(u land 1)))
-
-let add_string_c b s =
-  add_varint b (String.length s);
-  Buffer.add_string b s
-
-let read_string_c s pos =
-  match read_varint s pos with
-  | Some len when len >= 0 && !pos + len <= String.length s ->
-      let v = String.sub s !pos len in
-      pos := !pos + len;
-      Some v
-  | _ -> None
-
-let add_float_c b f =
-  let bits = Int64.bits_of_float f in
-  for i = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
-
-let read_float_c s pos =
-  if !pos + 8 > String.length s then None
-  else begin
-    let bits = ref 0L in
-    for i = 7 downto 0 do
-      bits :=
-        Int64.logor
-          (Int64.shift_left !bits 8)
-          (Int64.of_int (Char.code s.[!pos + i]))
-    done;
-    pos := !pos + 8;
-    Some (Int64.float_of_bits !bits)
-  end
-
-let add_bool_c b v = Buffer.add_char b (if v then '\001' else '\000')
-
-let read_byte s pos =
-  if !pos >= String.length s then None
-  else begin
-    let c = Char.code s.[!pos] in
-    incr pos;
-    Some c
-  end
-
-let read_bool_c s pos =
-  match read_byte s pos with
-  | Some 0 -> Some false
-  | Some 1 -> Some true
-  | _ -> None
-
-let add_ip_c b ip = add_string_c b (Netcore.Ipv4.to_string ip)
-
-let read_ip_c s pos =
-  match read_string_c s pos with
-  | Some str -> (
-      match Netcore.Ipv4.of_string str with
-      | ip -> Some ip
-      | exception _ -> None)
-  | None -> None
-
-let add_tenant_c b t = add_varint b (Netcore.Tenant.to_int t)
-
-let read_tenant_c s pos =
-  match read_varint s pos with
-  | Some n when n >= 0 -> Some (Netcore.Tenant.of_int n)
-  | _ -> None
-
-let add_pattern_c b p = add_string_c b (Trace.pattern_to_string p)
-
-let read_pattern_c s pos =
-  Option.bind (read_string_c s pos) Trace.pattern_of_string
-
-let encode_compact b at (ev : Trace.event) =
-  add_varint b (Simtime.to_ns at);
-  let tag n = Buffer.add_char b (Char.chr n) in
-  match ev with
-  | Trace.Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries }
-    ->
-      tag 0;
-      add_pattern_c b pattern;
-      add_tenant_c b tenant;
-      add_ip_c b vm_ip;
-      add_string_c b server;
-      add_float_c b score;
-      add_varint b tcam_entries
-  | Trace.Flow_demoted { pattern; tenant; vm_ip; server; reason } ->
-      tag 1;
-      add_pattern_c b pattern;
-      add_tenant_c b tenant;
-      add_ip_c b vm_ip;
-      add_string_c b server;
-      add_string_c b reason
-  | Trace.Tcam_install { tenant; entries; used; capacity } ->
-      tag 2;
-      add_tenant_c b tenant;
-      add_varint b entries;
-      add_varint b used;
-      add_varint b capacity
-  | Trace.Tcam_evict { tenant; entries; used; capacity } ->
-      tag 3;
-      add_tenant_c b tenant;
-      add_varint b entries;
-      add_varint b used;
-      add_varint b capacity
-  | Trace.Fps_split { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps }
-    ->
-      tag 4;
-      add_ip_c b vm_ip;
-      add_bool_c b (match direction with Trace.Tx -> true | Trace.Rx -> false);
-      add_float_c b soft_bps;
-      add_float_c b hard_bps;
-      add_float_c b total_bps;
-      add_float_c b overflow_bps
-  | Trace.Path_transition { vm_ip; pattern; path } ->
-      tag 5;
-      add_ip_c b vm_ip;
-      add_pattern_c b pattern;
-      add_bool_c b (match path with Trace.Software -> false | Trace.Express -> true)
-  | Trace.Rule_pushed { server; pattern; push; seq } ->
-      tag 6;
-      add_string_c b server;
-      add_pattern_c b pattern;
-      add_bool_c b (match push with `Offload -> false | `Demote -> true);
-      add_varint b seq
-  | Trace.Epoch_tick { me; epoch; interval } ->
-      tag 7;
-      add_string_c b me;
-      add_varint b epoch;
-      add_varint b interval
-  | Trace.Ctrl_drop { channel } ->
-      tag 8;
-      add_string_c b channel
-  | Trace.Ctrl_retry { server; seq; attempt; span } ->
-      tag 9;
-      add_string_c b server;
-      add_varint b seq;
-      add_varint b attempt;
-      add_varint b span
-  | Trace.Peer_state { server; alive } ->
-      tag 10;
-      add_string_c b server;
-      add_bool_c b alive
-  | Trace.Lane_state { lane; up } ->
-      tag 11;
-      add_string_c b lane;
-      add_bool_c b up
-  | Trace.Tcam_error { tenant; kind; entries } ->
-      tag 12;
-      add_tenant_c b tenant;
-      add_string_c b kind;
-      add_varint b entries
-  | Trace.Flow_progress { flow; sent; acked } ->
-      tag 13;
-      add_string_c b flow;
-      add_varint b sent;
-      add_varint b acked
-  | Trace.Migration_stage { vm_ip; stage } ->
-      tag 14;
-      add_ip_c b vm_ip;
-      Buffer.add_char b
-        (match stage with `Prepare -> '\000' | `Commit -> '\001' | `Abort -> '\002')
-  | Trace.Span_begin { span; parent; kind; name; track } ->
-      tag 15;
-      add_varint b span;
-      add_varint b parent;
-      add_string_c b kind;
-      add_string_c b name;
-      add_string_c b track
-  | Trace.Span_end { span; outcome } ->
-      tag 16;
-      add_varint b span;
-      add_string_c b outcome
-  | Trace.Cache_hit { vif; flow; tier; cached; fresh } ->
-      tag 17;
-      add_string_c b vif;
-      add_pattern_c b flow;
-      add_bool_c b (match tier with `Exact -> false | `Megaflow -> true);
-      add_string_c b cached;
-      add_string_c b fresh
-  | Trace.Cache_miss { vif; flow } ->
-      tag 18;
-      add_string_c b vif;
-      add_pattern_c b flow
-  | Trace.Cache_invalidate { vif; reason; dropped; exact; megaflow } ->
-      tag 19;
-      add_string_c b vif;
-      add_string_c b reason;
-      add_varint b dropped;
-      add_varint b exact;
-      add_varint b megaflow
-
-let decode_compact s ~pos =
-  let ( let* ) = Option.bind in
-  let* t_ns = read_varint s pos in
-  let at = Simtime.of_ns t_ns in
-  let* tag = read_byte s pos in
-  let* ev =
-    match tag with
-    | 0 ->
-        let* pattern = read_pattern_c s pos in
-        let* tenant = read_tenant_c s pos in
-        let* vm_ip = read_ip_c s pos in
-        let* server = read_string_c s pos in
-        let* score = read_float_c s pos in
-        let* tcam_entries = read_varint s pos in
-        Some
-          (Trace.Flow_promoted
-             { pattern; tenant; vm_ip; server; score; tcam_entries })
-    | 1 ->
-        let* pattern = read_pattern_c s pos in
-        let* tenant = read_tenant_c s pos in
-        let* vm_ip = read_ip_c s pos in
-        let* server = read_string_c s pos in
-        let* reason = read_string_c s pos in
-        Some (Trace.Flow_demoted { pattern; tenant; vm_ip; server; reason })
-    | 2 | 3 ->
-        let* tenant = read_tenant_c s pos in
-        let* entries = read_varint s pos in
-        let* used = read_varint s pos in
-        let* capacity = read_varint s pos in
-        Some
-          (if tag = 2 then Trace.Tcam_install { tenant; entries; used; capacity }
-           else Trace.Tcam_evict { tenant; entries; used; capacity })
-    | 4 ->
-        let* vm_ip = read_ip_c s pos in
-        let* dir = read_bool_c s pos in
-        let direction = if dir then Trace.Tx else Trace.Rx in
-        let* soft_bps = read_float_c s pos in
-        let* hard_bps = read_float_c s pos in
-        let* total_bps = read_float_c s pos in
-        let* overflow_bps = read_float_c s pos in
-        Some
-          (Trace.Fps_split
-             { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps })
-    | 5 ->
-        let* vm_ip = read_ip_c s pos in
-        let* pattern = read_pattern_c s pos in
-        let* express = read_bool_c s pos in
-        let path = if express then Trace.Express else Trace.Software in
-        Some (Trace.Path_transition { vm_ip; pattern; path })
-    | 6 ->
-        let* server = read_string_c s pos in
-        let* pattern = read_pattern_c s pos in
-        let* demote = read_bool_c s pos in
-        let push = if demote then `Demote else `Offload in
-        let* seq = read_varint s pos in
-        Some (Trace.Rule_pushed { server; pattern; push; seq })
-    | 7 ->
-        let* me = read_string_c s pos in
-        let* epoch = read_varint s pos in
-        let* interval = read_varint s pos in
-        Some (Trace.Epoch_tick { me; epoch; interval })
-    | 8 ->
-        let* channel = read_string_c s pos in
-        Some (Trace.Ctrl_drop { channel })
-    | 9 ->
-        let* server = read_string_c s pos in
-        let* seq = read_varint s pos in
-        let* attempt = read_varint s pos in
-        let* span = read_varint s pos in
-        Some (Trace.Ctrl_retry { server; seq; attempt; span })
-    | 10 ->
-        let* server = read_string_c s pos in
-        let* alive = read_bool_c s pos in
-        Some (Trace.Peer_state { server; alive })
-    | 11 ->
-        let* lane = read_string_c s pos in
-        let* up = read_bool_c s pos in
-        Some (Trace.Lane_state { lane; up })
-    | 12 ->
-        let* tenant = read_tenant_c s pos in
-        let* kind = read_string_c s pos in
-        let* entries = read_varint s pos in
-        Some (Trace.Tcam_error { tenant; kind; entries })
-    | 13 ->
-        let* flow = read_string_c s pos in
-        let* sent = read_varint s pos in
-        let* acked = read_varint s pos in
-        Some (Trace.Flow_progress { flow; sent; acked })
-    | 14 ->
-        let* vm_ip = read_ip_c s pos in
-        let* stage =
-          match read_byte s pos with
-          | Some 0 -> Some `Prepare
-          | Some 1 -> Some `Commit
-          | Some 2 -> Some `Abort
-          | _ -> None
-        in
-        Some (Trace.Migration_stage { vm_ip; stage })
-    | 15 ->
-        let* span = read_varint s pos in
-        let* parent = read_varint s pos in
-        let* kind = read_string_c s pos in
-        let* name = read_string_c s pos in
-        let* track = read_string_c s pos in
-        Some (Trace.Span_begin { span; parent; kind; name; track })
-    | 16 ->
-        let* span = read_varint s pos in
-        let* outcome = read_string_c s pos in
-        Some (Trace.Span_end { span; outcome })
-    | 17 ->
-        let* vif = read_string_c s pos in
-        let* flow = read_pattern_c s pos in
-        let* mega = read_bool_c s pos in
-        let tier = if mega then `Megaflow else `Exact in
-        let* cached = read_string_c s pos in
-        let* fresh = read_string_c s pos in
-        Some (Trace.Cache_hit { vif; flow; tier; cached; fresh })
-    | 18 ->
-        let* vif = read_string_c s pos in
-        let* flow = read_pattern_c s pos in
-        Some (Trace.Cache_miss { vif; flow })
-    | 19 ->
-        let* vif = read_string_c s pos in
-        let* reason = read_string_c s pos in
-        let* dropped = read_varint s pos in
-        let* exact = read_varint s pos in
-        let* megaflow = read_varint s pos in
-        Some (Trace.Cache_invalidate { vif; reason; dropped; exact; megaflow })
-    | _ -> None
-  in
-  Some (at, ev)
-
-let to_compact t =
-  let b = Buffer.create (64 * t.filled) in
-  add_varint b t.filled;
-  iter_oldest t (fun at ev -> encode_compact b at ev);
-  Buffer.contents b
-
-let of_compact s =
-  let pos = ref 0 in
-  match read_varint s pos with
-  | Some count when count >= 0 ->
-      let rec go n acc =
-        if n = 0 then
-          if !pos = String.length s then Some (List.rev acc) else None
-        else
-          match decode_compact s ~pos with
-          | Some entry -> go (n - 1) (entry :: acc)
-          | None -> None
-      in
-      go count []
-  | _ -> None

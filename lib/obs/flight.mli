@@ -12,13 +12,10 @@
     On demand (a strict violation, the scripted crash in [fabric-chaos],
     or the [--flight-recorder N] CLI flag's end-of-run dump) the ring is
     written oldest-first as valid JSONL, which {!Obs.Export} converts
-    and validates like any full trace. {!Obs.Monitor} attaches the last
-    few ring entries to each violation record as context.
-
-    A compact binary codec ({!to_compact}/{!of_compact}) snapshots a
-    ring into a single string — used on the crash path, where bounded
-    memory capture must not open files — and round-trips exactly
-    (encode∘decode = id, QCheck-verified). *)
+    and validates like any full trace; JSONL is the recorder's only
+    encoding. The crash dump goes to its own tagged file, so the
+    end-of-run dump cannot overwrite it. {!Obs.Monitor} attaches the
+    last few ring entries to each violation record as context. *)
 
 type t
 (** A ring. Recording into it never blocks, allocates or touches
@@ -74,28 +71,10 @@ val dump_jsonl : t -> out_channel -> int
     return the number written. The output is a valid trace file:
     {!Obs.Export.convert_file} accepts it unchanged. *)
 
-val dump_installed : unit -> (string * int) option
+val dump_installed : ?tag:string -> unit -> (string * int) option
 (** Dump the installed ring to its [dump_path], returning the path and
     event count; [None] when no ring is installed or it has no dump
-    path. Called on strict-violation exit and at the scripted
-    fabric-chaos crash. *)
-
-(** {1 Compact codec} *)
-
-val encode_compact : Buffer.t -> Dcsim.Simtime.t -> Trace.event -> unit
-(** Append one stamped event: a zigzag-varint nanosecond stamp, a
-    constructor tag byte, then zigzag-varint ints, length-prefixed
-    strings and 8-byte IEEE-bits floats (exact round trip, NaN
-    included). *)
-
-val decode_compact : string -> pos:int ref -> (Dcsim.Simtime.t * Trace.event) option
-(** Decode one stamped event starting at [!pos], advancing [pos] past
-    it; [None] on malformed input ([pos] is then unspecified). Inverse
-    of {!encode_compact}. *)
-
-val to_compact : t -> string
-(** Snapshot the whole ring (entry count, then each entry oldest-first)
-    as one compact binary string. *)
-
-val of_compact : string -> (Dcsim.Simtime.t * Trace.event) list option
-(** Inverse of {!to_compact}; [None] on malformed or trailing input. *)
+    path. With [tag] the dump goes to a sibling file instead: tag
+    ["crash"] turns [flight.jsonl] into [flight.crash.jsonl]. Called
+    at the end of a run, on strict-violation exit, and (tagged) at the
+    scripted fabric-chaos crash. *)

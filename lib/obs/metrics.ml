@@ -13,39 +13,32 @@ type instrument =
 
 type t = {
   instruments : (string, instrument) Hashtbl.t;
-  (* Labeled families declared against this registry: (base name,
-     label key), newest first. Families register their per-value
-     series in [instruments] under "base{label=\"value\"}" names; this
-     list remembers the bases themselves so tooling (the METRICS.md
-     drift check) can enumerate them even before any value is seen. *)
-  mutable family_names : (string * string) list;
   (* Family handles by base name, so re-declaring a family anywhere in
      the program returns the one shared handle (and hence one shared
      key cache — [labeled_counter_values] sees every key no matter
-     which call site touched it). *)
-  c_families : (string, counter family) Hashtbl.t;
-  g_families : (string, gauge family) Hashtbl.t;
+     which call site touched it). Families register their per-value
+     series in [instruments] under "base{label=\"value\"}" names; this
+     table remembers the bases themselves so tooling (the METRICS.md
+     drift check) can enumerate them even before any value is seen. *)
+  families : (string, counter_family) Hashtbl.t;
 }
 
-(* A bounded set of per-label-value series sharing one base name; see
+(* A bounded set of per-label-value counters sharing one base name; see
    the "Labeled families" section below for the operations. *)
-and 'i family = {
+and counter_family = {
   f_registry : t;
   f_name : string;
   f_label : string;
   f_render : int -> string;
   f_max : int;
-  f_cache : (int, 'i) Hashtbl.t;
-  mutable f_overflow : 'i option;
-  f_get : t -> string -> 'i;
+  f_cache : (int, counter) Hashtbl.t;
+  mutable f_overflow : counter option;
 }
 
 let create () : t =
   {
     instruments = Hashtbl.create 64;
-    family_names = [];
-    c_families = Hashtbl.create 8;
-    g_families = Hashtbl.create 8;
+    families = Hashtbl.create 8;
   }
 let default : t = create ()
 
@@ -132,9 +125,6 @@ let record h v = Stats.Histogram.add h v
    overflow series labeled "__other__", keeping cardinality bounded no
    matter what the workload does. *)
 
-type counter_family = counter family
-type gauge_family = gauge family
-
 let overflow_label = "__other__"
 
 let escape_label v =
@@ -163,15 +153,16 @@ let base_name name =
   | Some i -> String.sub name 0 i
   | None -> name
 
-(* Get-or-create on [table]: a family declared under one name anywhere
-   in the program is the same family everywhere (one shared key cache),
-   so a module sampling [labeled_counter_values] sees keys touched at
-   every other call site. The first declaration fixes the render and
-   the cardinality bound; a re-open only has to agree on the label. *)
-let make_family table registry max_series label render get name =
+(* Get-or-create: a family declared under one name anywhere in the
+   program is the same family everywhere (one shared key cache), so a
+   module sampling [labeled_counter_values] sees keys touched at every
+   other call site. The first declaration fixes the render and the
+   cardinality bound; a re-open only has to agree on the label. *)
+let counter_family ?(registry = default) ?(max_series = 64) ~label
+    ?(render = string_of_int) name =
   if max_series < 1 then
     invalid_arg "Obs.Metrics: max_series must be >= 1";
-  match Hashtbl.find_opt table name with
+  match Hashtbl.find_opt registry.families name with
   | Some fam ->
       if not (String.equal fam.f_label label) then
         invalid_arg
@@ -180,12 +171,6 @@ let make_family table registry max_series label render get name =
              fam.f_label);
       fam
   | None ->
-      if
-        not
-          (List.exists
-             (fun (n, _) -> String.equal n name)
-             registry.family_names)
-      then registry.family_names <- (name, label) :: registry.family_names;
       let fam =
         {
           f_registry = registry;
@@ -195,25 +180,12 @@ let make_family table registry max_series label render get name =
           f_max = max_series;
           f_cache = Hashtbl.create 16;
           f_overflow = None;
-          f_get = get;
         }
       in
-      Hashtbl.replace table name fam;
+      Hashtbl.replace registry.families name fam;
       fam
 
-let counter_family ?(registry = default) ?(max_series = 64) ~label
-    ?(render = string_of_int) name =
-  make_family registry.c_families registry max_series label render
-    (fun reg n -> counter ~registry:reg n)
-    name
-
-let gauge_family ?(registry = default) ?(max_series = 64) ~label
-    ?(render = string_of_int) name =
-  make_family registry.g_families registry max_series label render
-    (fun reg n -> gauge ~registry:reg n)
-    name
-
-let labeled fam key =
+let labeled_counter fam key =
   try Hashtbl.find fam.f_cache key
   with Not_found ->
     if Hashtbl.length fam.f_cache >= fam.f_max then (
@@ -221,31 +193,29 @@ let labeled fam key =
       | Some i -> i
       | None ->
           let i =
-            fam.f_get fam.f_registry
+            counter ~registry:fam.f_registry
               (labeled_name fam.f_name fam.f_label overflow_label)
           in
           fam.f_overflow <- Some i;
           i)
     else begin
       let i =
-        fam.f_get fam.f_registry
+        counter ~registry:fam.f_registry
           (labeled_name fam.f_name fam.f_label (fam.f_render key))
       in
       Hashtbl.replace fam.f_cache key i;
       i
     end
 
-let labeled_counter (fam : counter_family) key = labeled fam key
-let labeled_gauge (fam : gauge_family) key = labeled fam key
-
-let labeled_counter_values (fam : counter_family) =
+let labeled_counter_values fam =
   Hashtbl.fold (fun key c acc -> (key, c.c) :: acc) fam.f_cache []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let family_names ?(registry = default) () =
-  List.sort
-    (fun (a, _) (b, _) -> String.compare a b)
-    registry.family_names
+  Hashtbl.fold
+    (fun name fam acc -> (name, fam.f_label) :: acc)
+    registry.families []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 type value =
   | Counter_v of int

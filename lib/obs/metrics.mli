@@ -63,7 +63,7 @@ val record : histogram -> float -> unit
 
 (** {1 Labeled families}
 
-    A family is a bounded set of per-label-value series sharing one
+    A family is a bounded set of per-label-value counters sharing one
     base name — the dimensional breakdown (per tenant, per rack, per
     path) the flat instruments above cannot express. Each series is an
     ordinary registry instrument named [base{label=<value>}] with the
@@ -106,18 +106,6 @@ val labeled_counter : counter_family -> int -> counter
 val labeled_counter_values : counter_family -> (int * int) list
 (** Current [(key, count)] of every non-overflow series, sorted by key
     (the per-tenant pps sampler and the SLO scoreboard read these). *)
-
-type gauge_family
-
-val gauge_family :
-  ?registry:t ->
-  ?max_series:int ->
-  label:string ->
-  ?render:(int -> string) ->
-  string ->
-  gauge_family
-
-val labeled_gauge : gauge_family -> int -> gauge
 
 val family_names : ?registry:t -> unit -> (string * string) list
 (** Every declared family as [(base name, label)], sorted by base name

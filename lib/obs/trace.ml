@@ -351,7 +351,12 @@ let parse_flat line =
   let pos = ref 0 in
   let peek () = if !pos < n then Some line.[!pos] else None in
   let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done
+    while
+      !pos < n
+      && (match line.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+    do
+      incr pos
+    done
   in
   let expect c =
     skip_ws ();
@@ -403,28 +408,27 @@ let parse_flat line =
     | Some '"' -> Option.map (fun s -> S s) (parse_string ())
     | _ -> parse_number ()
   in
+  (* One object, then only whitespace: no trailing comma, no repeated
+     key, nothing after the closing brace (a torn or merged write). *)
+  let rec pairs acc =
+    match parse_string () with
+    | Some key when not (List.mem_assoc key acc) -> (
+        if not (expect ':') then None
+        else
+          match parse_value () with
+          | None -> None
+          | Some v ->
+              let acc = (key, v) :: acc in
+              if expect ',' then pairs acc
+              else if expect '}' then Some (List.rev acc)
+              else None)
+    | Some _ | None -> None
+  in
   if not (expect '{') then None
-  else begin
-    let rec pairs acc =
-      skip_ws ();
-      if expect '}' then Some (List.rev acc)
-      else
-        match parse_string () with
-        | None -> None
-        | Some key ->
-            if not (expect ':') then None
-            else begin
-              match parse_value () with
-              | None -> None
-              | Some v ->
-                  skip_ws ();
-                  if expect ',' then pairs ((key, v) :: acc)
-                  else if expect '}' then Some (List.rev ((key, v) :: acc))
-                  else None
-            end
-    in
-    pairs []
-  end
+  else
+    let fields = if expect '}' then Some [] else pairs [] in
+    skip_ws ();
+    if !pos = n then fields else None
 
 let of_jsonl line =
   let ( let* ) = Option.bind in

@@ -249,6 +249,9 @@ type json_value = S of string | I of int | F of float
 
 val parse_flat : string -> (string * json_value) list option
 (** Parse one flat JSON object (string/number values only, no nesting)
-    into its fields in textual order; [None] on malformed input. This
+    into its fields in textual order; [None] on malformed input,
+    including a trailing comma, a repeated key, or anything but JSON
+    whitespace after the closing brace (two events merged on one line
+    by a torn write parse as neither). This
     is the parser behind {!of_jsonl}, exposed for tooling that reads
     adjacent JSONL formats (e.g. {!Obs.Export}'s validator). *)

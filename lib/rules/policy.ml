@@ -37,10 +37,6 @@ let set_tx_limit t l =
   t.tx_limit <- l;
   touch t
 
-let set_rx_limit t l =
-  t.rx_limit <- l;
-  touch t
-
 let insert_by_priority priority_of rule rules =
   let rec place = function
     | [] -> [ rule ]

@@ -22,7 +22,6 @@ val vm_ip : t -> Netcore.Ipv4.t
 val tx_limit : t -> Rate_limit_spec.t
 val rx_limit : t -> Rate_limit_spec.t
 val set_tx_limit : t -> Rate_limit_spec.t -> unit
-val set_rx_limit : t -> Rate_limit_spec.t -> unit
 
 val add_acl : t -> Security_rule.t -> unit
 val add_qos : t -> Qos_rule.t -> unit
@@ -62,9 +61,5 @@ val verdict_to_string : verdict -> string
 (** Compact ["allow/q0/10.0.0.2"]-style encoding, used by trace events
     so the coherence monitor can compare verdicts without depending on
     this library. *)
-
-val matching_acl : t -> Netcore.Fkey.t -> Security_rule.t option
-(** The specific ACL that determines the verdict — what the rule
-    compiler copies into the ToR. *)
 
 val pp : Format.formatter -> t -> unit

@@ -85,7 +85,6 @@ let lookup t key =
       Fkey.Packed.Table.replace t.cache packed result;
       `Miss result
 
-let flush_cache t = Fkey.Packed.Table.clear t.cache
 let rule_count t = List.length t.rules
 let cache_size t = Fkey.Packed.Table.length t.cache
 let fast_hits t = t.fast_hits

@@ -35,7 +35,6 @@ val find : 'a t -> Netcore.Fkey.Packed.t -> Netcore.Fkey.t -> 'a option
     without allocating (no option re-wrap, no [`Hit] variant); a miss
     runs the priority scan and caches its result. *)
 
-val flush_cache : 'a t -> unit
 val rule_count : 'a t -> int
 val cache_size : 'a t -> int
 val fast_hits : 'a t -> int

@@ -52,9 +52,6 @@ type t = {
   mutable timeouts : int;
   mutable dupacks_received : int;
   mutable delayed_acks_sent : int;
-  mutable segments_sent : int;
-  mutable segments_received : int;
-  mutable acks_sent : int;
   mutable trace : (Simtime.t * int) list;  (* reversed *)
   mutable delivered_cb : int -> unit;
 }
@@ -89,9 +86,6 @@ let create ~engine ~config ~flow ~transmit_data ~transmit_ack =
     timeouts = 0;
     dupacks_received = 0;
     delayed_acks_sent = 0;
-    segments_sent = 0;
-    segments_received = 0;
-    acks_sent = 0;
     trace = [];
     delivered_cb = ignore;
   }
@@ -131,7 +125,6 @@ and emit_segment t ~seq ~len =
       ~l4:(Packet.Tcp_seg { seq; ack = 0; len; flags })
       ~bulk ()
   in
-  t.segments_sent <- t.segments_sent + 1;
   (* One unambiguous RTT probe at a time (Karn's rule: never time a
      retransmission). *)
   if t.rtt_probe = None && seq >= t.snd_nxt then
@@ -292,7 +285,6 @@ let emit_ack t ~delayed =
       ~l4:(Packet.Tcp_seg { seq = 0; ack = t.rcv_nxt; len = 0; flags })
       ~bulk:true ()
   in
-  t.acks_sent <- t.acks_sent + 1;
   t.transmit_ack pkt
 
 let arm_delack t =
@@ -329,7 +321,6 @@ let deliver_to_receiver t pkt =
   match pkt.Packet.l4 with
   | Packet.Plain | Packet.App _ -> ()
   | Packet.Tcp_seg { seq; len; _ } ->
-      t.segments_received <- t.segments_received + 1;
       let stop = seq + len in
       if stop <= t.rcv_nxt then
         (* Entirely old (spurious retransmission): ack immediately. *)
@@ -364,8 +355,5 @@ let recoveries t = t.recoveries
 let timeouts t = t.timeouts
 let dupacks_received t = t.dupacks_received
 let delayed_acks_sent t = t.delayed_acks_sent
-let segments_sent t = t.segments_sent
-let segments_received t = t.segments_received
-let acks_sent t = t.acks_sent
 let srtt t = Option.map Simtime.span_sec t.srtt
 let sequence_trace t = List.rev t.trace

@@ -71,9 +71,6 @@ val recoveries : t -> int
 val timeouts : t -> int
 val dupacks_received : t -> int
 val delayed_acks_sent : t -> int
-val segments_sent : t -> int
-val segments_received : t -> int
-val acks_sent : t -> int
 val srtt : t -> Dcsim.Simtime.span option
 
 val sequence_trace : t -> (Dcsim.Simtime.t * int) list

@@ -22,8 +22,5 @@ val enqueue : t -> queue:int -> Netcore.Packet.t -> unit
 val queue_length : t -> queue:int -> int
 (** Packets waiting in class [queue] (0 for an out-of-range class). *)
 
-val total_queued : t -> int
-(** Packets waiting across all classes. *)
-
 val packets_sent : t -> int
 (** Packets handed to the link since creation. *)

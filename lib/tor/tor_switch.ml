@@ -52,7 +52,6 @@ type t = {
   offloaded_stats : Vswitch.Flow_stats.t;
   mutable acl_drops : int;
   mutable no_route_drops : int;
-  mutable forwarded : int;
 }
 
 (* Reserved L4 ports for BFD-style express-lane liveness probes. Probe
@@ -77,7 +76,6 @@ let create ~engine ~ip ~tcam_capacity =
     offloaded_stats = Vswitch.Flow_stats.create ();
     acl_drops = 0;
     no_route_drops = 0;
-    forwarded = 0;
   }
 
 let ip t = t.tor_ip
@@ -147,8 +145,7 @@ let drop_no_route t =
   t.no_route_drops <- t.no_route_drops + 1;
   Obs.Metrics.incr m_no_route_drops
 
-let note_forwarded t path =
-  t.forwarded <- t.forwarded + 1;
+let note_forwarded path =
   Obs.Metrics.incr m_forwarded;
   Obs.Metrics.incr (Obs.Metrics.labeled_counter fam_forwarded path)
 
@@ -161,14 +158,14 @@ let drop_acl t tenant =
 let to_server_vswitch t ~server_key ~queue pkt =
   match Hashtbl.find_opt t.servers server_key with
   | Some port ->
-      note_forwarded t path_software;
+      note_forwarded path_software;
       Qos_queue.enqueue port.vswitch_q ~queue pkt
   | None -> drop_no_route t
 
 let to_server_sriov t ~server_key ~queue pkt =
   match Hashtbl.find_opt t.servers server_key with
   | Some port ->
-      note_forwarded t path_express;
+      note_forwarded path_express;
       Qos_queue.enqueue port.sriov_q ~queue pkt
   | None -> drop_no_route t
 
@@ -179,7 +176,7 @@ let wire_frames payload =
 let forward_to_peer t ~tor_ip pkt =
   match Hashtbl.find_opt t.peers (ip_key tor_ip) with
   | Some forward ->
-      note_forwarded t path_peer;
+      note_forwarded path_peer;
       forward pkt
   | None -> drop_no_route t
 
@@ -259,7 +256,7 @@ let handle_vlan_tx t pkt ~vlan =
                    else begin
                      match Hashtbl.find_opt t.peers (ip_key ep.tor_ip) with
                      | Some forward ->
-                         note_forwarded t path_peer;
+                         note_forwarded path_peer;
                          forward pkt
                      | None -> drop_no_route t
                    end))
@@ -278,7 +275,7 @@ let receive t pkt =
       else begin
         match Hashtbl.find_opt t.peers (ip_key tunnel_dst) with
         | Some forward ->
-            note_forwarded t path_peer;
+            note_forwarded path_peer;
             forward pkt
         | None -> drop_no_route t
       end
@@ -291,7 +288,7 @@ let receive t pkt =
       | true, _ | false, None ->
           to_server_vswitch t ~server_key ~queue:0 pkt
       | false, Some up ->
-          note_forwarded t path_peer;
+          note_forwarded path_peer;
           up pkt)
   | None -> (
       (* Plain packet (untunneled software path): route by VM location. *)
@@ -309,4 +306,3 @@ let receive t pkt =
 let offloaded_flows t = Vswitch.Flow_stats.to_list t.offloaded_stats
 let acl_drops t = t.acl_drops
 let no_route_drops t = t.no_route_drops
-let packets_forwarded t = t.forwarded

@@ -109,6 +109,3 @@ val acl_drops : t -> int
 val no_route_drops : t -> int
 (** Packets with no usable destination: unknown VLAN, unregistered VM,
     missing tunnel mapping, or unattached server/peer. *)
-
-val packets_forwarded : t -> int
-(** Packets successfully handed to a server port or peer ToR. *)

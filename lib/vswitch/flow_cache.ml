@@ -141,7 +141,6 @@ type t = {
   mutable misses : int;
   mutable invalidations : int;  (* entries dropped as (potentially) stale *)
   mutable evictions : int;  (* entries dropped by capacity/idle pressure *)
-  mutable revalidations : int;  (* revalidator passes *)
 }
 
 type tier = Exact | Megaflow
@@ -211,7 +210,6 @@ let create ?config ~name ~policy () =
     misses = 0;
     invalidations = 0;
     evictions = 0;
-    revalidations = 0;
   }
 
 let config t = t.config
@@ -223,7 +221,6 @@ let megaflow_hits t = t.megaflow_hits
 let misses t = t.misses
 let invalidations t = t.invalidations
 let evictions t = t.evictions
-let revalidations t = t.revalidations
 let mem_exact t flow = Fkey.Packed.Table.mem t.exact (Fkey.Packed.of_fkey flow)
 
 (* --- trace emission --- *)
@@ -439,15 +436,14 @@ let lookup_wild t ~key flow ~now =
       emit_miss t ~now flow;
       None
 
-let lookup_keyed t ~key flow ~now =
+let lookup t flow ~now =
+  let key = Fkey.Packed.of_fkey flow in
   match find_exact t key ~now with
   | v -> Some (v, Exact)
   | exception Not_found -> (
       match lookup_wild t ~key flow ~now with
       | Some v -> Some (v, Megaflow)
       | None -> None)
-
-let lookup t flow ~now = lookup_keyed t ~key:(Fkey.Packed.of_fkey flow) flow ~now
 
 let install_keyed t ~key flow ~now =
   check_generation t ~now;
@@ -494,7 +490,6 @@ let revalidate t ~now ~reason =
      the generation flush (and spot-checked at hit time by the
      cache-coherence monitor when tracing is on). *)
   check_generation t ~now;
-  t.revalidations <- t.revalidations + 1;
   Obs.Metrics.incr m_revalidations;
   let idle = ref 0 and stale = ref 0 in
   let expired_exact =

@@ -47,9 +47,9 @@ type tier = Exact | Megaflow
 val lookup : t -> Netcore.Fkey.t -> now:Dcsim.Simtime.t -> (Rules.Policy.verdict * tier) option
 (** Serve a verdict from the cache, [None] on miss (the caller then
     pays the upcall and calls {!install}). A megaflow hit promotes the
-    flow into the exact tier. Convenience wrapper over {!lookup_keyed}
-    that packs the key per call; per-packet callers should pack once
-    per flow and use the keyed API. *)
+    flow into the exact tier. Packs the key per call; per-packet
+    callers should pack once per flow and use {!find_exact} then
+    {!lookup_wild}. *)
 
 val find_exact :
   t -> Netcore.Fkey.Packed.t -> now:Dcsim.Simtime.t -> Rules.Policy.verdict
@@ -59,18 +59,7 @@ val find_exact :
     BENCH_hotpath.json and the [@alloc-check] alias that enforces the
     zero-allocation bar.
     @raise Not_found on an exact-tier miss (fall back to
-    {!lookup_keyed} or {!lookup_wild} semantics via the full lookup). *)
-
-val lookup_keyed :
-  t ->
-  key:Netcore.Fkey.Packed.t ->
-  Netcore.Fkey.t ->
-  now:Dcsim.Simtime.t ->
-  (Rules.Policy.verdict * tier) option
-(** Full two-tier lookup with a caller-packed key: exact tier first
-    ({!find_exact}), then the wildcard tier (which allocates one
-    projection per probed mask table and promotes hits into the exact
-    tier), [None] on miss. *)
+    {!lookup_wild}). *)
 
 val lookup_wild :
   t ->
@@ -129,6 +118,3 @@ val invalidations : t -> int
 
 val evictions : t -> int
 (** Entries dropped by capacity or idle pressure. *)
-
-val revalidations : t -> int
-(** Revalidator passes completed. *)

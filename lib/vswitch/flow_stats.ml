@@ -18,7 +18,6 @@ let record t flow ~packets ~bytes =
 let find t flow = Fkey.Table.find_opt t flow
 let remove t flow = Fkey.Table.remove t flow
 let clear t = Fkey.Table.clear t
-let flow_count t = Fkey.Table.length t
 let fold t ~init ~f = Fkey.Table.fold (fun k c acc -> f acc k c) t init
 
 let to_list t =

@@ -9,7 +9,6 @@ val record : t -> Netcore.Fkey.t -> packets:int -> bytes:int -> unit
 val find : t -> Netcore.Fkey.t -> counters option
 val remove : t -> Netcore.Fkey.t -> unit
 val clear : t -> unit
-val flow_count : t -> int
 
 val fold : t -> init:'a -> f:('a -> Netcore.Fkey.t -> counters -> 'a) -> 'a
 val to_list : t -> (Netcore.Fkey.t * int * int) list

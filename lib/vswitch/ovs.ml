@@ -148,7 +148,6 @@ type t = {
   blocked : unit Fkey.Table.t;
   mutable sweeper_active : bool;
   mutable packets_sent : int;
-  mutable packets_received : int;
   mutable packets_dropped : int;
   mutable security_drops : int;
   mutable upcalls : int;
@@ -173,7 +172,6 @@ let create ?cache_config ~engine ~config ~host_pool ~server_ip ~transmit () =
     blocked = Fkey.Table.create 16;
     sweeper_active = false;
     packets_sent = 0;
-    packets_received = 0;
     packets_dropped = 0;
     security_drops = 0;
     upcalls = 0;
@@ -278,7 +276,6 @@ let set_vif_rx_limit vif spec =
 
 let vif_tx_limit vif = Shaping.Shaper.spec vif.tx_shaper
 let vif_tx_backlogged_seconds vif = Shaping.Shaper.backlogged_seconds vif.tx_shaper
-let vif_rx_backlogged_seconds vif = Shaping.Shaper.backlogged_seconds vif.rx_shaper
 let vif_tx_bytes vif = Shaping.Shaper.forwarded_bytes vif.tx_shaper
 let vif_rx_bytes vif = Shaping.Shaper.forwarded_bytes vif.rx_shaper
 let vif_vhost_pool vif = vif.vhost
@@ -410,7 +407,6 @@ let apply_verdict t vif config verdict pkt direction =
             ~cost:(softirq_cost_of config ~payload:pkt.Packet.payload)
             finish
       | Rx ->
-          t.packets_received <- t.packets_received + 1;
           Obs.Metrics.incr m_rx;
           let tenant = (flow.Fkey.tenant :> int) in
           Obs.Metrics.incr (Obs.Metrics.labeled_counter fam_rx tenant);
@@ -556,7 +552,6 @@ let set_flow_blocked t flow blocked =
     t.vifs
 
 let packets_sent t = t.packets_sent
-let packets_received t = t.packets_received
 let packets_dropped t = t.packets_dropped
 let security_drops t = t.security_drops
 let upcalls t = t.upcalls

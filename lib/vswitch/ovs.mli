@@ -62,7 +62,6 @@ val vif_tx_limit : vif -> Rules.Rate_limit_spec.t
 val vif_tx_backlogged_seconds : vif -> float
 (** Time the VIF's tx shaper was backlogged — FPS's "maxed out" signal. *)
 
-val vif_rx_backlogged_seconds : vif -> float
 val vif_tx_bytes : vif -> int
 (** Cumulative bytes forwarded by the tx shaper (software-path demand). *)
 
@@ -103,7 +102,6 @@ val blocked_flows : t -> Netcore.Fkey.t list
 (** {2 Counters} *)
 
 val packets_sent : t -> int
-val packets_received : t -> int
 val packets_dropped : t -> int
 val security_drops : t -> int
 val upcalls : t -> int

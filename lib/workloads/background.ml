@@ -52,7 +52,3 @@ let iozone ~engine ~vm ~host ?(contended = []) () =
     (fun pool ->
       duty_noise ~engine ~pool ~period:(Simtime.span_ms 1.0) ~duty:0.15)
     contended
-
-let stress ~engine ~vm ?(load = 1.0) () =
-  duty_noise ~engine ~pool:(Host.Vm.apps vm) ~period:(Simtime.span_ms 1.0)
-    ~duty:load

@@ -6,10 +6,7 @@
       and ~115 pps incoming (mostly acks); FasTrak must rank it far
       below memcached and leave it in software.
     - [iozone]: a filesystem benchmark: VM-local disk churn, no
-      network.
-    - [stress]: pure CPU noise on a VM's application cores. *)
-
-val scp_port : int
+      network. *)
 
 type scp
 
@@ -42,6 +39,3 @@ val iozone :
     physical cores with the IOzone VM (co-located VMs' kernel vCPUs,
     vhost threads — the paper pins three VMs to four CPUs), each of
     which receives ~15% duty-cycle interference. *)
-
-val stress : engine:Dcsim.Engine.t -> vm:Host.Vm.t -> ?load:float -> unit -> unit
-(** CPU hog on the VM's app pool; [load] (default 1.0) cores' worth. *)

@@ -277,7 +277,6 @@ let stats (t : t) : stats =
   }
 
 let arrivals (t : t) = t.arrivals
-let churn_events (t : t) = t.churn_arrivals + t.churn_departures
 
 let state_words t =
   (* Generator-owned bookkeeping only: port bitsets, the on/off gate

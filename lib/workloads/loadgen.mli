@@ -98,7 +98,6 @@ type stats = {
 val stats : t -> stats
 val arrivals : t -> int
 val live_flows : t -> int
-val churn_events : t -> int
 
 val state_words : t -> int
 (** Heap words of generator-owned bookkeeping (port bitsets, gate

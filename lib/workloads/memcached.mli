@@ -11,9 +11,6 @@ val port : int
 val request_size : int
 (** 64 B: key plus protocol overhead. *)
 
-val value_size : int
-(** 1024 B: the memslap default value size. *)
-
 val install_server : vm:Host.Vm.t -> ?service_cost:Dcsim.Simtime.span -> unit -> unit
 
 val memslap :

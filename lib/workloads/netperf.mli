@@ -12,9 +12,6 @@
 
 val app_data_sizes : int list
 
-val rr_port : int
-val stream_port : int
-
 val install_rr_server : vm:Host.Vm.t -> response_size:int -> unit
 (** netperf's echo side: replies with [response_size] bytes. *)
 

@@ -426,57 +426,6 @@ let test_median () =
   check (Alcotest.float 0.0) "even" 2.5 (Dcsim.Stats.median [ 4.0; 1.0; 2.0; 3.0 ]);
   check (Alcotest.float 0.0) "empty" 0.0 (Dcsim.Stats.median [])
 
-let test_rate () =
-  let r = Dcsim.Stats.Rate.create () in
-  Dcsim.Stats.Rate.observe r ~now:Simtime.zero ~count:10 ~bytes_len:1000;
-  let pps, bps = Dcsim.Stats.Rate.sample r ~now:(Simtime.of_sec 2.0) in
-  check (Alcotest.float 1e-6) "pps" 5.0 pps;
-  check (Alcotest.float 1e-6) "Bps" 500.0 bps;
-  (* Window resets. *)
-  let pps, _ = Dcsim.Stats.Rate.sample r ~now:(Simtime.of_sec 3.0) in
-  check (Alcotest.float 1e-6) "reset" 0.0 pps
-
-let test_timeseries () =
-  let ts = Dcsim.Stats.Timeseries.create "x" in
-  Dcsim.Stats.Timeseries.add ts Simtime.zero 1.0;
-  Dcsim.Stats.Timeseries.add ts (Simtime.of_us 1.0) 2.0;
-  checki "len" 2 (Dcsim.Stats.Timeseries.length ts);
-  check Alcotest.string "name" "x" (Dcsim.Stats.Timeseries.name ts);
-  (match Dcsim.Stats.Timeseries.points ts with
-  | [ (_, a); (_, b) ] ->
-      check (Alcotest.float 0.0) "first" 1.0 a;
-      check (Alcotest.float 0.0) "second" 2.0 b
-  | _ -> Alcotest.fail "expected two points")
-
-(* --- Queueing formulas --- *)
-
-let test_mm1 () =
-  (* rho = 0.5: W = 1/(mu - lambda) = 1/50 = 0.02 s. *)
-  check (Alcotest.float 1e-9) "mm1" 0.02
-    (Dcsim.Queueing.mm1_wait ~arrival_rate:50.0 ~service_rate:100.0);
-  checkb "unstable" true
-    (Dcsim.Queueing.mm1_wait ~arrival_rate:100.0 ~service_rate:100.0 = infinity)
-
-let test_md1_below_mm1 () =
-  let md1 = Dcsim.Queueing.md1_wait ~arrival_rate:80.0 ~service_rate:100.0 in
-  let mm1 = Dcsim.Queueing.mm1_wait ~arrival_rate:80.0 ~service_rate:100.0 in
-  checkb "deterministic service waits less" true (md1 < mm1);
-  checkb "md1 above service time" true (md1 > 0.01)
-
-let test_mmc () =
-  (* M/M/1 equals M/M/c with c=1. *)
-  let a = Dcsim.Queueing.mm1_wait ~arrival_rate:30.0 ~service_rate:100.0 in
-  let b = Dcsim.Queueing.mmc_wait ~arrival_rate:30.0 ~service_rate:100.0 ~servers:1 in
-  check (Alcotest.float 1e-9) "c=1 match" a b;
-  (* More servers, less waiting. *)
-  let c2 = Dcsim.Queueing.mmc_wait ~arrival_rate:150.0 ~service_rate:100.0 ~servers:2 in
-  let c4 = Dcsim.Queueing.mmc_wait ~arrival_rate:150.0 ~service_rate:100.0 ~servers:4 in
-  checkb "more servers faster" true (c4 < c2)
-
-let test_littles_law () =
-  check (Alcotest.float 1e-9) "L = lambda W" 6.0
-    (Dcsim.Queueing.littles_law_occupancy ~arrival_rate:30.0 ~time_in_system:0.2)
-
 (* --- Property tests --- *)
 
 (* Reference model for the event queue: every pushed entry, by push
@@ -653,12 +602,6 @@ let suite =
     t "histogram percentiles" test_histogram_percentiles;
     t "histogram tail error" test_histogram_large_values;
     t "median" test_median;
-    t "rate estimator" test_rate;
-    t "timeseries" test_timeseries;
-    t "mm1 wait" test_mm1;
-    t "md1 below mm1" test_md1_below_mm1;
-    t "mmc wait" test_mmc;
-    t "littles law" test_littles_law;
     QCheck_alcotest.to_alcotest prop_event_queue_model;
     QCheck_alcotest.to_alcotest prop_event_queue_length_under_churn;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;

@@ -111,6 +111,29 @@ let sample_events =
         track = "tor";
       };
     Trace.Span_end { span = 10; outcome = "failed" };
+    Trace.Lane_state { lane = "fc0->fc1"; up = false };
+    Trace.Lane_state { lane = "fc0->fc1"; up = true };
+    Trace.Tcam_error { tenant; kind = "soft_error"; entries = 2 };
+    Trace.Flow_progress { flow = "fc0.xs:6200"; sent = 409_600; acked = 401_408 };
+    Trace.Cache_hit
+      {
+        vif = "server0.vm1";
+        flow = full_pattern;
+        tier = `Exact;
+        cached = "allow q=1";
+        fresh = "allow q=1";
+      };
+    Trace.Cache_hit
+      {
+        vif = "server0.vm1";
+        flow = sample_pattern;
+        tier = `Megaflow;
+        cached = "tunnel \"gre\"";
+        fresh = "drop\tacl";
+      };
+    Trace.Cache_miss { vif = "server0.vm1"; flow = full_pattern };
+    Trace.Cache_invalidate
+      { vif = "server0.vm1"; reason = "migration"; dropped = 5; exact = 3; megaflow = 2 };
   ]
 
 let test_jsonl_round_trip () =
@@ -133,7 +156,20 @@ let test_jsonl_rejects_garbage () =
   checkb "unknown event" true
     (Trace.of_jsonl {|{"t_ns":1,"t":0.0,"ev":"martian"}|} = None);
   checkb "missing fields" true
-    (Trace.of_jsonl {|{"t_ns":1,"t":0.0,"ev":"epoch_tick","me":"x"}|} = None)
+    (Trace.of_jsonl {|{"t_ns":1,"t":0.0,"ev":"epoch_tick","me":"x"}|} = None);
+  let line = {|{"t_ns":1,"t":0.0,"ev":"ctrl_drop","channel":"c"}|} in
+  checkb "valid line parses" true (Trace.of_jsonl line <> None);
+  checkb "trailing whitespace accepted" true
+    (Trace.of_jsonl (line ^ " \t\r\n") <> None);
+  (* A torn or merged write must not parse as its first event. *)
+  checkb "two events on one line" true (Trace.of_jsonl (line ^ line) = None);
+  checkb "bytes after the object" true (Trace.of_jsonl (line ^ "x") = None);
+  checkb "trailing comma" true
+    (Trace.of_jsonl {|{"t_ns":1,"t":0.0,"ev":"ctrl_drop","channel":"c",}|} = None);
+  checkb "repeated key" true
+    (Trace.of_jsonl
+       {|{"t_ns":1,"t":0.0,"ev":"ctrl_drop","channel":"c","channel":"d"}|}
+    = None)
 
 let test_pattern_codec () =
   List.iter
@@ -366,6 +402,110 @@ let test_of_jsonl_nan_payloads () =
         [ "t_ns"; "t"; "score"; "soft_bps"; "hard_bps"; "total_bps";
           "overflow_bps"; "seq"; "span" ])
     sample_events
+
+(* The JSONL codec over randomised payloads: decode . encode = id for
+   every constructor with arbitrary ints, byte strings, IPs, patterns
+   and finite floats. No emitter produces a non-finite float, and
+   %.17g would print infinity as "inf", which no JSON parser reads. *)
+let prop_jsonl_round_trip =
+  let open QCheck2.Gen in
+  let gen_str = small_string ~gen:char in
+  let gen_ip =
+    map2
+      (fun a b -> Ipv4.of_string (Printf.sprintf "10.%d.%d.%d" (a mod 250) (b mod 250) ((a + b) mod 250)))
+      small_nat small_nat
+  in
+  let gen_tenant = map (fun n -> Netcore.Tenant.of_int (1 + (n mod 1000))) small_nat in
+  let gen_float =
+    map (fun f -> if Float.is_finite f then f else 0.5) float
+  in
+  let gen_proto =
+    oneof
+      [
+        return Fkey.Tcp;
+        return Fkey.Udp;
+        return Fkey.Icmp;
+        map (fun n -> Fkey.Other (n mod 200)) small_nat;
+      ]
+  in
+  let gen_pattern =
+    let* src_ip = option gen_ip in
+    let* dst_ip = option gen_ip in
+    let* src_port = option (int_range 0 65535) in
+    let* dst_port = option (int_range 0 65535) in
+    let* proto = option gen_proto in
+    let* tenant = option gen_tenant in
+    return { Fkey.Pattern.src_ip; dst_ip; src_port; dst_port; proto; tenant }
+  in
+  let gen_event =
+    oneof
+      [
+        (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
+         and* server = gen_str and* score = gen_float and* tcam_entries = int in
+         return (Trace.Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries }));
+        (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
+         and* server = gen_str and* reason = gen_str in
+         return (Trace.Flow_demoted { pattern; tenant; vm_ip; server; reason }));
+        (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
+         return (Trace.Tcam_install { tenant; entries; used; capacity }));
+        (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
+         return (Trace.Tcam_evict { tenant; entries; used; capacity }));
+        (let* vm_ip = gen_ip
+         and* direction = oneof [ return Trace.Tx; return Trace.Rx ]
+         and* soft_bps = gen_float and* hard_bps = gen_float
+         and* total_bps = gen_float and* overflow_bps = gen_float in
+         return
+           (Trace.Fps_split
+              { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps }));
+        (let* vm_ip = gen_ip and* pattern = gen_pattern
+         and* path = oneof [ return Trace.Software; return Trace.Express ] in
+         return (Trace.Path_transition { vm_ip; pattern; path }));
+        (let* server = gen_str and* pattern = gen_pattern
+         and* push = oneof [ return `Offload; return `Demote ] and* seq = int in
+         return (Trace.Rule_pushed { server; pattern; push; seq }));
+        (let* me = gen_str and* epoch = int and* interval = int in
+         return (Trace.Epoch_tick { me; epoch; interval }));
+        (let* channel = gen_str in
+         return (Trace.Ctrl_drop { channel }));
+        (let* server = gen_str and* seq = int and* attempt = int and* span = int in
+         return (Trace.Ctrl_retry { server; seq; attempt; span }));
+        (let* server = gen_str and* alive = bool in
+         return (Trace.Peer_state { server; alive }));
+        (let* lane = gen_str and* up = bool in
+         return (Trace.Lane_state { lane; up }));
+        (let* tenant = gen_tenant and* kind = gen_str and* entries = int in
+         return (Trace.Tcam_error { tenant; kind; entries }));
+        (let* flow = gen_str and* sent = int and* acked = int in
+         return (Trace.Flow_progress { flow; sent; acked }));
+        (let* vm_ip = gen_ip
+         and* stage = oneof [ return `Prepare; return `Commit; return `Abort ] in
+         return (Trace.Migration_stage { vm_ip; stage }));
+        (let* span = int and* parent = int and* kind = gen_str
+         and* name = gen_str and* track = gen_str in
+         return (Trace.Span_begin { span; parent; kind; name; track }));
+        (let* span = int and* outcome = gen_str in
+         return (Trace.Span_end { span; outcome }));
+        (let* vif = gen_str and* flow = gen_pattern
+         and* tier = oneof [ return `Exact; return `Megaflow ]
+         and* cached = gen_str and* fresh = gen_str in
+         return (Trace.Cache_hit { vif; flow; tier; cached; fresh }));
+        (let* vif = gen_str and* flow = gen_pattern in
+         return (Trace.Cache_miss { vif; flow }));
+        (let* vif = gen_str and* reason = gen_str and* dropped = int
+         and* exact = int and* megaflow = int in
+         return (Trace.Cache_invalidate { vif; reason; dropped; exact; megaflow }));
+      ]
+  in
+  let gen =
+    QCheck2.Gen.(pair (small_list gen_event) (int_range 0 1_000_000_000))
+  in
+  QCheck2.Test.make ~name:"jsonl codec round-trips" ~count:300 gen
+    (fun (events, t0) ->
+      List.for_all
+        (fun ev ->
+          let now = Simtime.of_ns t0 in
+          Trace.of_jsonl (Trace.to_jsonl now ev) = Some (now, ev))
+        events)
 
 (* --- timeseries: P2 quantile estimators --- *)
 
@@ -784,6 +924,16 @@ let test_flight_wraparound () =
   Flight.clear ring;
   checki "cleared" 0 (List.length (Flight.events ring))
 
+let read_lines path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  List.rev !lines
+
 let test_flight_dump_is_valid_trace () =
   let ring = Flight.create ~capacity:8 () in
   List.iteri
@@ -797,150 +947,10 @@ let test_flight_dump_is_valid_trace () =
       let n = Flight.dump_jsonl ring oc in
       close_out oc;
       checki "dump count = ring size" (List.length (Flight.events ring)) n;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let parsed = List.rev_map Trace.of_jsonl !lines in
       checkb "every dumped line re-parses" true
-        (List.for_all Option.is_some parsed))
-
-(* Compact codec: deterministic round trip over the full constructor
-   catalogue... *)
-let test_flight_compact_round_trip () =
-  let ring = Flight.create ~capacity:64 () in
-  List.iteri
-    (fun i ev -> Flight.record ring (Simtime.of_ns ((i + 1) * 999_999)) ev)
-    sample_events;
-  match Flight.of_compact (Flight.to_compact ring) with
-  | None -> Alcotest.fail "compact snapshot did not decode"
-  | Some events ->
-      checki "entry count" (List.length (Flight.events ring))
-        (List.length events);
-      List.iter2
-        (fun (at, ev) (at', ev') ->
-          checkb "stamp round-trips" true (Simtime.equal at at');
-          checkb "event round-trips" true (ev = ev'))
-        (Flight.events ring) events
-
-(* ...and a property over randomised payloads: encode . decode = id
-   for every constructor with arbitrary ints (full zigzag-varint
-   range), strings, IPs, patterns and finite floats. *)
-let prop_flight_compact_round_trip =
-  let open QCheck2.Gen in
-  let gen_str = small_string ~gen:printable in
-  let gen_ip =
-    map2
-      (fun a b -> Ipv4.of_string (Printf.sprintf "10.%d.%d.%d" (a mod 250) (b mod 250) ((a + b) mod 250)))
-      small_nat small_nat
-  in
-  let gen_tenant = map (fun n -> Netcore.Tenant.of_int (1 + (n mod 1000))) small_nat in
-  let gen_float =
-    map (fun f -> if Float.is_nan f then 0.5 else f) float
-  in
-  let gen_proto =
-    oneof
-      [
-        return Fkey.Tcp;
-        return Fkey.Udp;
-        return Fkey.Icmp;
-        map (fun n -> Fkey.Other (n mod 200)) small_nat;
-      ]
-  in
-  let gen_pattern =
-    let* src_ip = option gen_ip in
-    let* dst_ip = option gen_ip in
-    let* src_port = option (int_range 0 65535) in
-    let* dst_port = option (int_range 0 65535) in
-    let* proto = option gen_proto in
-    let* tenant = option gen_tenant in
-    return { Fkey.Pattern.src_ip; dst_ip; src_port; dst_port; proto; tenant }
-  in
-  let gen_event =
-    oneof
-      [
-        (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
-         and* server = gen_str and* score = gen_float and* tcam_entries = int in
-         return (Trace.Flow_promoted { pattern; tenant; vm_ip; server; score; tcam_entries }));
-        (let* pattern = gen_pattern and* tenant = gen_tenant and* vm_ip = gen_ip
-         and* server = gen_str and* reason = gen_str in
-         return (Trace.Flow_demoted { pattern; tenant; vm_ip; server; reason }));
-        (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
-         return (Trace.Tcam_install { tenant; entries; used; capacity }));
-        (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
-         return (Trace.Tcam_evict { tenant; entries; used; capacity }));
-        (let* vm_ip = gen_ip
-         and* direction = oneof [ return Trace.Tx; return Trace.Rx ]
-         and* soft_bps = gen_float and* hard_bps = gen_float
-         and* total_bps = gen_float and* overflow_bps = gen_float in
-         return
-           (Trace.Fps_split
-              { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps }));
-        (let* vm_ip = gen_ip and* pattern = gen_pattern
-         and* path = oneof [ return Trace.Software; return Trace.Express ] in
-         return (Trace.Path_transition { vm_ip; pattern; path }));
-        (let* server = gen_str and* pattern = gen_pattern
-         and* push = oneof [ return `Offload; return `Demote ] and* seq = int in
-         return (Trace.Rule_pushed { server; pattern; push; seq }));
-        (let* me = gen_str and* epoch = int and* interval = int in
-         return (Trace.Epoch_tick { me; epoch; interval }));
-        (let* channel = gen_str in
-         return (Trace.Ctrl_drop { channel }));
-        (let* server = gen_str and* seq = int and* attempt = int and* span = int in
-         return (Trace.Ctrl_retry { server; seq; attempt; span }));
-        (let* server = gen_str and* alive = bool in
-         return (Trace.Peer_state { server; alive }));
-        (let* lane = gen_str and* up = bool in
-         return (Trace.Lane_state { lane; up }));
-        (let* tenant = gen_tenant and* kind = gen_str and* entries = int in
-         return (Trace.Tcam_error { tenant; kind; entries }));
-        (let* flow = gen_str and* sent = int and* acked = int in
-         return (Trace.Flow_progress { flow; sent; acked }));
-        (let* vm_ip = gen_ip
-         and* stage = oneof [ return `Prepare; return `Commit; return `Abort ] in
-         return (Trace.Migration_stage { vm_ip; stage }));
-        (let* span = int and* parent = int and* kind = gen_str
-         and* name = gen_str and* track = gen_str in
-         return (Trace.Span_begin { span; parent; kind; name; track }));
-        (let* span = int and* outcome = gen_str in
-         return (Trace.Span_end { span; outcome }));
-        (let* vif = gen_str and* flow = gen_pattern
-         and* tier = oneof [ return `Exact; return `Megaflow ]
-         and* cached = gen_str and* fresh = gen_str in
-         return (Trace.Cache_hit { vif; flow; tier; cached; fresh }));
-        (let* vif = gen_str and* flow = gen_pattern in
-         return (Trace.Cache_miss { vif; flow }));
-        (let* vif = gen_str and* reason = gen_str and* dropped = int
-         and* exact = int and* megaflow = int in
-         return (Trace.Cache_invalidate { vif; reason; dropped; exact; megaflow }));
-      ]
-  in
-  let gen =
-    QCheck2.Gen.(pair (small_list gen_event) (int_range 0 1_000_000_000))
-  in
-  QCheck2.Test.make ~name:"flight compact codec round-trips" ~count:300 gen
-    (fun (events, t0) ->
-      let ring = Flight.create ~capacity:(1 + List.length events) () in
-      List.iteri
-        (fun i ev -> Flight.record ring (Simtime.of_ns (t0 + (i * 17))) ev)
-        events;
-      match Flight.of_compact (Flight.to_compact ring) with
-      | None -> QCheck2.Test.fail_report "snapshot did not decode"
-      | Some decoded ->
-          decoded = Flight.events ring)
-
-let test_flight_compact_rejects_garbage () =
-  checkb "empty input" true (Flight.of_compact "" = None);
-  let ring = Flight.create ~capacity:4 () in
-  Flight.record ring (Simtime.of_ns 5) (numbered_event 1);
-  let ok = Flight.to_compact ring in
-  checkb "valid decodes" true (Flight.of_compact ok <> None);
-  let truncated = String.sub ok 0 (String.length ok - 1) in
-  checkb "truncation rejected" true (Flight.of_compact truncated = None);
-  checkb "trailing bytes rejected" true (Flight.of_compact (ok ^ "x") = None)
+        (List.for_all
+           (fun line -> Option.is_some (Trace.of_jsonl line))
+           (read_lines path)))
 
 (* Installed recorder: the tee records every emitted event, and a
    monitor violation carries the last few as context. *)
@@ -975,16 +985,22 @@ let test_flight_install_and_monitor_context () =
             (String.length (Obs.Monitor.context_to_string v) > 0)
       | vs -> Alcotest.fail (Printf.sprintf "expected 1 violation, got %d" (List.length vs)))
 
-(* The crash dump is deterministic: two identical fabric-chaos runs
-   freeze byte-identical compact snapshots at the scripted crash. *)
+(* The crash dump is deterministic, and it survives the run: two
+   identical fabric-chaos runs freeze identical rings at the scripted
+   crash, and the crash hook's file is not overwritten by the CLI's
+   end-of-run dump to the untagged path. *)
 let test_flight_crash_dump_deterministic () =
   let saved = !Experiments.Fabric_chaos.schedule_spec in
+  let dir = Filename.temp_dir "flight" "" in
+  let dump_path = Filename.concat dir "flight.jsonl" in
+  let crash_path = Filename.concat dir "flight.crash.jsonl" in
+  let crash_at = 2.0 in
   let run_once () =
     (* Span ids are allocated process-globally; restart them so both
        runs label identical spans identically. *)
     Obs.Span.reset ();
     let ring = Flight.create ~capacity:256 () in
-    Flight.install ring;
+    Flight.install ~dump_path ring;
     Fun.protect
       ~finally:(fun () ->
         Flight.uninstall ();
@@ -995,14 +1011,30 @@ let test_flight_crash_dump_deterministic () =
           {
             Experiments.Fabric_chaos.default_config with
             Experiments.Fabric_chaos.racks = 2;
-            crash_at = 2.0;
+            crash_at;
             restart_at = 2.3;
           }
         in
-        Experiments.Fabric_chaos.run ~config:cfg ())
+        let r = Experiments.Fabric_chaos.run ~config:cfg () in
+        ignore (Flight.dump_installed ());
+        r)
+  in
+  let jsonl events = List.map (fun (at, ev) -> Trace.to_jsonl at ev) events in
+  let last_stamp path =
+    match List.rev (read_lines path) with
+    | line :: _ -> (
+        match Trace.of_jsonl line with
+        | Some (at, _) -> Simtime.to_sec at
+        | None -> Alcotest.failf "%s: last line does not parse" path)
+    | [] -> Alcotest.failf "%s is empty" path
   in
   Fun.protect
-    ~finally:(fun () -> Experiments.Fabric_chaos.schedule_spec := saved)
+    ~finally:(fun () ->
+      Experiments.Fabric_chaos.schedule_spec := saved;
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ dump_path; crash_path ];
+      Sys.rmdir dir)
     (fun () ->
       let r1 = run_once () in
       let r2 = run_once () in
@@ -1011,10 +1043,17 @@ let test_flight_crash_dump_deterministic () =
          r2.Experiments.Fabric_chaos.crash_flight)
       with
       | Some c1, Some c2 ->
-          checkb "snapshots byte-identical" true (String.equal c1 c2);
-          (match Flight.of_compact c1 with
-          | Some events -> checkb "snapshot non-empty" true (events <> [])
-          | None -> Alcotest.fail "crash snapshot did not decode")
+          checkb "snapshot non-empty" true (c1 <> []);
+          Alcotest.(check (list string)) "snapshots identical" (jsonl c1)
+            (jsonl c2);
+          checkb "crash dump file named" true
+            (r2.Experiments.Fabric_chaos.crash_dump = Some crash_path);
+          Alcotest.(check (list string)) "crash file holds the crash-instant ring"
+            (jsonl c2) (read_lines crash_path);
+          checkb "crash file ends at or before the crash" true
+            (last_stamp crash_path <= crash_at);
+          checkb "end-of-run dump goes past the crash" true
+            (last_stamp dump_path > crash_at)
       | _ -> Alcotest.fail "crash did not freeze a flight snapshot")
 
 (* --- Labeled metric families --- *)
@@ -1137,6 +1176,7 @@ let suite =
     t "empty summary renders null" test_empty_summary_renders_null;
     QCheck_alcotest.to_alcotest prop_of_jsonl_corruption_safe;
     t "jsonl rejects nan payloads" test_of_jsonl_nan_payloads;
+    QCheck_alcotest.to_alcotest prop_jsonl_round_trip;
     t "p2 quantiles" test_p2_quantiles;
     t "timeseries rows and output" test_timeseries_rows_and_output;
     t "monitor catches violations" test_monitor_catches_violations;
@@ -1149,9 +1189,6 @@ let suite =
     t "export live run round trips" test_export_of_live_run_round_trips;
     t "flight ring wraparound" test_flight_wraparound;
     t "flight dump is valid trace" test_flight_dump_is_valid_trace;
-    t "flight compact round trip" test_flight_compact_round_trip;
-    QCheck_alcotest.to_alcotest prop_flight_compact_round_trip;
-    t "flight compact rejects garbage" test_flight_compact_rejects_garbage;
     t "flight install and monitor context" test_flight_install_and_monitor_context;
     t "flight crash dump deterministic" test_flight_crash_dump_deterministic;
     t "labeled cardinality bound" test_labeled_cardinality_bound;

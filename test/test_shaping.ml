@@ -115,48 +115,6 @@ let test_bucket_forced_negative () =
   Shaping.Token_bucket.consume_forced b ~now:Simtime.zero ~bytes_len:1_000;
   checkb "negative balance" true (Shaping.Token_bucket.available b ~now:Simtime.zero < 0.0)
 
-(* --- HTB --- *)
-
-let test_htb_within_rate () =
-  let now = Simtime.zero in
-  let h = Shaping.Htb.create ~link:(mbps 100.0) ~now in
-  let leaf = Shaping.Htb.add_leaf h ~rate:(mbps 10.0) ~now () in
-  checkb "admits within rate" true (Shaping.Htb.admit h leaf ~now ~bytes_len:1_000);
-  checki "leaf count" 1 (Shaping.Htb.leaf_count h)
-
-let test_htb_ceil_cap () =
-  let now = Simtime.zero in
-  let h = Shaping.Htb.create ~link:(mbps 100.0) ~now in
-  let leaf =
-    Shaping.Htb.add_leaf h ~rate:(mbps 1.0) ~ceil:(mbps 1.0) ~now ()
-  in
-  (* Drain the 1 Mb/s ceil burst (~12500 bytes + MTU floor). *)
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:1e6 () in
-  let burst = spec.Rules.Rate_limit_spec.burst_bytes in
-  checkb "burst admitted" true (Shaping.Htb.admit h leaf ~now ~bytes_len:burst);
-  checkb "above ceil refused" false (Shaping.Htb.admit h leaf ~now ~bytes_len:1_000);
-  checkb "wait positive" true
-    (Simtime.span_to_ns (Shaping.Htb.delay_until_admit h leaf ~now ~bytes_len:1_000) > 0)
-
-let test_htb_root_shared () =
-  (* Two leaves with 5 Gb/s each over a 100 KB root burst: the root
-     (physical link) is the shared constraint once its burst drains. *)
-  let now = Simtime.zero in
-  let link = Rules.Rate_limit_spec.make ~rate_bps:10e9 ~burst_bytes:100_000 () in
-  let h = Shaping.Htb.create ~link ~now in
-  let l1 = Shaping.Htb.add_leaf h ~rate:(mbps 5000.0) ~now () in
-  let l2 = Shaping.Htb.add_leaf h ~rate:(mbps 5000.0) ~now () in
-  checkb "l1 takes root burst" true (Shaping.Htb.admit h l1 ~now ~bytes_len:100_000);
-  checkb "l2 blocked by root" false (Shaping.Htb.admit h l2 ~now ~bytes_len:50_000)
-
-let test_htb_set_leaf_rate () =
-  let now = Simtime.zero in
-  let h = Shaping.Htb.create ~link:(mbps 100.0) ~now in
-  let leaf = Shaping.Htb.add_leaf h ~rate:(mbps 10.0) ~now () in
-  Shaping.Htb.set_leaf_rate h leaf ~rate:(mbps 20.0) ~now ();
-  Alcotest.check (Alcotest.float 1.0) "rate updated" 20e6
-    (Shaping.Htb.leaf_rate leaf).Rules.Rate_limit_spec.rate_bps
-
 (* --- Shaper (needs an engine) --- *)
 
 let test_shaper_passthrough_unlimited () =
@@ -291,10 +249,6 @@ let suite =
     t "bucket unlimited to limited starts empty"
       test_bucket_unlimited_to_limited_starts_empty;
     t "bucket forced negative" test_bucket_forced_negative;
-    t "htb within rate" test_htb_within_rate;
-    t "htb ceil cap" test_htb_ceil_cap;
-    t "htb root shared" test_htb_root_shared;
-    t "htb set leaf rate" test_htb_set_leaf_rate;
     t "shaper passthrough" test_shaper_passthrough_unlimited;
     t "shaper enforces rate" test_shaper_enforces_rate;
     t "shaper preserves order" test_shaper_preserves_order;
