@@ -53,7 +53,7 @@ type t = {
   applied_seq : int Fkey.Pattern.Table.t;
 }
 
-let ip_key ip = Int32.to_int (Netcore.Ipv4.to_int32 ip)
+let ip_key (ip : Netcore.Ipv4.t) = (ip :> int)
 
 let classify_for server flow =
   (* Per-VM-per-application aggregation (§4.3.1): outgoing flows fold

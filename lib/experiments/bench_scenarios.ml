@@ -680,6 +680,38 @@ let hotpath_rule_cache ~smoke =
     ~params:[ ("flows", float_of_int n); ("rules", float_of_int rules) ]
     ~ops:n timed
 
+(* The ToR express hop's VRF probe in soak-mixed's shape: 120 entries
+   under 2 masks (source and destination aggregates). Even probes hit
+   an entry; odd ones, the same flow with both ports moved, fall to
+   the default deny. *)
+let hotpath_vrf_classify ~smoke =
+  let entries = 120 and n = if smoke then 2_000 else 65_536 in
+  let vrf = Tor.Vrf.create ~tenant ~tcam:(Tor.Tcam.create ~capacity:entries) in
+  let keys = mk_hot_keys entries in
+  Array.iteri
+    (fun i k ->
+      let acl_pattern =
+        (if i land 1 = 0 then Fkey.Pattern.src_aggregate else Fkey.Pattern.dst_aggregate) k
+      in
+      let queue = i land 7 in
+      ignore
+        (Tor.Vrf.install vrf
+           { Rules.Rule_compiler.tenant; acl_pattern; queue; tunnels = []; tcam_entries = 1 }))
+    keys;
+  let probes =
+    Array.init n (fun i ->
+        let k = keys.(i / 2 mod entries) in
+        if i land 1 = 0 then k
+        else { k with Fkey.src_port = k.src_port + 1; dst_port = k.dst_port + 1 })
+  in
+  let sink = ref 0 in
+  let run () = Array.iter (fun f -> sink := !sink + Tor.Vrf.classify vrf f) probes in
+  let timed = time_runs ~min_time:(if smoke then 0.02 else 0.2) run in
+  ignore !sink;
+  mk_result ~scenario:"hotpath/vrf-classify" ~unit_:"probe"
+    ~params:[ ("entries", float_of_int entries); ("masks", 2.0); ("probes", float_of_int n) ]
+    ~ops:n timed
+
 let run_hotpath ~smoke =
   [
     hotpath_cache_hit ~smoke;
@@ -687,6 +719,7 @@ let run_hotpath ~smoke =
     hotpath_packed_probe ~smoke;
     hotpath_pack ~smoke;
     hotpath_rule_cache ~smoke;
+    hotpath_vrf_classify ~smoke;
   ]
 
 (* --- workload generator --- *)
@@ -903,6 +936,7 @@ let alloc_check () =
       (* Packing allocates exactly one 4-field record (5 words). *)
       ("hotpath/packed-of-fkey", 8.0);
       ("hotpath/rule-cache-hit", zero_bar);
+      ("hotpath/vrf-classify", zero_bar);
       ("decide/10000c-2000o", 68297.8);
       (* The always-on observability hot paths: recording into the
          flight ring and bumping an already-seen labeled series must

@@ -66,8 +66,8 @@ type result = {
 
 (* Statically pin the a -> b direction of an express lane: GRE tunnel
    mapping in a's policy, the compiled most-specific rule in both the
-   source ToR VRF (transmit: permits + tunnel_for) and the destination
-   ToR VRF (receive: handle_gre_rx re-checks permits), the flow-placer
+   source ToR VRF (transmit: classify + tunnel_for) and the destination
+   ToR VRF (receive: handle_gre_rx classifies again), the flow-placer
    rule steering a's traffic for b onto the VF, and b's address on the
    destination ToR pointed at the SR-IOV port. *)
 let pin_direction ~src_tb ~dst_tb (a : Host.Server.attached)

@@ -29,7 +29,7 @@ let create ?(sharded = true) ~seed ~racks ~prefix () =
       (Array.make racks e, [| e |])
   in
   let cluster = Cluster.create ~shards in
-  let core = Core_switch.create ~engine:shards.(Array.length shards - 1) () in
+  let core = Core_switch.create ~engine:shards.(Array.length shards - 1) in
   { cluster; core; engines; prefix }
 
 let name t r suffix = Printf.sprintf "%s%d.%s" t.prefix r suffix
@@ -52,7 +52,7 @@ let attach t r (tb : Testbed.t) =
       ~handler:(fun pkt -> Tor.Tor_switch.receive tb.tor pkt)
       ()
   in
-  Core_switch.attach_rack t.core ~tor_ip ~downlink ();
+  Core_switch.attach_rack t.core ~tor_ip ~downlink;
   Array.iter
     (fun s ->
       Core_switch.register_server t.core ~server_ip:(Host.Server.ip s) ~tor_ip)

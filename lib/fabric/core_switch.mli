@@ -15,27 +15,15 @@
 
 type t
 
-val create : engine:Dcsim.Engine.t -> ?name:string -> unit -> t
-(** A core switch running on [engine] (default name ["core"]). *)
+val create : engine:Dcsim.Engine.t -> t
+(** A core switch running on [engine]. *)
 
 val attach_rack :
-  t ->
-  ?faults:Faults.Injector.t ->
-  tor_ip:Netcore.Ipv4.t ->
-  downlink:Netcore.Packet.t Channel.t ->
-  unit ->
-  unit
+  t -> tor_ip:Netcore.Ipv4.t -> downlink:Netcore.Packet.t Channel.t -> unit
 (** Register the downlink channel towards the rack whose ToR loopback
     is [tor_ip]. GRE packets with that [tunnel_dst] are forwarded on
     [downlink]. Re-attaching the same [tor_ip] replaces the route.
-
-    With [?faults], every packet forwarded out this port draws a fault
-    verdict first: drops are counted (the [fabric.core.port_drops]
-    counter), jitter delays the send on the core shard before the
-    downlink channel's own latency (lookahead bounds stay valid), and
-    duplicates send a {!Netcore.Packet.copy}. Reorder verdicts are
-    ignored — the downlink channel's FIFO clamp re-imposes ordering
-    anyway. *)
+    Faults on the path belong to the channels (see {!Channel}). *)
 
 val register_server : t -> server_ip:Netcore.Ipv4.t -> tor_ip:Netcore.Ipv4.t -> unit
 (** Record that the server at [server_ip] lives under the rack whose
@@ -46,9 +34,6 @@ val receive : t -> Netcore.Packet.t -> unit
 (** Handle a packet arriving on an uplink: route it to the matching
     downlink, or drop it (counted) if the outer encapsulation names no
     attached rack. Use this as the uplink channels' handler. *)
-
-val name : t -> string
-(** The label given at creation. *)
 
 val engine : t -> Dcsim.Engine.t
 (** The shard engine the core runs on. *)

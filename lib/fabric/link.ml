@@ -8,29 +8,23 @@ let m_dups = Obs.Metrics.counter "fabric.link.dups"
 
 type t = {
   engine : Engine.t;
-  link_name : string;
   gbps : float;
   latency : Simtime.span;
   deliver : Packet.t -> unit;
   wire : Compute.Cpu_pool.t;  (* 1-server queue: the wire itself *)
   faults : Faults.Injector.t option;
   mutable packets_sent : int;
-  mutable bytes_sent : int;
-  mutable packets_dropped : int;
 }
 
 let create ?faults ~engine ~name ~gbps ~latency ~deliver () =
   {
     engine;
-    link_name = name;
     gbps;
     latency;
     deliver;
     wire = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:(name ^ ".wire");
     faults;
     packets_sent = 0;
-    bytes_sent = 0;
-    packets_dropped = 0;
   }
 
 let wire_bytes pkt =
@@ -50,9 +44,7 @@ let propagate t pkt =
   | None -> ignore (Engine.after t.engine t.latency (fun () -> t.deliver pkt))
   | Some inj -> (
       match Faults.Injector.decide inj ~now:(Engine.now t.engine) with
-      | Faults.Injector.Drop ->
-          t.packets_dropped <- t.packets_dropped + 1;
-          Obs.Metrics.incr m_drops
+      | Faults.Injector.Drop -> Obs.Metrics.incr m_drops
       | Faults.Injector.Deliver { extra_delay; in_order = _; duplicate_delay } ->
           (* A point-to-point wire has no alternate path, so reordering
              is meaningless here: only loss, extra delay and (rarely)
@@ -72,12 +64,8 @@ let transmit t pkt =
   let cost = Simtime.span_of_bytes_at_rate ~bytes_len ~gbps:t.gbps in
   Compute.Cpu_pool.submit t.wire ~cost (fun () ->
       t.packets_sent <- t.packets_sent + 1;
-      t.bytes_sent <- t.bytes_sent + bytes_len;
-      propagate t pkt)
+      propagate t pkt);
+  cost
 
-let busy_seconds t = Compute.Cpu_pool.busy_seconds t.wire
-let utilization t ~over = Compute.Cpu_pool.utilization t.wire ~over
 let packets_sent t = t.packets_sent
-let bytes_sent t = t.bytes_sent
-let packets_dropped t = t.packets_dropped
 let queue_length t = Compute.Cpu_pool.queue_length t.wire

@@ -21,37 +21,26 @@ val create :
     [latency] before handing it to [deliver].
 
     With [?faults], each packet leaving the wire draws a verdict from
-    the injector: drops are counted (see {!packets_dropped} and the
-    [fabric.link.drops] counter), jitter only ever {e adds} to
-    [latency], and duplicates deliver a {!Netcore.Packet.copy}.
-    Reordering verdicts are ignored — a point-to-point wire has no
-    alternate path. Without [?faults] the delivery path is untouched,
-    keeping fault-free runs byte-identical. *)
+    the injector: drops are counted (the [fabric.link.drops] counter),
+    jitter only ever {e adds} to [latency], and duplicates deliver a
+    {!Netcore.Packet.copy}. Reordering verdicts are ignored — a
+    point-to-point wire has no alternate path. Without [?faults] the
+    delivery path is untouched, keeping fault-free runs
+    byte-identical. *)
 
 val wire_bytes : Netcore.Packet.t -> int
 (** On-the-wire bytes of a message: payload plus per-frame headers,
     encapsulation overheads, preamble and IFG for every MTU-sized frame
     the message occupies. *)
 
-val transmit : t -> Netcore.Packet.t -> unit
+val transmit : t -> Netcore.Packet.t -> Dcsim.Simtime.span
 (** Enqueue a message for serialisation; it is delivered one
-    serialisation delay plus [latency] after the wire frees up. *)
-
-val busy_seconds : t -> float
-(** Total simulated seconds the wire has spent serialising. *)
-
-val utilization : t -> over:Dcsim.Simtime.span -> float
-(** [busy_seconds] as a fraction of the given window. *)
+    serialisation delay plus [latency] after the wire frees up.
+    Returns the serialisation delay charged, so a sender that paces
+    itself on it never finds the wire busy. *)
 
 val packets_sent : t -> int
 (** Messages fully serialised so far. *)
-
-val bytes_sent : t -> int
-(** Wire bytes (per {!wire_bytes}) fully serialised so far. *)
-
-val packets_dropped : t -> int
-(** Packets lost to fault injection after serialisation. Always zero
-    without [?faults]. *)
 
 val queue_length : t -> int
 (** Messages waiting for the wire, not counting the one in flight. *)

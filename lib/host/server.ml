@@ -40,7 +40,7 @@ let create ~engine ~name ~ip ~config ~tor =
   in
   let ovs =
     Vswitch.Ovs.create ~engine ~config ~host_pool ~server_ip:ip
-      ~transmit:(fun pkt -> Fabric.Link.transmit vswitch_uplink pkt)
+      ~transmit:(fun pkt -> ignore (Fabric.Link.transmit vswitch_uplink pkt))
       ()
   in
   let sriov = Nic.Sriov.create ~engine ~host_pool ~wire:sriov_uplink () in

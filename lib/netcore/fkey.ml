@@ -70,7 +70,13 @@ let compare a b =
     end
   end
 
-let equal a b = compare a b = 0
+(* Field by field, on immediates: no cross-module call, no compare. *)
+let equal a b =
+  (a.src_ip :> int) = (b.src_ip :> int)
+  && (a.dst_ip :> int) = (b.dst_ip :> int)
+  && a.src_port = b.src_port && a.dst_port = b.dst_port
+  && proto_rank a.proto = proto_rank b.proto
+  && (a.tenant :> int) = (b.tenant :> int)
 
 (* Multiplicative int mixer. Every step is integer arithmetic on
    immediates, so hashing allocates nothing — the previous
@@ -80,14 +86,14 @@ let[@inline] mix h v =
   let h = (h lxor v) * 0x9E3779B1 in
   h lxor (h lsr 29)
 
+(* The 6-tuple's fields in [t]'s order, the protocol as its rank. *)
+let hash_fields src_ip dst_ip src_port dst_port rank tenant =
+  let h = mix (mix (mix 0x42 src_ip) dst_ip) src_port in
+  mix (mix (mix h dst_port) rank) tenant land max_int
+
 let hash t =
-  let h = mix 0x42 (t.src_ip :> int) in
-  let h = mix h (t.dst_ip :> int) in
-  let h = mix h t.src_port in
-  let h = mix h t.dst_port in
-  let h = mix h (proto_rank t.proto) in
-  let h = mix h (Tenant.to_int t.tenant) in
-  h land max_int
+  hash_fields (t.src_ip :> int) (t.dst_ip :> int) t.src_port t.dst_port
+    (proto_rank t.proto) (t.tenant :> int)
 
 let pp ppf t =
   Format.fprintf ppf "%a[%a:%d -> %a:%d %s]" Tenant.pp t.tenant Ipv4.pp
@@ -324,6 +330,20 @@ module Pattern = struct
       + (if m.dst_port then 8 else 0)
       + (if m.proto then 16 else 0)
       + if m.tenant then 32 else 0
+
+    (* A field outside the mask reads as 0. *)
+    let hash_flow m (k : fkey) =
+      let v on x = if on then x else 0 in
+      hash_fields (v m.src_ip (k.src_ip :> int)) (v m.dst_ip (k.dst_ip :> int))
+        (v m.src_port k.src_port) (v m.dst_port k.dst_port)
+        (v m.proto (proto_rank k.proto)) (v m.tenant (k.tenant :> int))
+
+    let hash_pattern (p : pattern) =
+      let v = Option.value ~default:0 in
+      hash_fields (v (p.src_ip :> int option)) (v (p.dst_ip :> int option))
+        (v p.src_port) (v p.dst_port)
+        (match p.proto with Some r -> proto_rank r | None -> 0)
+        (v (p.tenant :> int option))
 
     let equal a b = a = b
     let compare a b = Stdlib.compare (bits a) (bits b)

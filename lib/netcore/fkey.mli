@@ -152,6 +152,14 @@ module Pattern : sig
     val project : t -> fkey -> pattern
     (** Pin the masked fields to the flow's values, wildcard the rest. *)
 
+    val hash_flow : t -> fkey -> int
+    (** Hash of the flow's masked fields; allocates nothing. A flow [k]
+        that pattern [p] matches has
+        [hash_flow (of_pattern p) k = hash_pattern p]. *)
+
+    val hash_pattern : pattern -> int
+    (** Hash of the pattern's concrete fields; see {!hash_flow}. *)
+
     val equal : t -> t -> bool
     val compare : t -> t -> int
     val hash : t -> int

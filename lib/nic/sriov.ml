@@ -39,7 +39,7 @@ type t = {
    packs injectively into one immediate int — no tuple allocated per
    received packet. *)
 let[@inline] steering_key ~vlan ip =
-  (vlan lsl 32) lor (Int32.to_int (Netcore.Ipv4.to_int32 ip) land 0xFFFF_FFFF)
+  (vlan lsl 32) lor (ip : Netcore.Ipv4.t :> int)
 
 let create ~engine ?(max_vfs = 64) ~host_pool ~wire () =
   {
@@ -71,7 +71,7 @@ let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
         tx_shaper =
           Shaping.Shaper.create ~engine:t.engine
             ~spec:Rules.Rate_limit_spec.unlimited
-            ~forward:(fun pkt -> Fabric.Link.transmit t.wire pkt)
+            ~forward:(fun pkt -> ignore (Fabric.Link.transmit t.wire pkt))
             ();
         rx_shaper =
           Shaping.Shaper.create ~engine:t.engine
@@ -90,7 +90,6 @@ let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
   end
 
 let vf_count t = List.length t.vfs
-let max_vfs t = t.max_vfs
 let set_vf_tx_limit vf spec = Shaping.Shaper.set_spec vf.tx_shaper spec
 let set_vf_rx_limit vf spec = Shaping.Shaper.set_spec vf.rx_shaper spec
 let vf_tx_limit vf = Shaping.Shaper.spec vf.tx_shaper

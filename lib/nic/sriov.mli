@@ -33,7 +33,6 @@ val allocate_vf :
     guest-side receive cost is the VM's business. *)
 
 val vf_count : t -> int
-val max_vfs : t -> int
 
 val set_vf_tx_limit : vf -> Rules.Rate_limit_spec.t -> unit
 val set_vf_rx_limit : vf -> Rules.Rate_limit_spec.t -> unit

@@ -15,10 +15,10 @@ type cell = {
   latency : Stats.Histogram.t;
 }
 
-let cells : (int, cell) Hashtbl.t = Hashtbl.create 16
+let cells : cell Netcore.Int_table.t = Netcore.Int_table.create 16
 
 let cell tenant =
-  try Hashtbl.find cells tenant
+  try Netcore.Int_table.find cells tenant
   with Not_found ->
     let c =
       {
@@ -30,10 +30,10 @@ let cell tenant =
         latency = Stats.Histogram.create ();
       }
     in
-    Hashtbl.replace cells tenant c;
+    Netcore.Int_table.replace cells tenant c;
     c
 
-let reset () = Hashtbl.reset cells
+let reset () = Netcore.Int_table.reset cells
 
 let add_contract ~tenant ?tx_bps ?p99_us () =
   let c = cell tenant in
@@ -110,7 +110,8 @@ let row_of_cell ~tolerance tenant (c : cell) =
   }
 
 let scoreboard ?(tolerance = default_tolerance) () =
-  Hashtbl.fold (fun tenant c acc -> row_of_cell ~tolerance tenant c :: acc)
+  Netcore.Int_table.fold
+    (fun tenant c acc -> row_of_cell ~tolerance tenant c :: acc)
     cells []
   |> List.sort (fun a b -> compare a.tenant b.tenant)
 

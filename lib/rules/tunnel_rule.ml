@@ -18,7 +18,7 @@ module Map = struct
   type t = (int * int, endpoint) Hashtbl.t
 
   let key ~tenant ~vm_ip =
-    (Netcore.Tenant.to_int tenant, Int32.to_int (Netcore.Ipv4.to_int32 vm_ip))
+    ((tenant : Netcore.Tenant.id :> int), (vm_ip : Netcore.Ipv4.t :> int))
 
   let create () : t = Hashtbl.create 64
 

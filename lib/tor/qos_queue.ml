@@ -1,4 +1,3 @@
-module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
 module Packet = Netcore.Packet
 
@@ -6,65 +5,60 @@ type t = {
   engine : Engine.t;
   queues : Packet.t Queue.t array;
   link : Fabric.Link.t;
-  gbps : float;
   mutable busy : bool;
+  mutable queued : int;  (* packets waiting, all classes *)
   mutable sent : int;
+  repump : unit -> unit;  (* [pump] of this queue, made once *)
 }
 
 let m_enqueued = Obs.Metrics.counter "tor.qos.enqueued"
 let m_sent = Obs.Metrics.counter "tor.qos.sent"
 let m_depth = Obs.Metrics.summary "tor.qos.depth"
 
-let create ~engine ~classes ~link ~gbps =
+(* The highest non-empty class at or below [i], or -1. *)
+let rec highest_nonempty queues i =
+  if i < 0 || not (Queue.is_empty queues.(i)) then i
+  else highest_nonempty queues (i - 1)
+
+(* Hand the best packet to the link and wake again when the link has
+   serialised it, so the link never holds a second packet. *)
+let pump t =
+  let i = highest_nonempty t.queues (Array.length t.queues - 1) in
+  if i < 0 then t.busy <- false
+  else begin
+    let pkt = Queue.pop t.queues.(i) in
+    t.queued <- t.queued - 1;
+    t.sent <- t.sent + 1;
+    Obs.Metrics.incr m_sent;
+    let serialisation = Fabric.Link.transmit t.link pkt in
+    ignore (Engine.after t.engine serialisation t.repump)
+  end
+
+let create ~engine ~classes ~link =
   if classes <= 0 then invalid_arg "Qos_queue.create: classes must be positive";
-  {
-    engine;
-    queues = Array.init classes (fun _ -> Queue.create ());
-    link;
-    gbps;
-    busy = false;
-    sent = 0;
-  }
-
-let classes t = Array.length t.queues
-
-let highest_nonempty t =
-  let rec scan i =
-    if i < 0 then None
-    else if not (Queue.is_empty t.queues.(i)) then Some i
-    else scan (i - 1)
+  let queues = Array.init classes (fun _ -> Queue.create ()) in
+  let rec t =
+    {
+      engine;
+      queues;
+      link;
+      busy = false;
+      queued = 0;
+      sent = 0;
+      repump = (fun () -> pump t);
+    }
   in
-  scan (Array.length t.queues - 1)
-
-let rec pump t =
-  match highest_nonempty t with
-  | None -> t.busy <- false
-  | Some i ->
-      let pkt = Queue.pop t.queues.(i) in
-      let bytes_len = Fabric.Link.wire_bytes pkt in
-      let serialization =
-        Simtime.span_of_bytes_at_rate ~bytes_len ~gbps:t.gbps
-      in
-      t.sent <- t.sent + 1;
-      Obs.Metrics.incr m_sent;
-      Fabric.Link.transmit t.link pkt;
-      ignore (Engine.after t.engine serialization (fun () -> pump t))
-
-let total_queued t =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
+  t
 
 let enqueue t ~queue pkt =
   let queue = Stdlib.max 0 (Stdlib.min queue (Array.length t.queues - 1)) in
   Queue.push pkt t.queues.(queue);
+  t.queued <- t.queued + 1;
   Obs.Metrics.incr m_enqueued;
-  Obs.Metrics.observe m_depth (float_of_int (total_queued t));
+  Obs.Metrics.observe m_depth (float_of_int t.queued);
   if not t.busy then begin
     t.busy <- true;
     pump t
   end
-
-let queue_length t ~queue =
-  if queue < 0 || queue >= Array.length t.queues then 0
-  else Queue.length t.queues.(queue)
 
 let packets_sent t = t.sent

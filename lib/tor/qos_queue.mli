@@ -2,25 +2,20 @@
     routers typically provide a set of QoS queues").
 
     Packets are enqueued into one of N classes; the highest non-empty
-    class transmits first. The multiplexer paces itself at the link
-    rate so the underlying {!Fabric.Link} never builds its own queue —
-    priority therefore actually matters under contention. *)
+    class transmits first. The multiplexer hands the link one packet at
+    a time and takes its pacing from the link: it sends the next packet
+    after the serialisation span {!Fabric.Link.transmit} returns, so
+    the link never builds its own queue — priority therefore actually
+    matters under contention. *)
 
 type t
 
-val create :
-  engine:Dcsim.Engine.t -> classes:int -> link:Fabric.Link.t -> gbps:float -> t
-(** [classes] priority queues multiplexed onto [link], paced at [gbps].
-    @raise Invalid_argument when [classes <= 0]. *)
-
-val classes : t -> int
-(** The number of priority classes. *)
+val create : engine:Dcsim.Engine.t -> classes:int -> link:Fabric.Link.t -> t
+(** [classes] priority queues multiplexed onto [link], paced at the
+    link's rate. @raise Invalid_argument when [classes <= 0]. *)
 
 val enqueue : t -> queue:int -> Netcore.Packet.t -> unit
 (** [queue] is clamped to [0, classes). Higher index = higher priority. *)
-
-val queue_length : t -> queue:int -> int
-(** Packets waiting in class [queue] (0 for an out-of-range class). *)
 
 val packets_sent : t -> int
 (** Packets handed to the link since creation. *)

@@ -3,6 +3,7 @@ module Engine = Dcsim.Engine
 module Packet = Netcore.Packet
 module Fkey = Netcore.Fkey
 module Cost = Compute.Cost_params
+module Int_table = Netcore.Int_table
 
 type server_port = { vswitch_q : Qos_queue.t; sriov_q : Qos_queue.t }
 
@@ -31,15 +32,16 @@ type t = {
   engine : Engine.t;
   tor_ip : Netcore.Ipv4.t;
   tcam : Tcam.t;
-  mutable vrfs : (int * Vrf.t) list;  (* tenant id -> vrf *)
-  vlan_to_tenant : (int, Netcore.Tenant.id) Hashtbl.t;
-  servers : (int, server_port) Hashtbl.t;  (* server ip -> ports *)
-  vm_location : (int, (int, int * [ `Vswitch | `Sriov ]) Hashtbl.t) Hashtbl.t;
+  mutable vrfs : Vrf.t list;  (* creation order, newest first *)
+  vrf_of_tenant : Vrf.t Int_table.t;
+  vlan_to_tenant : Netcore.Tenant.id Int_table.t;
+  servers : server_port Int_table.t;  (* server ip -> ports *)
+  vm_location : (int * [ `Vswitch | `Sriov ]) Int_table.t Int_table.t;
       (* tenant -> vm ip -> (server ip, delivery port). Nested int
          tables rather than a tuple key: both ids are full 32-bit
          domains (no single-int packing) and building a tuple per
          forwarded packet was hot-path garbage. *)
-  peers : (int, Packet.t -> unit) Hashtbl.t;
+  peers : (Packet.t -> unit) Int_table.t;
   (* Default route for software-path (VXLAN) packets whose outer server
      address is not on this rack: the uplink towards the core. [None]
      (single-rack topologies) keeps the historical drop behaviour. *)
@@ -66,10 +68,11 @@ let create ~engine ~ip ~tcam_capacity =
     tor_ip = ip;
     tcam = Tcam.create ~capacity:tcam_capacity;
     vrfs = [];
-    vlan_to_tenant = Hashtbl.create 16;
-    servers = Hashtbl.create 16;
-    vm_location = Hashtbl.create 64;
-    peers = Hashtbl.create 4;
+    vrf_of_tenant = Int_table.create 16;
+    vlan_to_tenant = Int_table.create 16;
+    servers = Int_table.create 16;
+    vm_location = Int_table.create 64;
+    peers = Int_table.create 4;
     uplink = None;
     probe_sink = None;
     vrf_install_fault = None;
@@ -81,17 +84,17 @@ let create ~engine ~ip ~tcam_capacity =
 let ip t = t.tor_ip
 let tcam t = t.tcam
 
-let ip_key addr = Int32.to_int (Netcore.Ipv4.to_int32 addr)
+let ip_key (addr : Netcore.Ipv4.t) = (addr :> int)
 
-let vrf t tenant =
-  let tid = Netcore.Tenant.to_int tenant in
-  match List.assoc_opt tid t.vrfs with
-  | Some v -> v
-  | None ->
+let vrf t (tenant : Netcore.Tenant.id) =
+  match Int_table.find t.vrf_of_tenant (tenant :> int) with
+  | v -> v
+  | exception Not_found ->
       let v = Vrf.create ~tenant ~tcam:t.tcam in
       Vrf.set_install_fault v t.vrf_install_fault;
-      t.vrfs <- (tid, v) :: t.vrfs;
-      Hashtbl.replace t.vlan_to_tenant (Netcore.Tenant.to_vlan tenant) tenant;
+      t.vrfs <- v :: t.vrfs;
+      Int_table.replace t.vrf_of_tenant (tenant :> int) v;
+      Int_table.replace t.vlan_to_tenant (Netcore.Tenant.to_vlan tenant) tenant;
       v
 
 let attach_server t ~server_ip ~to_vswitch ~to_sriov =
@@ -100,13 +103,13 @@ let attach_server t ~server_ip ~to_vswitch ~to_sriov =
       Fabric.Link.create ~engine:t.engine ~name ~gbps:Cost.link_gbps
         ~latency:Cost.tor_forward_latency ~deliver ()
     in
-    Qos_queue.create ~engine:t.engine ~classes:8 ~link ~gbps:Cost.link_gbps
+    Qos_queue.create ~engine:t.engine ~classes:8 ~link
   in
   let key = ip_key server_ip in
   let port_name kind =
     Printf.sprintf "tor->%s.%s" (Netcore.Ipv4.to_string server_ip) kind
   in
-  Hashtbl.replace t.servers key
+  Int_table.replace t.servers key
     {
       vswitch_q = mk_port to_vswitch (port_name "vsw");
       sriov_q = mk_port to_sriov (port_name "vf");
@@ -115,27 +118,25 @@ let attach_server t ~server_ip ~to_vswitch ~to_sriov =
 let register_vm t ~tenant ~vm_ip ~server_ip ?(port = `Vswitch) () =
   let tkey = Netcore.Tenant.to_int tenant in
   let inner =
-    match Hashtbl.find_opt t.vm_location tkey with
+    match Int_table.find_opt t.vm_location tkey with
     | Some inner -> inner
     | None ->
-        let inner = Hashtbl.create 16 in
-        Hashtbl.replace t.vm_location tkey inner;
+        let inner = Int_table.create 16 in
+        Int_table.replace t.vm_location tkey inner;
         inner
   in
-  Hashtbl.replace inner (ip_key vm_ip) (ip_key server_ip, port)
+  Int_table.replace inner (ip_key vm_ip) (ip_key server_ip, port)
 
-(* Allocation-free per-packet VM lookup: two [Hashtbl.find]s on int
-   keys; raises [Not_found] when the VM is unknown. *)
-let vm_lookup t ~tenant ~dst_ip =
-  Hashtbl.find
-    (Hashtbl.find t.vm_location (Netcore.Tenant.to_int tenant))
-    (ip_key dst_ip)
+(* Allocation-free per-packet VM lookup: two [Int_table.find]s; raises
+   [Not_found] when the VM is unknown. *)
+let vm_lookup t ~(tenant : Netcore.Tenant.id) ~dst_ip =
+  Int_table.find (Int_table.find t.vm_location (tenant :> int)) (ip_key dst_ip)
 
-let add_peer t peer_ip forward = Hashtbl.replace t.peers (ip_key peer_ip) forward
+let add_peer t peer_ip forward = Int_table.replace t.peers (ip_key peer_ip) forward
 let set_uplink t forward = t.uplink <- Some forward
 let set_probe_sink t sink = t.probe_sink <- Some sink
 
-let iter_vrfs t f = List.iter (fun (_, v) -> f v) t.vrfs
+let iter_vrfs t f = List.iter f t.vrfs
 
 let set_install_fault t hook =
   t.vrf_install_fault <- hook;
@@ -156,29 +157,29 @@ let drop_acl t tenant =
     (Obs.Metrics.labeled_counter fam_acl_drops (Netcore.Tenant.to_int tenant))
 
 let to_server_vswitch t ~server_key ~queue pkt =
-  match Hashtbl.find_opt t.servers server_key with
-  | Some port ->
+  match Int_table.find t.servers server_key with
+  | port ->
       note_forwarded path_software;
       Qos_queue.enqueue port.vswitch_q ~queue pkt
-  | None -> drop_no_route t
+  | exception Not_found -> drop_no_route t
 
 let to_server_sriov t ~server_key ~queue pkt =
-  match Hashtbl.find_opt t.servers server_key with
-  | Some port ->
+  match Int_table.find t.servers server_key with
+  | port ->
       note_forwarded path_express;
       Qos_queue.enqueue port.sriov_q ~queue pkt
-  | None -> drop_no_route t
+  | exception Not_found -> drop_no_route t
 
 let wire_frames payload =
   Stdlib.max 1
     ((payload + Netcore.Hdr.max_tcp_payload - 1) / Netcore.Hdr.max_tcp_payload)
 
 let forward_to_peer t ~tor_ip pkt =
-  match Hashtbl.find_opt t.peers (ip_key tor_ip) with
-  | Some forward ->
+  match Int_table.find t.peers (ip_key tor_ip) with
+  | forward ->
       note_forwarded path_peer;
       forward pkt
-  | None -> drop_no_route t
+  | exception Not_found -> drop_no_route t
 
 let probe_tenant = Netcore.Tenant.of_int 0
 
@@ -212,10 +213,9 @@ let handle_gre_rx t pkt ~key:tenant =
     | Some sink -> sink ~remote_tor:flow.Fkey.src_ip ~seq:flow.Fkey.src_port
     | None -> drop_no_route t)
   else begin
-  let vrf_table = vrf t tenant in
-  if not (Vrf.permits vrf_table flow) then drop_acl t tenant
+  let queue = Vrf.classify (vrf t tenant) flow in
+  if queue < 0 then drop_acl t tenant
   else begin
-    let queue = Vrf.queue_for vrf_table flow in
     match vm_lookup t ~tenant ~dst_ip:flow.Fkey.dst_ip with
     | exception Not_found -> drop_no_route t
     | server_key, _ ->
@@ -228,12 +228,12 @@ let handle_gre_rx t pkt ~key:tenant =
 
 (* Hardware-path transmission: VLAN-tagged packet from an SR-IOV VF. *)
 let handle_vlan_tx t pkt ~vlan =
-  match Hashtbl.find_opt t.vlan_to_tenant vlan with
-  | None -> drop_no_route t
-  | Some tenant ->
+  match Int_table.find t.vlan_to_tenant vlan with
+  | exception Not_found -> drop_no_route t
+  | tenant ->
       let vrf_table = vrf t tenant in
       let flow = pkt.Packet.flow in
-      if not (Vrf.permits vrf_table flow) then
+      if Vrf.classify vrf_table flow < 0 then
         (* Default deny: disallowed traffic injected via SR-IOV dies
            here (§4.1.3). *)
         drop_acl t tenant
@@ -253,13 +253,7 @@ let handle_vlan_tx t pkt ~vlan =
                      ignore (Packet.pop_encap pkt);
                      handle_gre_rx t pkt ~key:tenant
                    end
-                   else begin
-                     match Hashtbl.find_opt t.peers (ip_key ep.tor_ip) with
-                     | Some forward ->
-                         note_forwarded path_peer;
-                         forward pkt
-                     | None -> drop_no_route t
-                   end))
+                   else forward_to_peer t ~tor_ip:ep.tor_ip pkt))
       end
 
 let receive t pkt =
@@ -272,19 +266,13 @@ let receive t pkt =
         ignore (Packet.pop_encap pkt);
         handle_gre_rx t pkt ~key
       end
-      else begin
-        match Hashtbl.find_opt t.peers (ip_key tunnel_dst) with
-        | Some forward ->
-            note_forwarded path_peer;
-            forward pkt
-        | None -> drop_no_route t
-      end
+      else forward_to_peer t ~tor_ip:tunnel_dst pkt
   | Some (Packet.Vxlan { tunnel_dst; _ }) -> (
       (* Software path: route by the outer (server) address. A server
          not on this rack goes up towards the core (when an uplink is
          configured — single-rack topologies have none and drop). *)
       let server_key = ip_key tunnel_dst in
-      match (Hashtbl.mem t.servers server_key, t.uplink) with
+      match (Int_table.mem t.servers server_key, t.uplink) with
       | true, _ | false, None ->
           to_server_vswitch t ~server_key ~queue:0 pkt
       | false, Some up ->

@@ -1,15 +1,18 @@
 module Fkey = Netcore.Fkey
+module Mask = Fkey.Pattern.Mask
 
-type entry = {
-  id : int;
-  compiled : Rules.Rule_compiler.compiled;
-  mutable live : bool;
-}
+type entry = { id : int; compiled : Rules.Rule_compiler.compiled }
+
+(* One table of the tuple-space index: the [size] live entries whose
+   [acl_pattern] has this mask, in a power-of-two array of buckets
+   indexed by [Mask.hash_pattern], each bucket newest first. *)
+type space = { mask : Mask.t; mutable buckets : entry list array; mutable size : int }
 
 type t = {
   tenant : Netcore.Tenant.id;
   tcam : Tcam.t;
-  mutable entries : entry list;
+  mutable entries : entry list;  (* newest first *)
+  mutable spaces : space list;  (* one per distinct mask in [entries] *)
   tunnels : Rules.Tunnel_rule.Map.t;
   mutable tunnel_refcounts : (int, int) Hashtbl.t;  (* vm_ip -> refs *)
   mutable next_id : int;
@@ -32,6 +35,7 @@ let create ~tenant ~tcam =
     tenant;
     tcam;
     entries = [];
+    spaces = [];
     tunnels = Rules.Tunnel_rule.Map.create ();
     tunnel_refcounts = Hashtbl.create 16;
     next_id = 0;
@@ -41,7 +45,48 @@ let create ~tenant ~tcam =
 let tenant t = t.tenant
 let set_install_fault t hook = t.install_fault <- hook
 
-let ip_key ip = Int32.to_int (Netcore.Ipv4.to_int32 ip)
+let ip_key (ip : Netcore.Ipv4.t) = (ip :> int)
+
+let mask_of e = Mask.of_pattern e.compiled.Rules.Rule_compiler.acl_pattern
+
+let space_of t e =
+  let mask = mask_of e in
+  match List.find_opt (fun s -> Mask.equal s.mask mask) t.spaces with
+  | Some s -> s
+  | None ->
+      let s = { mask; buckets = Array.make 1 []; size = 0 } in
+      t.spaces <- s :: t.spaces;
+      s
+
+let bucket s e =
+  Mask.hash_pattern e.compiled.Rules.Rule_compiler.acl_pattern
+  land (Array.length s.buckets - 1)
+
+let push s e =
+  let b = bucket s e in
+  s.buckets.(b) <- e :: s.buckets.(b)
+
+(* [e] is already the head of [t.entries]. At a load factor above 1
+   the space doubles and is refilled oldest first, so every bucket
+   stays newest first. *)
+let index_add t e =
+  let s = space_of t e in
+  s.size <- s.size + 1;
+  if s.size <= Array.length s.buckets then push s e
+  else begin
+    s.buckets <- Array.make (2 * Array.length s.buckets) [];
+    List.iter
+      (fun x -> if Mask.equal (mask_of x) s.mask then push s x)
+      (List.rev t.entries)
+  end
+
+(* A mask leaves the index with its last entry. *)
+let index_remove t e =
+  let s = space_of t e in
+  let b = bucket s e in
+  s.buckets.(b) <- List.filter (fun x -> x != e) s.buckets.(b);
+  s.size <- s.size - 1;
+  if s.size = 0 then t.spaces <- List.filter (fun x -> x != s) t.spaces
 
 let install t compiled =
   let entries_needed = compiled.Rules.Rule_compiler.tcam_entries in
@@ -60,7 +105,9 @@ let install t compiled =
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
-    t.entries <- { id; compiled; live = true } :: t.entries;
+    let entry = { id; compiled } in
+    t.entries <- entry :: t.entries;
+    index_add t entry;
     List.iter
       (fun (tr : Rules.Tunnel_rule.t) ->
         Rules.Tunnel_rule.Map.install t.tunnels tr;
@@ -83,11 +130,11 @@ let install t compiled =
   end
 
 let remove t handle =
-  match List.find_opt (fun e -> e.id = handle && e.live) t.entries with
+  match List.find_opt (fun e -> e.id = handle) t.entries with
   | None -> ()
   | Some entry ->
-      entry.live <- false;
       t.entries <- List.filter (fun e -> e.id <> handle) t.entries;
+      index_remove t entry;
       Tcam.release t.tcam entry.compiled.Rules.Rule_compiler.tcam_entries;
       Obs.Metrics.incr m_removes;
       if Obs.Trace.enabled () then
@@ -111,8 +158,8 @@ let remove t handle =
         entry.compiled.tunnels
 
 let installed_count t = List.length t.entries
-let is_live t handle = List.exists (fun e -> e.id = handle && e.live) t.entries
-let live_handles t = List.filter_map (fun e -> if e.live then Some e.id else None) t.entries
+let is_live t handle = List.exists (fun e -> e.id = handle) t.entries
+let live_handles t = List.map (fun e -> e.id) t.entries
 
 (* A soft error (bit flip) corrupts one installed entry; the switch
    parity-scrubs it out, which we model as a silent eviction: the rules
@@ -133,21 +180,26 @@ let evict_random t ~rng =
       remove t victim.id;
       Some victim.id
 
-let permits t flow =
-  List.exists
-    (fun e ->
-      Fkey.Pattern.matches e.compiled.Rules.Rule_compiler.acl_pattern flow)
-    t.entries
+(* [probe] looks [flow] up in each space; [scan] walks one bucket.
+   [id] and [queue] are the newest match so far. A bucket is newest
+   first, so its first match is its best and an entry no newer than
+   [id] ends the walk. The hash only narrows: [matches] decides. *)
+let rec probe flow ~id ~queue = function
+  | [] -> queue
+  | s :: spaces ->
+      let buckets = s.buckets in
+      scan flow ~id ~queue spaces
+        buckets.(Mask.hash_flow s.mask flow land (Array.length buckets - 1))
 
-let queue_for t flow =
-  match
-    List.find_opt
-      (fun e ->
-        Fkey.Pattern.matches e.compiled.Rules.Rule_compiler.acl_pattern flow)
-      t.entries
-  with
-  | Some e -> e.compiled.Rules.Rule_compiler.queue
-  | None -> 0
+and scan flow ~id ~queue spaces = function
+  | e :: rest when e.id > id ->
+      let c = e.compiled in
+      if Fkey.Pattern.matches c.Rules.Rule_compiler.acl_pattern flow then
+        probe flow ~id:e.id ~queue:c.queue spaces
+      else scan flow ~id ~queue spaces rest
+  | _ -> probe flow ~id ~queue spaces
+
+let classify t flow = probe flow ~id:(-1) ~queue:(-1) t.spaces
 
 let tunnel_for t ~dst_ip =
   Rules.Tunnel_rule.Map.lookup t.tunnels ~tenant:t.tenant ~vm_ip:dst_ip

@@ -52,14 +52,17 @@ val evict_random : t -> rng:Dcsim.Rng.t -> handle option
     the evicted handle, or [None] if the VRF is empty. Bumps
     [tor.tcam.soft_errors] and emits a [Tcam_error] trace event. *)
 
-val permits : t -> Netcore.Fkey.t -> bool
-(** ACL check: true iff some installed allow-pattern covers the flow.
-    Everything else hits the default deny (§4.1.3: a malicious VM
-    pushing disallowed traffic through the SR-IOV path is dropped
-    here). *)
+val classify : t -> Netcore.Fkey.t -> int
+(** ACL check and QoS lookup in one probe: the queue of the newest
+    installed rule set whose allow-pattern covers the flow, or -1 when
+    none does. -1 is the default deny (§4.1.3: a malicious VM pushing
+    disallowed traffic through the SR-IOV path is dropped here).
 
-val queue_for : t -> Netcore.Fkey.t -> int
-(** QoS queue for the flow (0 if no installed rule matches). *)
+    The lookup is a tuple-space index, one hash table per distinct
+    pattern mask, so its cost follows the number of masks, not of
+    entries. A candidate counts only if its pattern matches the flow,
+    so a hash collision can never allow a denied flow. Allocates
+    nothing. *)
 
 val tunnel_for :
   t -> dst_ip:Netcore.Ipv4.t -> Rules.Tunnel_rule.endpoint option
