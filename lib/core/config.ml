@@ -38,5 +38,3 @@ let default =
     lane_up_oks = 5;
     tcam_audit_interval = None;
   }
-
-let fast = { default with epoch_period = Simtime.span_sec 0.5 }

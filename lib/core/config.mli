@@ -56,6 +56,3 @@ val default : t
     with 5 attempts, 3 consecutive failures declare a peer dead, and an
     unconfirmed migration aborts after 30 s. Lane probes every 20 ms
     with 3 misses down / 5 oks up; the TCAM audit is off. *)
-
-val fast : t
-(** The T = 0.5 s variant used in some experiments (§5.2). *)

@@ -241,7 +241,6 @@ let start t =
       t.uplink_sink (Report { server = server_name t; report }));
   Measurement_engine.start t.me
 
-let stop t = Measurement_engine.stop t.me
 let set_uplink t sink = t.uplink_sink <- sink
 
 let pattern_equal = Fkey.Pattern.equal

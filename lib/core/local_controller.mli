@@ -51,9 +51,6 @@ val start : t -> unit
     profiles update, FPS re-splits each VM's rate limit, and a report
     ships to the sink. Idempotent. *)
 
-val stop : t -> unit
-(** Halt the measurement engine; pending epochs are abandoned. *)
-
 val set_uplink : t -> (uplink -> unit) -> unit
 (** Where uplink traffic — control-interval reports and directive acks
     — goes (the TOR controller's report channel). *)

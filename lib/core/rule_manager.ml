@@ -113,10 +113,6 @@ let start t =
   List.iter (fun (_, local) -> Local_controller.start local) t.locals;
   Tor_controller.start t.tor_ctrl
 
-let stop t =
-  List.iter (fun (_, local) -> Local_controller.stop local) t.locals;
-  Tor_controller.stop t.tor_ctrl
-
 let tor_controller t = t.tor_ctrl
 let local_controller t ~server = List.assoc_opt server t.locals
 let offloaded_count t = Tor_controller.offloaded_count t.tor_ctrl

@@ -42,9 +42,6 @@ val create :
 val start : t -> unit
 (** Start every local controller and the TOR decision loop. *)
 
-val stop : t -> unit
-(** Stop all controllers; offloaded rules stay installed. *)
-
 val tor_controller : t -> Tor_controller.t
 (** The rack's TOR controller. *)
 

@@ -845,11 +845,8 @@ let start t =
       ~start:(Simtime.add (Engine.now t.engine) (Simtime.span_add interval offset))
       interval
       (fun () ->
-        if t.running then begin
-          run_decision t;
-          `Continue
-        end
-        else `Stop);
+        run_decision t;
+        `Continue);
     match t.config.Config.tcam_audit_interval with
     | None -> ()
     | Some audit_interval ->
@@ -857,17 +854,9 @@ let start t =
           ~start:(Simtime.add (Engine.now t.engine) audit_interval)
           audit_interval
           (fun () ->
-            if t.running then begin
-              audit_tcam t;
-              `Continue
-            end
-            else `Stop)
+            audit_tcam t;
+            `Continue)
   end
-
-let stop t =
-  t.running <- false;
-  t.probing <- false;
-  Measurement_engine.stop t.tor_me
 
 let offloaded_count t = List.length t.offloaded
 let offloaded_patterns t = List.map (fun os -> os.os_pattern) t.offloaded
@@ -1026,11 +1015,8 @@ let add_lane t ~name ~remote_tor ~covers =
       ~start:(Simtime.add (Engine.now t.engine) t.config.Config.probe_interval)
       t.config.Config.probe_interval
       (fun () ->
-        if t.probing then begin
-          probe_tick t;
-          `Continue
-        end
-        else `Stop)
+        probe_tick t;
+        `Continue)
   end
 
 let lane_is_up t ~name =

@@ -53,10 +53,6 @@ val start : t -> unit
     when {!Config.t.tcam_audit_interval} is set — the anti-entropy
     audit sweep. *)
 
-val stop : t -> unit
-(** Stop the decision loop, the TOR ME, and lane probing; offloaded
-    rules remain. *)
-
 (** {2 Express-lane failure domains}
 
     Each {!add_lane} registers one express lane towards a peer ToR.

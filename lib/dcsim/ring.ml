@@ -10,7 +10,6 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { data = Array.make capacity 0.0; next = 0; len = 0 }
 
-let capacity t = Array.length t.data
 let length t = t.len
 let is_empty t = t.len = 0
 

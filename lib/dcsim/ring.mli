@@ -11,8 +11,6 @@ type t
 val create : capacity:int -> t
 (** [capacity] must be >= 1; raises [Invalid_argument] otherwise. *)
 
-val capacity : t -> int
-
 val length : t -> int
 (** Samples currently held, between 0 and [capacity]. *)
 
@@ -23,9 +21,6 @@ val push : t -> float -> unit
 
 val latest : t -> float option
 (** The most recently pushed sample. *)
-
-val iter : (float -> unit) -> t -> unit
-(** Oldest to newest. *)
 
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 (** Oldest to newest. *)

@@ -37,15 +37,3 @@ let lognormal t ~mu ~sigma =
 let gaussian t ~mu ~sigma =
   let u1 = 1.0 -. float t 1.0 and u2 = float t 1.0 in
   mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  assert (Array.length a > 0);
-  a.(int t (Array.length a))

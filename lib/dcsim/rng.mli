@@ -36,9 +36,3 @@ val gaussian : t -> mu:float -> sigma:float -> float
 val lognormal : t -> mu:float -> sigma:float -> float
 (** Log-normal draw: [exp] of a normal with the given log-space
     parameters. Mean of the distribution is [exp (mu + sigma^2/2)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform choice from a non-empty array. *)

@@ -557,17 +557,16 @@ let run_vswitch ~smoke =
 
    Prices the per-packet primitives that the datapath executes on
    every forwarded packet in the steady state: the exact-tier cache
-   hit, flow-key hashing, packed-key probes, key packing, and the NIC
-   flow placer's cached rule lookup. The first three and the last must
-   allocate nothing — [minor_words_per_op = 0.0] is an acceptance bar
-   enforced by the [@alloc-check] alias, not a nice-to-have. *)
+   hit, flow-key hashing, the NIC flow placer's cached rule lookup and
+   the ToR's VRF probe. All must allocate nothing —
+   [minor_words_per_op = 0.0] is an acceptance bar enforced by the
+   [@alloc-check] alias, not a nice-to-have. *)
 
 let hotpath_cache_hit ~smoke =
   let n = if smoke then 500 else 10_000 in
   let rules = if smoke then 64 else 256 in
   let p = mk_cache_policy ~rules in
   let flows = mk_cache_flows n in
-  let keys = Array.map Fkey.Packed.of_fkey flows in
   let now = Simtime.of_ms 1.0 in
   let c =
     Cache.create
@@ -576,9 +575,9 @@ let hotpath_cache_hit ~smoke =
   in
   Array.iter (fun f -> ignore (Cache.install c f ~now)) flows;
   (* Warm once so every timed probe is a steady-state hit. *)
-  Array.iter (fun k -> ignore (Cache.find_exact c k ~now)) keys;
+  Array.iter (fun f -> ignore (Cache.find_exact c f ~now)) flows;
   let run_scenario () =
-    Array.iter (fun k -> ignore (Cache.find_exact c k ~now)) keys
+    Array.iter (fun f -> ignore (Cache.find_exact c f ~now)) flows
   in
   let min_time = if smoke then 0.02 else 0.2 in
   let timed = time_runs ~min_time run_scenario in
@@ -616,41 +615,6 @@ let hotpath_fkey_hash ~smoke =
     ~params:[ ("keys", float_of_int n) ]
     ~ops:n timed
 
-let hotpath_packed_probe ~smoke =
-  let n = if smoke then 2_000 else 65_536 in
-  let keys = Array.map Fkey.Packed.of_fkey (mk_hot_keys n) in
-  let probe = keys.(n / 2) in
-  let sink = ref 0 in
-  let run_scenario () =
-    Array.iter
-      (fun k ->
-        sink := !sink lxor Fkey.Packed.hash k;
-        if Fkey.Packed.equal k probe then incr sink)
-      keys
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  ignore !sink;
-  mk_result ~scenario:"hotpath/packed-hash-equal" ~unit_:"probe"
-    ~params:[ ("keys", float_of_int n) ]
-    ~ops:n timed
-
-let hotpath_pack ~smoke =
-  let n = if smoke then 2_000 else 65_536 in
-  let flows = mk_hot_keys n in
-  let sink = ref 0 in
-  let run_scenario () =
-    Array.iter
-      (fun f -> sink := !sink lxor Fkey.Packed.hash (Fkey.Packed.of_fkey f))
-      flows
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  ignore !sink;
-  mk_result ~scenario:"hotpath/packed-of-fkey" ~unit_:"pack"
-    ~params:[ ("keys", float_of_int n) ]
-    ~ops:n timed
-
 let hotpath_rule_cache ~smoke =
   let n = if smoke then 500 else 10_000 in
   let rules = if smoke then 64 else 250 in
@@ -663,16 +627,11 @@ let hotpath_rule_cache ~smoke =
          ~priority:i ())
   done;
   let flows = mk_hot_keys n in
-  let keys = Array.map Fkey.Packed.of_fkey flows in
   (* Warm the exact cache: the timed loop is all fast-path hits, the
-     NIC flow placer's per-packet probe. *)
-  Array.iteri
-    (fun i f -> ignore (Rules.Rule_table.find table keys.(i) f))
-    flows;
+     NIC flow placer's whole per-packet call. *)
+  Array.iter (fun f -> ignore (Rules.Rule_table.find table f)) flows;
   let run_scenario () =
-    Array.iteri
-      (fun i f -> ignore (Rules.Rule_table.find table keys.(i) f))
-      flows
+    Array.iter (fun f -> ignore (Rules.Rule_table.find table f)) flows
   in
   let min_time = if smoke then 0.02 else 0.2 in
   let timed = time_runs ~min_time run_scenario in
@@ -716,8 +675,6 @@ let run_hotpath ~smoke =
   [
     hotpath_cache_hit ~smoke;
     hotpath_fkey_hash ~smoke;
-    hotpath_packed_probe ~smoke;
-    hotpath_pack ~smoke;
     hotpath_rule_cache ~smoke;
     hotpath_vrf_classify ~smoke;
   ]
@@ -932,9 +889,6 @@ let alloc_check () =
     [
       ("hotpath/cache-hit-exact", zero_bar);
       ("hotpath/fkey-hash", zero_bar);
-      ("hotpath/packed-hash-equal", zero_bar);
-      (* Packing allocates exactly one 4-field record (5 words). *)
-      ("hotpath/packed-of-fkey", 8.0);
       ("hotpath/rule-cache-hit", zero_bar);
       ("hotpath/vrf-classify", zero_bar);
       ("decide/10000c-2000o", 68297.8);
@@ -972,12 +926,15 @@ let alloc_check () =
         eventq_rearm ~smoke:true ~timers:1024;
       ]
   in
-  List.filter_map
-    (fun r ->
-      match List.assoc_opt r.scenario budgets with
-      | None -> None
-      | Some budget -> Some (r, budget, r.minor_words_per_op <= budget))
-    results
+  List.map
+    (fun (scenario, budget) ->
+      let measured =
+        List.find_map
+          (fun r -> if r.scenario = scenario then Some r.minor_words_per_op else None)
+          results
+      in
+      (scenario, budget, measured))
+    budgets
 
 (* --- sharded engine --- *)
 

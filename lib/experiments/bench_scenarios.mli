@@ -57,13 +57,11 @@ val run_vswitch : smoke:bool -> result list
     lookup would pay without the cache. *)
 
 val run_hotpath : smoke:bool -> result list
-(** Per-packet steady-state primitives: exact-tier cache hits over
-    pre-packed keys ({!Vswitch.Flow_cache.find_exact}), {!Netcore.Fkey.hash},
-    packed-key hash+equal probes, {!Netcore.Fkey.Packed.of_fkey}
-    packing cost, and the NIC flow placer's cached
-    {!Rules.Rule_table.find}. Every scenario except [packed-of-fkey]
-    must report [minor_words_per_op = 0.0]; {!alloc_check} enforces
-    this. *)
+(** Per-packet steady-state primitives: exact-tier cache hits
+    ({!Vswitch.Flow_cache.find_exact}), {!Netcore.Fkey.hash}, the NIC
+    flow placer's cached {!Rules.Rule_table.find} and the ToR's
+    {!Tor.Vrf.classify}. Every scenario must report
+    [minor_words_per_op = 0.0]; {!alloc_check} enforces this. *)
 
 val run_workloads : smoke:bool -> result list
 (** Load-generator benchmarks: [loadgen/flow-launch] (flows launched
@@ -75,13 +73,16 @@ val run_workloads : smoke:bool -> result list
     op), and [loadgen/curve-sample] (diurnal curve evaluation).
     Writes [BENCH_workloads.json] via {!write_json}. *)
 
-val alloc_check : unit -> (result * float * bool) list
+val alloc_check : unit -> (string * float * float option) list
 (** Run the allocation regression gate (smoke sizes — allocation
-    counts are deterministic): each entry is (result, budget in minor
-    words/op, within-budget?). Zero-bar scenarios use a 0.05 epsilon
-    for the timing loop's own [Sys.time] float boxing; the decide bar
-    is 10% of the committed pre-PR BENCH_decision.json number. Backs
-    the [@alloc-check] tier-1 alias. *)
+    counts are deterministic): one entry per budget, (scenario, budget
+    in minor words/op, measured minor words/op). The measurement is
+    [None] when no scenario of that name ran — a stale budget, which
+    fails the gate like an overrun does. Zero-bar scenarios use a 0.05
+    epsilon for the timing loop's own [Sys.time] float boxing; the
+    decide bar is 10% of the committed pre-optimisation
+    BENCH_decision.json number. Backs the [@alloc-check] tier-1
+    alias. *)
 
 val run_engine : smoke:bool -> result list
 (** Whole-datacenter events/sec on the sharded engine ({!Dcscale}) at

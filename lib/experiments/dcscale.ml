@@ -290,11 +290,6 @@ let print_row r =
     r.express_bytes r.soft_bytes r.core_routed r.core_dropped
     r.tor_no_route_drops r.acl_drops r.migration_outcome
 
-let print r =
-  Tabular.print_title "dcscale: multi-rack sharded simulation";
-  Printf.printf "  lookahead window: %.1f us\n" r.lookahead_us;
-  print_row r
-
 let print_comparison ~sharded ~single =
   Tabular.print_title "dcscale: sharded vs single-engine";
   print_row sharded;

@@ -74,9 +74,6 @@ val run : ?config:config -> unit -> result
 (** Build the datacenter and run it for [duration] simulated seconds.
     @raise Invalid_argument on a config outside the address plan. *)
 
-val print : result -> unit
-(** One run's summary. *)
-
 val print_comparison : sharded:result -> single:result -> unit
 (** Both layouts side by side, with a warning if the delivered byte
     counts diverge. *)

@@ -10,7 +10,6 @@ let record ~id f =
   result
 
 let all () = List.rev !recordings
-let reset () = recordings := []
 
 let write_json oc =
   output_string oc "{\n\"experiments\": {";

@@ -6,23 +6,11 @@
     the difference, so a dump can attribute counters to the experiment
     that moved them as well as report process-wide totals. *)
 
-type recorded = {
-  id : string;  (** Experiment id as passed to [fastrak_sim run]. *)
-  delta : (string * Obs.Metrics.value) list;
-      (** Instruments that changed while the experiment ran, as
-          {!Obs.Metrics.diff} reports them. *)
-}
-
 val record : id:string -> (unit -> 'a) -> 'a
 (** [record ~id f] runs [f], remembers the registry delta it caused
-    under [id], and returns [f ()]'s result. Recordings append in run
-    order. *)
-
-val all : unit -> recorded list
-(** Every recording so far, oldest first. *)
-
-val reset : unit -> unit
-(** Forget all recordings (the registry itself is untouched). *)
+    under [id] (the instruments that changed, as {!Obs.Metrics.diff}
+    reports them), and returns [f ()]'s result. Recordings append in
+    run order. *)
 
 val write_json : out_channel -> unit
 (** Dump as [{"experiments": {id: {...}}, "total": {...}}] where each

@@ -25,26 +25,6 @@ let table4 =
     ("VIF(10s)+SR-IOV", 57.34, 35339.8, 225.6, 6.0);
   ]
 
-type claim = { id : string; description : string; check : unit -> bool option }
-
-let prose_claims =
-  [
-    "fig3d: SR-IOV delivers up to 2x the burst TPS of baseline OVS \
-     (~60K vs ~34K; ~25K with tunneling, ~30K with rate limiting)";
-    "fig3a: OVS tunneling cannot support throughputs beyond ~2 Gb/s";
-    "fig4a: CPU to drive SR-IOV is 0.4-0.7x baseline OVS";
-    "fig4a: software tunneling at ~1.96 Gb/s needs ~2.9 logical CPUs \
-     (1448 B)";
-    "fig4b/fig5: combined OVS path uses 1.6-3x the CPU of SR-IOV and \
-     has 1.8-2.1x its pipelined latency";
-    "sec3.2.4: pipelined-latency improvement grows as app data size \
-     shrinks (30% at 32000 B -> ~49% at 64 B, baseline vs SR-IOV)";
-    "sec6.2.1: scp averages ~135 pps while memcached averages ~5618 pps \
-     per VM; FasTrak picks memcached";
-    "sec6.2.2: migration causes fast retransmits (~30) and dup acks but \
-     no timeouts; the connection progresses";
-  ]
-
 let print_4col title header rows =
   Tabular.print_title title;
   Tabular.print_header header;

@@ -57,8 +57,6 @@ val vm_spec :
   unit ->
   vm_spec
 
-val vm_ip : tenant:Netcore.Tenant.id -> last_octet:int -> Netcore.Ipv4.t
-
 val add_vm : t -> vm_spec -> Host.Server.attached
 
 val server_of_vm : t -> Netcore.Ipv4.t -> Host.Server.t option

@@ -108,10 +108,6 @@ let send t msg =
               Obs.Metrics.incr m_dups;
               deliver_loose t ~at:(Simtime.add earliest d) (t.copy msg)))
 
-let name t = t.chan_name
-let latency t = t.latency
-let source t = t.src
-let destination t = t.dst
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered
 let in_flight t = t.sent - t.delivered - t.dropped

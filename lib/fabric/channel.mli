@@ -59,18 +59,6 @@ val send : 'msg t -> 'msg -> unit
     was not registered with the cluster, or its latency is below the
     cluster's window length). *)
 
-val name : 'msg t -> string
-(** The label given at creation. *)
-
-val latency : 'msg t -> Dcsim.Simtime.span
-(** The minimum propagation delay. *)
-
-val source : 'msg t -> Dcsim.Engine.t
-(** The sending shard's engine. *)
-
-val destination : 'msg t -> Dcsim.Engine.t
-(** The receiving shard's engine. *)
-
 val messages_sent : 'msg t -> int
 (** Messages accepted by {!send} so far. *)
 

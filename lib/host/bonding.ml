@@ -11,10 +11,9 @@ type t = {
 let create ~vif_tx ~vf_tx =
   { vif_tx; vf_tx; rules = Rules.Rule_table.create (); via_vif = 0; via_vf = 0 }
 
-(* Packing the key here is the one conversion at the Fkey boundary;
-   the cached rule-table probe itself allocates nothing. *)
+(* One cached rule-table probe per packet; a hit allocates nothing. *)
 let decide t flow =
-  match Rules.Rule_table.find t.rules (Netcore.Fkey.Packed.of_fkey flow) flow with
+  match Rules.Rule_table.find t.rules flow with
   | Some p -> p
   | None -> Vif
 
@@ -41,6 +40,5 @@ let rules t =
   Rules.Rule_table.fold_rules t.rules ~init: []
     ~f:(fun acc id pattern _priority path -> (id, pattern, path) :: acc)
 
-let rule_count t = Rules.Rule_table.rule_count t.rules
 let packets_via_vif t = t.via_vif
 let packets_via_vf t = t.via_vf

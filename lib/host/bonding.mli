@@ -31,6 +31,5 @@ val rules :
 val path_for : t -> Netcore.Fkey.t -> path
 (** Current placement decision for a flow (no cache side effects). *)
 
-val rule_count : t -> int
 val packets_via_vif : t -> int
 val packets_via_vf : t -> int

@@ -1,5 +1,3 @@
-module Engine = Dcsim.Engine
-module Packet = Netcore.Packet
 module Cost = Compute.Cost_params
 
 type attached = {
@@ -10,7 +8,6 @@ type attached = {
 }
 
 type t = {
-  engine : Engine.t;
   server_name : string;
   ip : Netcore.Ipv4.t;
   host_pool : Compute.Cpu_pool.t;
@@ -47,15 +44,12 @@ let create ~engine ~name ~ip ~config ~tor =
   Tor.Tor_switch.attach_server tor ~server_ip:ip
     ~to_vswitch:(fun pkt -> Vswitch.Ovs.receive_from_nic ovs pkt)
     ~to_sriov:(fun pkt -> Nic.Sriov.receive_from_wire sriov pkt);
-  { engine; server_name = name; ip; host_pool; ovs; sriov; tor; attached = [] }
+  { server_name = name; ip; host_pool; ovs; sriov; tor; attached = [] }
 
 let name t = t.server_name
 let ip t = t.ip
-let engine t = t.engine
 let ovs t = t.ovs
-let sriov t = t.sriov
 let host_pool t = t.host_pool
-let tor t = t.tor
 
 let add_vm t ~vm ~policy ~sriov =
   let vif =

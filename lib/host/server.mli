@@ -19,11 +19,8 @@ val create :
 
 val name : t -> string
 val ip : t -> Netcore.Ipv4.t
-val engine : t -> Dcsim.Engine.t
 val ovs : t -> Vswitch.Ovs.t
-val sriov : t -> Nic.Sriov.t
 val host_pool : t -> Compute.Cpu_pool.t
-val tor : t -> Tor.Tor_switch.t
 
 type attached = {
   vm : Vm.t;

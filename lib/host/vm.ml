@@ -16,7 +16,6 @@ type t = {
   mutable transmit : Packet.t -> unit;
   flow_handlers : (Packet.t -> unit) Fkey.Table.t;
   listeners : (int, Packet.t -> unit) Hashtbl.t;
-  mutable unmatched : int;
 }
 
 let create ~engine ~name ~vcpus ~tenant ~ip ~mac =
@@ -33,7 +32,6 @@ let create ~engine ~name ~vcpus ~tenant ~ip ~mac =
     transmit = (fun _ -> ());
     flow_handlers = Fkey.Table.create 32;
     listeners = Hashtbl.create 8;
-    unmatched = 0;
   }
 
 let name t = t.vm_name
@@ -63,7 +61,7 @@ let dispatch t pkt =
   | None -> (
       match Hashtbl.find_opt t.listeners flow.Fkey.dst_port with
       | Some handler -> handler pkt
-      | None -> t.unmatched <- t.unmatched + 1)
+      | None -> () (* no handler, no listener: discarded *))
 
 let deliver t pkt =
   if pkt.Packet.bulk then begin

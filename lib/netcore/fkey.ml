@@ -1,6 +1,6 @@
 type proto = Tcp | Udp | Icmp | Other of int
 
-let proto_rank = function
+let[@inline] proto_rank = function
   | Tcp -> 0
   | Udp -> 1
   | Icmp -> 2
@@ -12,14 +12,6 @@ let proto_rank = function
          equal to [Icmp]), merging distinct protocols in pattern
          tables. *)
       if n >= 0 then 3 + (2 * n) else 4 + (2 * (-n - 1))
-
-let proto_of_rank = function
-  | 0 -> Tcp
-  | 1 -> Udp
-  | 2 -> Icmp
-  | r when r >= 3 && r land 1 = 1 -> Other ((r - 3) / 2)
-  | r when r >= 4 && r land 1 = 0 -> Other (-((r - 4) / 2) - 1)
-  | r -> invalid_arg (Printf.sprintf "Fkey.proto_of_rank: %d" r)
 
 let proto_compare a b = Stdlib.compare (proto_rank a) (proto_rank b)
 
@@ -70,13 +62,16 @@ let compare a b =
     end
   end
 
-(* Field by field, on immediates: no cross-module call, no compare. *)
+(* Field by field, on immediates: no cross-module call, no compare.
+   A flow's data packets share its key record, so a table probe often
+   meets the very record it stored and [==] settles it. *)
 let equal a b =
-  (a.src_ip :> int) = (b.src_ip :> int)
-  && (a.dst_ip :> int) = (b.dst_ip :> int)
-  && a.src_port = b.src_port && a.dst_port = b.dst_port
-  && proto_rank a.proto = proto_rank b.proto
-  && (a.tenant :> int) = (b.tenant :> int)
+  a == b
+  || (a.src_ip :> int) = (b.src_ip :> int)
+     && (a.dst_ip :> int) = (b.dst_ip :> int)
+     && a.src_port = b.src_port && a.dst_port = b.dst_port
+     && proto_rank a.proto = proto_rank b.proto
+     && (a.tenant :> int) = (b.tenant :> int)
 
 (* Multiplicative int mixer. Every step is integer arithmetic on
    immediates, so hashing allocates nothing — the previous
@@ -105,61 +100,6 @@ module Table = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
-
-module Packed = struct
-  type fkey = t
-
-  (* Flat int record: one minor-heap block of four immediates. [hash]
-     reads the precomputed field and [equal] is three int compares, so
-     neither allocates on a table probe. *)
-  type t = { w0 : int; w1 : int; w2 : int; h : int }
-
-  (* w2 = rank lsl 32 lor tenant must stay a non-negative OCaml int
-     (62 value bits), so the protocol rank is capped at 30 bits —
-     every IANA protocol number (and any sane [Other n]) fits. *)
-  let max_rank = 0x3FFF_FFFF
-
-  let of_fkey (k : fkey) =
-    if k.src_port < 0 || k.src_port > 0xFFFF then
-      invalid_arg "Fkey.Packed.of_fkey: src_port out of range";
-    if k.dst_port < 0 || k.dst_port > 0xFFFF then
-      invalid_arg "Fkey.Packed.of_fkey: dst_port out of range";
-    let rank = proto_rank k.proto in
-    if rank < 0 || rank > max_rank then
-      invalid_arg "Fkey.Packed.of_fkey: protocol number out of range";
-    let w0 = ((k.src_ip :> int) lsl 16) lor k.src_port in
-    let w1 = ((k.dst_ip :> int) lsl 16) lor k.dst_port in
-    let w2 = (rank lsl 32) lor Tenant.to_int k.tenant in
-    let h = mix (mix (mix 0x42 w0) w1) w2 land max_int in
-    { w0; w1; w2; h }
-
-  let to_fkey t =
-    make
-      ~src_ip:(Ipv4.of_int32 (Int32.of_int (t.w0 lsr 16)))
-      ~dst_ip:(Ipv4.of_int32 (Int32.of_int (t.w1 lsr 16)))
-      ~src_port:(t.w0 land 0xFFFF) ~dst_port:(t.w1 land 0xFFFF)
-      ~proto:(proto_of_rank (t.w2 lsr 32))
-      ~tenant:(Tenant.of_int (t.w2 land 0xFFFF_FFFF))
-
-  let equal a b = a.w0 = b.w0 && a.w1 = b.w1 && a.w2 = b.w2
-
-  let compare a b =
-    let c = Stdlib.compare a.w0 b.w0 in
-    if c <> 0 then c
-    else
-      let c = Stdlib.compare a.w1 b.w1 in
-      if c <> 0 then c else Stdlib.compare a.w2 b.w2
-
-  let hash t = t.h
-  let pp ppf t = pp ppf (to_fkey t)
-
-  module Table = Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = equal
-    let hash = hash
-  end)
-end
 
 module Pattern = struct
   type fkey = t

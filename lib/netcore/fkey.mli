@@ -37,42 +37,8 @@ val pp : Format.formatter -> t -> unit
 
 module Table : Hashtbl.S with type key = t
 (** Hash table keyed by exact flow — the O(1) fast-path lookup structure
-    used by both OVS's kernel datapath and the flow placer. *)
-
-module Packed : sig
-  (** Int-packed flow key for the per-packet hot path.
-
-      The 6-tuple is flattened into three OCaml ints —
-      [w0 = src_ip << 16 | src_port], [w1 = dst_ip << 16 | dst_port],
-      [w2 = proto_rank << 32 | tenant] — plus a precomputed hash, all
-      immediates in one flat record. [hash] and [equal] therefore
-      allocate nothing (no tuple construction, no field boxing), which
-      is what lets the exact-tier flow-cache probe run allocation-free.
-      Convert at the [Fkey.t] boundary with {!of_fkey}/{!to_fkey}. *)
-
-  type fkey := t
-
-  type t = private { w0 : int; w1 : int; w2 : int; h : int }
-
-  val of_fkey : fkey -> t
-  (** @raise Invalid_argument if a port is outside [0, 65535] or the
-      protocol rank overflows its 30-bit slot. *)
-
-  val to_fkey : t -> fkey
-  (** Exact inverse of {!of_fkey}. *)
-
-  val equal : t -> t -> bool
-  val compare : t -> t -> int
-
-  val hash : t -> int
-  (** Returns the precomputed field — zero work, zero allocation. *)
-
-  val pp : Format.formatter -> t -> unit
-
-  module Table : Hashtbl.S with type key = t
-  (** Hash table keyed by packed flow — the exact-tier datapath
-      structure; probes allocate nothing. *)
-end
+    used by both OVS's kernel datapath and the flow placer. [hash] and
+    [equal] work on immediates only, so a probe allocates nothing. *)
 
 module Pattern : sig
   (** Wildcard pattern over the 6-tuple; [None] fields match anything. *)

@@ -9,7 +9,7 @@ type 'a rule = {
 
 type 'a t = {
   mutable rules : 'a rule list;  (* Sorted: priority desc, then id desc. *)
-  cache : 'a option Fkey.Packed.Table.t;  (* packed keys: alloc-free probes *)
+  cache : 'a option Fkey.Table.t;  (* exact flow -> scan result *)
   mutable next_id : int;
   mutable fast_hits : int;
   mutable slow_lookups : int;
@@ -20,7 +20,7 @@ type rule_id = int
 let create () =
   {
     rules = [];
-    cache = Fkey.Packed.Table.create 256;
+    cache = Fkey.Table.create 256;
     next_id = 0;
     fast_hits = 0;
     slow_lookups = 0;
@@ -38,14 +38,14 @@ let insert t ~pattern ~priority value =
     | r :: rest as l -> if rule_before rule r then rule :: l else r :: place rest
   in
   t.rules <- place t.rules;
-  Fkey.Packed.Table.clear t.cache;
+  Fkey.Table.clear t.cache;
   id
 
 let remove t id =
   let found = List.exists (fun r -> r.id = id) t.rules in
   if found then begin
     t.rules <- List.filter (fun r -> r.id <> id) t.rules;
-    Fkey.Packed.Table.clear t.cache
+    Fkey.Table.clear t.cache
   end;
   found
 
@@ -61,32 +61,20 @@ let lookup_slow t key =
   scan t key
 
 (* The per-packet path (the NIC flow placer calls this on every
-   transmitted packet): a cache hit is one packed-key probe returning
-   the stored option block as-is — no [Some] re-wrap, no [`Hit]
-   variant, zero allocation. *)
-let find t key flow =
-  match Fkey.Packed.Table.find t.cache key with
+   transmitted packet): a cache hit is one [Fkey.Table] probe returning
+   the stored option block as-is — no [Some] re-wrap, zero allocation. *)
+let find t flow =
+  match Fkey.Table.find t.cache flow with
   | cached ->
       t.fast_hits <- t.fast_hits + 1;
       cached
   | exception Not_found ->
       let result = lookup_slow t flow in
-      Fkey.Packed.Table.replace t.cache key result;
+      Fkey.Table.replace t.cache flow result;
       result
 
-let lookup t key =
-  let packed = Fkey.Packed.of_fkey key in
-  match Fkey.Packed.Table.find_opt t.cache packed with
-  | Some cached ->
-      t.fast_hits <- t.fast_hits + 1;
-      `Hit cached
-  | None ->
-      let result = lookup_slow t key in
-      Fkey.Packed.Table.replace t.cache packed result;
-      `Miss result
-
 let rule_count t = List.length t.rules
-let cache_size t = Fkey.Packed.Table.length t.cache
+let cache_size t = Fkey.Table.length t.cache
 let fast_hits t = t.fast_hits
 let slow_lookups t = t.slow_lookups
 

@@ -24,16 +24,11 @@ val remove : 'a t -> rule_id -> bool
 val lookup_slow : 'a t -> Netcore.Fkey.t -> 'a option
 (** Priority scan, bypassing the cache; does not populate it. *)
 
-val lookup : 'a t -> Netcore.Fkey.t -> [ `Hit of 'a option | `Miss of 'a option ]
-(** Cached lookup. [`Miss] means the slow path ran and its (possibly
-    negative) result is now cached; [`Hit] came from the cache. Packs
-    the key per call; per-packet callers should use {!find}. *)
-
-val find : 'a t -> Netcore.Fkey.Packed.t -> Netcore.Fkey.t -> 'a option
-(** [find t key flow] is the per-packet cached lookup: [key] must be
-    [Fkey.Packed.of_fkey flow]. A cache hit returns the stored result
-    without allocating (no option re-wrap, no [`Hit] variant); a miss
-    runs the priority scan and caches its result. *)
+val find : 'a t -> Netcore.Fkey.t -> 'a option
+(** The per-packet cached lookup. A cache hit counts in {!fast_hits}
+    and returns the stored result without allocating; a miss runs the
+    priority scan (counted in {!slow_lookups}) and caches its result,
+    negative results included. *)
 
 val rule_count : 'a t -> int
 val cache_size : 'a t -> int

@@ -108,8 +108,7 @@ end
 (* --- entries --- *)
 
 type exact_entry = {
-  ex_key : Fkey.Packed.t;  (* the table key; probes are allocation-free *)
-  ex_flow : Fkey.t;  (* boxed form for traces and revalidation *)
+  ex_flow : Fkey.t;  (* the table key *)
   mutable ex_verdict : Rules.Policy.verdict;
   mutable ex_last_used : Simtime.t;
   mutable ex_node : exact_entry Lru.node option;
@@ -129,7 +128,7 @@ type t = {
   config : config;
   policy : Rules.Policy.t;
   mutable seen_generation : int;
-  exact : exact_entry Fkey.Packed.Table.t;
+  exact : exact_entry Fkey.Table.t;
   exact_lru : exact_entry Lru.t;
   (* One hash table per distinct mask; a lookup probes each with the
      flow's projection. The number of distinct masks is bounded by the
@@ -177,7 +176,6 @@ let dummy_verdict =
 
 let dummy_exact =
   {
-    ex_key = Fkey.Packed.of_fkey dummy_flow;
     ex_flow = dummy_flow;
     ex_verdict = dummy_verdict;
     ex_last_used = Simtime.zero;
@@ -201,7 +199,7 @@ let create ?config ~name ~policy () =
     config;
     policy;
     seen_generation = Rules.Policy.generation policy;
-    exact = Fkey.Packed.Table.create 256;
+    exact = Fkey.Table.create 256;
     exact_lru = Lru.create ~dummy:dummy_exact;
     mf_tables = [];
     mf_lru = Lru.create ~dummy:dummy_mf;
@@ -213,7 +211,7 @@ let create ?config ~name ~policy () =
   }
 
 let config t = t.config
-let exact_count t = Fkey.Packed.Table.length t.exact
+let exact_count t = Fkey.Table.length t.exact
 let megaflow_count t = Lru.length t.mf_lru
 let is_empty t = exact_count t = 0 && megaflow_count t = 0
 let exact_hits t = t.exact_hits
@@ -221,7 +219,7 @@ let megaflow_hits t = t.megaflow_hits
 let misses t = t.misses
 let invalidations t = t.invalidations
 let evictions t = t.evictions
-let mem_exact t flow = Fkey.Packed.Table.mem t.exact (Fkey.Packed.of_fkey flow)
+let mem_exact t flow = Fkey.Table.mem t.exact flow
 
 (* --- trace emission --- *)
 
@@ -261,7 +259,7 @@ let emit_miss t ~now flow =
 (* --- removal primitives --- *)
 
 let remove_exact t e =
-  Fkey.Packed.Table.remove t.exact e.ex_key;
+  Fkey.Table.remove t.exact e.ex_flow;
   (match e.ex_node with
   | Some n ->
       Lru.unlink t.exact_lru n;
@@ -288,7 +286,7 @@ let flush t ~now ~reason =
   if dropped > 0 then begin
     gauge_add g_exact (-.float_of_int (exact_count t));
     gauge_add g_megaflow (-.float_of_int (megaflow_count t));
-    Fkey.Packed.Table.reset t.exact;
+    Fkey.Table.reset t.exact;
     Lru.clear t.exact_lru;
     t.mf_tables <- [];
     Lru.clear t.mf_lru;
@@ -311,18 +309,18 @@ let check_generation t ~now =
 (* --- insertion --- *)
 
 let evict_exact_to_capacity t =
-  while Fkey.Packed.Table.length t.exact >= t.config.exact_capacity do
+  while Fkey.Table.length t.exact >= t.config.exact_capacity do
     match Lru.back_value t.exact_lru with
     | Some victim ->
         remove_exact t victim;
         t.evictions <- t.evictions + 1;
         Obs.Metrics.incr m_evictions
-    | None -> Fkey.Packed.Table.reset t.exact (* unreachable: lru tracks table *)
+    | None -> Fkey.Table.reset t.exact (* unreachable: lru tracks table *)
   done
 
-let insert_exact t ~key flow verdict ~now =
+let insert_exact t flow verdict ~now =
   if t.config.exact_capacity > 0 then
-    match Fkey.Packed.Table.find_opt t.exact key with
+    match Fkey.Table.find_opt t.exact flow with
     | Some e ->
         e.ex_verdict <- verdict;
         e.ex_last_used <- now;
@@ -333,7 +331,6 @@ let insert_exact t ~key flow verdict ~now =
         evict_exact_to_capacity t;
         let e =
           {
-            ex_key = key;
             ex_flow = flow;
             ex_verdict = verdict;
             ex_last_used = now;
@@ -341,7 +338,7 @@ let insert_exact t ~key flow verdict ~now =
           }
         in
         e.ex_node <- Some (Lru.push_front t.exact_lru e);
-        Fkey.Packed.Table.replace t.exact key e;
+        Fkey.Table.replace t.exact flow e;
         gauge_add g_exact 1.0
 
 let evict_mf_to_capacity t =
@@ -390,17 +387,17 @@ let insert_megaflow t flow verdict mask ~now =
 (* --- the datapath API --- *)
 
 (* The steady-state per-packet path. On a hit, every step is either an
-   int/pointer mutation or a guarded no-op: the packed-key probe
-   ([Packed.hash] reads a precomputed field, [Packed.equal] compares
-   three ints, and [Hashtbl.find] raising the preallocated [Not_found]
-   avoids the [Some] box of [find_opt]), the LRU touch is sentinel
+   int/pointer mutation or a guarded no-op: the [Fkey.Table] probe
+   ([Fkey.hash] and [Fkey.equal] work on immediates, and [Hashtbl.find]
+   raising the preallocated [Not_found] avoids the [Some] box of
+   [find_opt]), the LRU touch is sentinel
    pointer surgery, hit accounting bumps mutable ints, and the trace
    guard is one load and branch when the sink is disabled. Measured at
    zero minor words per op by [hotpath/cache-hit-exact] in
    BENCH_hotpath.json; the @alloc-check alias enforces it. *)
-let find_exact t key ~now =
+let find_exact t flow ~now =
   check_generation t ~now;
-  let e = Fkey.Packed.Table.find t.exact key in
+  let e = Fkey.Table.find t.exact flow in
   e.ex_last_used <- now;
   (match e.ex_node with Some n -> Lru.touch t.exact_lru n | None -> ());
   t.exact_hits <- t.exact_hits + 1;
@@ -411,7 +408,7 @@ let find_exact t key ~now =
 (* Wildcard-tier probe, taken only after an exact-tier miss. Counts the
    megaflow hit or the overall miss; [Mask.project] allocates one
    pattern per probed mask table, which is fine off the steady state. *)
-let lookup_wild t ~key flow ~now =
+let lookup_wild t flow ~now =
   let rec probe = function
     | [] -> None
     | (mask, tbl) :: rest -> (
@@ -428,7 +425,7 @@ let lookup_wild t ~key flow ~now =
       emit_hit t ~now flow Megaflow e.mf_verdict;
       (* Promote into the exact tier so the flow's next packets take
          the cheapest path (OVS's EMC insertion on megaflow hit). *)
-      insert_exact t ~key flow e.mf_verdict ~now;
+      insert_exact t flow e.mf_verdict ~now;
       Some e.mf_verdict
   | None ->
       t.misses <- t.misses + 1;
@@ -437,27 +434,24 @@ let lookup_wild t ~key flow ~now =
       None
 
 let lookup t flow ~now =
-  let key = Fkey.Packed.of_fkey flow in
-  match find_exact t key ~now with
+  match find_exact t flow ~now with
   | v -> Some (v, Exact)
   | exception Not_found -> (
-      match lookup_wild t ~key flow ~now with
+      match lookup_wild t flow ~now with
       | Some v -> Some (v, Megaflow)
       | None -> None)
 
-let install_keyed t ~key flow ~now =
+let install t flow ~now =
   check_generation t ~now;
   let verdict, mask = Rules.Policy.classify_masked t.policy flow in
   insert_megaflow t flow verdict mask ~now;
-  insert_exact t ~key flow verdict ~now;
+  insert_exact t flow verdict ~now;
   verdict
-
-let install t flow ~now = install_keyed t ~key:(Fkey.Packed.of_fkey flow) flow ~now
 
 let invalidate_flow t flow ~now ~reason =
   check_generation t ~now;
   let dropped = ref 0 in
-  (match Fkey.Packed.Table.find_opt t.exact (Fkey.Packed.of_fkey flow) with
+  (match Fkey.Table.find_opt t.exact flow with
   | Some e ->
       remove_exact t e;
       incr dropped
@@ -493,7 +487,7 @@ let revalidate t ~now ~reason =
   Obs.Metrics.incr m_revalidations;
   let idle = ref 0 and stale = ref 0 in
   let expired_exact =
-    Fkey.Packed.Table.fold
+    Fkey.Table.fold
       (fun _ e acc -> if idle_expired t ~now e.ex_last_used then e :: acc else acc)
       t.exact []
   in

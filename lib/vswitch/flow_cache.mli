@@ -47,12 +47,10 @@ type tier = Exact | Megaflow
 val lookup : t -> Netcore.Fkey.t -> now:Dcsim.Simtime.t -> (Rules.Policy.verdict * tier) option
 (** Serve a verdict from the cache, [None] on miss (the caller then
     pays the upcall and calls {!install}). A megaflow hit promotes the
-    flow into the exact tier. Packs the key per call; per-packet
-    callers should pack once per flow and use {!find_exact} then
-    {!lookup_wild}. *)
+    flow into the exact tier. The same as {!find_exact}, then
+    {!lookup_wild} on an exact-tier miss. *)
 
-val find_exact :
-  t -> Netcore.Fkey.Packed.t -> now:Dcsim.Simtime.t -> Rules.Policy.verdict
+val find_exact : t -> Netcore.Fkey.t -> now:Dcsim.Simtime.t -> Rules.Policy.verdict
 (** Exact-tier probe only — the steady-state per-packet path. A hit
     (probe, hit accounting, LRU touch, disabled-sink trace guard)
     allocates nothing; see the [hotpath/cache-hit-exact] scenario in
@@ -62,29 +60,16 @@ val find_exact :
     {!lookup_wild}). *)
 
 val lookup_wild :
-  t ->
-  key:Netcore.Fkey.Packed.t ->
-  Netcore.Fkey.t ->
-  now:Dcsim.Simtime.t ->
-  Rules.Policy.verdict option
+  t -> Netcore.Fkey.t -> now:Dcsim.Simtime.t -> Rules.Policy.verdict option
 (** Wildcard-tier probe, for callers that already took an exact-tier
     {!find_exact} miss: counts the megaflow hit (promoting the flow
-    into the exact tier under [key]) or the overall miss. Calling this
+    into the exact tier) or the overall miss. Calling this
     without a preceding exact miss undercounts exact-tier traffic. *)
 
 val install : t -> Netcore.Fkey.t -> now:Dcsim.Simtime.t -> Rules.Policy.verdict
 (** Classify the flow against the live policy (via
     {!Rules.Policy.classify_masked}) and install the result in both
     tiers; returns the verdict. This is the upcall's slow path. *)
-
-val install_keyed :
-  t ->
-  key:Netcore.Fkey.Packed.t ->
-  Netcore.Fkey.t ->
-  now:Dcsim.Simtime.t ->
-  Rules.Policy.verdict
-(** {!install} with a caller-packed key (avoids re-packing on the
-    upcall return path). *)
 
 val invalidate_flow :
   t -> Netcore.Fkey.t -> now:Dcsim.Simtime.t -> reason:string -> int

@@ -15,10 +15,6 @@ let record t flow ~packets ~bytes =
       c.bytes <- c.bytes + bytes
   | exception Not_found -> Fkey.Table.add t flow { packets; bytes }
 
-let find t flow = Fkey.Table.find_opt t flow
-let remove t flow = Fkey.Table.remove t flow
-let clear t = Fkey.Table.clear t
-let fold t ~init ~f = Fkey.Table.fold (fun k c acc -> f acc k c) t init
 
 let to_list t =
   Fkey.Table.fold (fun k c acc -> (k, c.packets, c.bytes) :: acc) t []

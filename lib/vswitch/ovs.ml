@@ -47,8 +47,6 @@ let dummy_flow =
     ~src_port:0 ~dst_port:0 ~proto:Fkey.Tcp
     ~tenant:(Netcore.Tenant.of_int 0)
 
-let dummy_key = Fkey.Packed.of_fkey dummy_flow
-
 let dummy_pkt =
   {
     Packet.flow = dummy_flow;
@@ -62,18 +60,17 @@ let dummy_pkt =
   }
 
 (* One vhost batch: packets and directions in arrival order, plus the
-   per-batch flow groups (distinct flows, first-seen order) with their
-   packed keys. Batches are pooled per VIF and recycled once every
-   group's classification continuation has run, so steady-state
-   batching allocates no per-packet queue cells, tuples or group
-   lists — just array writes. *)
+   per-batch flow groups (distinct flows, first-seen order). Batches
+   are pooled per VIF and recycled once every group's classification
+   continuation has run, so steady-state batching allocates no
+   per-packet queue cells, tuples or group lists — just array
+   writes. *)
 type batch = {
   mutable b_pkts : Packet.t array;
   mutable b_dirs : direction array;
-  mutable b_grp : int array;  (* per item: index into the group arrays *)
+  mutable b_grp : int array;  (* per item: index into [g_flows] *)
   mutable b_len : int;
   mutable g_flows : Fkey.t array;
-  mutable g_keys : Fkey.Packed.t array;
   mutable g_count : int;
   mutable pending : int;  (* groups whose continuation has not run yet *)
 }
@@ -85,7 +82,6 @@ let create_batch () =
     b_grp = Array.make 64 (-1);
     b_len = 0;
     g_flows = Array.make 16 dummy_flow;
-    g_keys = Array.make 16 dummy_key;
     g_count = 0;
     pending = 0;
   }
@@ -102,15 +98,12 @@ let batch_push b pkt direction =
   b.b_grp.(b.b_len) <- -1;
   b.b_len <- b.b_len + 1
 
-let batch_push_group b flow key =
-  (if b.g_count = Array.length b.g_flows then begin
+let batch_push_group b flow =
+  (if b.g_count = Array.length b.g_flows then
      let n = Array.length b.g_flows in
-     b.g_flows <- Array.append b.g_flows (Array.make n dummy_flow);
-     b.g_keys <- Array.append b.g_keys (Array.make n dummy_key)
-   end);
+     b.g_flows <- Array.append b.g_flows (Array.make n dummy_flow));
   let g = b.g_count in
   b.g_flows.(g) <- flow;
-  b.g_keys.(g) <- key;
   b.g_count <- g + 1;
   g
 
@@ -179,7 +172,6 @@ let create ?cache_config ~engine ~config ~host_pool ~server_ip ~transmit () =
   }
 
 let config t = t.config
-let server_ip t = t.server_ip
 
 let vm_register t ~tenant ~ip vif =
   let tkey = Netcore.Tenant.to_int tenant in
@@ -315,14 +307,14 @@ let maybe_start_sweeper t =
    steady-state exact-tier hit — [find_exact] plus the two counter
    bumps — allocates nothing; [lookup_wild] and the upcall are the
    (allowed-to-allocate) miss paths. *)
-let classify t vif ~key flow k =
-  match Flow_cache.find_exact vif.cache key ~now:(Engine.now t.engine) with
+let classify t vif flow k =
+  match Flow_cache.find_exact vif.cache flow ~now:(Engine.now t.engine) with
   | verdict ->
       t.kernel_hits <- t.kernel_hits + 1;
       Obs.Metrics.incr m_kernel_hits;
       k verdict
   | exception Not_found -> (
-      match Flow_cache.lookup_wild vif.cache ~key flow ~now:(Engine.now t.engine) with
+      match Flow_cache.lookup_wild vif.cache flow ~now:(Engine.now t.engine) with
       | Some verdict ->
           t.kernel_hits <- t.kernel_hits + 1;
           Obs.Metrics.incr m_kernel_hits;
@@ -342,8 +334,7 @@ let classify t vif ~key flow k =
               ignore
                 (Engine.after t.engine upcall_extra_latency (fun () ->
                      let verdict =
-                       Flow_cache.install_keyed vif.cache ~key flow
-                         ~now:(Engine.now t.engine)
+                       Flow_cache.install vif.cache flow ~now:(Engine.now t.engine)
                      in
                      maybe_start_sweeper t;
                      k verdict))))
@@ -426,8 +417,7 @@ let release_group vif batch =
       batch.b_pkts.(i) <- dummy_pkt
     done;
     for g = 0 to batch.g_count - 1 do
-      batch.g_flows.(g) <- dummy_flow;
-      batch.g_keys.(g) <- dummy_key
+      batch.g_flows.(g) <- dummy_flow
     done;
     batch.b_len <- 0;
     batch.g_count <- 0;
@@ -450,7 +440,7 @@ let process_batch t vif config batch =
       release_group vif batch
     end
     else
-      classify t vif ~key:batch.g_keys.(g) flow (fun verdict ->
+      classify t vif flow (fun verdict ->
           for i = 0 to batch.b_len - 1 do
             if batch.b_grp.(i) = g then
               apply_verdict t vif config verdict batch.b_pkts.(i) batch.b_dirs.(i)
@@ -464,8 +454,7 @@ let process_batch t vif config batch =
    ([Cost.classify_lookup_us]) — so a single-packet batch costs exactly
    what the unbatched path used to. Grouping (first-seen flow order)
    and the cost fold share one pass; the flow->group scratch table is
-   reused across batches, and each distinct flow packs its key once
-   here for every later exact-tier probe. *)
+   reused across batches. *)
 let start_batch t vif () =
   vif.wakeup_pending <- false;
   let batch = vif.filling in
@@ -485,7 +474,7 @@ let start_batch t vif () =
       (match Fkey.Table.find t.group_tbl flow with
       | g -> batch.b_grp.(i) <- g
       | exception Not_found ->
-          let g = batch_push_group batch flow (Fkey.Packed.of_fkey flow) in
+          let g = batch_push_group batch flow in
           Fkey.Table.replace t.group_tbl flow g;
           batch.b_grp.(i) <- g);
       cost := Simtime.span_add !cost (vhost_cost config pkt)

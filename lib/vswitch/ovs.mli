@@ -31,7 +31,6 @@ val create :
     current {!Flow_cache.default_config}. *)
 
 val config : t -> Compute.Cost_params.vswitch_config
-val server_ip : t -> Netcore.Ipv4.t
 
 (** {2 VIFs} *)
 

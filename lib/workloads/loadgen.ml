@@ -88,7 +88,6 @@ type t = {
   mutable churn_arrivals : int;
   mutable churn_departures : int;
   mutable window_arrivals : int;
-  mutable running : bool;
 }
 
 let source_on t i = Char.code (Bytes.get t.sources_on (i / 8)) land (1 lsl (i mod 8)) <> 0
@@ -107,15 +106,13 @@ let day_frac t =
    application-level burstiness on top of the Poisson arrivals. *)
 let start_onoff t i =
   let rec flip on =
-    if t.running then begin
-      set_source t i on;
-      let mean =
-        Simtime.span_to_sec (if on then t.config.on_mean else t.config.off_mean)
-      in
-      let dwell = Dcsim.Rng.exponential t.rng ~mean in
-      ignore
-        (Engine.after t.engine (Simtime.span_sec dwell) (fun () -> flip (not on)))
-    end
+    set_source t i on;
+    let mean =
+      Simtime.span_to_sec (if on then t.config.on_mean else t.config.off_mean)
+    in
+    let dwell = Dcsim.Rng.exponential t.rng ~mean in
+    ignore
+      (Engine.after t.engine (Simtime.span_sec dwell) (fun () -> flip (not on)))
   in
   flip true
 
@@ -126,25 +123,21 @@ let start_arrivals t =
   let peak = curve_peak t.config.curve in
   let candidate_mean = 1.0 /. (t.config.base_rate *. peak) in
   let rec next () =
-    if t.running then begin
-      let gap = Dcsim.Rng.exponential t.rng ~mean:candidate_mean in
-      ignore
-        (Engine.after t.engine (Simtime.span_sec gap) (fun () ->
-             if t.running then begin
-               let m = curve_multiplier t.config.curve ~frac:(day_frac t) in
-               if Dcsim.Rng.float t.rng 1.0 < m /. peak then begin
-                 let i = Dcsim.Rng.int t.rng (Array.length t.gens) in
-                 if source_on t i then begin
-                   t.arrivals <- t.arrivals + 1;
-                   t.window_arrivals <- t.window_arrivals + 1;
-                   Flowgen.launch t.gens.(i)
-                 end
-                 else t.gated_off <- t.gated_off + 1
-               end
-               else t.thinned <- t.thinned + 1;
-               next ()
-             end))
-    end
+    let gap = Dcsim.Rng.exponential t.rng ~mean:candidate_mean in
+    ignore
+      (Engine.after t.engine (Simtime.span_sec gap) (fun () ->
+           let m = curve_multiplier t.config.curve ~frac:(day_frac t) in
+           if Dcsim.Rng.float t.rng 1.0 < m /. peak then begin
+             let i = Dcsim.Rng.int t.rng (Array.length t.gens) in
+             if source_on t i then begin
+               t.arrivals <- t.arrivals + 1;
+               t.window_arrivals <- t.window_arrivals + 1;
+               Flowgen.launch t.gens.(i)
+             end
+             else t.gated_off <- t.gated_off + 1
+           end
+           else t.thinned <- t.thinned + 1;
+           next ()))
   in
   next ()
 
@@ -152,36 +145,29 @@ let start_incast t inc =
   if inc.fanin <= 0 || Array.length inc.victims = 0 then ()
   else
     Engine.every t.engine inc.period (fun () ->
-        if t.running then begin
-          t.incast_events <- t.incast_events + 1;
-          let n = Stdlib.min inc.fanin (Array.length inc.victims) in
-          for i = 0 to n - 1 do
-            Flowgen.launch_to inc.victims.(i) ~dst_port:inc.victim_port
-              ~size_bytes:inc.burst_bytes
-          done;
-          `Continue
-        end
-        else `Stop)
+        t.incast_events <- t.incast_events + 1;
+        let n = Stdlib.min inc.fanin (Array.length inc.victims) in
+        for i = 0 to n - 1 do
+          Flowgen.launch_to inc.victims.(i) ~dst_port:inc.victim_port
+            ~size_bytes:inc.burst_bytes
+        done;
+        `Continue)
 
 let start_churn t hooks period =
   let mean = Simtime.span_to_sec period in
   let rec next arrive_next =
-    if t.running then begin
-      let gap = Dcsim.Rng.exponential t.rng ~mean in
-      ignore
-        (Engine.after t.engine (Simtime.span_sec gap) (fun () ->
-             if t.running then begin
-               if arrive_next then begin
-                 t.churn_arrivals <- t.churn_arrivals + 1;
-                 hooks.arrive ()
-               end
-               else begin
-                 t.churn_departures <- t.churn_departures + 1;
-                 hooks.depart ()
-               end;
-               next (not arrive_next)
-             end))
-    end
+    let gap = Dcsim.Rng.exponential t.rng ~mean in
+    ignore
+      (Engine.after t.engine (Simtime.span_sec gap) (fun () ->
+           if arrive_next then begin
+             t.churn_arrivals <- t.churn_arrivals + 1;
+             hooks.arrive ()
+           end
+           else begin
+             t.churn_departures <- t.churn_departures + 1;
+             hooks.depart ()
+           end;
+           next (not arrive_next)))
   in
   next true
 
@@ -190,15 +176,12 @@ let live_flows t =
 
 let start_stats t =
   Engine.every t.engine t.config.stats_interval (fun () ->
-      if t.running then begin
-        Obs.Timeseries.observe t.series_live (float_of_int (live_flows t));
-        let secs = Simtime.span_to_sec t.config.stats_interval in
-        Obs.Timeseries.observe t.series_rate
-          (float_of_int t.window_arrivals /. secs);
-        t.window_arrivals <- 0;
-        `Continue
-      end
-      else `Stop)
+      Obs.Timeseries.observe t.series_live (float_of_int (live_flows t));
+      let secs = Simtime.span_to_sec t.config.stats_interval in
+      Obs.Timeseries.observe t.series_rate
+        (float_of_int t.window_arrivals /. secs);
+      t.window_arrivals <- 0;
+      `Continue)
 
 let start ~engine ?incast ?churn ~gens config =
   if Array.length gens = 0 then invalid_arg "Loadgen.start: no generators";
@@ -224,7 +207,6 @@ let start ~engine ?incast ?churn ~gens config =
       churn_arrivals = 0;
       churn_departures = 0;
       window_arrivals = 0;
-      running = true;
     }
   in
   for i = 0 to Array.length gens - 1 do
@@ -237,10 +219,6 @@ let start ~engine ?incast ?churn ~gens config =
   | _ -> ());
   start_stats t;
   t
-
-let stop t =
-  t.running <- false;
-  Array.iter Flowgen.stop t.gens
 
 type stats = {
   arrivals : int;

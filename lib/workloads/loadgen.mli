@@ -77,9 +77,6 @@ val start :
 (** Create the generators with {!Flowgen.create} (no internal clock);
     [Loadgen] owns every arrival. *)
 
-val stop : t -> unit
-(** Stops the orchestrator and every generator under it. *)
-
 type stats = {
   arrivals : int;  (** Flows admitted through curve and gate. *)
   thinned : int;  (** Candidates rejected by the diurnal curve. *)
@@ -97,7 +94,6 @@ type stats = {
 
 val stats : t -> stats
 val arrivals : t -> int
-val live_flows : t -> int
 
 val state_words : t -> int
 (** Heap words of generator-owned bookkeeping (port bitsets, gate

@@ -119,18 +119,20 @@ let test_proto_rank_distinct () =
     (fun p -> checki "refl" 0 (Fkey.proto_compare p p))
     protos
 
-(* --- Packed flow keys --- *)
+(* --- Flow keys at the edges of their domain --- *)
 
-let test_packed_roundtrip_edges () =
+(* Keys that differ only in edge values of one field each: extreme
+   ports, [Other] with zero and negative ids (which must not alias the
+   named protocols), tenant 0 and 0xFFFFFFFF. One [Fkey.Table] holds
+   them all; each is found under a fresh copy of itself, with its own
+   value, and none aliases another. *)
+let test_fkey_table_edges () =
   let mk sport dport proto tid =
     Fkey.make ~src_ip:(Ipv4.of_string "0.0.0.0")
       ~dst_ip:(Ipv4.of_string "255.255.255.255") ~src_port:sport
       ~dst_port:dport ~proto ~tenant:(Netcore.Tenant.of_int tid)
   in
-  List.iter
-    (fun f ->
-      checkb "roundtrip" true
-        (Fkey.equal f (Fkey.Packed.to_fkey (Fkey.Packed.of_fkey f))))
+  let keys =
     [
       mk 0 0 Fkey.Tcp 1;
       mk 65535 65535 Fkey.Udp 1;
@@ -138,11 +140,24 @@ let test_packed_roundtrip_edges () =
       mk 65535 0 (Fkey.Other 0) 1;
       mk 1 2 (Fkey.Other (-1)) 0xFFFFFFFF;
       mk 3 4 (Fkey.Other 255) 42;
-    ];
-  (* Out-of-range ports are rejected rather than silently truncated. *)
-  Alcotest.check_raises "port too large"
-    (Invalid_argument "Fkey.Packed.of_fkey: src_port out of range") (fun () ->
-      ignore (Fkey.Packed.of_fkey (mk 65536 0 Fkey.Tcp 1)))
+      mk 0 0 Fkey.Tcp 0;
+      mk 0 0 Fkey.Tcp 0xFFFFFFFF;
+      mk 0 0 Fkey.Icmp 1;
+      mk 0 0 (Fkey.Other (-1)) 1;
+      mk 0 0 (Fkey.Other 0) 1;
+      mk 65535 65535 Fkey.Tcp 1;
+    ]
+  in
+  let tbl = Fkey.Table.create 4 in
+  List.iteri (fun i k -> Fkey.Table.replace tbl k i) keys;
+  checki "no two keys alias" (List.length keys) (Fkey.Table.length tbl);
+  List.iteri
+    (fun i (k : Fkey.t) ->
+      let copy = { k with Fkey.src_port = k.Fkey.src_port } in
+      check (Alcotest.option Alcotest.int)
+        (Format.asprintf "%a found" Fkey.pp k)
+        (Some i) (Fkey.Table.find_opt tbl copy))
+    keys
 
 (* --- Patterns --- *)
 
@@ -275,9 +290,8 @@ let prop_hash_consistent =
           ~proto:f.Fkey.proto ~tenant:f.Fkey.tenant in
       Fkey.hash f = Fkey.hash copy)
 
-(* Full-domain flows for packed-key properties: ports hit 0/65535,
-   protocols include [Other n] (negative ids too), tenants span the
-   whole 32-bit GRE-key range. *)
+(* Full-domain flows: ports hit 0/65535, protocols include [Other n]
+   (negative ids too), tenants span the whole 32-bit GRE-key range. *)
 let gen_flow_packed =
   QCheck2.Gen.(
     let* a = int_range 0 255 and* b = int_range 0 255 in
@@ -298,33 +312,45 @@ let gen_flow_packed =
          ~src_port:sport ~dst_port:dport ~proto
          ~tenant:(Netcore.Tenant.of_int tid)))
 
-let prop_packed_roundtrip =
-  QCheck2.Test.make ~name:"packed key roundtrips through of_fkey/to_fkey"
-    ~count:500 gen_flow_packed (fun f ->
-      Fkey.equal f (Fkey.Packed.to_fkey (Fkey.Packed.of_fkey f)))
+(* A fresh record (and a fresh [Other] block) with [f]'s field
+   values, so [Fkey.equal]'s physical-equality shortcut cannot answer. *)
+let copy_flow (f : Fkey.t) =
+  let proto = match f.Fkey.proto with Fkey.Other n -> Fkey.Other n | p -> p in
+  Fkey.make ~src_ip:f.Fkey.src_ip ~dst_ip:f.Fkey.dst_ip ~src_port:f.Fkey.src_port
+    ~dst_port:f.Fkey.dst_port ~proto ~tenant:f.Fkey.tenant
 
-(* A tiny flow domain so randomly drawn pairs are frequently equal —
-   the property is vacuous if the two sides never collide. *)
-let gen_flow_small =
+(* Pairs over the full domain that are often equal: a copy, a key
+   differing from the first in one edge-valued field, or an unrelated
+   draw. *)
+let gen_flow_pair =
   QCheck2.Gen.(
-    let* s = int_range 0 1 and* d = int_range 0 1 in
-    let* sport = int_range 0 1 and* dport = int_range 0 1 in
-    let* proto = oneofl [ Fkey.Tcp; Fkey.Other 0 ] in
-    return
-      (Fkey.make
-         ~src_ip:(Ipv4.of_octets 10 0 0 s)
-         ~dst_ip:(Ipv4.of_octets 10 0 0 d)
-         ~src_port:sport ~dst_port:dport ~proto ~tenant))
+    let* a = gen_flow_packed in
+    let* b =
+      oneof
+        [
+          return (copy_flow a);
+          map
+            (fun (field, (c : Fkey.t)) ->
+              match field with
+              | 0 -> { a with Fkey.src_port = c.Fkey.src_port }
+              | 1 -> { a with Fkey.dst_port = c.Fkey.dst_port }
+              | 2 -> { a with Fkey.proto = c.Fkey.proto }
+              | 3 -> { a with Fkey.tenant = c.Fkey.tenant }
+              | 4 -> { a with Fkey.src_ip = c.Fkey.src_ip }
+              | _ -> { a with Fkey.dst_ip = c.Fkey.dst_ip })
+            (pair (int_range 0 5) gen_flow_packed);
+          gen_flow_packed;
+        ]
+    in
+    return (a, b))
 
-let prop_packed_agrees_with_boxed =
-  QCheck2.Test.make ~name:"packed equal/hash agree with boxed keys" ~count:500
-    QCheck2.Gen.(pair gen_flow_small gen_flow_small)
-    (fun (a, b) ->
-      let pa = Fkey.Packed.of_fkey a and pb = Fkey.Packed.of_fkey b in
-      Fkey.Packed.equal pa pb = Fkey.equal a b
-      && (not (Fkey.equal a b)
-         || Fkey.Packed.hash pa = Fkey.Packed.hash pb
-            && Fkey.hash a = Fkey.hash b))
+let prop_fkey_equal_agrees_with_compare =
+  QCheck2.Test.make ~name:"fkey equal agrees with compare" ~count:500
+    gen_flow_pair (fun (a, b) -> Fkey.equal a b = (Fkey.compare a b = 0))
+
+let prop_fkey_equal_hash =
+  QCheck2.Test.make ~name:"equal fkeys have equal hashes" ~count:500
+    gen_flow_pair (fun (a, b) -> (not (Fkey.equal a b)) || Fkey.hash a = Fkey.hash b)
 
 let prop_ipv4_roundtrip =
   QCheck2.Test.make ~name:"ipv4 string roundtrip" ~count:300
@@ -349,7 +375,7 @@ let suite =
     t "fkey compare total" test_fkey_compare_total;
     t "fkey table" test_fkey_table;
     t "proto ranks pairwise distinct" test_proto_rank_distinct;
-    t "packed roundtrip at edges" test_packed_roundtrip_edges;
+    t "fkey table at edges" test_fkey_table_edges;
     t "pattern any" test_pattern_any_matches_all;
     t "pattern exact" test_pattern_exact;
     t "pattern aggregates" test_pattern_aggregates;
@@ -364,7 +390,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_exact_pattern_matches;
     QCheck_alcotest.to_alcotest prop_aggregate_covers_exact;
     QCheck_alcotest.to_alcotest prop_hash_consistent;
-    QCheck_alcotest.to_alcotest prop_packed_roundtrip;
-    QCheck_alcotest.to_alcotest prop_packed_agrees_with_boxed;
+    QCheck_alcotest.to_alcotest prop_fkey_equal_agrees_with_compare;
+    QCheck_alcotest.to_alcotest prop_fkey_equal_hash;
     QCheck_alcotest.to_alcotest prop_ipv4_roundtrip;
   ]

@@ -101,14 +101,25 @@ let test_table_tie_newest_wins () =
   | Some v -> Alcotest.check Alcotest.string "newest" "new" v
   | None -> Alcotest.fail "expected match"
 
+(* [find] and whether it took the slow path: a hit leaves
+   [slow_lookups] alone and bumps [fast_hits], a miss the reverse. *)
+let find_counted t f =
+  let slow = Rules.Rule_table.slow_lookups t
+  and fast = Rules.Rule_table.fast_hits t in
+  let v = Rules.Rule_table.find t f in
+  let missed = Rules.Rule_table.slow_lookups t = slow + 1 in
+  checki "exactly one path counted" 1
+    (Rules.Rule_table.slow_lookups t - slow + Rules.Rule_table.fast_hits t - fast);
+  (v, if missed then `Miss else `Hit)
+
 let test_table_cache () =
   let t = Rules.Rule_table.create () in
   ignore (Rules.Rule_table.insert t ~pattern:Fkey.Pattern.any ~priority:0 ());
-  (match Rules.Rule_table.lookup t (flow ()) with
-  | `Miss (Some ()) -> ()
+  (match find_counted t (flow ()) with
+  | Some (), `Miss -> ()
   | _ -> Alcotest.fail "first lookup should miss");
-  (match Rules.Rule_table.lookup t (flow ()) with
-  | `Hit (Some ()) -> ()
+  (match find_counted t (flow ()) with
+  | Some (), `Hit -> ()
   | _ -> Alcotest.fail "second lookup should hit");
   checki "one slow lookup" 1 (Rules.Rule_table.slow_lookups t);
   checki "one fast hit" 1 (Rules.Rule_table.fast_hits t);
@@ -117,10 +128,10 @@ let test_table_cache () =
 let test_table_cache_invalidation () =
   let t = Rules.Rule_table.create () in
   ignore (Rules.Rule_table.insert t ~pattern:Fkey.Pattern.any ~priority:0 "a");
-  ignore (Rules.Rule_table.lookup t (flow ()));
+  ignore (Rules.Rule_table.find t (flow ()));
   ignore (Rules.Rule_table.insert t ~pattern:(Fkey.Pattern.exact (flow ())) ~priority:9 "b");
-  (match Rules.Rule_table.lookup t (flow ()) with
-  | `Miss (Some "b") -> ()
+  (match find_counted t (flow ()) with
+  | Some "b", `Miss -> ()
   | _ -> Alcotest.fail "insert must invalidate cache and new rule win");
   ()
 
@@ -134,11 +145,11 @@ let test_table_remove () =
 
 let test_table_negative_caching () =
   let t : unit Rules.Rule_table.t = Rules.Rule_table.create () in
-  (match Rules.Rule_table.lookup t (flow ()) with
-  | `Miss None -> ()
+  (match find_counted t (flow ()) with
+  | None, `Miss -> ()
   | _ -> Alcotest.fail "miss none");
-  match Rules.Rule_table.lookup t (flow ()) with
-  | `Hit None -> ()
+  match find_counted t (flow ()) with
+  | None, `Hit -> ()
   | _ -> Alcotest.fail "negative result cached"
 
 let test_table_many_rules () =
@@ -151,12 +162,13 @@ let test_table_many_rules () =
          ~priority:1 i)
   done;
   checki "count" 10_000 (Rules.Rule_table.rule_count t);
-  ignore (Rules.Rule_table.lookup t (flow ()));
+  ignore (Rules.Rule_table.find t (flow ()));
   let hits_before = Rules.Rule_table.fast_hits t in
   for _ = 1 to 100 do
-    ignore (Rules.Rule_table.lookup t (flow ()))
+    ignore (Rules.Rule_table.find t (flow ()))
   done;
-  checki "all cached" (hits_before + 100) (Rules.Rule_table.fast_hits t)
+  checki "all cached" (hits_before + 100) (Rules.Rule_table.fast_hits t);
+  checki "one slow lookup" 1 (Rules.Rule_table.slow_lookups t)
 
 let test_table_fold () =
   let t = Rules.Rule_table.create () in
@@ -292,15 +304,15 @@ let prop_table_matches_linear_scan =
                ~pattern:{ Fkey.Pattern.any with Fkey.Pattern.dst_port = Some port }
                ~priority i))
         rules;
+      (* Twice over the ports: the first pass fills the cache, the
+         second is served from it. *)
+      let ports = [ 0; 1; 2; 3; 4; 5; 6 ] in
       List.for_all
         (fun port ->
           let f = flow ~dport:port () in
-          let slow = Rules.Rule_table.lookup_slow t f in
-          let cached =
-            match Rules.Rule_table.lookup t f with `Hit v | `Miss v -> v
-          in
-          slow = cached)
-        [ 0; 1; 2; 3; 4; 5; 6 ])
+          Rules.Rule_table.lookup_slow t f = Rules.Rule_table.find t f)
+        (ports @ ports)
+      && Rules.Rule_table.fast_hits t = List.length ports)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
