@@ -1,119 +1,111 @@
-(* The benchmark harness: hosts the scalability scenarios that emit
-   BENCH_*.json and the allocation regression gate. The paper's tables
-   and figures are printed by `fastrak_sim run <ids>`; see README.md.
+(* The benchmark harness: times the scenario groups of
+   Experiments.Bench_scenarios, writes one BENCH_<group>.json each and
+   gates every allocation budget a scenario declares. The paper's
+   tables and figures are printed by `fastrak_sim run <ids>`; see
+   README.md.
 
-   Scalability mode: dune exec bench/main.exe -- bench
+   dune exec bench/main.exe -- bench
    [decision|measurement|eventqueue|obs|vswitch|hotpath|engine|workloads]*
    [--smoke] [--out-dir DIR]
-   runs the named scenario groups (all of them when none are named) and
-   writes one BENCH_<group>.json each; --smoke shrinks sizes so the
-   @bench-smoke alias stays cheap enough for every `dune runtest`.
-   Scenario list and JSON schema: docs/BENCH.md.
-
-   Allocation gate: dune exec bench/main.exe -- alloc-check (the
-   @alloc-check tier-1 alias) fails if any steady-state per-packet
-   scenario allocates, a decide call exceeds its garbage budget, or a
-   budget names a scenario that no longer runs. *)
+   runs the named groups (all of them when none are named) and exits 1
+   when any scenario allocates more than its budget; --smoke shrinks
+   sizes so the @alloc-check alias stays cheap enough for every
+   `dune runtest`. A bad group name or out dir prints usage and exits 2
+   before anything runs. Scenario list and JSON schema: docs/BENCH.md. *)
 
 open Experiments
 
 let line () = print_endline (String.make 84 '=')
 
-(* --- BENCH_*.json scalability scenarios (docs/BENCH.md) --- *)
+let usage =
+  "usage: main.exe bench [GROUP...] [--smoke] [--out-dir DIR]\n\
+   groups: "
+  ^ String.concat " " (List.map fst Bench_scenarios.groups)
+  ^ "\nThe paper's tables and figures: dune exec bin/fastrak_sim.exe -- run <ids>"
 
-let print_bench_results results =
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("main.exe: " ^ msg);
+      prerr_endline usage;
+      exit 2)
+    fmt
+
+let parse args =
+  let rec go (smoke, out_dir, names) = function
+    | [] -> (smoke, out_dir, List.rev names)
+    | "--smoke" :: rest -> go (true, out_dir, names) rest
+    | "--out-dir" :: d :: rest -> go (smoke, d, names) rest
+    | g :: rest -> go (smoke, out_dir, g :: names) rest
+  in
+  let smoke, out_dir, names = go (false, ".", []) args in
+  let groups =
+    if names = [] then Bench_scenarios.groups
+    else
+      List.map
+        (fun g ->
+          match List.assoc_opt g Bench_scenarios.groups with
+          | Some run -> (g, run)
+          | None -> fail "unknown bench group %S" g)
+        names
+  in
+  if not (Sys.file_exists out_dir && Sys.is_directory out_dir) then
+    fail "no such directory %S" out_dir;
+  (smoke, out_dir, groups)
+
+let print_results results =
   List.iter
     (fun (r : Bench_scenarios.result) ->
       Printf.printf "  %-28s %12.1f ns/%s %14.1f ops/s %10.1f words/op%s\n"
-        r.Bench_scenarios.scenario r.Bench_scenarios.ns_per_op
-        r.Bench_scenarios.unit_ r.Bench_scenarios.ops_per_sec
-        r.Bench_scenarios.minor_words_per_op
-        (match r.Bench_scenarios.baseline_ns_per_op with
-        | Some bl -> Printf.sprintf "  (%.1fx vs baseline)" (bl /. r.Bench_scenarios.ns_per_op)
+        r.scenario r.ns_per_op r.unit_ r.ops_per_sec r.minor_words_per_op
+        (match r.baseline_ns_per_op with
+        | Some bl -> Printf.sprintf "  (%.1fx vs baseline)" (bl /. r.ns_per_op)
         | None -> ""))
     results
 
-let run_bench_mode args =
-  let rec parse (smoke, out_dir, groups) = function
-    | [] -> (smoke, out_dir, List.rev groups)
-    | "--smoke" :: rest -> parse (true, out_dir, groups) rest
-    | "--out-dir" :: d :: rest -> parse (smoke, d, groups) rest
-    | g :: rest -> parse (smoke, out_dir, g :: groups) rest
+(* Allocation counts are deterministic, so every run gates, at either
+   size. *)
+let gate results =
+  print_endline "allocation budgets (minor words per op)";
+  let failed =
+    List.fold_left
+      (fun failed (r : Bench_scenarios.result) ->
+        match r.budget with
+        | None -> failed
+        | Some budget ->
+            let ok = r.minor_words_per_op <= budget in
+            Printf.printf "  %-28s %12.2f words/op  (budget %10.2f)  %s\n"
+              r.scenario r.minor_words_per_op budget
+              (if ok then "ok" else "FAIL");
+            failed || not ok)
+      false results
   in
-  let smoke, out_dir, groups = parse (false, ".", []) args in
-  let groups =
-    match groups with
-    | [] ->
-        [
-          "decision"; "measurement"; "eventqueue"; "obs"; "vswitch"; "hotpath";
-          "engine"; "workloads";
-        ]
-    | l -> l
+  print_endline (if failed then "alloc-check: FAILED" else "alloc-check: ok");
+  if failed then exit 1
+
+let () =
+  let smoke, out_dir, groups =
+    match List.tl (Array.to_list Sys.argv) with
+    | "bench" :: args -> parse args
+    | _ ->
+        prerr_endline usage;
+        exit 2
   in
+  print_endline "FasTrak control-plane scalability benchmarks";
   line ();
   Printf.printf "scalability scenarios (%s) -> %s/BENCH_*.json\n"
     (if smoke then "smoke sizes" else "full sizes")
     out_dir;
-  List.iter
-    (fun group ->
-      let results =
-        match group with
-        | "decision" -> Bench_scenarios.run_decision ~smoke
-        | "measurement" -> Bench_scenarios.run_measurement ~smoke
-        | "eventqueue" -> Bench_scenarios.run_eventqueue ~smoke
-        | "obs" -> Bench_scenarios.run_obs ~smoke
-        | "vswitch" -> Bench_scenarios.run_vswitch ~smoke
-        | "hotpath" -> Bench_scenarios.run_hotpath ~smoke
-        | "engine" -> Bench_scenarios.run_engine ~smoke
-        | "workloads" -> Bench_scenarios.run_workloads ~smoke
-        | g -> failwith ("unknown bench group: " ^ g)
-      in
-      let path = Bench_scenarios.write_json ~bench:group ~out_dir results in
-      Printf.printf "%s:\n" group;
-      print_bench_results results;
-      Printf.printf "  wrote %s\n" path)
-    groups
-
-(* The allocation regression gate behind the @alloc-check tier-1
-   alias: exits non-zero if any steady-state per-packet scenario
-   allocates, a decide call exceeds 10% of the committed
-   pre-optimisation garbage (BENCH_decision.json), or a budget matched
-   no scenario. *)
-let run_alloc_check () =
-  print_endline "allocation regression gate (minor words per op vs budget)";
-  let failed = ref false in
-  List.iter
-    (fun (scenario, budget, measured) ->
-      match measured with
-      | Some words ->
-          let ok = words <= budget in
-          if not ok then failed := true;
-          Printf.printf "  %-28s %12.2f words/op  (budget %10.2f)  %s\n"
-            scenario words budget
-            (if ok then "ok" else "FAIL")
-      | None ->
-          failed := true;
-          Printf.printf "  %-28s FAIL: no such scenario (budget %.2f)\n" scenario budget)
-    (Bench_scenarios.alloc_check ());
-  if !failed then begin
-    print_endline "alloc-check: FAILED";
-    exit 1
-  end
-  else print_endline "alloc-check: ok"
-
-let usage =
-  "usage: main.exe bench [GROUP...] [--smoke] [--out-dir DIR]\n\
-  \       main.exe alloc-check\n\
-   The paper's tables and figures: dune exec bin/fastrak_sim.exe -- run <ids>"
-
-let () =
-  match List.tl (Array.to_list Sys.argv) with
-  | [ "alloc-check" ] -> run_alloc_check ()
-  | "bench" :: bench_args ->
-      print_endline "FasTrak control-plane scalability benchmarks";
-      run_bench_mode bench_args;
-      line ();
-      print_endline "done."
-  | _ ->
-      prerr_endline usage;
-      exit 2
+  let results =
+    List.concat_map
+      (fun (group, run) ->
+        let results = run ~smoke in
+        let path = Bench_scenarios.write_json ~bench:group ~out_dir results in
+        Printf.printf "%s:\n" group;
+        print_results results;
+        Printf.printf "  wrote %s\n" path;
+        results)
+      groups
+  in
+  line ();
+  gate results

@@ -5,7 +5,6 @@ type job = { cost : Simtime.span; continuation : unit -> unit }
 
 type t = {
   engine : Engine.t;
-  pool_name : string;
   total_cpus : int;
   mutable free_cpus : int;
   waiting : job Queue.t;
@@ -13,20 +12,16 @@ type t = {
   mutable completed : int;
 }
 
-let create ~engine ~cpus ~name =
+let create ~engine ~cpus =
   if cpus <= 0 then invalid_arg "Cpu_pool.create: cpus must be positive";
   {
     engine;
-    pool_name = name;
     total_cpus = cpus;
     free_cpus = cpus;
     waiting = Queue.create ();
     busy_ns = 0;
     completed = 0;
   }
-
-let name t = t.pool_name
-let cpus t = t.total_cpus
 
 let rec start_job t job =
   t.free_cpus <- t.free_cpus - 1;

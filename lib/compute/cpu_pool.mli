@@ -9,9 +9,7 @@
 
 type t
 
-val create : engine:Dcsim.Engine.t -> cpus:int -> name:string -> t
-val name : t -> string
-val cpus : t -> int
+val create : engine:Dcsim.Engine.t -> cpus:int -> t
 
 val submit : t -> cost:Dcsim.Simtime.span -> (unit -> unit) -> unit
 (** Enqueue a job; when a CPU frees up, the job occupies it for [cost]

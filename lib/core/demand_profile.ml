@@ -15,7 +15,6 @@ type t = {
 }
 
 let create ~tenant ~vm_ip = { tenant; vm_ip; table = Hashtbl.create 32 }
-let tenant t = t.tenant
 let vm_ip t = t.vm_ip
 
 let update t (report : Measurement_engine.report) =

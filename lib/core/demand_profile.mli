@@ -16,7 +16,6 @@ type entry = {
 type t
 
 val create : tenant:Netcore.Tenant.id -> vm_ip:Netcore.Ipv4.t -> t
-val tenant : t -> Netcore.Tenant.id
 val vm_ip : t -> Netcore.Ipv4.t
 
 val update : t -> Measurement_engine.report -> unit

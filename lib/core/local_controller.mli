@@ -43,9 +43,6 @@ val create :
     engine over the server's OVS flow table. Call {!start} to begin
     polling. *)
 
-val server_name : t -> string
-(** The managed server's name, as used in directives and reports. *)
-
 val start : t -> unit
 (** Start the measurement engine; every control interval the demand
     profiles update, FPS re-splits each VM's rate limit, and a report

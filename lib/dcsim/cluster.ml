@@ -33,7 +33,6 @@ let create ~shards =
     horizon = Simtime.zero;
   }
 
-let shards t = t.shards
 let shard_count t = Array.length t.shards
 
 let constrain_lookahead t span =

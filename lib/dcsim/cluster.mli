@@ -27,9 +27,6 @@ val create : shards:Engine.t array -> t
     distinct). The array order is the (deterministic) execution order
     within each window. *)
 
-val shards : t -> Engine.t array
-(** The shard engines, in execution order. *)
-
 val shard_count : t -> int
 (** Number of shards. *)
 

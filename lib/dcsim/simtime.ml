@@ -34,12 +34,10 @@ let span_of_bytes_at_rate ~bytes_len ~gbps =
 
 let diff later earlier = later - earlier
 let compare (a : t) (b : t) = Stdlib.compare a b
-let equal (a : t) (b : t) = a = b
 let ( <= ) (a : t) (b : t) = a <= b
 let ( < ) (a : t) (b : t) = a < b
 let ( >= ) (a : t) (b : t) = a >= b
 let ( > ) (a : t) (b : t) = a > b
-let min (a : t) (b : t) = Stdlib.min a b
 let max (a : t) (b : t) = Stdlib.max a b
 
 let pp ppf t =

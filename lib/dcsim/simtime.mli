@@ -52,12 +52,10 @@ val diff : t -> t -> span
 (** [diff later earlier] is the duration between two instants. *)
 
 val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
-val min : t -> t -> t
 val max : t -> t -> t
 val pp : Format.formatter -> t -> unit
 val pp_span : Format.formatter -> span -> unit

@@ -14,13 +14,13 @@ type result = {
   ops_per_sec : float;
   minor_words_per_op : float;
   baseline_ns_per_op : float option;
+  budget : float option;
 }
 
 (* Repeat [f] until it has consumed [min_time] CPU seconds (at least
-   [min_runs] times) and average. One warmup run is discarded so
-   first-call effects (hashtable sizing, lazy setup) do not skew the
-   numbers. *)
-let time_runs ?(min_time = 0.2) ?(min_runs = 2) f =
+   [min_runs] times). One warmup run is discarded so first-call
+   effects (hashtable sizing, lazy setup) do not skew the numbers. *)
+let time_runs ~min_time ~min_runs f =
   f ();
   let t0 = Sys.time () in
   let w0 = Gc.minor_words () in
@@ -29,14 +29,13 @@ let time_runs ?(min_time = 0.2) ?(min_runs = 2) f =
     f ();
     incr runs
   done;
-  let elapsed = Sys.time () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  (!runs, elapsed /. float_of_int !runs, words /. float_of_int !runs)
+  (!runs, Sys.time () -. t0, Gc.minor_words () -. w0)
 
-let mk_result ~scenario ~unit_ ~params ~ops ?baseline (runs, sec_per_run, words_per_run)
-    =
-  let ops_f = float_of_int ops in
-  let sec_per_op = sec_per_run /. ops_f in
+let measure ~smoke ?baseline ?budget ?(params = []) ~unit_ ~ops scenario f =
+  let min_time = if smoke then 0.02 else 0.2 in
+  let per_op runs x = x /. float_of_int (runs * ops) in
+  let runs, secs, words = time_runs ~min_time ~min_runs:2 f in
+  let sec_per_op = per_op runs secs in
   {
     scenario;
     unit_;
@@ -44,10 +43,23 @@ let mk_result ~scenario ~unit_ ~params ~ops ?baseline (runs, sec_per_run, words_
     runs;
     ns_per_op = sec_per_op *. 1e9;
     ops_per_sec = (if sec_per_op > 0.0 then 1.0 /. sec_per_op else 0.0);
-    minor_words_per_op = words_per_run /. ops_f;
+    minor_words_per_op = per_op runs words;
     baseline_ns_per_op =
-      Option.map (fun (_, sec, _) -> sec /. ops_f *. 1e9) baseline;
+      (* Baselines are the slow paths: one run of the quadratic decide
+         takes over half a second at 10k candidates. *)
+      Option.map
+        (fun g ->
+          let runs, secs, _ = time_runs ~min_time ~min_runs:1 g in
+          per_op runs secs *. 1e9)
+        baseline;
+    budget;
   }
+
+(* The zero-allocation bar. Any real per-op allocation (one [Some], one
+   tuple) costs at least 2 whole words; the epsilon only absorbs what
+   the timing loop itself might allocate per run, amortised over
+   thousands of ops. *)
+let zero_bar = 0.05
 
 (* --- decision engine --- *)
 
@@ -85,7 +97,7 @@ let mk_offloaded candidates ~offloaded =
   List.filteri (fun i _ -> i mod k = 0) candidates
   |> List.map (fun (c : De.candidate) -> (c.De.pattern, c))
 
-let decision_case ~smoke ~with_baseline ~candidates:n ~offloaded:o =
+let decision_case ~smoke ?budget ~with_baseline ~candidates:n ~offloaded:o () =
   let rng = Rng.create ~seed:42 in
   let candidates = mk_candidates rng n in
   let offloaded = mk_offloaded candidates ~offloaded:o in
@@ -95,45 +107,50 @@ let decision_case ~smoke ~with_baseline ~candidates:n ~offloaded:o =
      decide calls; the bench does the same so minor_words_per_op prices
      the steady state, not first-call arena growth. *)
   let scratch = De.create_scratch () in
-  let run_decide () =
+  let baseline () =
     ignore
-      (De.decide ~scratch ~candidates ~offloaded ~tcam_free ~min_score:100.0 ())
+      (De.decide_list_baseline ~candidates ~offloaded ~tcam_free ~min_score:100.0 ())
   in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_decide in
-  let baseline =
-    if with_baseline then
-      Some
-        (time_runs ~min_time ~min_runs:1 (fun () ->
-             ignore
-               (De.decide_list_baseline ~candidates ~offloaded ~tcam_free
-                  ~min_score:100.0 ())))
-    else None
-  in
-  mk_result
-    ~scenario:(Printf.sprintf "decide/%dc-%do" n o)
-    ~unit_:"call"
+  measure ~smoke ?budget
+    ?baseline:(if with_baseline then Some baseline else None)
     ~params:
       [
         ("candidates", float_of_int n);
         ("offloaded", float_of_int o);
         ("tcam_free", float_of_int tcam_free);
       ]
-    ~ops:1 ?baseline timed
+    ~unit_:"call" ~ops:1
+    (Printf.sprintf "decide/%dc-%do" n o)
+    (fun () ->
+      ignore
+        (De.decide ~scratch ~candidates ~offloaded ~tcam_free ~min_score:100.0 ()))
 
-let run_decision ~smoke =
-  if smoke then [ decision_case ~smoke ~with_baseline:true ~candidates:200 ~offloaded:50 ]
+(* 10% of the 682 978 words/call the committed BENCH_decision.json
+   recorded before [Decision_engine.scratch] pooled the working
+   state. *)
+let decide_budget = 68297.8
+
+(* The quadratic baseline is too slow to time at 50k, and at 10k on
+   every test run. *)
+let decision ~smoke =
+  if smoke then
+    [
+      decision_case ~smoke ~with_baseline:true ~candidates:200 ~offloaded:50 ();
+      decision_case ~smoke ~budget:decide_budget ~with_baseline:false
+        ~candidates:10_000 ~offloaded:2_000 ();
+    ]
   else
     [
-      decision_case ~smoke ~with_baseline:true ~candidates:1_000 ~offloaded:200;
-      decision_case ~smoke ~with_baseline:true ~candidates:10_000 ~offloaded:2_000;
-      (* The quadratic baseline is too slow to time at 50k. *)
-      decision_case ~smoke ~with_baseline:false ~candidates:50_000 ~offloaded:10_000;
+      decision_case ~smoke ~with_baseline:true ~candidates:1_000 ~offloaded:200 ();
+      decision_case ~smoke ~budget:decide_budget ~with_baseline:true
+        ~candidates:10_000 ~offloaded:2_000 ();
+      decision_case ~smoke ~with_baseline:false ~candidates:50_000 ~offloaded:10_000 ();
     ]
 
 (* --- measurement engine --- *)
 
-let measurement_case ~smoke ~aggregates ~epochs =
+let measurement ~smoke =
+  let aggregates, epochs = if smoke then (200, 4) else (10_000, 10) in
   let epoch_period = Simtime.span_ms 10.0 in
   let config =
     {
@@ -177,18 +194,14 @@ let measurement_case ~smoke ~aggregates ~epochs =
       engine;
     Fastrak.Measurement_engine.stop me
   in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time ~min_runs:1 run_scenario in
-  mk_result
-    ~scenario:(Printf.sprintf "me-epoch/%da-%de" aggregates epochs)
-    ~unit_:"epoch"
-    ~params:
-      [ ("aggregates", float_of_int aggregates); ("epochs", float_of_int epochs) ]
-    ~ops:epochs timed
-
-let run_measurement ~smoke =
-  if smoke then [ measurement_case ~smoke ~aggregates:200 ~epochs:4 ]
-  else [ measurement_case ~smoke ~aggregates:10_000 ~epochs:10 ]
+  [
+    measure ~smoke
+      ~params:
+        [ ("aggregates", float_of_int aggregates); ("epochs", float_of_int epochs) ]
+      ~unit_:"epoch" ~ops:epochs
+      (Printf.sprintf "me-epoch/%da-%de" aggregates epochs)
+      run_scenario;
+  ]
 
 (* --- event queue --- *)
 
@@ -201,46 +214,39 @@ let drain_queue q =
 let eventq_churn ~smoke ~events =
   let rng = Rng.create ~seed:7 in
   let times = Array.init events (fun _ -> Rng.int rng 1_000_000_000) in
-  let run_scenario () =
-    let q = Dcsim.Event_queue.create () in
-    Array.iter (fun ns -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns ns) ns)) times;
-    drain_queue q
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result
-    ~scenario:(Printf.sprintf "eventq-churn/%d" events)
-    ~unit_:"event"
+  measure ~smoke
     ~params:[ ("events", float_of_int events) ]
-    ~ops:events timed
+    ~unit_:"event" ~ops:events
+    (Printf.sprintf "eventq-churn/%d" events)
+    (fun () ->
+      let q = Dcsim.Event_queue.create () in
+      Array.iter (fun ns -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns ns) ns)) times;
+      drain_queue q)
 
 let eventq_cancel_heavy ~smoke ~events =
   let rng = Rng.create ~seed:11 in
   let times = Array.init events (fun _ -> Rng.int rng 1_000_000_000) in
   (* Pre-draw which events die so the timed region draws nothing. *)
   let doomed = Array.init events (fun _ -> Rng.int rng 10 < 9) in
-  let run_scenario () =
-    let q = Dcsim.Event_queue.create () in
-    let handles =
-      Array.mapi
-        (fun i ns -> (i, Dcsim.Event_queue.push q (Simtime.of_ns ns) ns))
-        times
-    in
-    Array.iter
-      (fun (i, h) -> if doomed.(i) then ignore (Dcsim.Event_queue.cancel q h))
-      handles;
-    drain_queue q
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result
-    ~scenario:(Printf.sprintf "eventq-cancel90/%d" events)
-    ~unit_:"event"
+  measure ~smoke
     ~params:[ ("events", float_of_int events); ("cancel_fraction", 0.9) ]
-    ~ops:events timed
+    ~unit_:"event" ~ops:events
+    (Printf.sprintf "eventq-cancel90/%d" events)
+    (fun () ->
+      let q = Dcsim.Event_queue.create () in
+      let handles =
+        Array.mapi
+          (fun i ns -> (i, Dcsim.Event_queue.push q (Simtime.of_ns ns) ns))
+          times
+      in
+      Array.iter
+        (fun (i, h) -> if doomed.(i) then ignore (Dcsim.Event_queue.cancel q h))
+        handles;
+      drain_queue q)
 
 (* The retransmission-timer pattern: [timers] armed timers, and each
-   step cancels one and re-arms it later, as TCP does on every ack. *)
+   step cancels one and re-arms it later, as TCP does on every ack.
+   Neither step may allocate. *)
 let eventq_rearm ~smoke ~timers =
   let steps = if smoke then 2_000 else 200_000 in
   let rng = Rng.create ~seed:13 in
@@ -250,23 +256,19 @@ let eventq_rearm ~smoke ~timers =
     Array.init timers (fun i -> Dcsim.Event_queue.push q (Simtime.of_ns i) i)
   in
   let clock = ref 0 in
-  let run_scenario () =
-    for s = 0 to steps - 1 do
-      let i = s mod timers in
-      ignore (Dcsim.Event_queue.cancel q handles.(i));
-      handles.(i) <- Dcsim.Event_queue.push q (Simtime.of_ns (!clock + delays.(s))) i;
-      incr clock
-    done
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result
-    ~scenario:(Printf.sprintf "eventq-rearm/%d" timers)
-    ~unit_:"rearm"
+  measure ~smoke ~budget:zero_bar
     ~params:[ ("timers", float_of_int timers); ("steps", float_of_int steps) ]
-    ~ops:steps timed
+    ~unit_:"rearm" ~ops:steps
+    (Printf.sprintf "eventq-rearm/%d" timers)
+    (fun () ->
+      for s = 0 to steps - 1 do
+        let i = s mod timers in
+        ignore (Dcsim.Event_queue.cancel q handles.(i));
+        handles.(i) <- Dcsim.Event_queue.push q (Simtime.of_ns (!clock + delays.(s))) i;
+        incr clock
+      done)
 
-let run_eventqueue ~smoke =
+let eventqueue ~smoke =
   let events = if smoke then 2_000 else 200_000 in
   [
     eventq_churn ~smoke ~events;
@@ -297,44 +299,43 @@ let obs_emit_site ~now ~vm i =
            overflow_bps = 5e7;
          })
 
-let obs_emit_case ~smoke ~sink ~install ~teardown =
+let obs_emit_case ~smoke ~sink ~install =
   let n = if smoke then 20_000 else 1_000_000 in
   let now = Simtime.of_ns 1_000 in
   let vm = ip_of_index 9 in
-  let run_scenario () =
-    for i = 0 to n - 1 do
-      obs_emit_site ~now ~vm i
-    done
-  in
   install ();
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  teardown ();
-  mk_result
-    ~scenario:(Printf.sprintf "trace-emit/%s" sink)
-    ~unit_:"event"
-    ~params:[ ("events", float_of_int n) ]
-    ~ops:n timed
+  let r =
+    measure ~smoke
+      ~params:[ ("events", float_of_int n) ]
+      ~unit_:"event" ~ops:n
+      (Printf.sprintf "trace-emit/%s" sink)
+      (fun () ->
+        for i = 0 to n - 1 do
+          obs_emit_site ~now ~vm i
+        done)
+  in
+  Obs.Trace.disable ();
+  r
 
 let obs_span_case ~smoke =
   let n = if smoke then 10_000 else 500_000 in
   let now = Simtime.of_ns 1_000 in
   let sunk = ref 0 in
-  let run_scenario () =
-    for _ = 1 to n do
-      let s =
-        Obs.Span.start ~now ~kind:"bench" ~name:"span" ~track:"bench" ()
-      in
-      Obs.Span.finish ~now s ~outcome:"done"
-    done
-  in
   Obs.Trace.use_callback (fun _ _ -> incr sunk);
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
+  let r =
+    measure ~smoke
+      ~params:[ ("spans", float_of_int n) ]
+      ~unit_:"span" ~ops:n "span-pair/callback"
+      (fun () ->
+        for _ = 1 to n do
+          let s =
+            Obs.Span.start ~now ~kind:"bench" ~name:"span" ~track:"bench" ()
+          in
+          Obs.Span.finish ~now s ~outcome:"done"
+        done)
+  in
   Obs.Trace.disable ();
-  mk_result ~scenario:"span-pair/callback" ~unit_:"span"
-    ~params:[ ("spans", float_of_int n) ]
-    ~ops:n timed
+  r
 
 let obs_timeseries_case ~smoke =
   let n = if smoke then 20_000 else 1_000_000 in
@@ -343,15 +344,12 @@ let obs_timeseries_case ~smoke =
   let s = Obs.Timeseries.series ~collector "bench.latency" in
   let rng = Rng.create ~seed:21 in
   let samples = Array.init n (fun _ -> Rng.float rng 10_000.0) in
-  let run_scenario () =
-    Array.iter (fun v -> Obs.Timeseries.observe s v) samples
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result ~scenario:"ts-observe/p2x3" ~unit_:"sample"
+  measure ~smoke
     ~params:[ ("samples", float_of_int n) ]
-    ~ops:n timed
+    ~unit_:"sample" ~ops:n "ts-observe/p2x3"
+    (fun () -> Array.iter (fun v -> Obs.Timeseries.observe s v) samples)
 
+(* Recording into the always-on flight ring must not allocate. *)
 let obs_flight_case ~smoke =
   let n = if smoke then 20_000 else 1_000_000 in
   let capacity = 4096 in
@@ -372,18 +370,15 @@ let obs_flight_case ~smoke =
         overflow_bps = 5e7;
       }
   in
-  let run_scenario () =
-    for _ = 1 to n do
-      Obs.Flight.record ring now ev
-    done
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result ~scenario:"flight-record" ~unit_:"event"
-    ~params:
-      [ ("capacity", float_of_int capacity); ("events", float_of_int n) ]
-    ~ops:n timed
+  measure ~smoke ~budget:zero_bar
+    ~params:[ ("capacity", float_of_int capacity); ("events", float_of_int n) ]
+    ~unit_:"event" ~ops:n "flight-record"
+    (fun () ->
+      for _ = 1 to n do
+        Obs.Flight.record ring now ev
+      done)
 
+(* Bumping an already-seen labeled series must not allocate either. *)
 let obs_labeled_case ~smoke =
   let n = if smoke then 20_000 else 1_000_000 in
   (* A local registry so the bench family does not pollute the default
@@ -394,30 +389,23 @@ let obs_labeled_case ~smoke =
   let fam =
     Obs.Metrics.counter_family ~registry ~label:"tenant" "bench.labeled"
   in
-  let run_scenario () =
-    for i = 0 to n - 1 do
-      Obs.Metrics.incr (Obs.Metrics.labeled_counter fam (i land 7))
-    done
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result ~scenario:"labeled-counter-incr" ~unit_:"incr"
+  measure ~smoke ~budget:zero_bar
     ~params:[ ("series", 8.0); ("increments", float_of_int n) ]
-    ~ops:n timed
+    ~unit_:"incr" ~ops:n "labeled-counter-incr"
+    (fun () ->
+      for i = 0 to n - 1 do
+        Obs.Metrics.incr (Obs.Metrics.labeled_counter fam (i land 7))
+      done)
 
-let run_obs ~smoke =
+let obs ~smoke =
   let null = open_out "/dev/null" in
   let results =
     [
-      obs_emit_case ~smoke ~sink:"off"
-        ~install:(fun () -> Obs.Trace.disable ())
-        ~teardown:(fun () -> ());
+      obs_emit_case ~smoke ~sink:"off" ~install:Obs.Trace.disable;
       obs_emit_case ~smoke ~sink:"callback"
-        ~install:(fun () -> Obs.Trace.use_callback (fun _ _ -> ()))
-        ~teardown:(fun () -> Obs.Trace.disable ());
+        ~install:(fun () -> Obs.Trace.use_callback (fun _ _ -> ()));
       obs_emit_case ~smoke ~sink:"jsonl"
-        ~install:(fun () -> Obs.Trace.use_jsonl null)
-        ~teardown:(fun () -> Obs.Trace.disable ());
+        ~install:(fun () -> Obs.Trace.use_jsonl null);
       obs_span_case ~smoke;
       obs_timeseries_case ~smoke;
       obs_flight_case ~smoke;
@@ -468,46 +456,31 @@ let cache_config ~exact ~megaflow =
     revalidate_period = Simtime.span_ms 500.0;
   }
 
-let cache_tier_cases ~smoke ~flows:n ~rules =
+let cache_tier_case ~smoke ~flows:n ~rules ~label ~exact_capacity =
   let p = mk_cache_policy ~rules in
   let flows = mk_cache_flows n in
   let now = Simtime.of_ms 1.0 in
-  let min_time = if smoke then 0.02 else 0.2 in
-  (* Baseline: what every lookup would cost with no cache at all — the
-     upcall's classification scan. *)
-  let baseline =
-    time_runs ~min_time ~min_runs:1 (fun () ->
-        Array.iter (fun f -> ignore (Rules.Policy.classify_masked p f)) flows)
+  let c =
+    Cache.create
+      ~config:(cache_config ~exact:exact_capacity ~megaflow:4096)
+      ~name:"bench" ~policy:p ()
   in
-  let tier_case ~label ~exact_capacity =
-    let c =
-      Cache.create
-        ~config:(cache_config ~exact:exact_capacity ~megaflow:4096)
-        ~name:"bench" ~policy:p ()
-    in
-    Array.iter (fun f -> ignore (Cache.install c f ~now)) flows;
-    let timed =
-      time_runs ~min_time (fun () ->
-          Array.iter (fun f -> ignore (Cache.lookup c f ~now)) flows)
-    in
-    mk_result
-      ~scenario:(Printf.sprintf "cache/%s-%df-%dr" label n rules)
-      ~unit_:"lookup"
-      ~params:
-        [
-          ("flows", float_of_int n);
-          ("acl_rules", float_of_int rules);
-          ("exact_entries", float_of_int (Cache.exact_count c));
-          ("megaflow_entries", float_of_int (Cache.megaflow_count c));
-        ]
-      ~ops:n ~baseline timed
-  in
-  [
-    tier_case ~label:"exact" ~exact_capacity:(2 * n);
-    (* exact tier disabled: every lookup is served by the megaflow
-       tier — the cold-flow fast path. *)
-    tier_case ~label:"megaflow" ~exact_capacity:0;
-  ]
+  Array.iter (fun f -> ignore (Cache.install c f ~now)) flows;
+  measure ~smoke
+    (* What every lookup would cost with no cache at all: the upcall's
+       classification scan. *)
+    ~baseline:(fun () ->
+      Array.iter (fun f -> ignore (Rules.Policy.classify_masked p f)) flows)
+    ~params:
+      [
+        ("flows", float_of_int n);
+        ("acl_rules", float_of_int rules);
+        ("exact_entries", float_of_int (Cache.exact_count c));
+        ("megaflow_entries", float_of_int (Cache.megaflow_count c));
+      ]
+    ~unit_:"lookup" ~ops:n
+    (Printf.sprintf "cache/%s-%df-%dr" label n rules)
+    (fun () -> Array.iter (fun f -> ignore (Cache.lookup c f ~now)) flows)
 
 (* Steady-state churn with the exact tier capped well below the flow
    count: every megaflow hit promotes into the exact tier, which
@@ -521,20 +494,21 @@ let cache_churn_case ~smoke ~flows:n ~rules ~capacity =
       ~config:(cache_config ~exact:capacity ~megaflow:128)
       ~name:"bench.churn" ~policy:p ()
   in
-  let run_scenario () =
-    Array.iter
-      (fun f ->
-        match Cache.lookup c f ~now with
-        | Some _ -> ()
-        | None -> ignore (Cache.install c f ~now))
-      flows
+  let r =
+    measure ~smoke ~unit_:"lookup" ~ops:n
+      (Printf.sprintf "cache/capped-lru-%df-%dcap" n capacity)
+      (fun () ->
+        Array.iter
+          (fun f ->
+            match Cache.lookup c f ~now with
+            | Some _ -> ()
+            | None -> ignore (Cache.install c f ~now))
+          flows)
   in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result
-    ~scenario:(Printf.sprintf "cache/capped-lru-%df-%dcap" n capacity)
-    ~unit_:"lookup"
-    ~params:
+  (* Read after the runs: occupancy and evictions are what they left. *)
+  {
+    r with
+    params =
       [
         ("flows", float_of_int n);
         ("acl_rules", float_of_int rules);
@@ -542,25 +516,26 @@ let cache_churn_case ~smoke ~flows:n ~rules ~capacity =
         ("exact_entries", float_of_int (Cache.exact_count c));
         ("megaflow_entries", float_of_int (Cache.megaflow_count c));
         ("evictions", float_of_int (Cache.evictions c));
-      ]
-    ~ops:n timed
+      ];
+  }
 
-let run_vswitch ~smoke =
-  if smoke then
-    cache_tier_cases ~smoke ~flows:500 ~rules:64
-    @ [ cache_churn_case ~smoke ~flows:500 ~rules:64 ~capacity:128 ]
-  else
-    cache_tier_cases ~smoke ~flows:10_000 ~rules:256
-    @ [ cache_churn_case ~smoke ~flows:10_000 ~rules:256 ~capacity:1_024 ]
+let vswitch ~smoke =
+  let flows, rules, capacity = if smoke then (500, 64, 128) else (10_000, 256, 1_024) in
+  [
+    cache_tier_case ~smoke ~flows ~rules ~label:"exact" ~exact_capacity:(2 * flows);
+    (* exact tier disabled: every lookup is served by the megaflow
+       tier — the cold-flow fast path. *)
+    cache_tier_case ~smoke ~flows ~rules ~label:"megaflow" ~exact_capacity:0;
+    cache_churn_case ~smoke ~flows ~rules ~capacity;
+  ]
 
 (* --- zero-allocation packet hot path (docs/BENCH.md) ---
 
    Prices the per-packet primitives that the datapath executes on
    every forwarded packet in the steady state: the exact-tier cache
    hit, flow-key hashing, the NIC flow placer's cached rule lookup and
-   the ToR's VRF probe. All must allocate nothing —
-   [minor_words_per_op = 0.0] is an acceptance bar enforced by the
-   [@alloc-check] alias, not a nice-to-have. *)
+   the ToR's VRF probe. All must allocate nothing: each carries the
+   zero bar as its budget. *)
 
 let hotpath_cache_hit ~smoke =
   let n = if smoke then 500 else 10_000 in
@@ -575,22 +550,16 @@ let hotpath_cache_hit ~smoke =
   in
   Array.iter (fun f -> ignore (Cache.install c f ~now)) flows;
   (* Warm once so every timed probe is a steady-state hit. *)
-  Array.iter (fun f -> ignore (Cache.find_exact c f ~now)) flows;
-  let run_scenario () =
-    Array.iter (fun f -> ignore (Cache.find_exact c f ~now)) flows
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result
-    ~scenario:"hotpath/cache-hit-exact"
-    ~unit_:"lookup"
+  let run () = Array.iter (fun f -> ignore (Cache.find_exact c f ~now)) flows in
+  run ();
+  measure ~smoke ~budget:zero_bar
     ~params:
       [
         ("flows", float_of_int n);
         ("acl_rules", float_of_int rules);
         ("exact_entries", float_of_int (Cache.exact_count c));
       ]
-    ~ops:n timed
+    ~unit_:"lookup" ~ops:n "hotpath/cache-hit-exact" run
 
 let mk_hot_keys n =
   Array.init n (fun i ->
@@ -605,15 +574,10 @@ let hotpath_fkey_hash ~smoke =
   let n = if smoke then 2_000 else 65_536 in
   let flows = mk_hot_keys n in
   let sink = ref 0 in
-  let run_scenario () =
-    Array.iter (fun f -> sink := !sink lxor Fkey.hash f) flows
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  ignore !sink;
-  mk_result ~scenario:"hotpath/fkey-hash" ~unit_:"hash"
+  measure ~smoke ~budget:zero_bar
     ~params:[ ("keys", float_of_int n) ]
-    ~ops:n timed
+    ~unit_:"hash" ~ops:n "hotpath/fkey-hash"
+    (fun () -> Array.iter (fun f -> sink := !sink lxor Fkey.hash f) flows)
 
 let hotpath_rule_cache ~smoke =
   let n = if smoke then 500 else 10_000 in
@@ -629,15 +593,11 @@ let hotpath_rule_cache ~smoke =
   let flows = mk_hot_keys n in
   (* Warm the exact cache: the timed loop is all fast-path hits, the
      NIC flow placer's whole per-packet call. *)
-  Array.iter (fun f -> ignore (Rules.Rule_table.find table f)) flows;
-  let run_scenario () =
-    Array.iter (fun f -> ignore (Rules.Rule_table.find table f)) flows
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result ~scenario:"hotpath/rule-cache-hit" ~unit_:"lookup"
+  let run () = Array.iter (fun f -> ignore (Rules.Rule_table.find table f)) flows in
+  run ();
+  measure ~smoke ~budget:zero_bar
     ~params:[ ("flows", float_of_int n); ("rules", float_of_int rules) ]
-    ~ops:n timed
+    ~unit_:"lookup" ~ops:n "hotpath/rule-cache-hit" run
 
 (* The ToR express hop's VRF probe in soak-mixed's shape: 120 entries
    under 2 masks (source and destination aggregates). Even probes hit
@@ -664,14 +624,12 @@ let hotpath_vrf_classify ~smoke =
         else { k with Fkey.src_port = k.src_port + 1; dst_port = k.dst_port + 1 })
   in
   let sink = ref 0 in
-  let run () = Array.iter (fun f -> sink := !sink + Tor.Vrf.classify vrf f) probes in
-  let timed = time_runs ~min_time:(if smoke then 0.02 else 0.2) run in
-  ignore !sink;
-  mk_result ~scenario:"hotpath/vrf-classify" ~unit_:"probe"
+  measure ~smoke ~budget:zero_bar
     ~params:[ ("entries", float_of_int entries); ("masks", 2.0); ("probes", float_of_int n) ]
-    ~ops:n timed
+    ~unit_:"probe" ~ops:n "hotpath/vrf-classify"
+    (fun () -> Array.iter (fun f -> sink := !sink + Tor.Vrf.classify vrf f) probes)
 
-let run_hotpath ~smoke =
+let hotpath ~smoke =
   [
     hotpath_cache_hit ~smoke;
     hotpath_fkey_hash ~smoke;
@@ -693,7 +651,9 @@ let loadgen_vm ~engine ~name ~octet =
 (* Launch-to-completion cost of one generated flow: every flow is a
    single message, and the engine drains between batches so ports
    recycle and the queue never grows across runs. ops_per_sec is the
-   flows/sec the generator sustains. *)
+   flows/sec the generator sustains. A launch allocates the packet
+   record, the flow key and the pacing closure (the gate reads about
+   74 words); a per-flow history buffer would blow the budget. *)
 let loadgen_launch_case ~smoke =
   let engine = Engine.create ~seed:7 () in
   let vm = loadgen_vm ~engine ~name:"bench.gen" ~octet:1 in
@@ -709,21 +669,14 @@ let loadgen_launch_case ~smoke =
       ~dst_port_base:30000 config
   in
   let n = if smoke then 2_000 else 20_000 in
-  let run () =
-    for _ = 1 to n do
-      Workloads.Flowgen.launch fg
-    done;
-    Engine.run engine
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run in
-  mk_result ~scenario:"loadgen/flow-launch" ~unit_:"flow"
-    ~params:
-      [
-        ("flows_per_run", float_of_int n);
-        ("message_bytes", 1448.0);
-      ]
-    ~ops:n timed
+  measure ~smoke ~budget:160.0
+    ~params:[ ("flows_per_run", float_of_int n); ("message_bytes", 1448.0) ]
+    ~unit_:"flow" ~ops:n "loadgen/flow-launch"
+    (fun () ->
+      for _ = 1 to n do
+        Workloads.Flowgen.launch fg
+      done;
+      Engine.run engine)
 
 (* Concurrency scaling: pile up live flows (long pacing gaps, nothing
    completes) and show the generator's own state is flat — the same
@@ -760,23 +713,25 @@ let loadgen_live_case ~smoke =
     live :=
       Array.fold_left (fun acc g -> acc + Workloads.Flowgen.live_flows g) 0 gens
   in
-  let min_time = if smoke then 0.0 else 0.1 in
-  let min_runs = 1 in
-  let timed = time_runs ~min_time ~min_runs build_and_fill in
-  mk_result
-    ~scenario:(Printf.sprintf "loadgen/%dk-live" (2 * per_gen / 1000))
-    ~unit_:"flow"
-    ~params:
+  let r =
+    measure ~smoke ~unit_:"flow" ~ops:(2 * per_gen)
+      (Printf.sprintf "loadgen/%dk-live" (2 * per_gen / 1000))
+      build_and_fill
+  in
+  {
+    r with
+    params =
       [
         ("live_flows", float_of_int !live);
         ("state_words_quarter_fill", float_of_int !words_quarter);
         ("state_words_full_fill", float_of_int !words_full);
-      ]
-    ~ops:(2 * per_gen) timed
+      ];
+  }
 
 (* One tenant churn event: a two-phase departure (demote + detach
    profile + abort timer) immediately committed to a new server, then
-   the engine drains the timer bookkeeping. *)
+   the engine drains the timer bookkeeping. The gate reads about 62
+   words; a per-churn rule copy would blow the budget. *)
 let loadgen_churn_case ~smoke =
   let engine = Engine.create ~seed:7 () in
   let tb = Testbed.create ~engine ~server_count:2 () in
@@ -795,44 +750,40 @@ let loadgen_churn_case ~smoke =
   let servers = tb.Testbed.servers in
   let cursor = ref 0 in
   let n = if smoke then 200 else 2_000 in
-  let run () =
-    for _ = 1 to n do
-      let mg =
-        Fastrak.Rule_manager.begin_vm_migration rm ~tenant:vm_tenant ~vm_ip
-      in
-      let i = !cursor in
-      cursor := (i + 1) mod Array.length servers;
-      ignore
-        (Fastrak.Rule_manager.commit_vm_migration rm mg
-           ~new_server:(Host.Server.name servers.(i)))
-    done;
-    Engine.run engine
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run in
-  mk_result ~scenario:"loadgen/churn-event" ~unit_:"migration"
+  measure ~smoke ~budget:100.0
     ~params:[ ("events_per_run", float_of_int n) ]
-    ~ops:n timed
+    ~unit_:"migration" ~ops:n "loadgen/churn-event"
+    (fun () ->
+      for _ = 1 to n do
+        let mg =
+          Fastrak.Rule_manager.begin_vm_migration rm ~tenant:vm_tenant ~vm_ip
+        in
+        let i = !cursor in
+        cursor := (i + 1) mod Array.length servers;
+        ignore
+          (Fastrak.Rule_manager.commit_vm_migration rm mg
+             ~new_server:(Host.Server.name servers.(i)))
+      done;
+      Engine.run engine)
 
 (* The diurnal curve sample on the arrival hot path: a sin and a
-   couple of float ops, allocation-free. *)
+   couple of float ops. Its budget is one boxed float argument and
+   result across the module boundary; a rate table or a per-sample
+   closure would not fit. *)
 let loadgen_curve_case ~smoke =
   let n = if smoke then 100_000 else 1_000_000 in
   let curve = Workloads.Loadgen.Sinusoid { trough = 0.3 } in
-  let run () =
-    for i = 1 to n do
-      ignore
-        (Workloads.Loadgen.curve_multiplier curve
-           ~frac:(float_of_int i /. float_of_int n))
-    done
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run in
-  mk_result ~scenario:"loadgen/curve-sample" ~unit_:"sample"
+  measure ~smoke ~budget:6.0
     ~params:[ ("samples_per_run", float_of_int n) ]
-    ~ops:n timed
+    ~unit_:"sample" ~ops:n "loadgen/curve-sample"
+    (fun () ->
+      for i = 1 to n do
+        ignore
+          (Workloads.Loadgen.curve_multiplier curve
+             ~frac:(float_of_int i /. float_of_int n))
+      done)
 
-let run_workloads ~smoke =
+let workloads ~smoke =
   [
     loadgen_launch_case ~smoke;
     loadgen_live_case ~smoke;
@@ -853,90 +804,18 @@ let engine_loop_case ~smoke ~shards =
   let engines = Array.init shards (fun _ -> Engine.create ()) in
   let cluster = Dcsim.Cluster.create ~shards:engines in
   Dcsim.Cluster.constrain_lookahead cluster span;
-  let run_scenario () =
-    let left = ref events in
-    let rec tick () =
-      decr left;
-      if !left > 0 then ignore (Engine.after engines.(0) span tick)
-    in
-    ignore (Engine.after engines.(0) span tick);
-    Dcsim.Cluster.run cluster
-  in
-  let min_time = if smoke then 0.02 else 0.2 in
-  let timed = time_runs ~min_time run_scenario in
-  mk_result
-    ~scenario:(Printf.sprintf "engine-loop/%dshards" shards)
-    ~unit_:"event"
+  measure ~smoke ~budget:zero_bar
     ~params:[ ("events", float_of_int events); ("shards", float_of_int shards) ]
-    ~ops:events timed
-
-(* --- allocation regression gate (@alloc-check) ---
-
-   Allocation counts are deterministic, so smoke sizes suffice. The
-   zero bars use a small epsilon: the timing loop itself boxes a
-   couple of [Sys.time] floats per *run*, which amortised over the
-   per-run op count is well under 0.05 words/op — any real per-op
-   allocation (one [Some], one tuple) costs >= 2 whole words. The
-   decide bar is 10% of the committed pre-PR BENCH_decision.json
-   number (682978.0 words/call at decide/10000c-2000o). The loadgen
-   bars price a whole flow launch (packet records, pacing closures)
-   and a whole churn event (two-phase migration bookkeeping) — both
-   measured at the smoke sizes plus ~30% headroom. *)
-
-let alloc_check () =
-  let zero_bar = 0.05 in
-  let budgets =
-    [
-      ("hotpath/cache-hit-exact", zero_bar);
-      ("hotpath/fkey-hash", zero_bar);
-      ("hotpath/rule-cache-hit", zero_bar);
-      ("hotpath/vrf-classify", zero_bar);
-      ("decide/10000c-2000o", 68297.8);
-      (* The always-on observability hot paths: recording into the
-         flight ring and bumping an already-seen labeled series must
-         both be allocation-free. *)
-      ("flight-record", zero_bar);
-      ("labeled-counter-incr", zero_bar);
-      (* A flow launch allocates the packet record, the flow-key, and
-         the pacing closure; a churn event the two-phase migration
-         records and the abort timer. Measured ~121 and ~75 words. *)
-      ("loadgen/flow-launch", 160.0);
-      ("loadgen/churn-event", 100.0);
-      (* One boxed float argument + result across the module boundary. *)
-      ("loadgen/curve-sample", 6.0);
-      (* Scheduling and firing an event allocates nothing, on one
-         engine and across a cluster window; nor does re-arming a timer. *)
-      ("engine-loop/1shards", zero_bar);
-      ("engine-loop/17shards", zero_bar);
-      ("eventq-rearm/1024", zero_bar);
-    ]
-  in
-  let results =
-    run_hotpath ~smoke:true
-    @ [
-        decision_case ~smoke:true ~with_baseline:false ~candidates:10_000
-          ~offloaded:2_000;
-        obs_flight_case ~smoke:true;
-        obs_labeled_case ~smoke:true;
-        loadgen_launch_case ~smoke:true;
-        loadgen_churn_case ~smoke:true;
-        loadgen_curve_case ~smoke:true;
-        engine_loop_case ~smoke:true ~shards:1;
-        engine_loop_case ~smoke:true ~shards:17;
-        eventq_rearm ~smoke:true ~timers:1024;
-      ]
-  in
-  List.map
-    (fun (scenario, budget) ->
-      let measured =
-        List.find_map
-          (fun r -> if r.scenario = scenario then Some r.minor_words_per_op else None)
-          results
+    ~unit_:"event" ~ops:events
+    (Printf.sprintf "engine-loop/%dshards" shards)
+    (fun () ->
+      let left = ref events in
+      let rec tick () =
+        decr left;
+        if !left > 0 then ignore (Engine.after engines.(0) span tick)
       in
-      (scenario, budget, measured))
-    budgets
-
-(* --- sharded engine --- *)
+      ignore (Engine.after engines.(0) span tick);
+      Dcsim.Cluster.run cluster)
 
 (* Events/sec of the whole datacenter simulation vs shard count. Each
    op is one simulation event; the baseline runs the identical topology
@@ -952,80 +831,71 @@ let engine_case ~smoke ~racks =
       soft_messages = (if smoke then 8 else 32);
     }
   in
-  let min_time = if smoke then 0.0 else 0.3 in
-  let min_runs = if smoke then 1 else 2 in
-  let events = ref 0 and windows = ref 0 and shards = ref 1 in
-  let timed =
-    time_runs ~min_time ~min_runs (fun () ->
-        let r = Dcscale.run ~config () in
-        events := r.Dcscale.events;
-        windows := r.Dcscale.windows;
-        shards := r.Dcscale.shard_count)
-  in
-  let baseline =
-    time_runs ~min_time ~min_runs (fun () ->
-        ignore (Dcscale.run ~config:{ config with Dcscale.sharded = false } ()))
-  in
-  mk_result
-    ~scenario:(Printf.sprintf "engine/%dracks-%dshards" racks !shards)
-    ~unit_:"event"
+  (* One untimed run learns the event count that prices an op; the
+     simulation is deterministic, so every timed run repeats it. *)
+  let first = Dcscale.run ~config () in
+  measure ~smoke
+    ~baseline:(fun () ->
+      ignore (Dcscale.run ~config:{ config with Dcscale.sharded = false } ()))
     ~params:
       [
         ("racks", float_of_int racks);
-        ("shards", float_of_int !shards);
-        ("windows", float_of_int !windows);
+        ("shards", float_of_int first.Dcscale.shard_count);
+        ("windows", float_of_int first.Dcscale.windows);
         ("sim_seconds", config.Dcscale.duration);
       ]
-    ~ops:!events ~baseline timed
+    ~unit_:"event" ~ops:first.Dcscale.events
+    (Printf.sprintf "engine/%dracks-%dshards" racks first.Dcscale.shard_count)
+    (fun () -> ignore (Dcscale.run ~config ()))
 
-let run_engine ~smoke =
+let engine ~smoke =
   let rack_counts = if smoke then [ 1; 4 ] else [ 1; 4; 16; 64 ] in
   List.map (fun shards -> engine_loop_case ~smoke ~shards) [ 1; 17 ]
   @ List.map (fun racks -> engine_case ~smoke ~racks) rack_counts
 
-(* --- JSON emission --- *)
+let groups =
+  [
+    ("decision", decision);
+    ("measurement", measurement);
+    ("eventqueue", eventqueue);
+    ("obs", obs);
+    ("vswitch", vswitch);
+    ("hotpath", hotpath);
+    ("engine", engine);
+    ("workloads", workloads);
+  ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* --- JSON emission ---
 
-let result_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "    {\n";
-  Printf.bprintf b "      \"scenario\": \"%s\",\n" (json_escape r.scenario);
-  Printf.bprintf b "      \"unit\": \"%s\",\n" (json_escape r.unit_);
-  Buffer.add_string b "      \"params\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "\"%s\": %g" (json_escape k) v)
-    r.params;
-  Buffer.add_string b "},\n";
-  Printf.bprintf b "      \"runs\": %d,\n" r.runs;
-  Printf.bprintf b "      \"ns_per_op\": %.1f,\n" r.ns_per_op;
-  Printf.bprintf b "      \"ops_per_sec\": %.1f,\n" r.ops_per_sec;
-  Printf.bprintf b "      \"minor_words_per_op\": %.1f" r.minor_words_per_op;
-  (match r.baseline_ns_per_op with
-  | Some bl ->
-      Printf.bprintf b ",\n      \"baseline_ns_per_op\": %.1f,\n" bl;
-      Printf.bprintf b "      \"speedup_vs_baseline\": %.2f\n"
-        (if r.ns_per_op > 0.0 then bl /. r.ns_per_op else 0.0)
-  | None -> Buffer.add_string b "\n");
-  Buffer.add_string b "    }";
-  Buffer.contents b
+   Nothing here is escaped: scenario names, units and parameter keys
+   are literals or built from integers, and the bench name is a key of
+   [groups]. *)
 
 let write_json ~bench ~out_dir results =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "{\n  \"bench\": \"%s\",\n  \"schema_version\": 1,\n  \"scenarios\": [\n"
+    bench;
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_string b ",\n";
+      Printf.bprintf b "    {\n      \"scenario\": \"%s\",\n      \"unit\": \"%s\",\n"
+        r.scenario r.unit_;
+      Printf.bprintf b "      \"params\": {%s},\n"
+        (String.concat ", "
+           (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %g" k v) r.params));
+      Printf.bprintf b
+        "      \"runs\": %d,\n      \"ns_per_op\": %.1f,\n      \"ops_per_sec\": %.1f,\n      \"minor_words_per_op\": %.1f"
+        r.runs r.ns_per_op r.ops_per_sec r.minor_words_per_op;
+      (match r.baseline_ns_per_op with
+      | Some bl ->
+          Printf.bprintf b
+            ",\n      \"baseline_ns_per_op\": %.1f,\n      \"speedup_vs_baseline\": %.2f\n"
+            bl
+            (if r.ns_per_op > 0.0 then bl /. r.ns_per_op else 0.0)
+      | None -> Buffer.add_char b '\n');
+      Buffer.add_string b "    }")
+    results;
+  Buffer.add_string b "\n  ]\n}\n";
   let path = Filename.concat out_dir ("BENCH_" ^ bench ^ ".json") in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"bench\": \"%s\",\n  \"schema_version\": 1,\n"
-    (json_escape bench);
-  Printf.fprintf oc "  \"scenarios\": [\n%s\n  ]\n}\n"
-    (String.concat ",\n" (List.map result_to_json results));
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b);
   path

@@ -134,10 +134,6 @@ let run_steady ~label setup =
    full request budget. *)
 let run_to_finish ~label ?(time_cap = 300.0) setup =
   let { tb; clients; _ } = setup in
-  let requests_per_client =
-    int_of_float (2_000_000.0 *. !requests_scale)
-  in
-  ignore requests_per_client;
   let start = Engine.now tb.Testbed.engine in
   Host.Server.reset_cpu_accounting tb.Testbed.servers.(0);
   let all_done () =

@@ -16,7 +16,11 @@ let write_json oc =
   List.iteri
     (fun i r ->
       if i > 0 then output_string oc ",";
-      output_string oc (Printf.sprintf "\n%S: " r.id);
+      let b = Buffer.create 64 in
+      Buffer.add_string b "\n\"";
+      Obs.Trace.add_escaped b r.id;
+      Buffer.add_string b "\": ";
+      Buffer.output_buffer oc b;
       output_string oc (Obs.Metrics.to_json r.delta))
     (all ());
   output_string oc "\n},\n\"total\": ";
@@ -24,7 +28,7 @@ let write_json oc =
   output_string oc "\n}\n"
 
 let write_csv oc =
-  output_string oc "experiment,name,kind,count,value,mean,min,max,p50,p99\n";
+  output_string oc "experiment,name,kind,count,value,mean,min,max\n";
   let emit_block exp values =
     (* Reuse the registry's CSV codec, dropping its header and
        prefixing each row with the experiment id. *)

@@ -16,13 +16,13 @@ type t = {
   mutable packets_sent : int;
 }
 
-let create ?faults ~engine ~name ~gbps ~latency ~deliver () =
+let create ?faults ~engine ~gbps ~latency ~deliver () =
   {
     engine;
     gbps;
     latency;
     deliver;
-    wire = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:(name ^ ".wire");
+    wire = Compute.Cpu_pool.create ~engine ~cpus:1;
     faults;
     packets_sent = 0;
   }

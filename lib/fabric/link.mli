@@ -11,7 +11,6 @@ type t
 val create :
   ?faults:Faults.Injector.t ->
   engine:Dcsim.Engine.t ->
-  name:string ->
   gbps:float ->
   latency:Dcsim.Simtime.span ->
   deliver:(Netcore.Packet.t -> unit) ->

@@ -72,4 +72,3 @@ let decide t ~now =
   end
 
 let drops t = t.dropped
-let schedule t = t.sched

@@ -28,5 +28,3 @@ val decide : t -> now:Dcsim.Simtime.t -> verdict
 
 val drops : t -> int
 (** Messages dropped so far (windows + triggers + probabilistic). *)
-
-val schedule : t -> Schedule.t

@@ -18,19 +18,16 @@ type t = {
 }
 
 let create ~engine ~name ~ip ~config ~tor =
-  let host_pool =
-    Compute.Cpu_pool.create ~engine ~cpus:Cost.host_kernel_cpus
-      ~name:(name ^ ".host")
-  in
+  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:Cost.host_kernel_cpus in
   (* Uplinks: server NIC ports toward the ToR. *)
   let vswitch_uplink =
-    Fabric.Link.create ~engine ~name:(name ^ ".vsw->tor") ~gbps:Cost.link_gbps
+    Fabric.Link.create ~engine ~gbps:Cost.link_gbps
       ~latency:Cost.nic_fixed_latency
       ~deliver:(fun pkt -> Tor.Tor_switch.receive tor pkt)
       ()
   in
   let sriov_uplink =
-    Fabric.Link.create ~engine ~name:(name ^ ".vf->tor") ~gbps:Cost.link_gbps
+    Fabric.Link.create ~engine ~gbps:Cost.link_gbps
       ~latency:Cost.nic_fixed_latency
       ~deliver:(fun pkt -> Tor.Tor_switch.receive tor pkt)
       ()

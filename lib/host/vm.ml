@@ -26,8 +26,8 @@ let create ~engine ~name ~vcpus ~tenant ~ip ~mac =
     tenant;
     ip;
     mac;
-    kernel = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:(name ^ ".kernel");
-    apps = Compute.Cpu_pool.create ~engine ~cpus:(vcpus - 1) ~name:(name ^ ".apps");
+    kernel = Compute.Cpu_pool.create ~engine ~cpus:1;
+    apps = Compute.Cpu_pool.create ~engine ~cpus:(vcpus - 1);
     rng = Dcsim.Rng.split (Engine.rng engine) ("vm." ^ name);
     transmit = (fun _ -> ());
     flow_handlers = Fkey.Table.create 32;

@@ -2,7 +2,6 @@ type t = int
 
 let mask32 = 0xFFFFFFFF
 let of_int32 i = Int32.to_int i land mask32
-let to_int32 t = Int32.of_int (t land mask32)
 
 let of_octets a b c d =
   let octet name v =
@@ -32,7 +31,6 @@ let to_string t =
 
 let compare (a : t) (b : t) = Stdlib.compare a b
 let equal (a : t) (b : t) = a = b
-let hash (t : t) = Hashtbl.hash t
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let in_prefix addr ~prefix ~len =

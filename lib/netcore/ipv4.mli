@@ -7,7 +7,6 @@ type t = private int
 (** Stored as a 32-bit value in the host-endian low bits of an int. *)
 
 val of_int32 : int32 -> t
-val to_int32 : t -> int32
 val of_octets : int -> int -> int -> int -> t
 val of_string : string -> t
 (** Parses dotted-quad notation. @raise Invalid_argument on bad input. *)
@@ -15,7 +14,6 @@ val of_string : string -> t
 val to_string : t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val in_prefix : t -> prefix:t -> len:int -> bool

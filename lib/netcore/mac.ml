@@ -2,13 +2,11 @@ type t = int
 
 let mask48 = 0xFFFFFFFFFFFF
 let of_int i = i land mask48
-let to_int t = t
 
 let vm_mac ~server ~vm =
   (* 0x02 in the first octet marks a locally administered unicast MAC. *)
   (0x02 lsl 40) lor ((server land 0xFFFFF) lsl 16) lor (vm land 0xFFFF)
 
-let compare (a : t) (b : t) = Stdlib.compare a b
 let equal (a : t) (b : t) = a = b
 
 let pp ppf t =

@@ -6,11 +6,9 @@ type t = private int
 val of_int : int -> t
 (** Low 48 bits are the address. *)
 
-val to_int : t -> int
 val vm_mac : server:int -> vm:int -> t
 (** Deterministic locally-administered MAC for VM [vm] on server
     [server]; distinct inputs yield distinct addresses. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

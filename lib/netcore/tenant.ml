@@ -7,7 +7,6 @@ let of_int i =
 let to_int id = id
 let compare (a : id) (b : id) = Stdlib.compare a b
 let equal (a : id) (b : id) = a = b
-let hash (id : id) = Hashtbl.hash id
 let pp ppf id = Format.fprintf ppf "tenant-%d" id
 
 let to_vlan id =

@@ -12,7 +12,6 @@ val of_int : int -> id
 val to_int : id -> int
 val compare : id -> id -> int
 val equal : id -> id -> bool
-val hash : id -> int
 val pp : Format.formatter -> id -> unit
 
 val to_vlan : id -> int

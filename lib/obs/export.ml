@@ -352,37 +352,24 @@ let convert events =
 
 (* --- serialisation --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let value_to_json = function
-  | Trace.S s -> "\"" ^ escape s ^ "\""
-  | Trace.I i -> string_of_int i
-  | Trace.F f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.1f" f
-      else Printf.sprintf "%.17g" f
+let add_string b s =
+  Buffer.add_char b '"';
+  Trace.add_escaped b s;
+  Buffer.add_char b '"'
 
 let event_to_json e =
   let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d"
-       (escape e.name) (escape e.cat) e.ph e.ts_us e.pid e.tid);
-  (match e.scope with
-  | Some s -> Buffer.add_string b (Printf.sprintf ",\"s\":\"%s\"" (escape s))
-  | None -> ());
+  Buffer.add_string b "{\"name\":";
+  add_string b e.name;
+  Buffer.add_string b ",\"cat\":";
+  add_string b e.cat;
+  Printf.bprintf b ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":%d,\"tid\":%d" e.ph e.ts_us
+    e.pid e.tid;
+  Option.iter
+    (fun s ->
+      Buffer.add_string b ",\"s\":";
+      add_string b s)
+    e.scope;
   (match e.args with
   | [] -> ()
   | args ->
@@ -390,8 +377,16 @@ let event_to_json e =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "\"%s\":%s" (escape k) (value_to_json v)))
+          add_string b k;
+          Buffer.add_char b ':';
+          match v with
+          | Trace.S s -> add_string b s
+          | Trace.I i -> Buffer.add_string b (string_of_int i)
+          | Trace.F f ->
+              Buffer.add_string b
+                (if Float.is_integer f && Float.abs f < 1e15 then
+                   Printf.sprintf "%.1f" f
+                 else Printf.sprintf "%.17g" f))
         args;
       Buffer.add_char b '}');
   Buffer.add_char b '}';

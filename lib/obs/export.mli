@@ -32,10 +32,6 @@ val convert : (Dcsim.Simtime.t * Trace.event) list -> chrome_event list
     all events in non-decreasing timestamp order with per-lane stack
     discipline (checked by {!validate}). *)
 
-val write : out_channel -> chrome_event list -> unit
-(** Serialise as [{"traceEvents":[...],"displayTimeUnit":"ms"}], one
-    event per line. *)
-
 val validate : chrome_event list -> (int, string) result
 (** Check the converter's output contract — timestamps never regress
     along the array, every ["E"] closes the innermost open ["B"] of its

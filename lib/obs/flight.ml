@@ -28,9 +28,6 @@ let create ?(capacity = 4096) () =
     filled = 0;
   }
 
-let capacity t = Array.length t.events
-let length t = t.filled
-
 let clear t =
   Array.fill t.events 0 (Array.length t.events) dummy;
   t.next <- 0;

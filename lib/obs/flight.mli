@@ -25,11 +25,6 @@ val create : ?capacity:int -> unit -> t
 (** A fresh ring holding the last [capacity] events (default 4096).
     Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : t -> int
-
-val length : t -> int
-(** Live entries, [<= capacity]. *)
-
 val record : t -> Dcsim.Simtime.t -> Trace.event -> unit
 (** Store one event, overwriting the oldest once the ring is full. The
     hot path: no allocation, no encoding. *)

@@ -3,13 +3,8 @@ module Stats = Dcsim.Stats
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 type summary = Stats.Summary.t
-type histogram = Stats.Histogram.t
 
-type instrument =
-  | Counter of counter
-  | Gauge of gauge
-  | Summary of summary
-  | Histogram of histogram
+type instrument = Counter of counter | Gauge of gauge | Summary of summary
 
 type t = {
   instruments : (string, instrument) Hashtbl.t;
@@ -46,7 +41,6 @@ let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
   | Summary _ -> "summary"
-  | Histogram _ -> "histogram"
 
 let get_or_create registry name ~make ~select =
   match Hashtbl.find_opt registry.instruments name with
@@ -63,8 +57,7 @@ let get_or_create registry name ~make ~select =
         (match i with
         | `C c -> Counter c
         | `G g -> Gauge g
-        | `S s -> Summary s
-        | `H h -> Histogram h);
+        | `S s -> Summary s);
       i
 
 let counter ?(registry = default) name =
@@ -102,17 +95,6 @@ let summary ?(registry = default) name =
   | _ -> assert false
 
 let observe s v = Stats.Summary.add s v
-
-let histogram ?(registry = default) name =
-  match
-    get_or_create registry name
-      ~make:(fun () -> `H (Stats.Histogram.create ()))
-      ~select:(function Histogram h -> Some (`H h) | _ -> None)
-  with
-  | `H h -> h
-  | _ -> assert false
-
-let record h v = Stats.Histogram.add h v
 
 (* --- Labeled families ---
 
@@ -227,7 +209,6 @@ type value =
       vmin : float;
       vmax : float;
     }
-  | Histogram_v of { count : int; mean : float; p50 : float; p99 : float; hmax : float }
 
 let value_of = function
   | Counter c -> Counter_v c.c
@@ -241,19 +222,6 @@ let value_of = function
           (* nan when empty; json_f renders it as null. *)
           vmin = Stats.Summary.min s;
           vmax = Stats.Summary.max s;
-        }
-  | Histogram h ->
-      Histogram_v
-        {
-          count = Stats.Histogram.count h;
-          mean = Stats.Histogram.mean h;
-          p50 =
-            (if Stats.Histogram.count h = 0 then 0.0
-             else Stats.Histogram.percentile h 50.0);
-          p99 =
-            (if Stats.Histogram.count h = 0 then 0.0
-             else Stats.Histogram.percentile h 99.0);
-          hmax = Stats.Histogram.max h;
         }
 
 let snapshot ?(registry = default) () =
@@ -287,9 +255,6 @@ let diff ~before ~after =
                     vmin = a.vmin;
                     vmax = a.vmax;
                   } )
-      | Some (Histogram_v b), Histogram_v a ->
-          if a.count = b.count then None
-          else Some (name, Histogram_v { a with count = a.count - b.count })
       | Some (Gauge_v b), Gauge_v a ->
           if a = b then None else Some (name, v_after)
       | Some _, _ -> Some (name, v_after)
@@ -311,7 +276,9 @@ let to_json values =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b (Printf.sprintf "\n  %S: " name);
+      Buffer.add_string b "\n  \"";
+      Trace.add_escaped b name;
+      Buffer.add_string b "\": ";
       match v with
       | Counter_v c -> Buffer.add_string b (string_of_int c)
       | Gauge_v g -> Buffer.add_string b (json_f g)
@@ -319,12 +286,7 @@ let to_json values =
           Buffer.add_string b
             (Printf.sprintf
                "{\"count\":%d,\"sum\":%s,\"mean\":%s,\"min\":%s,\"max\":%s}" count
-               (json_f sum) (json_f mean) (json_f vmin) (json_f vmax))
-      | Histogram_v { count; mean; p50; p99; hmax } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"count\":%d,\"mean\":%s,\"p50\":%s,\"p99\":%s,\"max\":%s}" count
-               (json_f mean) (json_f p50) (json_f p99) (json_f hmax)))
+               (json_f sum) (json_f mean) (json_f vmin) (json_f vmax)))
     values;
   Buffer.add_string b "\n}";
   Buffer.contents b
@@ -333,31 +295,18 @@ let csv_f v = Printf.sprintf "%.9g" v
 
 let to_csv values =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "name,kind,count,value,mean,min,max,p50,p99\n";
+  Buffer.add_string b "name,kind,count,value,mean,min,max\n";
   List.iter
     (fun (name, v) ->
       let row =
         match v with
-        | Counter_v c -> Printf.sprintf "%s,counter,%d,%d,,,,," name c c
-        | Gauge_v g -> Printf.sprintf "%s,gauge,1,%s,,,,," name (csv_f g)
+        | Counter_v c -> Printf.sprintf "%s,counter,%d,%d,,," name c c
+        | Gauge_v g -> Printf.sprintf "%s,gauge,1,%s,,," name (csv_f g)
         | Summary_v { count; sum; mean; vmin; vmax } ->
-            Printf.sprintf "%s,summary,%d,%s,%s,%s,%s,," name count (csv_f sum)
+            Printf.sprintf "%s,summary,%d,%s,%s,%s,%s" name count (csv_f sum)
               (csv_f mean) (csv_f vmin) (csv_f vmax)
-        | Histogram_v { count; mean; p50; p99; hmax } ->
-            Printf.sprintf "%s,histogram,%d,,%s,,%s,%s,%s" name count (csv_f mean)
-              (csv_f hmax) (csv_f p50) (csv_f p99)
       in
       Buffer.add_string b row;
       Buffer.add_char b '\n')
     values;
   Buffer.contents b
-
-let reset ?(registry = default) () =
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | Counter c -> c.c <- 0
-      | Gauge g -> g.g <- 0.0
-      | Summary s -> Stats.Summary.clear s
-      | Histogram h -> Stats.Histogram.clear h)
-    registry.instruments

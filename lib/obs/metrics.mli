@@ -8,8 +8,7 @@
     unconditionally, which keeps untraced runs byte-identical while the
     registry still answers "what happened" at any point.
 
-    Aggregation reuses {!Dcsim.Stats}: summaries are Welford streams,
-    histograms are the log-bucketed latency histograms. The registry can
+    Summaries reuse {!Dcsim.Stats}'s Welford streams. The registry can
     be dumped to JSON or CSV at end of run (the CLI's [--metrics-out]),
     and {!snapshot}/{!diff} support per-experiment deltas.
 
@@ -18,10 +17,10 @@
     in [docs/METRICS.md]. *)
 
 type t
-(** A registry. Most code uses the implicit {!default} registry. *)
+(** A registry. Every [?registry] argument defaults to one
+    process-wide registry. *)
 
 val create : unit -> t
-val default : t
 
 (** {1 Instruments}
 
@@ -53,13 +52,6 @@ val summary : ?registry:t -> string -> summary
     ({!Dcsim.Stats.Summary}). *)
 
 val observe : summary -> float -> unit
-
-type histogram
-
-val histogram : ?registry:t -> string -> histogram
-(** Log-bucketed percentile histogram ({!Dcsim.Stats.Histogram}). *)
-
-val record : histogram -> float -> unit
 
 (** {1 Labeled families}
 
@@ -128,7 +120,6 @@ type value =
       vmin : float;
       vmax : float;
     }
-  | Histogram_v of { count : int; mean : float; p50 : float; p99 : float; hmax : float }
 
 val snapshot : ?registry:t -> unit -> (string * value) list
 (** Current value of every registered instrument, sorted by name. *)
@@ -140,17 +131,15 @@ val diff :
   after:(string * value) list ->
   (string * value) list
 (** Per-experiment delta between two snapshots: counters subtract;
-    summaries and histograms subtract count/sum and keep the [after]
-    shape statistics; gauges report the [after] value. Instruments that
+    summaries subtract count/sum and keep the [after] shape
+    statistics; gauges report the [after] value. Instruments that
     did not move between the snapshots are dropped. *)
 
 val to_json : (string * value) list -> string
-(** A single JSON object keyed by metric name. Counters and gauges are
-    bare numbers; summaries and histograms are objects. *)
+(** A single JSON object keyed by metric name, each name escaped as a
+    JSON string ({!Trace.add_escaped}). Counters and gauges are bare
+    numbers; summaries are objects. *)
 
 val to_csv : (string * value) list -> string
-(** Header [name,kind,count,value,mean,min,max,p50,p99]; the [value]
-    column is the count/sum for aggregating instruments. *)
-
-val reset : ?registry:t -> unit -> unit
-(** Zero every instrument in place (handles stay valid). *)
+(** Header [name,kind,count,value,mean,min,max]; the [value] column
+    is the count for counters and the sum for summaries. *)

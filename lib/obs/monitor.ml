@@ -53,7 +53,6 @@ let create ?(mode = Warn)
     context_events;
   }
 
-let mode t = t.mode
 
 let violation_to_string v =
   Printf.sprintf "[%.6fs] %s: %s" (Simtime.to_sec v.at) v.monitor v.detail

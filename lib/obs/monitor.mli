@@ -72,8 +72,6 @@ val create :
     it). [context_events] (default 8) caps how many flight-recorder
     events each violation record embeds as context; 0 disables. *)
 
-val mode : t -> mode
-
 val attach : t -> unit
 (** Subscribe to the live trace stream in front of the current sink
     ({!Trace.use_tee}): every subsequent event is checked first, then

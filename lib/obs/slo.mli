@@ -18,7 +18,7 @@
     into a non-zero exit. The CLI prints {!report} per experiment
     under [--tenant-report].
 
-    State is process-global like {!Metrics.default}; the CLI calls
+    State is process-global like the metrics registry; the CLI calls
     {!reset} before each experiment so every scoreboard is one
     experiment's own. *)
 

@@ -16,5 +16,4 @@ let finish ?now span ~outcome =
   if span <> none && Trace.enabled () then
     Trace.emit ?now (Trace.Span_end { span; outcome })
 
-let is_live span = span <> none
 let reset () = next := 1

@@ -43,9 +43,6 @@ val finish : ?now:Dcsim.Simtime.t -> id -> outcome:string -> unit
     off (an unfinished span is closed synthetically by the exporter at
     the trace's final instant). *)
 
-val is_live : id -> bool
-(** [id <> none]: the span was actually opened under an active sink. *)
-
 val reset : unit -> unit
 (** Restart id allocation from 1 (tests only — ids must stay unique
     within any one trace file). *)

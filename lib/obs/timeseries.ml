@@ -187,8 +187,6 @@ let observe s v =
     P2.observe s.q99 v
   end
 
-let name s = s.s_name
-
 let quantiles s =
   {
     count = s.s_count;
@@ -220,10 +218,6 @@ let reset_series ?(collector = default) () =
       P2.clear s.q90;
       P2.clear s.q99)
     collector.by_name
-
-let clear ?(collector = default) () =
-  reset_series ~collector ();
-  collector.rows_rev <- []
 
 (* --- Output --- *)
 

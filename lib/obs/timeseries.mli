@@ -42,7 +42,6 @@ type t
     implicit default collector; tests can pass their own. *)
 
 val create : unit -> t
-val default : t
 
 val enable : ?collector:t -> unit -> unit
 val disable : ?collector:t -> unit -> unit
@@ -60,8 +59,6 @@ val observe : series -> float -> unit
     {!enabled} — observing into a disabled collector still updates the
     estimators. *)
 
-val name : series -> string
-
 val quantiles : series -> quantiles
 (** Current estimator state (cheap: no sorting, no allocation beyond
     the record). *)
@@ -78,9 +75,6 @@ val reset_series : ?collector:t -> unit -> unit
 (** Zero every series' estimators (count, sum, quantile markers) but
     keep handles and accumulated rows. The chaos harness calls this
     between fault profiles so each profile's percentiles are its own. *)
-
-val clear : ?collector:t -> unit -> unit
-(** {!reset_series} plus drop all accumulated rows. *)
 
 (** {1 Output} *)
 

@@ -233,6 +233,13 @@ val encode_into : Buffer.t -> Dcsim.Simtime.t -> event -> unit
     across events through this, so encoding allocates only the payload
     strings, never a fresh buffer per event. *)
 
+val add_escaped : Buffer.t -> string -> unit
+(** [add_escaped b s] appends [s] to [b] as the body of a JSON string:
+    double quote and backslash are backslash-escaped, control
+    characters become [\u00XX], and every other byte (UTF-8 included)
+    is copied as is. The JSONL encoder, the metrics dumps and
+    {!Obs.Export} write their strings through this. *)
+
 val of_jsonl : string -> (Dcsim.Simtime.t * event) option
 (** Inverse of {!to_jsonl}; [None] on malformed input. Round-trips
     exactly, including float payloads. *)

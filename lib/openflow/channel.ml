@@ -62,5 +62,3 @@ let send t msg =
           end)
 
 let messages_sent t = t.sent
-let name t = t.name
-let faults t = t.faults

@@ -33,9 +33,3 @@ val create :
 
 val send : 'msg t -> 'msg -> unit
 val messages_sent : 'msg t -> int
-
-val name : 'msg t -> string
-
-val faults : 'msg t -> Faults.Injector.t option
-(** The injector bound at creation, if any — exposed so protocol layers
-    can report drop counts without threading the injector separately. *)

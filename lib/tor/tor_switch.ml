@@ -98,22 +98,15 @@ let vrf t (tenant : Netcore.Tenant.id) =
       v
 
 let attach_server t ~server_ip ~to_vswitch ~to_sriov =
-  let mk_port deliver name =
+  let mk_port deliver =
     let link =
-      Fabric.Link.create ~engine:t.engine ~name ~gbps:Cost.link_gbps
+      Fabric.Link.create ~engine:t.engine ~gbps:Cost.link_gbps
         ~latency:Cost.tor_forward_latency ~deliver ()
     in
     Qos_queue.create ~engine:t.engine ~classes:8 ~link
   in
-  let key = ip_key server_ip in
-  let port_name kind =
-    Printf.sprintf "tor->%s.%s" (Netcore.Ipv4.to_string server_ip) kind
-  in
-  Int_table.replace t.servers key
-    {
-      vswitch_q = mk_port to_vswitch (port_name "vsw");
-      sriov_q = mk_port to_sriov (port_name "vf");
-    }
+  Int_table.replace t.servers (ip_key server_ip)
+    { vswitch_q = mk_port to_vswitch; sriov_q = mk_port to_sriov }
 
 let register_vm t ~tenant ~vm_ip ~server_ip ?(port = `Vswitch) () =
   let tkey = Netcore.Tenant.to_int tenant in

@@ -77,9 +77,6 @@ val invalidate_flow :
     returns the number of entries dropped. Hooked to
     [Ovs.set_flow_blocked] (offload/demote block and unblock paths). *)
 
-val flush : t -> now:Dcsim.Simtime.t -> reason:string -> int
-(** Drop both tiers wholesale; returns the number of entries dropped. *)
-
 val revalidate : t -> now:Dcsim.Simtime.t -> reason:string -> int
 (** One revalidator pass: flush if the policy generation moved, evict
     idle entries, re-check megaflow verdicts against their witness

@@ -171,7 +171,6 @@ let create ?cache_config ~engine ~config ~host_pool ~server_ip ~transmit () =
     kernel_hits = 0;
   }
 
-let config t = t.config
 
 let vm_register t ~tenant ~ip vif =
   let tkey = Netcore.Tenant.to_int tenant in
@@ -224,7 +223,7 @@ let add_vif t ~policy ~deliver =
       name;
       policy;
       deliver = guard_deliver;
-      vhost = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:(name ^ ".vhost");
+      vhost = Compute.Cpu_pool.create ~engine ~cpus:1;
       tx_shaper =
         Shaping.Shaper.create ~engine
           ~spec:(Rules.Policy.tx_limit policy)

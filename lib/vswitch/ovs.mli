@@ -30,8 +30,6 @@ val create :
     [cache_config] sizes each VIF's datapath cache; defaults to the
     current {!Flow_cache.default_config}. *)
 
-val config : t -> Compute.Cost_params.vswitch_config
-
 (** {2 VIFs} *)
 
 type vif

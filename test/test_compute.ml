@@ -10,7 +10,7 @@ let checkf = Alcotest.check (Alcotest.float 1e-9)
 
 let test_pool_runs_jobs () =
   let engine = Engine.create () in
-  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:"p" in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 in
   let done_at = ref [] in
   for _ = 1 to 3 do
     Compute.Cpu_pool.submit pool ~cost:(Simtime.span_us 10.0) (fun () ->
@@ -24,7 +24,7 @@ let test_pool_runs_jobs () =
 
 let test_pool_parallelism () =
   let engine = Engine.create () in
-  let pool = Compute.Cpu_pool.create ~engine ~cpus:4 ~name:"p" in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:4 in
   let finished = ref 0.0 in
   for _ = 1 to 4 do
     Compute.Cpu_pool.submit pool ~cost:(Simtime.span_us 10.0) (fun () ->
@@ -35,7 +35,7 @@ let test_pool_parallelism () =
 
 let test_pool_fifo () =
   let engine = Engine.create () in
-  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:"p" in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 in
   let order = ref [] in
   List.iter
     (fun tag ->
@@ -48,7 +48,7 @@ let test_pool_fifo () =
 
 let test_pool_accounting () =
   let engine = Engine.create () in
-  let pool = Compute.Cpu_pool.create ~engine ~cpus:2 ~name:"p" in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   for _ = 1 to 4 do
     Compute.Cpu_pool.submit pool ~cost:(Simtime.span_ms 1.0) (fun () -> ())
   done;
@@ -65,7 +65,7 @@ let test_pool_accounting () =
 
 let test_pool_queue_introspection () =
   let engine = Engine.create () in
-  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:"p" in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 in
   for _ = 1 to 3 do
     Compute.Cpu_pool.submit pool ~cost:(Simtime.span_us 5.0) (fun () -> ())
   done;
@@ -76,7 +76,7 @@ let test_pool_queue_introspection () =
 
 let test_run_inline () =
   let engine = Engine.create () in
-  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 ~name:"p" in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 in
   Compute.Cpu_pool.run_inline pool ~cost:(Simtime.span_ms 2.0);
   checkf "accounted without queueing" 0.002 (Compute.Cpu_pool.busy_seconds pool)
 

@@ -23,7 +23,7 @@ let test_link_delivery_timing () =
   let engine = Engine.create () in
   let arrived = ref Simtime.zero in
   let link =
-    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0
+    Fabric.Link.create ~engine ~gbps:10.0
       ~latency:(Simtime.span_us 1.0)
       ~deliver:(fun _ -> arrived := Engine.now engine)
       ()
@@ -43,7 +43,7 @@ let test_link_fifo_contention () =
   let engine = Engine.create () in
   let order = ref [] in
   let link =
-    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0 ~latency:Simtime.span_zero
+    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p -> order := p.Packet.payload :: !order)
       ()
   in
@@ -351,7 +351,7 @@ let test_qos_strict_priority () =
   let engine = Engine.create () in
   let order = ref [] in
   let link =
-    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0 ~latency:Simtime.span_zero
+    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p -> order := p.Packet.payload :: !order)
       ()
   in
@@ -388,7 +388,7 @@ let test_qos_wire_never_queues () =
   let burst = 40 in
   let follow_up id = if id < burst then Some (burst + id) else None in
   let link =
-    Fabric.Link.create ~engine ~name:"l" ~gbps:10.0 ~latency:Simtime.span_zero
+    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p ->
         let id = p.Packet.flow.Fkey.src_port in
         delivered := id :: !delivered;
@@ -661,7 +661,7 @@ let test_ovs_block_unblock_midrun () =
    one vhost batch and pay exactly one upcall. *)
 let test_ovs_batch_upcall_dedup () =
   let engine = Engine.create () in
-  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 ~name:"h" in
+  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   let ovs =
     Vswitch.Ovs.create ~engine ~config:Compute.Cost_params.baseline ~host_pool
       ~server_ip:(Ipv4.of_string "192.168.1.1")
@@ -684,9 +684,9 @@ let test_ovs_batch_upcall_dedup () =
 
 let test_sriov_vf_exhaustion () =
   let engine = Engine.create () in
-  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 ~name:"h" in
+  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   let wire =
-    Fabric.Link.create ~engine ~name:"w" ~gbps:10.0 ~latency:Simtime.span_zero
+    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun _ -> ()) ()
   in
   let nic = Nic.Sriov.create ~engine ~max_vfs:2 ~host_pool ~wire () in
@@ -706,9 +706,9 @@ let test_sriov_vf_exhaustion () =
 
 let test_sriov_steering () =
   let engine = Engine.create () in
-  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 ~name:"h" in
+  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   let wire =
-    Fabric.Link.create ~engine ~name:"w" ~gbps:10.0 ~latency:Simtime.span_zero
+    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun _ -> ()) ()
   in
   let nic = Nic.Sriov.create ~engine ~host_pool ~wire () in
@@ -735,10 +735,10 @@ let test_sriov_steering () =
 
 let test_sriov_vlan_tag_on_tx () =
   let engine = Engine.create () in
-  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 ~name:"h" in
+  let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   let tagged = ref None in
   let wire =
-    Fabric.Link.create ~engine ~name:"w" ~gbps:10.0 ~latency:Simtime.span_zero
+    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p -> tagged := Packet.vlan_of p)
       ()
   in

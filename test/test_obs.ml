@@ -1109,6 +1109,28 @@ let test_labeled_escaping_and_reopen () =
        false
      with Invalid_argument _ -> true)
 
+(* Series names carry whatever a render returns; the JSON dump must
+   still read back to exactly those names, UTF-8 and control bytes
+   included. *)
+let test_metrics_json_escapes_names () =
+  let registry = Metrics.create () in
+  let series base render =
+    let fam =
+      Metrics.counter_family ~registry ~label:"tenant" ~render:(fun _ -> render) base
+    in
+    Metrics.incr (Metrics.labeled_counter fam 0)
+  in
+  series "x.tx" "caf\xc3\xa9";
+  series "x.rx" "a\001b";
+  let names = [ "x.rx{tenant=\"a\001b\"}"; "x.tx{tenant=\"caf\xc3\xa9\"}" ] in
+  Alcotest.(check (list string))
+    "registered names" names
+    (List.map fst (Metrics.snapshot ~registry ()));
+  match Trace.parse_flat (Metrics.to_json (Metrics.snapshot ~registry ())) with
+  | Some fields ->
+      Alcotest.(check (list string)) "names read back" names (List.map fst fields)
+  | None -> Alcotest.fail "metrics dump is not a flat JSON object"
+
 (* --- SLO scoreboard --- *)
 
 let test_slo_scoreboard_and_breach () =
@@ -1193,5 +1215,6 @@ let suite =
     t "flight crash dump deterministic" test_flight_crash_dump_deterministic;
     t "labeled cardinality bound" test_labeled_cardinality_bound;
     t "labeled escaping and reopen" test_labeled_escaping_and_reopen;
+    t "metrics json escapes names" test_metrics_json_escapes_names;
     t "slo scoreboard and breach" test_slo_scoreboard_and_breach;
   ]

@@ -483,6 +483,37 @@ let test_shape_closed_loop_latency () =
   checkb "sr-iov lower latency" true (vf < vif);
   checkb "meaningfully lower" true (vif /. vf > 1.5)
 
+(* --- Benchmark meter --- *)
+
+(* Every allocation budget rests on [minor_words_per_op] pricing
+   exactly one op: a 2-word [ref] per op must read 2 words whatever
+   the op count, and an allocation-free loop must read under the zero
+   bar. *)
+let test_bench_measure_prices_one_op () =
+  List.iter
+    (fun ops ->
+      let measure name f =
+        (Experiments.Bench_scenarios.measure ~smoke:true ~unit_:"op" ~ops name f)
+          .Experiments.Bench_scenarios.minor_words_per_op
+      in
+      let one_ref =
+        measure "one-ref" (fun () ->
+            for i = 1 to ops do
+              ignore (Sys.opaque_identity (ref i))
+            done)
+      in
+      let free =
+        measure "free" (fun () ->
+            for i = 1 to ops do
+              ignore (Sys.opaque_identity i)
+            done)
+      in
+      Alcotest.(check (float 0.05))
+        (Printf.sprintf "one ref per op at %d ops" ops)
+        2.0 one_ref;
+      checkb (Printf.sprintf "no allocation at %d ops" ops) true (free < 0.05))
+    [ 1_000; 50_000 ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -505,4 +536,5 @@ let suite =
     t "shape: burst tps ratio" test_shape_burst_tps_ratio;
     t "shape: tunneling capped" test_shape_tunneling_capped;
     t "shape: closed-loop latency" test_shape_closed_loop_latency;
+    t "bench measure prices one op" test_bench_measure_prices_one_op;
   ]
