@@ -1,5 +1,5 @@
 (* check_metrics_doc: fails when docs/METRICS.md drifts from the
-   metrics registry.
+   metrics registry, in either direction.
 
    The binary links every simulator library with -linkall, so each
    module-initialisation metric registration has run by the time main
@@ -7,7 +7,9 @@
    registered instrument name (labeled series collapse to their base
    name) and every declared labeled family must be mentioned in
    docs/METRICS.md — a new counter without documentation fails the
-   build.
+   build. Conversely, every metrics-table row whose Kind is counter,
+   gauge or summary must name a registered instrument or family — a
+   row left behind by a deleted metric fails the build too.
 
    Run from the `metrics-doc` dune alias, part of tier-1 runtest. *)
 
@@ -47,6 +49,22 @@ let dynamic_name name =
   in
   prefixed "tenant."
 
+(* The names of the metrics-table rows: [| `name` | kind | ...] lines
+   whose kind cell starts with counter, gauge or summary. *)
+let documented_rows doc =
+  String.split_on_char '\n' doc
+  |> List.filter_map (fun line ->
+         match List.map String.trim (String.split_on_char '|' line) with
+         | "" :: name :: kind :: _
+           when String.length name > 2
+                && name.[0] = '`'
+                && name.[String.length name - 1] = '`'
+                && List.exists
+                     (fun prefix -> String.starts_with ~prefix kind)
+                     [ "counter"; "gauge"; "summary" ] ->
+             Some (String.sub name 1 (String.length name - 2))
+         | _ -> None)
+
 let () =
   if Array.length Sys.argv <> 2 then begin
     prerr_endline "usage: check_metrics_doc docs/METRICS.md";
@@ -70,14 +88,15 @@ let () =
     exit 2
   end;
   let missing = List.filter (fun n -> not (contains_word doc n)) names in
-  match missing with
-  | [] -> ()
-  | ms ->
-      List.iter
-        (fun n ->
-          Printf.eprintf
-            "check_metrics_doc: metric %S is registered at runtime but not \
-             documented in docs/METRICS.md\n"
-            n)
-        ms;
-      exit 1
+  List.iter
+    (Printf.eprintf
+       "check_metrics_doc: metric %S is registered at runtime but not \
+        documented in docs/METRICS.md\n")
+    missing;
+  let stale = List.filter (fun n -> not (List.mem n names)) (documented_rows doc) in
+  List.iter
+    (Printf.eprintf
+       "check_metrics_doc: docs/METRICS.md documents metric %S, which \
+        nothing registers\n")
+    stale;
+  if missing <> [] || stale <> [] then exit 1

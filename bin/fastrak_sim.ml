@@ -50,7 +50,7 @@ let dcscale_racks = ref 16
 let fabric_chaos_racks = ref Experiments.Fabric_chaos.default_config.racks
 let soak_config = ref Experiments.Soak.default_config
 
-let run_one = function
+let run_one ?faults = function
   | "fig3" ->
       Experiments.Microbench.print_points ~title:"Figure 3 (measured)"
         (Experiments.Microbench.run_fig3 ())
@@ -78,7 +78,9 @@ let run_one = function
       Experiments.Paper_ref.print_table4 ();
       Experiments.Fastrak_eval.print (Experiments.Fastrak_eval.run ())
   | "fig12" -> Experiments.Migration_tcp.print (Experiments.Migration_tcp.run ())
-  | "chaos" -> Experiments.Chaos_eval.print (Experiments.Chaos_eval.run ())
+  | "chaos" ->
+      Experiments.Chaos_eval.print
+        (Experiments.Chaos_eval.run ?schedule:faults ())
   | "dcscale" ->
       let config =
         { Experiments.Dcscale.default_config with racks = !dcscale_racks }
@@ -102,7 +104,7 @@ let run_one = function
         }
       in
       Experiments.Fabric_chaos.print
-        (Experiments.Fabric_chaos.run ~config ())
+        (Experiments.Fabric_chaos.run ?schedule:faults ~config ())
   | "ablation" ->
       Experiments.Ablation.print_scoring (Experiments.Ablation.run_scoring ());
       Experiments.Ablation.print_tcam
@@ -355,16 +357,11 @@ let run_cmd =
                   Vswitch.Flow_cache.exact_capacity = n;
                   megaflow_capacity = Stdlib.max 16 (n / 4);
                 });
-          (match faults with
-          | None -> ()
-          | Some spec -> (
-              match Faults.Schedule.profile spec with
-              | Ok _ ->
-                  Experiments.Chaos_eval.schedule_spec := spec;
-                  Experiments.Fabric_chaos.schedule_spec := spec
-              | Error msg ->
-                  Printf.eprintf "fastrak_sim: --faults: %s\n" msg;
-                  Stdlib.exit 1));
+          (match Option.map Faults.Schedule.profile faults with
+          | None | Some (Ok _) -> ()
+          | Some (Error msg) ->
+              Printf.eprintf "fastrak_sim: --faults: %s\n" msg;
+              Stdlib.exit 1);
           let open_out_or_die file =
             try open_out file
             with Sys_error msg ->
@@ -420,7 +417,8 @@ let run_cmd =
              List.iter
                (fun id ->
                  Obs.Slo.reset ();
-                 Experiments.Metric_snapshot.record ~id (fun () -> run_one id);
+                 Experiments.Metric_snapshot.record ~id (fun () ->
+                     run_one ?faults id);
                  if tenant_report then begin
                    print_newline ();
                    print_string (Obs.Slo.report ());

@@ -4,9 +4,11 @@
     flow statistics (a Python script against the OVS datapath in the
     paper's prototype, §5.2) and ships demand reports to the TOR
     controller each control interval. Its decision engine applies the
-    TOR controller's directives: programming flow placers of co-located
-    VMs through the OpenFlow interface and re-adjusting the FPS rate
-    limit split on each VM's VIF/VF interface pair. *)
+    TOR controller's directives, which arrive sequenced over a
+    latency-bearing {!Fabric.Channel}: programming flow placers of
+    co-located VMs ({!Host.Bonding}, the paper's OpenFlow interface)
+    and re-adjusting the FPS rate limit split on each VM's VIF/VF
+    interface pair. *)
 
 (** A TOR controller decision concerning one aggregate of one resident
     VM, delivered over the directive channel. *)

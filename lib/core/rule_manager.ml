@@ -85,20 +85,20 @@ let create ~engine ~config ~tor ~servers ?tenant_priority ?group_of ?faults () =
            controller. *)
         let uplink_name = name ^ ".uplink" in
         let uplink_channel =
-          Openflow.Channel.create ~name:uplink_name
-            ?faults:(injector uplink_name) ~engine
+          Fabric.Channel.create ~name:uplink_name
+            ?faults:(injector uplink_name) ~src:engine ~dst:engine
             ~latency:config.Config.controller_latency
             ~handler:(fun u -> Tor_controller.receive_uplink tor_ctrl u)
             ()
         in
         Local_controller.set_uplink local (fun u ->
-            Openflow.Channel.send uplink_channel u);
+            Fabric.Channel.send uplink_channel u);
         (* Downlink: sequenced offload/demote directives to the local
            controller. *)
         let directive_name = name ^ ".directive" in
         let directive_channel =
-          Openflow.Channel.create ~name:directive_name
-            ?faults:(injector directive_name) ~engine
+          Fabric.Channel.create ~name:directive_name
+            ?faults:(injector directive_name) ~src:engine ~dst:engine
             ~latency:config.Config.controller_latency
             ~handler:(fun d -> Local_controller.handle_sequenced local d)
             ()
@@ -116,6 +116,37 @@ let start t =
 let tor_controller t = t.tor_ctrl
 let local_controller t ~server = List.assoc_opt server t.locals
 let offloaded_count t = Tor_controller.offloaded_count t.tor_ctrl
+
+let server_offloaded_patterns t =
+  List.concat_map
+    (fun (_, local) -> Local_controller.offloaded_patterns local)
+    t.locals
+
+let views_reconciled t =
+  let tor_view = Tor_controller.offloaded_patterns t.tor_ctrl in
+  let server_view = server_offloaded_patterns t in
+  let subset xs ys =
+    List.for_all (fun x -> List.exists (Netcore.Fkey.Pattern.equal x) ys) xs
+  in
+  subset tor_view server_view && subset server_view tor_view
+
+let settle ts ~advance =
+  (* One directive's full retry schedule, in 1 ms steps: the ack
+     timeout doubles over [directive_attempts] transmissions. *)
+  let steps t =
+    Dcsim.Simtime.span_to_ns t.config.Config.directive_timeout
+    * ((1 lsl t.config.Config.directive_attempts) - 1)
+    / 1_000_000
+  in
+  let cap = List.fold_left (fun acc t -> max acc (steps t)) 0 ts in
+  let in_flight t = Tor_controller.unacked_directives t.tor_ctrl > 0 in
+  let rec wait n =
+    if n < cap && List.exists in_flight ts then begin
+      advance (Dcsim.Simtime.span_ms 1.0);
+      wait (n + 1)
+    end
+  in
+  wait 0
 
 (* --- Two-phase VM migration ---
 

@@ -52,6 +52,22 @@ val offloaded_count : t -> int
 (** Number of aggregates currently offloaded rack-wide (the TOR
     controller's count). *)
 
+val server_offloaded_patterns : t -> Netcore.Fkey.Pattern.t list
+(** The server-side view: every pattern the rack's local controllers
+    hold offloaded, concatenated in server order. *)
+
+val views_reconciled : t -> bool
+(** The TOR controller's offloaded patterns equal, as a set,
+    {!server_offloaded_patterns}. While a directive is in flight this
+    can read a transient disagreement; {!settle} first. *)
+
+val settle : t list -> advance:(Dcsim.Simtime.span -> unit) -> unit
+(** While any rule manager has an unacked directive
+    ({!Tor_controller.unacked_directives}), run the simulation 1 ms
+    further by calling [advance] with that step. Gives up after one
+    directive's full retry schedule, [directive_timeout] x
+    (2^[directive_attempts] - 1) (775 ms at {!Config.default}). *)
+
 (** {1 Two-phase VM migration}
 
     Migration is prepare/commit with an explicit abort path. Prepare

@@ -43,7 +43,7 @@ type unreconciled = {
 
 type peer = {
   peer_name : string;
-  chan : Local_controller.sequenced Openflow.Channel.t;
+  chan : Local_controller.sequenced Fabric.Channel.t;
   p_pending : (int, pending) Hashtbl.t;  (* seq -> awaiting ack *)
   mutable alive : bool;
   mutable consecutive_failures : int;
@@ -313,7 +313,7 @@ let grace_before_vrf_removal t =
     (Simtime.span_ms 10.0)
 
 let transmit peer ~seq directive =
-  Openflow.Channel.send peer.chan { Local_controller.seq; directive }
+  Fabric.Channel.send peer.chan { Local_controller.seq; directive }
 
 (* --- Acknowledged directive delivery ---
 

@@ -31,9 +31,11 @@ val create :
 val register_local :
   t ->
   name:string ->
-  directive_channel:Local_controller.sequenced Openflow.Channel.t ->
+  directive_channel:Local_controller.sequenced Fabric.Channel.t ->
   unit
-(** Wire the downlink to a local controller. Directives sent on it are
+(** Wire the downlink to a local controller: a one-engine
+    {!Fabric.Channel} whose handler is
+    {!Local_controller.handle_sequenced}. Directives sent on it are
     sequence-numbered and retransmitted with exponential backoff until
     acked (or {!Config.t.directive_attempts} transmissions fail). The
     uplink is the channel the rule manager creates whose handler is

@@ -24,23 +24,12 @@ let offload_scp_flows (setup : Memcached_eval.setup) =
           Fkey.Pattern.src_port = Some 46000;
         }
       in
-      let policy = Vswitch.Ovs.vif_policy a.vif in
-      let destinations =
-        Array.to_list tb.Testbed.servers
-        |> List.concat_map Host.Server.vms
-        |> List.filter_map (fun (p : Host.Server.attached) ->
-               let ip = Host.Vm.ip p.vm in
-               if Netcore.Ipv4.equal ip (Host.Vm.ip a.vm) then None else Some ip)
-      in
-      match Rules.Rule_compiler.compile ~policy ~selection:pattern ~destinations with
-      | Error _ -> ()
-      | Ok compiled -> (
-          match Tor.Vrf.install (Tor.Tor_switch.vrf tb.Testbed.tor tenant) compiled with
-          | Ok _ ->
-              ignore
-                (Host.Bonding.install_rule a.bonding ~pattern ~priority:5
-                   Host.Bonding.Vf)
-          | Error (`Tcam_full | `Install_fault) -> ()))
+      ignore
+        (Testbed.pin tb.Testbed.tor a ~selection:pattern
+           ~destinations:(Testbed.peer_ips tb a));
+      ignore
+        (Host.Bonding.install_rule a.bonding ~pattern ~priority:5
+           Host.Bonding.Vf))
     setup.Memcached_eval.mem_vms
 
 let run_scoring () =

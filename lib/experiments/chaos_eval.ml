@@ -1,8 +1,6 @@
 module Simtime = Dcsim.Simtime
 module Fkey = Netcore.Fkey
 
-let schedule_spec = ref "lossy"
-
 type result = {
   schedule : string;
   run_seconds : float;
@@ -23,18 +21,7 @@ type result = {
       (* directive send->ack round trip under this fault profile, µs *)
 }
 
-let counter name =
-  match Obs.Metrics.find name with
-  | Some (Obs.Metrics.Counter_v n) -> n
-  | _ -> 0
-
-let pattern_set_equal a b =
-  let subset xs ys =
-    List.for_all (fun x -> List.exists (Fkey.Pattern.equal x) ys) xs
-  in
-  subset a b && subset b a
-
-let run ?(schedule = !schedule_spec) ?(seconds = 4.0) ?(drain = 3.0) () =
+let run ?(schedule = "lossy") ?(seconds = 4.0) ?(drain = 3.0) () =
   let sched =
     match Faults.Schedule.profile schedule with
     | Ok s -> s
@@ -76,15 +63,7 @@ let run ?(schedule = !schedule_spec) ?(seconds = 4.0) ?(drain = 3.0) () =
       ~servers:(Array.to_list tb.Testbed.servers)
       ~faults:sched ()
   in
-  let before = Obs.Metrics.snapshot () in
-  let value name =
-    let b =
-      match List.assoc_opt name before with
-      | Some (Obs.Metrics.Counter_v n) -> n
-      | _ -> 0
-    in
-    counter name - b
-  in
+  let value = Metric_snapshot.counter_delta ~before:(Obs.Metrics.snapshot ()) in
   (* Directive RTT percentiles come from Obs.Timeseries: restart the
      estimators so this run's quantiles reflect only this fault profile,
      and collect even when the CLI did not ask for --timeseries-out. *)
@@ -98,39 +77,29 @@ let run ?(schedule = !schedule_spec) ?(seconds = 4.0) ?(drain = 3.0) () =
      demotes replay on subsequent report contacts. *)
   Workloads.Transactions.Client.stop client;
   Testbed.run_for tb ~seconds:drain;
+  Fastrak.Rule_manager.settle [ rm ] ~advance:(fun step ->
+      Testbed.run_for tb ~seconds:(Simtime.span_to_sec step));
   let rtt =
     Obs.Timeseries.quantiles (Obs.Timeseries.series "fastrak.directive_rtt_us")
   in
   if not ts_was_on then Obs.Timeseries.disable ();
   let tor_ctrl = Fastrak.Rule_manager.tor_controller rm in
-  let tor_offloaded = Fastrak.Tor_controller.offloaded_patterns tor_ctrl in
-  let local_offloaded =
-    List.concat_map
-      (fun server ->
-        match
-          Fastrak.Rule_manager.local_controller rm
-            ~server:(Host.Server.name server)
-        with
-        | Some local -> Fastrak.Local_controller.offloaded_patterns local
-        | None -> [])
-      (Array.to_list tb.Testbed.servers)
-  in
   {
     schedule = Faults.Schedule.to_string sched;
     run_seconds = seconds;
     drain_seconds = drain;
-    drops = value "openflow.channel.drops";
-    dups = value "openflow.channel.dups";
-    reorders = value "openflow.channel.reorders";
+    drops = value "fabric.channel.drops";
+    dups = value "fabric.channel.dups";
+    reorders = value "fabric.channel.reorders";
     retries = value "fastrak.directive_retries";
     failures = value "fastrak.directive_failures";
     peer_deaths = value "fastrak.peer_deaths";
     promotions = value "fastrak.promotions";
     demotions = value "fastrak.demotions";
-    tor_offloaded;
-    local_offloaded;
+    tor_offloaded = Fastrak.Tor_controller.offloaded_patterns tor_ctrl;
+    local_offloaded = Fastrak.Rule_manager.server_offloaded_patterns rm;
     unacked = Fastrak.Tor_controller.unacked_directives tor_ctrl;
-    reconciled = pattern_set_equal tor_offloaded local_offloaded;
+    reconciled = Fastrak.Rule_manager.views_reconciled rm;
     rtt;
   }
 

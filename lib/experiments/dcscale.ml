@@ -64,53 +64,47 @@ type result = {
   events_per_sec : float;
 }
 
-(* Statically pin the a -> b direction of an express lane: GRE tunnel
-   mapping in a's policy, the compiled most-specific rule in both the
-   source ToR VRF (transmit: classify + tunnel_for) and the destination
-   ToR VRF (receive: handle_gre_rx classifies again), the flow-placer
-   rule steering a's traffic for b onto the VF, and b's address on the
-   destination ToR pointed at the SR-IOV port. *)
-let pin_direction ~src_tb ~dst_tb (a : Host.Server.attached)
-    (b : Host.Server.attached) =
+(* The selection a's traffic for b rides the lane under. *)
+let lane_selection (a : Host.Server.attached) (b : Host.Server.attached) =
+  {
+    (Fkey.Pattern.from_vm (Host.Vm.ip a.vm) (Host.Vm.tenant a.vm)) with
+    Fkey.Pattern.dst_ip = Some (Host.Vm.ip b.vm);
+  }
+
+let pin_receive ~dst_tb (a : Host.Server.attached) (b : Host.Server.attached) =
   let tenant = Host.Vm.tenant a.vm in
-  let ip_a = Host.Vm.ip a.vm and ip_b = Host.Vm.ip b.vm in
+  let ip_b = Host.Vm.ip b.vm in
   let dst_server =
     match Testbed.server_of_vm dst_tb ip_b with
     | Some s -> s
-    | None -> invalid_arg "Dcscale.pin_direction: destination VM not placed"
+    | None -> invalid_arg "Dcscale.pin_receive: destination VM not placed"
   in
-  let policy = Vswitch.Ovs.vif_policy a.vif in
-  Rules.Policy.install_tunnel policy
+  Rules.Policy.install_tunnel
+    (Vswitch.Ovs.vif_policy a.vif)
     (Rules.Tunnel_rule.make ~tenant ~vm_ip:ip_b
        {
          Rules.Tunnel_rule.server_ip = Host.Server.ip dst_server;
          tor_ip = Tor.Tor_switch.ip dst_tb.Testbed.tor;
        });
-  let selection =
-    { (Fkey.Pattern.from_vm ip_a tenant) with Fkey.Pattern.dst_ip = Some ip_b }
+  let pin =
+    Testbed.pin dst_tb.Testbed.tor a ~selection:(lane_selection a b)
+      ~destinations:[ ip_b ]
   in
-  (match
-     Rules.Rule_compiler.compile ~policy ~selection ~destinations:[ ip_b ]
-   with
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Dcscale.pin_direction: %a" Rules.Rule_compiler.pp_error
-           e)
-  | Ok compiled ->
-      let install tor =
-        let vrf = Tor.Tor_switch.vrf tor tenant in
-        match Tor.Vrf.install vrf compiled with
-        | Ok _ -> ()
-        | Error (`Tcam_full | `Install_fault) ->
-            invalid_arg "Dcscale.pin_direction: TCAM full"
-      in
-      install src_tb.Testbed.tor;
-      if dst_tb.Testbed.tor != src_tb.Testbed.tor then install dst_tb.Testbed.tor);
+  Tor.Tor_switch.register_vm dst_tb.Testbed.tor ~tenant ~vm_ip:ip_b
+    ~server_ip:(Host.Server.ip dst_server) ~port:`Sriov ();
+  pin
+
+let pin_direction ~src_tb ~dst_tb (a : Host.Server.attached)
+    (b : Host.Server.attached) =
+  ignore (pin_receive ~dst_tb a b);
+  let selection = lane_selection a b in
+  if src_tb.Testbed.tor != dst_tb.Testbed.tor then
+    ignore
+      (Testbed.pin src_tb.Testbed.tor a ~selection
+         ~destinations:[ Host.Vm.ip b.vm ]);
   ignore
     (Host.Bonding.install_rule a.bonding ~pattern:selection ~priority:2
-       Host.Bonding.Vf);
-  Tor.Tor_switch.register_vm dst_tb.Testbed.tor ~tenant ~vm_ip:ip_b
-    ~server_ip:(Host.Server.ip dst_server) ~port:`Sriov ()
+       Host.Bonding.Vf)
 
 let run ?(config = default_config) () =
   let cfg = config in

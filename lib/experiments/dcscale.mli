@@ -55,6 +55,18 @@ type result = {
   events_per_sec : float;  (** [events / cpu_s]. *)
 }
 
+val pin_receive :
+  dst_tb:Testbed.t ->
+  Host.Server.attached ->
+  Host.Server.attached ->
+  Tor.Vrf.t * Rules.Rule_compiler.compiled * Tor.Vrf.handle
+(** The receive half of the a -> b direction of an express lane: the
+    GRE tunnel mapping for b in a's policy, a {!Testbed.pin} of a's
+    traffic for b in [dst_tb]'s ToR, and b's address on that ToR
+    pointed at the SR-IOV port. Returns the pin.
+    @raise Invalid_argument if b is not placed in [dst_tb] or the pin
+    fails. *)
+
 val pin_direction :
   src_tb:Testbed.t ->
   dst_tb:Testbed.t ->
@@ -62,13 +74,12 @@ val pin_direction :
   Host.Server.attached ->
   unit
 (** Statically pin the a -> b direction of a cross-rack express lane:
-    GRE tunnel mapping in a's policy, the compiled most-specific rule
-    in both ToR VRFs, the flow-placer rule steering a's traffic for b
-    onto the VF, and b's address on the destination ToR pointed at the
-    SR-IOV port. Shared with {!Soak}, which pins the same lanes under
-    production-shaped load.
-    @raise Invalid_argument if b is not placed in [dst_tb] or a TCAM
-    fills. *)
+    {!pin_receive}, the same pin in the source ToR's VRF, and the
+    flow-placer rule steering a's traffic for b onto the VF. Shared
+    with {!Soak}, which pins the same lanes under production-shaped
+    load.
+    @raise Invalid_argument if b is not placed in [dst_tb] or a pin
+    fails. *)
 
 val run : ?config:config -> unit -> result
 (** Build the datacenter and run it for [duration] simulated seconds.

@@ -3,10 +3,7 @@ module Simtime = Dcsim.Simtime
 module Cluster = Dcsim.Cluster
 module Channel = Fabric.Channel
 module Core_switch = Fabric.Core_switch
-module Fkey = Netcore.Fkey
 module Stream = Workloads.Stream
-
-let schedule_spec = ref "fabric"
 
 type config = {
   racks : int;
@@ -48,10 +45,10 @@ type rack = {
 }
 
 (* A statically provisioned receive-side VRF permit (the destination
-   ToR's half of an express lane). It is not TOR-controller intent, so
-   the anti-entropy audit never touches it; the experiment plays the
-   provisioning system instead and re-installs it if a TCAM soft error
-   evicts it. *)
+   ToR's half of an express lane, [Dcscale.pin_receive]). It is not
+   TOR-controller intent, so the anti-entropy audit never touches it;
+   the experiment plays the provisioning system instead and re-installs
+   it if a TCAM soft error evicts it. *)
 and static_pin = {
   sp_vrf : Tor.Vrf.t;
   sp_compiled : Rules.Rule_compiler.compiled;
@@ -93,66 +90,6 @@ type result = {
   reconciled : bool;
 }
 
-(* Provision the receive side of the a -> b express direction: the GRE
-   tunnel mapping in a's policy (also used by the software/VXLAN
-   fallback), the compiled permit in b's ToR VRF so handle_gre_rx
-   accepts a's hardware-path packets, and b's address on its ToR
-   pointed at the SR-IOV port. The transmit side is deliberately NOT
-   pinned — promoting a's flows onto the lane (and demoting them off a
-   dead one) is the TOR controller's job. *)
-let provision_receive ~src_tb:_ ~dst_tb ~statics (a : Host.Server.attached)
-    (b : Host.Server.attached) =
-  let tenant = Host.Vm.tenant a.vm in
-  let ip_a = Host.Vm.ip a.vm and ip_b = Host.Vm.ip b.vm in
-  let dst_server =
-    match Testbed.server_of_vm dst_tb ip_b with
-    | Some s -> s
-    | None -> invalid_arg "Fabric_chaos.provision_receive: VM not placed"
-  in
-  let policy = Vswitch.Ovs.vif_policy a.vif in
-  Rules.Policy.install_tunnel policy
-    (Rules.Tunnel_rule.make ~tenant ~vm_ip:ip_b
-       {
-         Rules.Tunnel_rule.server_ip = Host.Server.ip dst_server;
-         tor_ip = Tor.Tor_switch.ip dst_tb.Testbed.tor;
-       });
-  let selection =
-    { (Fkey.Pattern.from_vm ip_a tenant) with Fkey.Pattern.dst_ip = Some ip_b }
-  in
-  (match
-     Rules.Rule_compiler.compile ~policy ~selection ~destinations:[ ip_b ]
-   with
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Fabric_chaos.provision_receive: %a"
-           Rules.Rule_compiler.pp_error e)
-  | Ok compiled -> (
-      let vrf = Tor.Tor_switch.vrf dst_tb.Testbed.tor tenant in
-      match Tor.Vrf.install vrf compiled with
-      | Ok h ->
-          statics := { sp_vrf = vrf; sp_compiled = compiled; sp_handle = h } :: !statics
-      | Error (`Tcam_full | `Install_fault) ->
-          invalid_arg "Fabric_chaos.provision_receive: install refused"));
-  Tor.Tor_switch.register_vm dst_tb.Testbed.tor ~tenant ~vm_ip:ip_b
-    ~server_ip:(Host.Server.ip dst_server) ~port:`Sriov ()
-
-let pattern_set_equal a b =
-  let subset xs ys =
-    List.for_all (fun x -> List.exists (Fkey.Pattern.equal x) ys) xs
-  in
-  subset a b && subset b a
-
-let counter_delta before name =
-  let value snap =
-    match List.assoc_opt name snap with
-    | Some (Obs.Metrics.Counter_v n) -> n
-    | _ -> 0
-  in
-  (match Obs.Metrics.find name with
-  | Some (Obs.Metrics.Counter_v n) -> n
-  | _ -> 0)
-  - value before
-
 let summary_delta before name =
   let read = function
     | Some (Obs.Metrics.Summary_v { count; sum; _ }) -> (count, sum)
@@ -163,21 +100,21 @@ let summary_delta before name =
   let dc = c1 - c0 in
   (dc, if dc > 0 then (s1 -. s0) /. float_of_int dc else 0.0)
 
-let run ?(config = default_config) () =
+let run ?(schedule = "fabric") ?(config = default_config) () =
   let cfg = config in
   if cfg.racks < 2 || cfg.racks > 84 then
     invalid_arg "Fabric_chaos.run: racks must be in 2..84";
   if cfg.servers_per_rack < 1 then
     invalid_arg "Fabric_chaos.run: need at least one server per rack";
   let sched =
-    match Faults.Schedule.profile !schedule_spec with
+    match Faults.Schedule.profile schedule with
     | Ok s -> s
     | Error msg -> invalid_arg ("fabric-chaos: bad fault schedule: " ^ msg)
   in
   (* The schedule's channel dimensions hit the express uplinks only;
      its TCAM dimensions go to each rack's rule manager. The control
-     channels and the VXLAN fallback uplink stay reliable — this PR's
-     failure domain is the data-plane express path. *)
+     channels and the VXLAN fallback uplink stay reliable — the
+     failure domain under test is the data-plane express path. *)
   let tcam_sched =
     {
       Faults.Schedule.none with
@@ -241,14 +178,19 @@ let run ?(config = default_config) () =
   Multirack.connect_peers mr
     (Array.map (fun rk -> (rk.tb, rk.express_up)) racks);
   (* Receive-side provisioning for both directions of each lane (data
-     r -> r+1, acks r+1 -> r), before any install-fault hook arms. *)
+     r -> r+1, acks r+1 -> r), before any install-fault hook arms. The
+     transmit side is deliberately NOT pinned: promoting the sender's
+     flows onto the lane (and demoting them off a dead one) is the TOR
+     controller's job. *)
+  let pin_receive dst a b =
+    let sp_vrf, sp_compiled, sp_handle = Dcscale.pin_receive ~dst_tb:dst.tb a b in
+    dst.statics := { sp_vrf; sp_compiled; sp_handle } :: !(dst.statics)
+  in
   Array.iteri
     (fun r src ->
       let dst = racks.((r + 1) mod cfg.racks) in
-      provision_receive ~src_tb:src.tb ~dst_tb:dst.tb ~statics:dst.statics
-        src.xs dst.xr;
-      provision_receive ~src_tb:dst.tb ~dst_tb:src.tb ~statics:src.statics
-        dst.xr src.xs)
+      pin_receive dst src.xs dst.xr;
+      pin_receive src dst.xr src.xs)
     racks;
   (* Control plane per rack; the TCAM failure modes arm here. *)
   Array.iter
@@ -379,31 +321,17 @@ let run ?(config = default_config) () =
   | _ -> ());
   Cluster.run ~until:(Simtime.of_sec cfg.duration) cluster;
   (* Quiesce and drain: stop the offered load, let retries and grace
-     windows expire, then check that every rack's two rule views
-     agree — the recovery machinery must leave no divergence behind. *)
+     windows expire, let any directive still in flight at the horizon
+     land, then check that every rack's two rule views agree — the
+     recovery machinery must leave no divergence behind. *)
   Array.iter Stream.stop streams;
-  Cluster.run ~until:(Simtime.of_sec (cfg.duration +. cfg.drain)) cluster;
-  let reconciled =
-    Array.for_all
-      (fun rk ->
-        let tor_view =
-          Fastrak.Tor_controller.offloaded_patterns
-            (Fastrak.Rule_manager.tor_controller (rm rk))
-        in
-        let local_view =
-          List.concat_map
-            (fun server ->
-              match
-                Fastrak.Rule_manager.local_controller (rm rk)
-                  ~server:(Host.Server.name server)
-              with
-              | Some local -> Fastrak.Local_controller.offloaded_patterns local
-              | None -> [])
-            (Array.to_list rk.tb.Testbed.servers)
-        in
-        pattern_set_equal tor_view local_view)
-      racks
-  in
+  let horizon = ref (Simtime.of_sec (cfg.duration +. cfg.drain)) in
+  Cluster.run ~until:!horizon cluster;
+  let rms = Array.to_list (Array.map rm racks) in
+  Fastrak.Rule_manager.settle rms ~advance:(fun step ->
+      horizon := Simtime.add !horizon step;
+      Cluster.run ~until:!horizon cluster);
+  let reconciled = List.for_all Fastrak.Rule_manager.views_reconciled rms in
   let lanes_total = List.length !lane_names in
   let lanes_up_at_end =
     List.fold_left
@@ -426,6 +354,7 @@ let run ?(config = default_config) () =
         else if Fastrak.Local_controller.crashed lc then "still-down"
         else "recovered"
   in
+  let moved = Metric_snapshot.counter_delta ~before in
   let sum f = Array.fold_left (fun acc rk -> acc + f rk) 0 racks in
   let recovery_count, recovery_mean_s =
     summary_delta before "fastrak.recovery_time"
@@ -436,20 +365,20 @@ let run ?(config = default_config) () =
     express_sent = Array.fold_left (fun a s -> a + Stream.bytes_sent s) 0 streams;
     express_acked =
       Array.fold_left (fun a s -> a + Stream.bytes_acked s) 0 streams;
-    lane_downs = counter_delta before "fastrak.failover.lane_down";
-    lane_ups = counter_delta before "fastrak.failover.lane_up";
-    failover_demotions = counter_delta before "fastrak.failover.demotions";
-    repromotions = counter_delta before "fastrak.failover.repromotions";
+    lane_downs = moved "fastrak.failover.lane_down";
+    lane_ups = moved "fastrak.failover.lane_up";
+    failover_demotions = moved "fastrak.failover.demotions";
+    repromotions = moved "fastrak.failover.repromotions";
     recovery_count;
     recovery_mean_s;
-    resyncs = counter_delta before "fastrak.recovery.resyncs";
-    audit_sweeps = counter_delta before "fastrak.audit.sweeps";
-    audit_reinstalls = counter_delta before "fastrak.audit.reinstalls";
-    audit_orphans = counter_delta before "fastrak.audit.orphans_removed";
+    resyncs = moved "fastrak.recovery.resyncs";
+    audit_sweeps = moved "fastrak.audit.sweeps";
+    audit_reinstalls = moved "fastrak.audit.reinstalls";
+    audit_orphans = moved "fastrak.audit.orphans_removed";
     static_reinstalls = !static_reinstalls;
-    install_faults = counter_delta before "tor.tcam.install_faults";
-    soft_errors = counter_delta before "tor.tcam.soft_errors";
-    fabric_drops = counter_delta before "fabric.channel.drops";
+    install_faults = moved "tor.tcam.install_faults";
+    soft_errors = moved "tor.tcam.soft_errors";
+    fabric_drops = moved "fabric.channel.drops";
     core_routed = Core_switch.packets_routed mr.Multirack.core;
     core_dropped = Core_switch.packets_dropped mr.Multirack.core;
     acl_drops = sum (fun rk -> Tor.Tor_switch.acl_drops rk.tb.Testbed.tor);

@@ -34,10 +34,6 @@ val default_config : config
 (** 4 racks x 2 servers, 3 s + 1 s drain, 40 Mbit/s per lane, crash at
     2.0 s / restart at 2.3 s, seed 42. *)
 
-val schedule_spec : string ref
-(** Fault schedule spec (profile name or raw [key=value] string),
-    normally set by the CLI's [--faults]. Default ["fabric"]. *)
-
 type result = {
   cfg : config;
   schedule : string;
@@ -76,7 +72,18 @@ type result = {
           the end-of-run dump does not overwrite it. [None] without a
           dump path. *)
   reconciled : bool;
+      (** Every rack's views agree ({!Fastrak.Rule_manager.views_reconciled})
+          once the drain is over and any directive still in flight has
+          landed ({!Fastrak.Rule_manager.settle}). *)
 }
 
-val run : ?config:config -> unit -> result
+val run : ?schedule:string -> ?config:config -> unit -> result
+(** [schedule] is the fault schedule: a profile name or a raw
+    [key=value] spec ({!Faults.Schedule.profile}; the CLI's
+    [--faults]). Default ["fabric"]. Its channel dimensions hit the
+    express uplinks; its TCAM dimensions go to each rack's rule
+    manager.
+    @raise Invalid_argument on a bad schedule or a config outside the
+    address plan. *)
+
 val print : result -> unit

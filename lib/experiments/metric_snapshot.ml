@@ -11,6 +11,10 @@ let record ~id f =
 
 let all () = List.rev !recordings
 
+let counter_delta ~before name =
+  let value = function Some (Obs.Metrics.Counter_v n) -> n | _ -> 0 in
+  value (Obs.Metrics.find name) - value (List.assoc_opt name before)
+
 let write_json oc =
   output_string oc "{\n\"experiments\": {";
   List.iteri

@@ -12,6 +12,10 @@ val record : id:string -> (unit -> 'a) -> 'a
     reports them), and returns [f ()]'s result. Recordings append in
     run order. *)
 
+val counter_delta : before:(string * Obs.Metrics.value) list -> string -> int
+(** How far counter [name] has moved since the [before] snapshot
+    ({!Obs.Metrics.snapshot}); 0 for a name that is no counter. *)
+
 val write_json : out_channel -> unit
 (** Dump as [{"experiments": {id: {...}}, "total": {...}}] where each
     experiment object maps metric names to deltas and ["total"] is the

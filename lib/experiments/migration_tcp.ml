@@ -1,7 +1,6 @@
 module Engine = Dcsim.Engine
 module Simtime = Dcsim.Simtime
 module Fkey = Netcore.Fkey
-module Packet = Netcore.Packet
 
 type result = {
   fast_retransmits : int;
@@ -60,22 +59,13 @@ let run ?(migrate_at = 1.0) ?(duration = 4.0) () =
          (* Offload the forward flow: ToR rules first (make before
             break), then the placer, then drop what is still queued in
             the vswitch (§6.2.2). *)
-         let policy = Vswitch.Ovs.vif_policy sender.Host.Server.vif in
-         (match Rules.Rule_compiler.compile_flow ~policy ~flow with
-         | Error e ->
-             invalid_arg
-               (Format.asprintf "migration_tcp: %a" Rules.Rule_compiler.pp_error e)
-         | Ok compiled -> (
-             let vrf =
-               Tor.Tor_switch.vrf tb.Testbed.tor (Host.Vm.tenant sender.Host.Server.vm)
-             in
-             match Tor.Vrf.install vrf compiled with
-             | Ok _ -> ()
-             | Error (`Tcam_full | `Install_fault) ->
-                 invalid_arg "migration_tcp: TCAM full"));
+         let pattern = Fkey.Pattern.exact flow in
          ignore
-           (Host.Bonding.install_rule sender.Host.Server.bonding
-              ~pattern:(Fkey.Pattern.exact flow) ~priority:6 Host.Bonding.Vf);
+           (Testbed.pin tb.Testbed.tor sender ~selection:pattern
+              ~destinations:[ flow.Fkey.dst_ip ]);
+         ignore
+           (Host.Bonding.install_rule sender.Host.Server.bonding ~pattern
+              ~priority:6 Host.Bonding.Vf);
          Vswitch.Ovs.set_flow_blocked
            (Host.Server.ovs tb.Testbed.servers.(0))
            flow true));

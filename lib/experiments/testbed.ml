@@ -102,6 +102,12 @@ let add_vm t spec =
 let all_attached t =
   Array.to_list t.servers |> List.concat_map (fun s -> Host.Server.vms s)
 
+let peer_ips t (a : Host.Server.attached) =
+  all_attached t
+  |> List.filter_map (fun (p : Host.Server.attached) ->
+         let ip = Host.Vm.ip p.vm in
+         if Ipv4.equal ip (Host.Vm.ip a.vm) then None else Some ip)
+
 let server_of_vm t vm_ip =
   Array.to_list t.servers
   |> List.find_opt (fun s -> Host.Server.find_attached s ~vm_ip <> None)
@@ -130,30 +136,27 @@ let connect_tunnels t =
         attached)
     attached
 
+let pin tor (a : Host.Server.attached) ~selection ~destinations =
+  let policy = Vswitch.Ovs.vif_policy a.vif in
+  match Rules.Rule_compiler.compile ~policy ~selection ~destinations with
+  | Error e ->
+      invalid_arg
+        (Format.asprintf "Testbed.pin: %a" Rules.Rule_compiler.pp_error e)
+  | Ok compiled -> (
+      let vrf = Tor.Tor_switch.vrf tor (Host.Vm.tenant a.vm) in
+      match Tor.Vrf.install vrf compiled with
+      | Ok handle -> (vrf, compiled, handle)
+      | Error (`Tcam_full | `Install_fault) ->
+          invalid_arg "Testbed.pin: install refused")
+
 let force_path_vf t (a : Host.Server.attached) =
   (match a.vf with
   | None -> invalid_arg "Testbed.force_path_vf: VM has no VF"
   | Some _ -> ());
   connect_tunnels t;
-  let policy = Vswitch.Ovs.vif_policy a.vif in
   let tenant = Host.Vm.tenant a.vm in
   let pattern = Fkey.Pattern.from_vm (Host.Vm.ip a.vm) tenant in
-  let destinations =
-    all_attached t
-    |> List.filter_map (fun (p : Host.Server.attached) ->
-           let ip = Host.Vm.ip p.vm in
-           if Ipv4.equal ip (Host.Vm.ip a.vm) then None else Some ip)
-  in
-  (match Rules.Rule_compiler.compile ~policy ~selection:pattern ~destinations with
-  | Error e ->
-      invalid_arg
-        (Format.asprintf "Testbed.force_path_vf: %a" Rules.Rule_compiler.pp_error e)
-  | Ok compiled -> (
-      let vrf = Tor.Tor_switch.vrf t.tor tenant in
-      match Tor.Vrf.install vrf compiled with
-      | Ok _ -> ()
-      | Error (`Tcam_full | `Install_fault) ->
-          invalid_arg "Testbed.force_path_vf: TCAM full"));
+  ignore (pin t.tor a ~selection:pattern ~destinations:(peer_ips t a));
   ignore
     (Host.Bonding.install_rule a.bonding ~pattern ~priority:1 Host.Bonding.Vf);
   (* Plain (untunneled) packets addressed to this VM are delivered to

@@ -2,9 +2,10 @@
 
     One ToR; a configurable number of servers, each with a vswitch-owned
     port and an SR-IOV port; VMs with policies (ACLs, rate limits,
-    tunnel mappings for every peer). Helpers pin a VM's traffic to the
-    hardware path statically (for the §3/§6.1 microbenchmarks, which
-    compare fixed paths without the FasTrak controllers). *)
+    tunnel mappings for every peer). {!pin} installs static hardware
+    rules in a ToR without the FasTrak controllers; {!force_path_vf}
+    builds on it to pin a VM's traffic to the hardware path (for the
+    §3/§6.1 microbenchmarks, which compare fixed paths). *)
 
 type t = {
   engine : Dcsim.Engine.t;
@@ -59,6 +60,9 @@ val vm_spec :
 
 val add_vm : t -> vm_spec -> Host.Server.attached
 
+val peer_ips : t -> Host.Server.attached -> Netcore.Ipv4.t list
+(** The addresses of every other VM in the testbed, in server order. *)
+
 val server_of_vm : t -> Netcore.Ipv4.t -> Host.Server.t option
 (** The server hosting the VM with that address, if it was added to
     this testbed. *)
@@ -68,11 +72,24 @@ val connect_tunnels : t -> unit
     policy, for all VM pairs created so far. Call after adding VMs and
     before running tunneling configs. *)
 
+val pin :
+  Tor.Tor_switch.t ->
+  Host.Server.attached ->
+  selection:Netcore.Fkey.Pattern.t ->
+  destinations:Netcore.Ipv4.t list ->
+  Tor.Vrf.t * Rules.Rule_compiler.compiled * Tor.Vrf.handle
+(** The one static hardware pin: compile [selection] against VM [a]'s
+    policy for [destinations] and install the result in [tor]'s VRF
+    for [a]'s tenant ([tor] may be another rack's). Returns the VRF,
+    the compiled rules and the handle. Such rules are not controller
+    intent, so the TOR controller's audit never touches them.
+    @raise Invalid_argument if the policy or the TCAM refuses. *)
+
 val force_path_vf : t -> Host.Server.attached -> unit
 (** Statically pin all of this VM's outgoing traffic to the SR-IOV path:
-    flow placer rule (any -> VF) plus the compiled VRF rules at the ToR
-    for every peer destination. Used by the path-comparison
-    microbenchmarks. *)
+    flow placer rule (any -> VF) plus a {!pin} at the ToR for every
+    peer destination. Used by the path-comparison microbenchmarks.
+    @raise Invalid_argument if the VM has no VF or the pin fails. *)
 
 val run_for : t -> seconds:float -> unit
 (** Advance the simulation by [seconds] from now. *)

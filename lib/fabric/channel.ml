@@ -89,10 +89,12 @@ let send t msg =
   | Some inj -> (
       match Faults.Injector.decide inj ~now with
       | Faults.Injector.Drop ->
-          (* The packet never arrives; it does not advance the FIFO
+          (* The message never arrives; it does not advance the FIFO
              cursor either. *)
           t.dropped <- t.dropped + 1;
-          Obs.Metrics.incr m_drops
+          Obs.Metrics.incr m_drops;
+          if Obs.Trace.enabled () then
+            Obs.Trace.emit ~now (Obs.Trace.Ctrl_drop { channel = t.chan_name })
       | Faults.Injector.Deliver { extra_delay; in_order; duplicate_delay } ->
           (* Fault delays only ever ADD to the channel latency, so the
              delivery instant stays >= the registered lookahead bound. *)

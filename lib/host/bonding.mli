@@ -3,7 +3,8 @@
     The VM sees one bonded interface; underneath, the flow placer
     directs each flow out of either the software VIF or the SR-IOV VF.
     Its control plane holds wildcard rules installed by the FasTrak
-    local controller through an OpenFlow-style interface; the data
+    local controller (the paper's OpenFlow interface; here a direct
+    call, since both sit on the same server); the data
     plane is an exact-match hash table populated on first packet
     (control and data plane share the kernel context, so the first
     packet pays no meaningful extra latency). Default path: VIF. *)

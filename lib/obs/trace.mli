@@ -81,16 +81,17 @@ type event =
               re-announced here. *)
     }
       (** A freshly issued directive left the TOR controller on the
-          OpenFlow-ish channel toward [server]'s local controller. *)
+          directive channel toward [server]'s local controller. *)
   | Epoch_tick of {
       me : string;  (** Measurement-engine name, e.g. ["server0.me"]. *)
       epoch : int;
       interval : int;  (** Control intervals completed so far. *)
     }  (** A measurement engine finished one polling epoch. *)
   | Ctrl_drop of { channel : string }
-      (** The fault injector dropped a message on a control channel
+      (** A [Fabric.Channel]'s fault injector dropped a message
           (probabilistic loss, a link-down window, or a one-shot
-          trigger). *)
+          trigger) on any faulty channel, control or data plane;
+          [channel] is the channel's name. *)
   | Ctrl_retry of { server : string; seq : int; attempt : int; span : int }
       (** A directive to [server] timed out unacked and is being
           retransmitted ([attempt] counts transmissions, so the first

@@ -102,6 +102,26 @@ let test_failed_install_releases_nothing () =
   Tor.Vrf.remove vrf h;
   checki "remove idempotent" 0 (Tor.Tcam.used tcam)
 
+(* The one static hardware pin: a live VRF entry holding the compiled
+   rules, or Invalid_argument when the TCAM refuses them. *)
+let test_static_pin () =
+  let pin tb (a : Host.Server.attached) (b : Host.Server.attached) =
+    Testbed.pin tb.Testbed.tor a
+      ~selection:(Fkey.Pattern.from_vm (Host.Vm.ip a.vm) (Host.Vm.tenant a.vm))
+      ~destinations:[ Host.Vm.ip b.vm ]
+  in
+  let tb, a, b = two_vm_testbed () in
+  let vrf, compiled, h = pin tb a b in
+  checkb "installed" true (Tor.Vrf.is_live vrf h);
+  checki "entries consumed" compiled.Rules.Rule_compiler.tcam_entries
+    (Tor.Tcam.used (Tor.Tor_switch.tcam tb.Testbed.tor));
+  let tb, a, b = two_vm_testbed ~tcam_capacity:0 () in
+  checkb "refusal raises" true
+    (try
+       ignore (pin tb a b);
+       false
+     with Invalid_argument _ -> true)
+
 (* --- Anti-entropy audit --- *)
 
 let fast_config =
@@ -178,24 +198,17 @@ let test_audit_repairs_and_spares_statics () =
 
 (* --- Express-lane failover, end to end --- *)
 
-(* Run fabric-chaos on a fixed 2-rack ring under a given schedule; the
-   schedule_spec ref is restored afterwards so other tests (and the
-   CLI default) are unaffected. *)
+(* Run fabric-chaos on a fixed 2-rack ring under a given schedule. *)
 let chaos_run ~spec ?(crash = false) () =
-  let saved = !Fabric_chaos.schedule_spec in
-  Fun.protect
-    ~finally:(fun () -> Fabric_chaos.schedule_spec := saved)
-    (fun () ->
-      Fabric_chaos.schedule_spec := spec;
-      let cfg =
-        {
-          Fabric_chaos.default_config with
-          Fabric_chaos.racks = 2;
-          crash_at = (if crash then 2.0 else -1.0);
-          restart_at = 2.3;
-        }
-      in
-      Fabric_chaos.run ~config:cfg ())
+  let cfg =
+    {
+      Fabric_chaos.default_config with
+      Fabric_chaos.racks = 2;
+      crash_at = (if crash then 2.0 else -1.0);
+      restart_at = 2.3;
+    }
+  in
+  Fabric_chaos.run ~schedule:spec ~config:cfg ()
 
 (* A single clean outage window: every lane goes down exactly once and
    comes back exactly once (no flapping), every demoted aggregate is
@@ -227,6 +240,25 @@ let test_crash_restart_reconciles () =
   checkb "views reconciled" true r.Fabric_chaos.reconciled;
   checki "nothing blackholed" 0 r.Fabric_chaos.no_route_drops
 
+(* A 16-rack input whose drain horizon falls while one offload
+   directive is still unacked on its first attempt: the check must let
+   it land (1 ms later) rather than read the transient disagreement as
+   divergence. *)
+let test_reconcile_waits_for_inflight_directive () =
+  let config =
+    {
+      Fabric_chaos.default_config with
+      Fabric_chaos.racks = 16;
+      duration = 6.0;
+      drain = 1.0;
+      seed = 218041779;
+    }
+  in
+  let r = Fabric_chaos.run ~config () in
+  checkb "views reconciled" true r.Fabric_chaos.reconciled;
+  Alcotest.check Alcotest.string "crash recovered" "recovered"
+    r.Fabric_chaos.crash_outcome
+
 (* Property: under ANY random link-down window that closes before the
    load stops, the system converges — every lane heals, delivery
    resumes, the TOR-side and server-side offload views reconcile, and
@@ -257,8 +289,11 @@ let suite =
   [
     t "tcam over-release raises" test_tcam_over_release;
     t "failed install releases nothing" test_failed_install_releases_nothing;
+    t "static pin installs or raises" test_static_pin;
     t "audit repairs losses, spares statics" test_audit_repairs_and_spares_statics;
     t "lane failover with hysteresis" test_lane_failover_hysteresis;
     t "crash restart reconciles" test_crash_restart_reconciles;
+    t "reconcile waits for in-flight directive"
+      test_reconcile_waits_for_inflight_directive;
     QCheck_alcotest.to_alcotest prop_recovery_after_random_outage;
   ]

@@ -171,45 +171,80 @@ let test_injector_trigger () =
   checkb "armed 2nd" true (Injector.decide inj ~now:(Simtime.of_sec 1.2) = Injector.Drop);
   checkb "exhausted" true (Injector.decide inj ~now:(Simtime.of_sec 1.3) <> Injector.Drop)
 
-(* --- Channel unreliable mode --- *)
+(* --- Channel unreliable mode ---
 
-let lossy_channel ~schedule_spec ~seed =
+   The controllers' channels are one-engine [Fabric.Channel]s; these
+   exercise the same construction. *)
+
+let lossy_channel ?copy ~spec ~seed () =
   let engine = Engine.create ~seed () in
   let sched =
-    match Schedule.of_string schedule_spec with
+    match Schedule.of_string spec with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
   let inj = Injector.create ~schedule:sched ~rng:(Rng.create ~seed) in
   let received = ref [] in
   let chan =
-    Openflow.Channel.create ~name:"test" ~faults:inj ~engine
-      ~latency:(Simtime.span_us 200.0)
+    Fabric.Channel.create ~name:"test" ~faults:inj ?copy ~src:engine
+      ~dst:engine ~latency:(Simtime.span_us 200.0)
       ~handler:(fun m -> received := m :: !received)
       ()
   in
   (engine, chan, received)
 
-let test_channel_drops_all () =
-  let engine, chan, received = lossy_channel ~schedule_spec:"drop=1" ~seed:3 in
-  Openflow.Channel.send chan "m1";
-  Openflow.Channel.send chan "m2";
-  Engine.run engine;
-  checki "all dropped" 0 (List.length !received);
-  checki "sends counted" 2 (Openflow.Channel.messages_sent chan)
+let counter name =
+  match Obs.Metrics.find name with
+  | Some (Obs.Metrics.Counter_v n) -> n
+  | _ -> 0
 
+(* Every drop is counted and traced as [ctrl_drop] with the channel's
+   name, so the counter equals the trace's line count. *)
+let test_channel_drops_all () =
+  let engine, chan, received = lossy_channel ~spec:"drop=1" ~seed:3 () in
+  let traced = ref 0 in
+  let drops0 = counter "fabric.channel.drops" in
+  Obs.Trace.use_callback (fun _ ev ->
+      match ev with
+      | Obs.Trace.Ctrl_drop { channel = "test" } -> incr traced
+      | _ -> ());
+  Fun.protect ~finally:Obs.Trace.disable (fun () ->
+      Fabric.Channel.send chan "m1";
+      Fabric.Channel.send chan "m2";
+      Engine.run engine);
+  checki "all dropped" 0 (List.length !received);
+  checki "sends counted" 2 (Fabric.Channel.messages_sent chan);
+  checki "ctrl_drop per drop" 2 !traced;
+  checki "fabric.channel.drops" 2 (counter "fabric.channel.drops" - drops0)
+
+(* A duplicate lands at its original's jittered delivery instant plus
+   the duplicate delay, so on a fresh channel (nothing for the FIFO
+   clamp to hold the original behind) the copy never overtakes the
+   message it copies, jitter or not. *)
 let test_channel_duplicates () =
-  let engine, chan, received = lossy_channel ~schedule_spec:"dup=1" ~seed:3 in
-  Openflow.Channel.send chan "m";
+  let engine, chan, received = lossy_channel ~spec:"dup=1" ~seed:3 () in
+  Fabric.Channel.send chan "m";
   Engine.run engine;
-  checki "delivered twice" 2 (List.length !received)
+  checki "delivered twice" 2 (List.length !received);
+  for seed = 1 to 20 do
+    let engine, chan, received =
+      lossy_channel ~spec:"dup=1,jitter_us=400" ~seed
+        ~copy:(fun (m, _) -> (m, `Copy))
+        ()
+    in
+    Fabric.Channel.send chan ("m", `Original);
+    Engine.run engine;
+    match List.rev !received with
+    | [ (_, `Original); (_, `Copy) ] -> ()
+    | _ -> Alcotest.failf "seed %d: copy delivered before its original" seed
+  done
 
 let test_channel_jitter_delivers_everything () =
   let engine, chan, received =
-    lossy_channel ~schedule_spec:"reorder=0.5,jitter_us=400" ~seed:7
+    lossy_channel ~spec:"reorder=0.5,jitter_us=400" ~seed:7 ()
   in
   for i = 1 to 20 do
-    Openflow.Channel.send chan i
+    Fabric.Channel.send chan i
   done;
   Engine.run engine;
   checki "nothing lost" 20 (List.length !received)
@@ -261,11 +296,6 @@ let test_latest_seq_wins () =
   checkb "every delivery acked" true (List.rev !acks = [ 5; 3; 5; 7 ])
 
 (* --- TCAM reserve-failure counter --- *)
-
-let counter name =
-  match Obs.Metrics.find name with
-  | Some (Obs.Metrics.Counter_v n) -> n
-  | _ -> 0
 
 let test_tcam_reserve_fail_counter () =
   let before = counter "fastrak.tcam.reserve_fail" in
@@ -319,25 +349,6 @@ let faulty_testbed ?(config = fast_config) ?(tcam_capacity = 2048) ~seed ~faults
   in
   (tb, a, b, rm, client)
 
-let views_reconcile tb rm =
-  let tor_view =
-    Fastrak.Tor_controller.offloaded_patterns (Fastrak.Rule_manager.tor_controller rm)
-  in
-  let local_view =
-    List.concat_map
-      (fun server ->
-        match
-          Fastrak.Rule_manager.local_controller rm ~server:(Host.Server.name server)
-        with
-        | Some local -> Fastrak.Local_controller.offloaded_patterns local
-        | None -> [])
-      (Array.to_list tb.Experiments.Testbed.servers)
-  in
-  let subset xs ys =
-    List.for_all (fun x -> List.exists (Fkey.Pattern.equal x) ys) xs
-  in
-  subset tor_view local_view && subset local_view tor_view
-
 (* Property: after ANY random fault schedule, once the load quiesces
    the TOR-side and server-side offloaded views reconcile, nothing is
    left unacked, and TCAM occupancy never exceeded capacity. *)
@@ -377,7 +388,7 @@ let prop_reconcile_after_faults =
       if !over_capacity then QCheck.Test.fail_report "TCAM exceeded capacity";
       if unacked <> 0 then
         QCheck.Test.fail_reportf "%d directives still unacked after drain" unacked;
-      if not (views_reconcile tb rm) then
+      if not (Fastrak.Rule_manager.views_reconciled rm) then
         QCheck.Test.fail_report "TOR and server views diverged";
       true)
 
@@ -420,7 +431,7 @@ let test_dead_peer_demotes_and_revives () =
        ~server:"server0"
     = Some true);
   checkb "re-offloaded after heal" true (Fastrak.Rule_manager.offloaded_count rm > 0);
-  checkb "views reconciled" true (views_reconcile tb rm);
+  checkb "views reconciled" true (Fastrak.Rule_manager.views_reconciled rm);
   checki "nothing unacked" 0
     (Fastrak.Tor_controller.unacked_directives
        (Fastrak.Rule_manager.tor_controller rm))

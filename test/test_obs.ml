@@ -990,7 +990,6 @@ let test_flight_install_and_monitor_context () =
    crash, and the crash hook's file is not overwritten by the CLI's
    end-of-run dump to the untagged path. *)
 let test_flight_crash_dump_deterministic () =
-  let saved = !Experiments.Fabric_chaos.schedule_spec in
   let dir = Filename.temp_dir "flight" "" in
   let dump_path = Filename.concat dir "flight.jsonl" in
   let crash_path = Filename.concat dir "flight.crash.jsonl" in
@@ -1006,7 +1005,6 @@ let test_flight_crash_dump_deterministic () =
         Flight.uninstall ();
         Trace.disable ())
       (fun () ->
-        Experiments.Fabric_chaos.schedule_spec := "none";
         let cfg =
           {
             Experiments.Fabric_chaos.default_config with
@@ -1015,7 +1013,7 @@ let test_flight_crash_dump_deterministic () =
             restart_at = 2.3;
           }
         in
-        let r = Experiments.Fabric_chaos.run ~config:cfg () in
+        let r = Experiments.Fabric_chaos.run ~schedule:"none" ~config:cfg () in
         ignore (Flight.dump_installed ());
         r)
   in
@@ -1030,7 +1028,6 @@ let test_flight_crash_dump_deterministic () =
   in
   Fun.protect
     ~finally:(fun () ->
-      Experiments.Fabric_chaos.schedule_spec := saved;
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
         [ dump_path; crash_path ];
