@@ -46,6 +46,14 @@ let experiments =
        --duration, --churn-rate, --racks (default 2)" );
   ]
 
+(* [Simtime.span_sec] rounds anything under 1 ns to 0 and wraps a
+   larger-than-[Simtime.never] or non-finite float (infinity and NaN
+   become 0) instead of failing, so every float option that becomes a
+   simulated span passes [span_sec_ok] before anything runs. NaN fails
+   both comparisons. *)
+let max_simtime_sec = Dcsim.Simtime.(to_sec never)
+let span_sec_ok s = s >= 1e-9 && s < max_simtime_sec
+
 let dcscale_racks = ref 16
 let fabric_chaos_racks = ref Experiments.Fabric_chaos.default_config.racks
 let soak_config = ref Experiments.Soak.default_config
@@ -152,7 +160,8 @@ let run_cmd =
              finish-time experiments (table2, table3, table4). Finish times \
              are normalised back to full scale, so TPS and latency figures \
              are unaffected, but very small fractions coarsen the reported \
-             tail.")
+             tail. Must be at most 1 and give at least one request per \
+             client (at least 5e-07).")
   in
   let trace =
     Arg.(
@@ -250,7 +259,8 @@ let run_cmd =
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:
             "Simulated seconds the $(b,soak) experiment runs (default \
-             5.0). Longer runs see more diurnal cycles and churn events.")
+             5.0). Longer runs see more diurnal cycles and churn events. \
+             Must be finite and at least 1e-09 (one nanosecond).")
   in
   let churn_rate =
     Arg.(
@@ -260,7 +270,8 @@ let run_cmd =
           ~doc:
             "Tenant churn events per second per rack for the $(b,soak) \
              experiment (default 2.0); each departure/arrival pair is a \
-             two-phase VM migration. $(b,0) disables churn.")
+             two-phase VM migration. $(b,0) disables churn. Otherwise the \
+             period 1/RATE must be at least one nanosecond and finite.")
   in
   let flight_recorder =
     Arg.(
@@ -316,6 +327,16 @@ let run_cmd =
       const (fun scale trace faults metrics_out timeseries_out cache_capacity
                  racks monitors workload duration churn_rate flight_recorder
                  tenant_report ids ->
+          (* NaN fails every comparison below, so each check is written
+             as the condition a good value meets. At most 1 keeps the
+             slowest Table 2-4 row (90 s at full scale) under
+             [run_to_finish]'s 300 s cap. *)
+          if not (scale <= 1.0 && 2_000_000.0 *. scale >= 1.0) then begin
+            Printf.eprintf
+              "fastrak_sim: --scale must be at most 1 and give at least one \
+               request per client (>= 5e-07)\n";
+            Stdlib.exit 1
+          end;
           Experiments.Memcached_eval.requests_scale := scale;
           (match workload with
           | None -> ()
@@ -323,15 +344,24 @@ let run_cmd =
               soak_config := { !soak_config with Experiments.Soak.workload = w });
           (match duration with
           | None -> ()
-          | Some d when d <= 0.0 ->
-              Printf.eprintf "fastrak_sim: --duration must be > 0\n";
+          | Some d when not (span_sec_ok d && span_sec_ok (10.0 *. d)) ->
+              (* Soak's steady workload turns 10 x duration into a span. *)
+              Printf.eprintf
+                "fastrak_sim: --duration must be at least 1e-09 and below %g \
+                 seconds\n"
+                (max_simtime_sec /. 10.0);
               Stdlib.exit 1
           | Some d ->
               soak_config := { !soak_config with Experiments.Soak.duration = d });
           (match churn_rate with
           | None -> ()
-          | Some c when c < 0.0 ->
-              Printf.eprintf "fastrak_sim: --churn-rate must be >= 0\n";
+          | Some c when not (c = 0.0 || span_sec_ok (1.0 /. c)) ->
+              (* Soak turns 1/RATE into the churn period's span; a 0 ns
+                 period would re-arm at the same instant forever. *)
+              Printf.eprintf
+                "fastrak_sim: --churn-rate must be 0 or a rate whose period \
+                 1/RATE is at least 1e-09 and below %g seconds\n"
+                max_simtime_sec;
               Stdlib.exit 1
           | Some c ->
               soak_config :=

@@ -21,8 +21,9 @@ val run_inline : t -> cost:Dcsim.Simtime.span -> unit
     whose latency path is irrelevant. *)
 
 val busy_seconds : t -> float
-(** Total CPU-seconds consumed so far (includes jobs still running,
-    counted at completion). *)
+(** Total CPU-seconds of the jobs completed so far, plus every
+    {!run_inline} charge. A job still running counts nothing until it
+    completes, and then counts its whole cost. *)
 
 val utilization : t -> over:Dcsim.Simtime.span -> float
 (** busy_seconds / (cpus × over): average fraction of the pool used. *)

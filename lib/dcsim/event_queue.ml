@@ -53,9 +53,11 @@ let is_empty t = t.size = 0
 let length t = t.size
 
 (* Times compare as raw ints through [Simtime.t]'s [private int]
-   coercion. dune's dev profile compiles every module with -opaque, so
-   a cross-module call such as [Simtime.compare] is never inlined and
-   would cost a real call per heap comparison. *)
+   coercion. Under [--profile dev], dune compiles every module with
+   -opaque, so a cross-module call such as [Simtime.compare] is never
+   inlined and would cost a real call per heap comparison. The default
+   release build inlines it, but the comparison stays local so both
+   profiles get the same code here. *)
 let[@inline] before (ta : Simtime.t) (sa : int) (tb : Simtime.t) sb =
   let ta = (ta :> int) and tb = (tb :> int) in
   ta < tb || (ta = tb && sa < sb)

@@ -53,6 +53,21 @@ let prob_item key v =
   | Some p when p >= 0.0 && p <= 1.0 -> Ok p
   | _ -> Error (Printf.sprintf "%s: expected probability in [0,1], got %S" key v)
 
+(* [Simtime] counts whole nanoseconds in an [int], and [Simtime.of_sec]
+   and [Simtime.span_us] wrap a non-finite or over-range float instead
+   of failing: [inf] and [1e12] seconds both become 0. So every time in
+   a spec, in seconds ([ns_per] 1e9) or microseconds (1e3), must be
+   finite, non-negative and below [Simtime.never]. NaN fails the first
+   comparison and infinity the second. *)
+let time_item key ~ns_per ~unit v =
+  let limit_ns = float_of_int (Simtime.to_ns Simtime.never) in
+  match float_of_string_opt v with
+  | Some x when x >= 0.0 && x *. ns_per < limit_ns -> Ok x
+  | _ ->
+      Error
+        (Printf.sprintf "%s: expected a time in [0, %g) %s, got %S" key
+           (limit_ns /. ns_per) unit v)
+
 let of_string s =
   let ( let* ) = Result.bind in
   let items =
@@ -78,41 +93,40 @@ let of_string s =
           | "reorder" ->
               let* p = prob_item key v in
               Ok { t with reorder = p }
-          | "jitter_us" -> (
-              match float_of_string_opt v with
-              | Some us when us >= 0.0 -> Ok { t with jitter = Simtime.span_us us }
-              | _ -> Error (Printf.sprintf "jitter_us: bad value %S" v))
+          | "jitter_us" ->
+              let* us = time_item key ~ns_per:1e3 ~unit:"us" v in
+              Ok { t with jitter = Simtime.span_us us }
           | "down" -> (
               match String.split_on_char ':' v with
-              | [ a; b ] -> (
-                  match (float_of_string_opt a, float_of_string_opt b) with
-                  | Some from_s, Some until_s
-                    when from_s >= 0.0 && until_s > from_s ->
-                      Ok
-                        {
-                          t with
-                          windows =
-                            t.windows
-                            @ [
-                                {
-                                  down_from = Simtime.of_sec from_s;
-                                  down_until = Simtime.of_sec until_s;
-                                };
-                              ];
-                        }
-                  | Some from_s, Some until_s ->
-                      Error
-                        (Printf.sprintf
-                           "down: window %S can never fire (want 0 <= FROM < \
-                            UNTIL, got FROM=%g UNTIL=%g)"
-                           v from_s until_s)
-                  | _ -> Error (Printf.sprintf "down: bad window %S" v))
+              | [ a; b ] ->
+                  let* from_s = time_item key ~ns_per:1e9 ~unit:"s" a in
+                  let* until_s = time_item key ~ns_per:1e9 ~unit:"s" b in
+                  if until_s > from_s then
+                    Ok
+                      {
+                        t with
+                        windows =
+                          t.windows
+                          @ [
+                              {
+                                down_from = Simtime.of_sec from_s;
+                                down_until = Simtime.of_sec until_s;
+                              };
+                            ];
+                      }
+                  else
+                    Error
+                      (Printf.sprintf
+                         "down: window %S can never fire (want 0 <= FROM < \
+                          UNTIL, got FROM=%g UNTIL=%g)"
+                         v from_s until_s)
               | _ -> Error (Printf.sprintf "down: want FROM:UNTIL seconds, got %S" v))
           | "dropnext" -> (
               match String.split_on_char ':' v with
               | [ a; n ] -> (
-                  match (float_of_string_opt a, int_of_string_opt n) with
-                  | Some at, Some count when at >= 0.0 && count > 0 ->
+                  let* at = time_item key ~ns_per:1e9 ~unit:"s" a in
+                  match int_of_string_opt n with
+                  | Some count when count > 0 ->
                       Ok
                         {
                           t with

@@ -79,7 +79,9 @@ val of_string : string -> (t, string) result
     ["drop=0.05,dup=0.01,jitter_us=500,down=1.5:2.0,tcam_fail=0.1"].
     [down] and [dropnext] may repeat; [down=FROM:UNTIL] requires
     [0 <= FROM < UNTIL] — zero-width and inverted windows are rejected
-    with an explanatory error. See [docs/FAULTS.md]. *)
+    with an explanatory error. Every time ([down], [dropnext]'s AT,
+    [jitter_us]) must be finite and fit {!Dcsim.Simtime}: at least 0
+    and below about 4.6e9 s. See [docs/FAULTS.md]. *)
 
 val profile : string -> (t, string) result
 (** Resolve a named profile ([none], [lossy], [chaos], [smoke],

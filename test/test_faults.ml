@@ -35,7 +35,13 @@ let test_schedule_rejects () =
   bad "nonsense";
   bad "martian=1";
   bad "down=2:1";
-  bad "dropnext=1:0"
+  bad "dropnext=1:0";
+  (* Times Simtime cannot hold: Simtime.of_sec would wrap each to 0. *)
+  bad "down=1:inf";
+  bad "down=1e12:1e13";
+  bad "jitter_us=inf";
+  bad "jitter_us=1e20";
+  bad "dropnext=inf:1"
 
 let test_schedule_roundtrip () =
   List.iter
