@@ -3,7 +3,14 @@
     Time is an integer count of nanoseconds since the start of the
     simulation. Using integers keeps event ordering exact and the
     simulation deterministic; on a 64-bit platform the native [int]
-    covers ~292 years of simulated time, far beyond any experiment. *)
+    covers ~292 years of simulated time, far beyond any experiment.
+
+    Every conversion from a float ([of_us], [of_ms], [of_sec],
+    [span_us], [span_ms], [span_sec], [span_scale],
+    [span_of_bytes_at_rate]) raises [Invalid_argument], naming the
+    function and the value, when the result in nanoseconds is NaN,
+    infinite or 2^62 or more in magnitude: such a value has no [int]
+    count. Negative durations are legal. *)
 
 type t = private int
 (** A point in simulated time, in nanoseconds. Totally ordered. *)

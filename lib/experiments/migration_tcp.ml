@@ -12,7 +12,7 @@ type result = {
   bytes_at_end : int;
   goodput_before_gbps : float;
   goodput_after_gbps : float;
-  trace : (Simtime.t * int) list;
+  trace : Tcpmodel.Tcp_conn.Trace.t;
 }
 
 let run ?(migrate_at = 1.0) ?(duration = 4.0) () =
@@ -100,17 +100,17 @@ let print r =
   Printf.printf
     "goodput before migration: %.2f Gb/s; after (hardware path): %.2f Gb/s\n"
     r.goodput_before_gbps r.goodput_after_gbps;
-  Printf.printf "sequence trace: %d ack samples, %d -> %d bytes\n"
-    (List.length r.trace) r.bytes_at_migration r.bytes_at_end;
-  (* A coarse ASCII rendition of Figure 12: acked bytes vs time. *)
-  let points = Array.of_list r.trace in
-  let n = Array.length points in
+  let n = Tcpmodel.Tcp_conn.Trace.length r.trace in
+  Printf.printf "sequence trace: %d ack samples, %d -> %d bytes\n" n
+    r.bytes_at_migration r.bytes_at_end;
+  (* A coarse ASCII rendition of Figure 12: acked bytes vs time. Every
+     advance of the cumulative ack is sampled, so the last sample's
+     bytes are [bytes_at_end]. *)
   if n > 0 then begin
-    let _, last_bytes = points.(n - 1) in
     let columns = 60 and rows = 12 in
     let grid = Array.make_matrix rows columns ' ' in
-    Array.iter
-      (fun (t, b) ->
+    Tcpmodel.Tcp_conn.Trace.iter
+      (fun t b ->
         let x =
           Stdlib.min (columns - 1)
             (int_of_float (Simtime.to_sec t /. 4.0 *. float_of_int columns))
@@ -118,10 +118,10 @@ let print r =
         let y =
           Stdlib.min (rows - 1)
             (int_of_float
-               (float_of_int b /. float_of_int (Stdlib.max 1 last_bytes)
+               (float_of_int b /. float_of_int (Stdlib.max 1 r.bytes_at_end)
               *. float_of_int rows))
         in
         grid.(rows - 1 - y).(x) <- '*')
-      points;
+      r.trace;
     Array.iter (fun row -> print_endline (String.init columns (Array.get row))) grid
   end

@@ -17,8 +17,9 @@ type result = {
   bytes_at_end : int;
   goodput_before_gbps : float;
   goodput_after_gbps : float;
-  trace : (Dcsim.Simtime.t * int) list;
-      (** (time, acked bytes) — the Figure 12 sequence progression. *)
+  trace : Tcpmodel.Tcp_conn.Trace.t;
+      (** (time, acked bytes) at every ack that advanced the flow — the
+          Figure 12 sequence progression, 2 words per sample. *)
 }
 
 val run : ?migrate_at:float -> ?duration:float -> unit -> result

@@ -20,6 +20,44 @@ let default_config =
     receive_window = 1 lsl 20;
   }
 
+module Trace = struct
+  (* Sample [k] is slot [2 * (k mod chunk_samples)] (time in ns) and the
+     slot after it (acked bytes) of chunk [k / chunk_samples]. Samples
+     never move; only the spine of chunk pointers is copied, when it
+     doubles. *)
+  let chunk_samples = 4096
+
+  type t = { mutable chunks : int array array; mutable length : int }
+
+  let create () = { chunks = [||]; length = 0 }
+  let length t = t.length
+
+  let add t time bytes =
+    let c = t.length / chunk_samples and i = 2 * (t.length mod chunk_samples) in
+    if i = 0 then begin
+      if c = Array.length t.chunks then begin
+        let spine = Array.make (Stdlib.max 8 (2 * c)) [||] in
+        Array.blit t.chunks 0 spine 0 c;
+        t.chunks <- spine
+      end;
+      t.chunks.(c) <- Array.make (2 * chunk_samples) 0
+    end;
+    let chunk = t.chunks.(c) in
+    chunk.(i) <- Simtime.to_ns time;
+    chunk.(i + 1) <- bytes;
+    t.length <- t.length + 1
+
+  (* Appends after the snapshot land beyond its [length], in chunks it
+     shares or in ones its spine does not reach. *)
+  let snapshot t = { chunks = t.chunks; length = t.length }
+
+  let iter f t =
+    for k = 0 to t.length - 1 do
+      let chunk = t.chunks.(k / chunk_samples) and i = 2 * (k mod chunk_samples) in
+      f (Simtime.of_ns chunk.(i)) chunk.(i + 1)
+    done
+end
+
 type t = {
   engine : Engine.t;
   config : config;
@@ -52,7 +90,7 @@ type t = {
   mutable timeouts : int;
   mutable dupacks_received : int;
   mutable delayed_acks_sent : int;
-  mutable trace : (Simtime.t * int) list;  (* reversed *)
+  trace : Trace.t;
   mutable delivered_cb : int -> unit;
 }
 
@@ -86,7 +124,7 @@ let create ~engine ~config ~flow ~transmit_data ~transmit_ack =
     timeouts = 0;
     dupacks_received = 0;
     delayed_acks_sent = 0;
-    trace = [];
+    trace = Trace.create ();
     delivered_cb = ignore;
   }
 
@@ -215,7 +253,7 @@ let deliver_to_sender t pkt =
            connection crawling at multi-second RTOs. *)
         t.rto_backoff <- 0;
         t.snd_una <- ack;
-        t.trace <- (now, ack) :: t.trace;
+        Trace.add t.trace now ack;
         if t.in_recovery then begin
           if ack >= t.recover then begin
             (* Full ack: leave recovery, deflate to ssthresh. *)
@@ -356,4 +394,4 @@ let timeouts t = t.timeouts
 let dupacks_received t = t.dupacks_received
 let delayed_acks_sent t = t.delayed_acks_sent
 let srtt t = Option.map Simtime.span_sec t.srtt
-let sequence_trace t = List.rev t.trace
+let sequence_trace t = Trace.snapshot t.trace

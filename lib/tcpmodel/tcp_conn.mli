@@ -73,6 +73,25 @@ val dupacks_received : t -> int
 val delayed_acks_sent : t -> int
 val srtt : t -> Dcsim.Simtime.span option
 
-val sequence_trace : t -> (Dcsim.Simtime.t * int) list
-(** (time, highest cumulatively-acked byte) samples recorded at every
-    ack arrival — the data behind Figure 12. *)
+(** The (time, highest cumulatively-acked byte) samples a connection
+    records at every ack that advances it — the data behind Figure 12.
+
+    Samples are stored unboxed in chunks of 4,096, each one int array
+    holding time in nanoseconds and acked bytes side by side: 2 words
+    per sample, plus one chunk allocated only when a sample needs it and
+    a spine of chunk pointers. Recording a sample allocates nothing, and
+    no sample is ever copied or reversed. *)
+module Trace : sig
+  type t
+  (** A read-only view of the samples, oldest first. *)
+
+  val length : t -> int
+
+  val iter : (Dcsim.Simtime.t -> int -> unit) -> t -> unit
+  (** [iter f trace] calls [f time acked_bytes] on every sample, oldest
+      first, without boxing any of them. *)
+end
+
+val sequence_trace : t -> Trace.t
+(** The samples recorded so far. Later acks do not show in the returned
+    view, and taking it copies no sample. *)

@@ -14,7 +14,42 @@ let test_time_conversions () =
   checki "ms" 2_000_000 (Simtime.to_ns (Simtime.of_ms 2.0));
   checki "sec" 3_000_000_000 (Simtime.to_ns (Simtime.of_sec 3.0));
   check (Alcotest.float 1e-9) "roundtrip sec" 1.25
-    (Simtime.to_sec (Simtime.of_sec 1.25))
+    (Simtime.to_sec (Simtime.of_sec 1.25));
+  checki "negative span" (-1_500_000_000)
+    (Simtime.span_to_ns (Simtime.span_sec (-1.5)));
+  checki "146 years" 4_600_000_000_000_000_000
+    (Simtime.to_ns (Simtime.of_sec 4.6e9))
+
+(* Each float conversion raises, naming itself, on values with no [int]
+   count of nanoseconds instead of truncating them to 0 or wrapping. *)
+let rejects name convert values () =
+  List.iter
+    (fun x ->
+      match convert x with
+      | ns -> Alcotest.failf "Simtime.%s %g returned %d ns" name x ns
+      | exception Invalid_argument msg ->
+          checkb msg true
+            (String.starts_with ~prefix:(Printf.sprintf "Simtime.%s %g" name x) msg))
+    values
+
+let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let conversion_cases =
+  let ns = Simtime.to_ns and span = Simtime.span_to_ns in
+  [
+    ("of_us", (fun x -> ns (Simtime.of_us x)), 1e16 :: non_finite);
+    ("of_ms", (fun x -> ns (Simtime.of_ms x)), -1e13 :: non_finite);
+    ("of_sec", (fun x -> ns (Simtime.of_sec x)), 1e12 :: non_finite);
+    ("span_us", (fun x -> span (Simtime.span_us x)), -1e16 :: non_finite);
+    ("span_ms", (fun x -> span (Simtime.span_ms x)), 1e13 :: non_finite);
+    ("span_sec", (fun x -> span (Simtime.span_sec x)), -1e10 :: non_finite);
+    ( "span_scale",
+      (fun k -> span (Simtime.span_scale k (Simtime.span_sec 1.0))),
+      5e9 :: non_finite );
+    ( "span_of_bytes_at_rate",
+      (fun gbps -> span (Simtime.span_of_bytes_at_rate ~bytes_len:1500 ~gbps)),
+      [ 0.0; -0.0; 1e-15; Float.nan ] );
+  ]
 
 let test_time_arithmetic () =
   let t = Simtime.of_us 10.0 in
@@ -572,6 +607,13 @@ let suite =
     t "simtime arithmetic" test_time_arithmetic;
     t "span operations" test_span_ops;
     t "serialization delay" test_serialization_delay;
+  ]
+  @ List.map
+      (fun (name, convert, values) ->
+        t (Printf.sprintf "simtime %s checked" name)
+          (rejects name convert values))
+      conversion_cases
+  @ [
     t "event queue ordering" test_queue_ordering;
     t "event queue fifo ties" test_queue_fifo_ties;
     t "event queue cancel" test_queue_cancel;

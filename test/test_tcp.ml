@@ -36,7 +36,8 @@ let make_net ?(latency_us = 50.0) () =
     conn = None;
   }
 
-let connect ?(config = Tcp.default_config) net =
+(* [after_ack] runs right after each ack reaches the sender. *)
+let connect ?(config = Tcp.default_config) ?(after_ack = ignore) net =
   let c =
     Tcp.create ~engine:net.engine ~config ~flow:(flow ())
       ~transmit_data:(fun pkt ->
@@ -48,7 +49,9 @@ let connect ?(config = Tcp.default_config) net =
         if not (net.drop_ack pkt) then
           ignore
             (Engine.after net.engine net.latency (fun () ->
-                 Tcp.deliver_to_sender (Option.get net.conn) pkt)))
+                 let c = Option.get net.conn in
+                 Tcp.deliver_to_sender c pkt;
+                 after_ack c)))
   in
   net.conn <- Some c;
   c
@@ -196,13 +199,77 @@ let test_sequence_trace_monotone () =
   Tcp.send c 1_000_000;
   run net 5.0;
   let trace = Tcp.sequence_trace c in
-  checkb "non-empty" true (List.length trace > 10);
-  let rec monotone = function
-    | (t1, b1) :: ((t2, b2) :: _ as rest) ->
-        Simtime.(t1 <= t2) && b1 <= b2 && monotone rest
-    | _ -> true
+  checkb "non-empty" true (Tcp.Trace.length trace > 10);
+  let monotone = ref true and last_t = ref Simtime.zero and last_b = ref 0 in
+  Tcp.Trace.iter
+    (fun t b ->
+      monotone := !monotone && Simtime.(!last_t <= t) && !last_b <= b;
+      last_t := t;
+      last_b := b)
+    trace;
+  checkb "trace monotone in time and bytes" true !monotone
+
+(* The trace store keeps 4,096 samples per chunk. *)
+let chunk_samples = 4096
+
+let test_sequence_trace_matches_list () =
+  (* Differential check: the harness records (now, bytes acked) every
+     time the cumulative ack rises, in a plain list, and the store must
+     hold exactly those samples across several chunk boundaries. *)
+  let net = make_net () in
+  let expected = ref [] and last = ref 0 in
+  let after_ack c =
+    let acked = Tcp.bytes_acked c in
+    if acked > !last then begin
+      last := acked;
+      expected := (Simtime.to_ns (Engine.now net.engine), acked) :: !expected
+    end
   in
-  checkb "trace monotone in time and bytes" true (monotone trace)
+  let c = connect ~after_ack net in
+  let dropped = ref 0 in
+  net.drop_data <-
+    (fun _ ->
+      incr dropped;
+      !dropped mod 97 = 0);
+  Tcp.send c 60_000_000;
+  run net 30.0;
+  checki "all acked" 60_000_000 (Tcp.bytes_acked c);
+  let trace = Tcp.sequence_trace c in
+  let n = Tcp.Trace.length trace in
+  checkb "crosses 3 chunk boundaries" true (n > 3 * chunk_samples);
+  checki "length" (List.length !expected) n;
+  let rest = ref (List.rev !expected) and index = ref 0 in
+  Tcp.Trace.iter
+    (fun t b ->
+      let t = Simtime.to_ns t in
+      (match !rest with
+      | (t', b') :: tail when t = t' && b = b' -> rest := tail
+      | (t', b') :: _ ->
+          Alcotest.failf "sample %d: stored (%d ns, %d) but listed (%d ns, %d)"
+            !index t b t' b'
+      | [] -> Alcotest.failf "sample %d: stored (%d ns, %d) but not listed" !index t b);
+      incr index)
+    trace;
+  checki "every listed sample stored" 0 (List.length !rest)
+
+let test_sequence_trace_footprint () =
+  (* A boxed (time, bytes) list costs 6 words a sample (cons cell and
+     tuple); the store costs 2, plus at most one partly filled chunk
+     (4,096 samples and a header) and a few words of view and spine. *)
+  let net = make_net () in
+  let c = connect net in
+  Tcp.send c 200_000_000;
+  run net 30.0;
+  let trace = Tcp.sequence_trace c in
+  let n = Tcp.Trace.length trace in
+  checkb "at least 50,000 samples" true (n >= 50_000);
+  let words = Obj.reachable_words (Obj.repr trace) in
+  let bound = (2 * n) + (2 * chunk_samples) + 1 + 64 in
+  if words > bound then
+    Alcotest.failf "trace of %d samples holds %d words (%.2f a sample) > %d" n
+      words
+      (float_of_int words /. float_of_int n)
+      bound
 
 let test_srtt_measured () =
   let net = make_net ~latency_us:100.0 () in
@@ -243,6 +310,8 @@ let suite =
     t "loss halves cwnd" test_loss_halves_cwnd;
     t "receive window caps flight" test_receive_window_caps_flight;
     t "sequence trace monotone" test_sequence_trace_monotone;
+    t "sequence trace matches list" test_sequence_trace_matches_list;
+    t "sequence trace footprint" test_sequence_trace_footprint;
     t "srtt measured" test_srtt_measured;
     QCheck_alcotest.to_alcotest prop_random_loss_completes;
   ]

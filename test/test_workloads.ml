@@ -514,6 +514,16 @@ let test_bench_measure_prices_one_op () =
       checkb (Printf.sprintf "no allocation at %d ops" ops) true (free < 0.05))
     [ 1_000; 50_000 ]
 
+let test_soak_rejects_infinite_duration () =
+  (* An infinite horizon has no simulated-time value: the run must fail
+     up front, not simulate nothing and return. *)
+  let config = { Experiments.Soak.default_config with duration = Float.infinity } in
+  match Experiments.Soak.run ~config () with
+  | r ->
+      Alcotest.failf "returned: events=%d windows=%d" r.Experiments.Soak.events
+        r.Experiments.Soak.windows
+  | exception Invalid_argument _ -> ()
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -537,4 +547,5 @@ let suite =
     t "shape: tunneling capped" test_shape_tunneling_capped;
     t "shape: closed-loop latency" test_shape_closed_loop_latency;
     t "bench measure prices one op" test_bench_measure_prices_one_op;
+    t "soak rejects an infinite duration" test_soak_rejects_infinite_duration;
   ]
