@@ -392,6 +392,13 @@ let run_cmd =
           | Some (Error msg) ->
               Printf.eprintf "fastrak_sim: --faults: %s\n" msg;
               Stdlib.exit 1);
+          (* The ring is two arrays of N slots. *)
+          if flight_recorder < 0 || flight_recorder > Sys.max_array_length
+          then begin
+            Printf.eprintf "fastrak_sim: --flight-recorder must be in 0..%d\n"
+              Sys.max_array_length;
+            Stdlib.exit 1
+          end;
           let open_out_or_die file =
             try open_out file
             with Sys_error msg ->
@@ -426,10 +433,6 @@ let run_cmd =
           (* Installed last so the recorder sees each event before the
              monitors do: when a strict monitor stops the run, the
              offending event is already in the ring. *)
-          if flight_recorder < 0 then begin
-            Printf.eprintf "fastrak_sim: --flight-recorder must be >= 0\n";
-            Stdlib.exit 1
-          end;
           if flight_recorder > 0 then
             Obs.Flight.install ~dump_path:"flight.jsonl"
               (Obs.Flight.create ~capacity:flight_recorder ());
@@ -453,7 +456,7 @@ let run_cmd =
                    print_newline ();
                    print_string (Obs.Slo.report ());
                    match monitor with
-                   | Some mon -> Obs.Slo.check mon ~at:(Obs.Trace.now ())
+                   | Some mon -> Obs.Slo.check mon
                    | None -> ()
                  end)
                ids

@@ -28,7 +28,7 @@ let () =
   Experiments.Testbed.connect_tunnels tb;
   List.iter
     (fun (a : Host.Server.attached) ->
-      Workloads.Memcached.install_server ~vm:a.Host.Server.vm ())
+      Workloads.Memcached.install_server ~vm:a.Host.Server.vm)
     mem_vms;
   (* Background: one disk-bound transfer per memcached VM, via the VIF. *)
   List.iteri
@@ -46,7 +46,8 @@ let () =
     List.map
       (fun (c : Host.Server.attached) ->
         Workloads.Memcached.memslap ~engine:tb.Experiments.Testbed.engine
-          ~vm:c.Host.Server.vm ~servers:mem_ips ())
+          ~vm:c.Host.Server.vm ~servers:mem_ips ~concurrency:8
+          ~total_requests:None)
       clients
   in
   (* The FasTrak rule manager: local controller per server + TOR

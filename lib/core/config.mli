@@ -12,21 +12,12 @@ type t = {
   epochs_per_interval : int;  (** N. *)
   history_intervals : int;  (** M. *)
   overflow_bps : float;  (** O: slack added to each split rate limit. *)
-  controller_latency : Dcsim.Simtime.span;
-      (** One-way latency of controller control channels. *)
   max_offloads : int option;
       (** Cap on concurrently offloaded aggregates (the §6.2.1
           experiment modifies FasTrak "to offload only one"). *)
   min_score : float;
       (** Offload threshold: aggregates scoring below this never move
           to hardware (keeps trickle flows in software). *)
-  directive_timeout : Dcsim.Simtime.span;
-      (** How long the TOR controller waits for a directive's ack
-          before retransmitting. Doubles on each retry (exponential
-          backoff). *)
-  directive_attempts : int;
-      (** Transmissions per directive before it is declared failed
-          (1 original + [directive_attempts - 1] retries). *)
   dead_peer_failures : int;
       (** Consecutive failed directives after which a server's local
           controller is declared dead and its offloaded flows are
@@ -35,15 +26,6 @@ type t = {
       (** How long a begun VM migration may stay unconfirmed before the
           rule manager aborts it and re-installs the returned rules at
           the source. *)
-  probe_interval : Dcsim.Simtime.span;
-      (** Period of BFD-style liveness probes over each registered
-          express lane. *)
-  lane_down_misses : int;
-      (** Consecutive probe intervals without a reply before a lane is
-          declared down and its offloaded flows demoted to software. *)
-  lane_up_oks : int;
-      (** Consecutive replying probe intervals before a down lane is
-          declared healthy again (hysteresis against flapping). *)
   tcam_audit_interval : Dcsim.Simtime.span option;
       (** Period of the anti-entropy audit sweep reconciling actual
           TCAM contents against controller intent (reinstall missing
@@ -51,8 +33,36 @@ type t = {
 }
 
 val default : t
-(** t = 100 ms, T = 5 s, N = 2, M = 3, O = 50 Mb/s, 200 us channels,
-    no offload cap, min_score 100; directive acks time out after 25 ms
-    with 5 attempts, 3 consecutive failures declare a peer dead, and an
-    unconfirmed migration aborts after 30 s. Lane probes every 20 ms
-    with 3 misses down / 5 oks up; the TCAM audit is off. *)
+(** t = 100 ms, T = 5 s, N = 2, M = 3, O = 50 Mb/s, no offload cap,
+    min_score 100; 3 consecutive failed directives declare a peer dead,
+    and an unconfirmed migration aborts after 30 s. The TCAM audit is
+    off. *)
+
+(** {1 Control-channel and recovery constants}
+
+    Every experiment runs the controllers' channels and the recovery
+    machinery (docs/FAULTS.md) at these values. *)
+
+val controller_latency : Dcsim.Simtime.span
+(** One-way latency of the controller control channels: 200 us. *)
+
+val directive_timeout : Dcsim.Simtime.span
+(** How long the TOR controller waits for a directive's ack before
+    retransmitting: 25 ms, doubling on each retry (exponential
+    backoff). *)
+
+val directive_attempts : int
+(** Transmissions per directive before it is declared failed: 5 (1
+    original + 4 retries). *)
+
+val probe_interval : Dcsim.Simtime.span
+(** Period of the BFD-style liveness probes over each registered
+    express lane: 20 ms. *)
+
+val lane_down_misses : int
+(** Consecutive probe intervals without a reply before a lane is
+    declared down and its offloaded flows demoted to software: 3. *)
+
+val lane_up_oks : int
+(** Consecutive replying probe intervals before a down lane is
+    declared healthy again (hysteresis against flapping): 5. *)

@@ -130,6 +130,31 @@ let rate_state t vm_ip =
       Hashtbl.replace t.rate_states (ip_key vm_ip) s;
       s
 
+(* One direction's FPS step: split a finite [total_bps] limit across the
+   VIF and VF, trace the split and apply it. Returns the split now in
+   force, which is [current] untouched for an unlimited direction. *)
+let fps_step t ~vm_ip ~direction ~total_bps ~current input ~set_soft
+    ~set_hard =
+  if total_bps = infinity then current
+  else begin
+    let overflow_bps = t.config.Config.overflow_bps in
+    let split = Fps.split ~total_bps ~overflow_bps ~current input in
+    if Obs.Trace.enabled () then
+      Obs.Trace.emit ~now:(Engine.now t.engine)
+        (Obs.Trace.Fps_split
+           {
+             vm_ip;
+             direction;
+             soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
+             hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
+             total_bps;
+             overflow_bps;
+           });
+    set_soft split.Fps.soft;
+    set_hard split.Fps.hard;
+    Some split
+  end
+
 (* FPS re-adjustment (§4.3.2): each control interval, split every VM's
    contracted limit across the VIF and VF in proportion to measured
    per-path demand, boosting a path that maxed out its previous split. *)
@@ -174,48 +199,17 @@ let apply_fps t =
                 hard_maxed = false;
               }
             in
-            if tx_total <> infinity then begin
-              let split =
-                Fps.split ~total_bps:tx_total
-                  ~overflow_bps:t.config.Config.overflow_bps
-                  ~current:st.current_tx_split input_tx
-              in
-              st.current_tx_split <- Some split;
-              if Obs.Trace.enabled () then
-                Obs.Trace.emit ~now:(Engine.now t.engine)
-                  (Obs.Trace.Fps_split
-                     {
-                       vm_ip = Host.Vm.ip a.vm;
-                       direction = Obs.Trace.Tx;
-                       soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
-                       hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
-                       total_bps = tx_total;
-                       overflow_bps = t.config.Config.overflow_bps;
-                     });
-              Vswitch.Ovs.set_vif_tx_limit a.vif split.Fps.soft;
-              Nic.Sriov.set_vf_tx_limit vf split.Fps.hard
-            end;
-            if rx_total <> infinity then begin
-              let split =
-                Fps.split ~total_bps:rx_total
-                  ~overflow_bps:t.config.Config.overflow_bps
-                  ~current:st.current_rx_split input_rx
-              in
-              st.current_rx_split <- Some split;
-              if Obs.Trace.enabled () then
-                Obs.Trace.emit ~now:(Engine.now t.engine)
-                  (Obs.Trace.Fps_split
-                     {
-                       vm_ip = Host.Vm.ip a.vm;
-                       direction = Obs.Trace.Rx;
-                       soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
-                       hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
-                       total_bps = rx_total;
-                       overflow_bps = t.config.Config.overflow_bps;
-                     });
-              Vswitch.Ovs.set_vif_rx_limit a.vif split.Fps.soft;
-              Nic.Sriov.set_vf_rx_limit vf split.Fps.hard
-            end;
+            let vm_ip = Host.Vm.ip a.vm in
+            st.current_tx_split <-
+              fps_step t ~vm_ip ~direction:Obs.Trace.Tx ~total_bps:tx_total
+                ~current:st.current_tx_split input_tx
+                ~set_soft:(Vswitch.Ovs.set_vif_tx_limit a.vif)
+                ~set_hard:(Nic.Sriov.set_vf_tx_limit vf);
+            st.current_rx_split <-
+              fps_step t ~vm_ip ~direction:Obs.Trace.Rx ~total_bps:rx_total
+                ~current:st.current_rx_split input_rx
+                ~set_soft:(Vswitch.Ovs.set_vif_rx_limit a.vif)
+                ~set_hard:(Nic.Sriov.set_vf_rx_limit vf);
             st.last_vif_tx <- vif_tx;
             st.last_vf_tx <- vf_tx;
             st.last_vif_rx <- vif_rx;

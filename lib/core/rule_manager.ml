@@ -87,7 +87,7 @@ let create ~engine ~config ~tor ~servers ?tenant_priority ?group_of ?faults () =
         let uplink_channel =
           Fabric.Channel.create ~name:uplink_name
             ?faults:(injector uplink_name) ~src:engine ~dst:engine
-            ~latency:config.Config.controller_latency
+            ~latency:Config.controller_latency
             ~handler:(fun u -> Tor_controller.receive_uplink tor_ctrl u)
             ()
         in
@@ -99,7 +99,7 @@ let create ~engine ~config ~tor ~servers ?tenant_priority ?group_of ?faults () =
         let directive_channel =
           Fabric.Channel.create ~name:directive_name
             ?faults:(injector directive_name) ~src:engine ~dst:engine
-            ~latency:config.Config.controller_latency
+            ~latency:Config.controller_latency
             ~handler:(fun d -> Local_controller.handle_sequenced local d)
             ()
         in
@@ -133,12 +133,11 @@ let views_reconciled t =
 let settle ts ~advance =
   (* One directive's full retry schedule, in 1 ms steps: the ack
      timeout doubles over [directive_attempts] transmissions. *)
-  let steps t =
-    Dcsim.Simtime.span_to_ns t.config.Config.directive_timeout
-    * ((1 lsl t.config.Config.directive_attempts) - 1)
+  let cap =
+    Dcsim.Simtime.span_to_ns Config.directive_timeout
+    * ((1 lsl Config.directive_attempts) - 1)
     / 1_000_000
   in
-  let cap = List.fold_left (fun acc t -> max acc (steps t)) 0 ts in
   let in_flight t = Tor_controller.unacked_directives t.tor_ctrl > 0 in
   let rec wait n =
     if n < cap && List.exists in_flight ts then begin

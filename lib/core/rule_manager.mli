@@ -65,8 +65,8 @@ val settle : t list -> advance:(Dcsim.Simtime.span -> unit) -> unit
 (** While any rule manager has an unacked directive
     ({!Tor_controller.unacked_directives}), run the simulation 1 ms
     further by calling [advance] with that step. Gives up after one
-    directive's full retry schedule, [directive_timeout] x
-    (2^[directive_attempts] - 1) (775 ms at {!Config.default}). *)
+    directive's full retry schedule, {!Config.directive_timeout} x
+    (2^{!Config.directive_attempts} - 1) = 775 ms. *)
 
 (** {1 Two-phase VM migration}
 

@@ -307,9 +307,9 @@ let build_candidates t =
 
 let peer_of t server = List.assoc_opt server t.locals
 
-let grace_before_vrf_removal t =
+let grace_before_vrf_removal =
   Simtime.span_add
-    (Simtime.span_scale 2.0 t.config.Config.controller_latency)
+    (Simtime.span_scale 2.0 Config.controller_latency)
     (Simtime.span_ms 10.0)
 
 let transmit peer ~seq directive =
@@ -373,14 +373,14 @@ and arm_retry t peer ~seq p =
   let timeout =
     Simtime.span_scale
       (float_of_int (1 lsl (p.p_attempt - 1)))
-      t.config.Config.directive_timeout
+      Config.directive_timeout
   in
   p.p_timer <- Some (Engine.after t.engine timeout (fun () -> on_timeout t peer ~seq p))
 
 and on_timeout t peer ~seq p =
   p.p_timer <- None;
   if not (Hashtbl.mem peer.p_pending seq) then ()
-  else if p.p_attempt >= t.config.Config.directive_attempts then begin
+  else if p.p_attempt >= Config.directive_attempts then begin
     Hashtbl.remove peer.p_pending seq;
     (* A lost demote means the local placer may still steer the
        aggregate to the VF after its VRF rules are gone. Keep replaying
@@ -483,7 +483,7 @@ and apply_demote t os ~reason =
           try_remove ())
   | None -> resolved := true);
   ignore
-    (Engine.after t.engine (grace_before_vrf_removal t) (fun () ->
+    (Engine.after t.engine grace_before_vrf_removal (fun () ->
          grace_passed := true;
          try_remove ()))
 
@@ -838,7 +838,7 @@ let start t =
        reports for the same interval have been shipped and delivered. *)
     let offset =
       Simtime.span_add
-        (Simtime.span_scale 4.0 t.config.Config.controller_latency)
+        (Simtime.span_scale 4.0 Config.controller_latency)
         (Simtime.span_add t.config.Config.poll_gap (Simtime.span_ms 5.0))
     in
     Engine.every t.engine
@@ -965,7 +965,7 @@ let probe_tick t =
           lane.lane_ok_streak <- lane.lane_ok_streak + 1;
           if
             (not lane.lane_up)
-            && lane.lane_ok_streak >= t.config.Config.lane_up_oks
+            && lane.lane_ok_streak >= Config.lane_up_oks
           then lane_heal t lane
         end
         else begin
@@ -973,7 +973,7 @@ let probe_tick t =
           lane.lane_miss_streak <- lane.lane_miss_streak + 1;
           if
             lane.lane_up
-            && lane.lane_miss_streak >= t.config.Config.lane_down_misses
+            && lane.lane_miss_streak >= Config.lane_down_misses
           then lane_fail t lane
         end;
         lane.lane_replies <- 0
@@ -1012,8 +1012,8 @@ let add_lane t ~name ~remote_tor ~covers =
   if not t.probing then begin
     t.probing <- true;
     Engine.every t.engine
-      ~start:(Simtime.add (Engine.now t.engine) t.config.Config.probe_interval)
-      t.config.Config.probe_interval
+      ~start:(Simtime.add (Engine.now t.engine) Config.probe_interval)
+      Config.probe_interval
       (fun () ->
         probe_tick t;
         `Continue)

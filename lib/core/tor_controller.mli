@@ -37,7 +37,7 @@ val register_local :
     {!Fabric.Channel} whose handler is
     {!Local_controller.handle_sequenced}. Directives sent on it are
     sequence-numbered and retransmitted with exponential backoff until
-    acked (or {!Config.t.directive_attempts} transmissions fail). The
+    acked (or {!Config.directive_attempts} transmissions fail). The
     uplink is the channel the rule manager creates whose handler is
     {!receive_uplink}. *)
 
@@ -58,13 +58,13 @@ val start : t -> unit
 (** {2 Express-lane failure domains}
 
     Each {!add_lane} registers one express lane towards a peer ToR.
-    The controller probes every lane each {!Config.t.probe_interval}
+    The controller probes every lane each {!Config.probe_interval}
     (BFD-style, over the same GRE path as offloaded traffic). After
-    {!Config.t.lane_down_misses} silent intervals the lane is declared
+    {!Config.lane_down_misses} silent intervals the lane is declared
     down: every offloaded aggregate whose destinations ride it is
     demoted to the software path (which routes over the default VXLAN
     uplink instead), and new offloads towards it are suppressed. After
-    {!Config.t.lane_up_oks} consecutive replying intervals the lane
+    {!Config.lane_up_oks} consecutive replying intervals the lane
     heals and the demoted aggregates are re-promoted — the two-sided
     hysteresis keeps a marginal lane from flapping flows between
     paths. *)

@@ -55,13 +55,6 @@ let min_time t =
   done;
   !m
 
-let now t =
-  if t.running >= 0 then Engine.now t.shards.(t.running)
-  else
-    Array.fold_left
-      (fun acc e -> Simtime.max acc (Engine.now e))
-      Simtime.zero t.shards
-
 let events_processed t =
   Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 t.shards
 
@@ -74,7 +67,7 @@ let stop t =
 (* Run every shard in array order to the exclusive [window_end] — an
    idle shard too ends there — or, when the inclusive [limit] falls
    inside the window, under [Engine.run ~until]'s parking rule. [running]
-   lets [now] (the trace clock) read the executing shard. *)
+   lets [stop] reach the executing shard. *)
 let run_window t ~(window_end : Simtime.t) ~(limit : Simtime.t) =
   let final = (limit :> int) < (window_end :> int) in
   for i = 0 to Array.length t.shards - 1 do

@@ -62,11 +62,6 @@ val run : ?until:Simtime.t -> t -> unit
 val stop : t -> unit
 (** Request that {!run} return after the currently executing event. *)
 
-val now : t -> Simtime.t
-(** The executing shard's clock while {!run} is live (use this as the
-    trace clock: events are always emitted by some running shard), and
-    the maximum shard clock otherwise. *)
-
 val events_processed : t -> int
 (** Total events executed, summed over shards. *)
 

@@ -340,7 +340,6 @@ let obs_span_case ~smoke =
 let obs_timeseries_case ~smoke =
   let n = if smoke then 20_000 else 1_000_000 in
   let collector = Obs.Timeseries.create () in
-  Obs.Timeseries.enable ~collector ();
   let s = Obs.Timeseries.series ~collector "bench.latency" in
   let rng = Rng.create ~seed:21 in
   let samples = Array.init n (fun _ -> Rng.float rng 10_000.0) in
@@ -605,7 +604,10 @@ let hotpath_rule_cache ~smoke =
    the default deny. *)
 let hotpath_vrf_classify ~smoke =
   let entries = 120 and n = if smoke then 2_000 else 65_536 in
-  let vrf = Tor.Vrf.create ~tenant ~tcam:(Tor.Tcam.create ~capacity:entries) in
+  let vrf =
+    Tor.Vrf.create ~engine:(Engine.create ()) ~tenant
+      ~tcam:(Tor.Tcam.create ~capacity:entries)
+  in
   let keys = mk_hot_keys entries in
   Array.iteri
     (fun i k ->

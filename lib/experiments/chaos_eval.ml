@@ -21,7 +21,11 @@ type result = {
       (* directive send->ack round trip under this fault profile, µs *)
 }
 
-let run ?(schedule = "lossy") ?(seconds = 4.0) ?(drain = 3.0) () =
+(* Seconds under load, then seconds quiesced. *)
+let seconds = 4.0
+let drain = 3.0
+
+let run ?(schedule = "lossy") () =
   let sched =
     match Faults.Schedule.profile schedule with
     | Ok s -> s

@@ -34,10 +34,10 @@ type result = {
           the number of acknowledged directives measured. *)
 }
 
-val run : ?schedule:string -> ?seconds:float -> ?drain:float -> unit -> result
+val run : ?schedule:string -> unit -> result
 (** [schedule] is a profile name or [Faults.Schedule.of_string] spec
-    (the CLI's [--faults]), default ["lossy"]; [seconds] under load
-    (default 4) then [drain] seconds quiesced (default 3).
+    (the CLI's [--faults]), default ["lossy"]. The run spends 4 s under
+    load, then 3 s quiesced.
     @raise Invalid_argument on a bad schedule. *)
 
 val print : result -> unit

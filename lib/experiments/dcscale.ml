@@ -8,28 +8,25 @@ module Stream = Workloads.Stream
 
 type config = {
   racks : int;
-  servers_per_rack : int;
   duration : float;
   sharded : bool;
-  migrate : bool;
   express_messages : int;
   soft_messages : int;
   message_size : int;
-  seed : int;
 }
 
 let default_config =
   {
     racks = 16;
-    servers_per_rack = 2;
     duration = 0.5;
     sharded = true;
-    migrate = true;
     express_messages = 256;
     soft_messages = 64;
     message_size = 4096;
-    seed = 42;
   }
+
+let servers_per_rack = 2
+let seed = 42
 
 (* Migration control messages ride a slower management network than
    the 2 us fabric hop, so they never lower the cluster lookahead. *)
@@ -110,10 +107,8 @@ let run ?(config = default_config) () =
   let cfg = config in
   if cfg.racks < 1 || cfg.racks > 84 then
     invalid_arg "Dcscale.run: racks must be in 1..84";
-  if cfg.servers_per_rack < 1 then
-    invalid_arg "Dcscale.run: need at least one server per rack";
   let mr =
-    Multirack.create ~sharded:cfg.sharded ~seed:cfg.seed ~racks:cfg.racks
+    Multirack.create ~sharded:cfg.sharded ~seed ~racks:cfg.racks
       ~prefix:"r" ()
   in
   let cluster = mr.Multirack.cluster in
@@ -127,10 +122,10 @@ let run ?(config = default_config) () =
   let racks =
     Array.init cfg.racks (fun r ->
         let rack_engine = mr.Multirack.engines.(r) in
-        let tb = Multirack.testbed mr r ~servers:cfg.servers_per_rack in
+        let tb = Multirack.testbed mr r ~servers:servers_per_rack in
         let vm k kind =
           Testbed.vm_spec
-            ~server:(k mod cfg.servers_per_rack)
+            ~server:(k mod servers_per_rack)
             ~name:(Printf.sprintf "r%d.%s" r kind)
             ~ip_last_octet:((r * 3) + k + 1)
             ()
@@ -149,7 +144,7 @@ let run ?(config = default_config) () =
         in
         { tb; rack_engine; rm; xs; xr; sw; uplink })
   in
-  Multirack.connect_peers mr (Array.map (fun rk -> (rk.tb, rk.uplink)) racks);
+  Multirack.connect_peers (Array.map (fun rk -> (rk.tb, rk.uplink)) racks);
   Array.iter (fun rk -> Fastrak.Rule_manager.start rk.rm) racks;
   (* Express lanes: rack r's sender streams to rack (r+1)'s receiver
      over the pinned hardware path, acks riding the reverse lane. *)
@@ -195,7 +190,7 @@ let run ?(config = default_config) () =
      channel, adopt it there, and commit at the source when the ack
      comes back. The prepare timeout still guards a lost ack. *)
   let mg_ref = ref None in
-  if cfg.migrate && cfg.racks > 1 then begin
+  if cfg.racks > 1 then begin
     let src = racks.(0) and dst = racks.(1) in
     let mig_vm_ip = Host.Vm.ip src.sw.Host.Server.vm in
     let tenant = Host.Vm.tenant src.sw.Host.Server.vm in
@@ -256,7 +251,7 @@ let run ?(config = default_config) () =
     tor_no_route_drops = sum (fun rk -> Tor.Tor_switch.no_route_drops rk.tb.Testbed.tor);
     acl_drops = sum (fun rk -> Tor.Tor_switch.acl_drops rk.tb.Testbed.tor);
     migration_outcome =
-      (if not (cfg.migrate && cfg.racks > 1) then "skipped"
+      (if cfg.racks = 1 then "skipped"
        else
          match !mg_ref with
          | None -> "not-started"

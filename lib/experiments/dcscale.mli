@@ -22,19 +22,18 @@
 
 type config = {
   racks : int;  (** Racks, 1–84 (bounded by the address plan). *)
-  servers_per_rack : int;
   duration : float;  (** Simulated seconds. *)
   sharded : bool;  (** One engine per rack + core, or one engine total. *)
-  migrate : bool;  (** Run the rack-0 -> rack-1 VM migration. *)
   express_messages : int;  (** Messages per express-lane stream. *)
   soft_messages : int;  (** Messages per rack-local software stream. *)
   message_size : int;  (** Bytes per message. *)
-  seed : int;
 }
+(** Every rack has 2 servers, the engines are seeded with 42, and any
+    run of two or more racks migrates a VM from rack 0 to rack 1. *)
 
 val default_config : config
-(** 16 racks x 2 servers, 0.5 s, sharded, with migration; 256 express
-    and 64 soft messages of 4096 B; seed 42. *)
+(** 16 racks, 0.5 s, sharded; 256 express and 64 soft messages of
+    4096 B. *)
 
 type result = {
   cfg : config;
@@ -50,7 +49,7 @@ type result = {
   acl_drops : int;
   migration_outcome : string;
       (** ["committed"], ["aborted"], ["preparing"], ["not-started"],
-          or ["skipped"]. *)
+          or ["skipped"] (one rack). *)
   cpu_s : float;  (** Host CPU seconds for the run. *)
   events_per_sec : float;  (** [events / cpu_s]. *)
 }

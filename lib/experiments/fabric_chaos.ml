@@ -7,11 +7,8 @@ module Stream = Workloads.Stream
 
 type config = {
   racks : int;
-  servers_per_rack : int;
   duration : float;
   drain : float;
-  rate_bps : float;
-  message_size : int;
   crash_at : float;
   restart_at : float;
   seed : int;
@@ -20,15 +17,16 @@ type config = {
 let default_config =
   {
     racks = 4;
-    servers_per_rack = 2;
     duration = 3.0;
     drain = 1.0;
-    rate_bps = 40e6;
-    message_size = 4096;
     crash_at = 2.0;
     restart_at = 2.3;
     seed = 42;
   }
+
+let servers_per_rack = 2
+let rate_bps = 40e6
+let message_size = 4096
 
 let express_port = 7200
 
@@ -104,8 +102,6 @@ let run ?(schedule = "fabric") ?(config = default_config) () =
   let cfg = config in
   if cfg.racks < 2 || cfg.racks > 84 then
     invalid_arg "Fabric_chaos.run: racks must be in 2..84";
-  if cfg.servers_per_rack < 1 then
-    invalid_arg "Fabric_chaos.run: need at least one server per rack";
   let sched =
     match Faults.Schedule.profile schedule with
     | Ok s -> s
@@ -141,11 +137,11 @@ let run ?(schedule = "fabric") ?(config = default_config) () =
            server address — it is the failover path under test. *)
         let tb =
           Multirack.testbed mr ~config:Compute.Cost_params.with_tunneling r
-            ~servers:cfg.servers_per_rack
+            ~servers:servers_per_rack
         in
         let vm k kind =
           Testbed.vm_spec
-            ~server:(k mod cfg.servers_per_rack)
+            ~server:(k mod servers_per_rack)
             ~name:(Printf.sprintf "fc%d.%s" r kind)
             ~ip_last_octet:(100 + (r * 2) + k)
             ()
@@ -175,8 +171,7 @@ let run ?(schedule = "fabric") ?(config = default_config) () =
             Channel.send soft_up pkt);
         { tb; rack_engine; rm = None; xs; xr; express_up; soft_up; statics = ref [] })
   in
-  Multirack.connect_peers mr
-    (Array.map (fun rk -> (rk.tb, rk.express_up)) racks);
+  Multirack.connect_peers (Array.map (fun rk -> (rk.tb, rk.express_up)) racks);
   (* Receive-side provisioning for both directions of each lane (data
      r -> r+1, acks r+1 -> r), before any install-fault hook arms. The
      transmit side is deliberately NOT pinned: promoting the sender's
@@ -267,10 +262,10 @@ let run ?(schedule = "fabric") ?(config = default_config) () =
             (Stream.default_config ~dst_ip:(Host.Vm.ip dst.xr.Host.Server.vm)) with
             Stream.dst_port = express_port;
             src_port = 6200 + r;
-            message_size = cfg.message_size;
+            message_size;
             window = 1_000_000;
             total_bytes = None;
-            paced_rate_bps = Some cfg.rate_bps;
+            paced_rate_bps = Some rate_bps;
           }
         in
         Stream.start ~engine:src.rack_engine ~vm:src.xs.Host.Server.vm sc)
@@ -399,8 +394,7 @@ let print r =
   Printf.printf
     "  topology: %d racks x %d servers, %.1fs under load + %.1fs drain, \
      %.0f Mbit/s per lane\n"
-    r.cfg.racks r.cfg.servers_per_rack r.cfg.duration r.cfg.drain
-    (r.cfg.rate_bps /. 1e6);
+    r.cfg.racks servers_per_rack r.cfg.duration r.cfg.drain (rate_bps /. 1e6);
   Printf.printf "  express traffic: %d B offered, %d B acked (%.1f%%)\n"
     r.express_sent r.express_acked
     (if r.express_sent > 0 then

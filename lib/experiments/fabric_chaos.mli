@@ -18,21 +18,20 @@
 
 type config = {
   racks : int;  (** Ring size, 2..84. *)
-  servers_per_rack : int;
   duration : float;  (** Seconds under load. *)
   drain : float;  (** Quiesce time after stopping the streams. *)
-  rate_bps : float;  (** Per-stream offered pacing rate. *)
-  message_size : int;
   crash_at : float;
       (** When to crash rack 0's sender-side local controller
           (seconds; outside [(0, duration)] disables the script). *)
   restart_at : float;  (** When to restart it from its snapshot. *)
   seed : int;
 }
+(** Every rack has 2 servers, and each lane's stream offers 4096 B
+    messages paced at 40 Mbit/s. *)
 
 val default_config : config
-(** 4 racks x 2 servers, 3 s + 1 s drain, 40 Mbit/s per lane, crash at
-    2.0 s / restart at 2.3 s, seed 42. *)
+(** 4 racks, 3 s + 1 s drain, crash at 2.0 s / restart at 2.3 s, seed
+    42. *)
 
 type result = {
   cfg : config;

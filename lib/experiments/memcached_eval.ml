@@ -12,7 +12,7 @@ type row = {
 
 let requests_scale = ref 0.1
 let client_count = 5
-let client_concurrency = 8  (* memslap default: 8 outstanding per client *)
+let client_concurrency = 8  (* memslap: 8 outstanding per client, split over the servers *)
 
 type setup = {
   tb : Testbed.t;
@@ -47,7 +47,7 @@ let build ?(tcam_capacity = 2048) ~mem_vm_count ~vf_indices ~background
     mem_vms;
   List.iter
     (fun (a : Host.Server.attached) ->
-      Workloads.Memcached.install_server ~vm:a.Host.Server.vm ())
+      Workloads.Memcached.install_server ~vm:a.Host.Server.vm)
     mem_vms;
   (match background with
   | `None -> ()
@@ -84,20 +84,12 @@ let build ?(tcam_capacity = 2048) ~mem_vm_count ~vf_indices ~background
   let server_ips =
     List.map (fun (a : Host.Server.attached) -> Host.Vm.ip a.Host.Server.vm) mem_vms
   in
+  let concurrency = Stdlib.max 1 (client_concurrency / mem_vm_count) in
   let clients =
     List.map
       (fun (c : Host.Server.attached) ->
-        Workloads.Transactions.Client.start ~engine:tb.Testbed.engine
-          ~vm:c.Host.Server.vm
-          {
-            Workloads.Transactions.Client.servers =
-              List.map (fun ip -> (ip, Workloads.Memcached.port)) server_ips;
-            connections = 1;
-            outstanding = Stdlib.max 1 (client_concurrency / mem_vm_count);
-            request_size = Workloads.Memcached.request_size;
-            total_requests;
-            src_port_base = 45000;
-          })
+        Workloads.Memcached.memslap ~engine:tb.Testbed.engine
+          ~vm:c.Host.Server.vm ~servers:server_ips ~concurrency ~total_requests)
       client_vms
   in
   { tb; mem_vms; clients }
@@ -131,8 +123,10 @@ let run_steady ~label setup =
   }
 
 (* Finish-time run (Tables 2-4): run until every client has issued its
-   full request budget. *)
-let run_to_finish ~label ?(time_cap = 300.0) setup =
+   full request budget, or for at most [time_cap] simulated seconds. *)
+let time_cap = 300.0
+
+let run_to_finish ~label setup =
   let { tb; clients; _ } = setup in
   let start = Engine.now tb.Testbed.engine in
   Host.Server.reset_cpu_accounting tb.Testbed.servers.(0);

@@ -41,7 +41,11 @@ val build :
 (** Exposed for the Table 4 (FasTrak) experiment, which runs the same
     topology under the controllers. *)
 
-val run_to_finish : label:string -> ?time_cap:float -> setup -> row
+val run_to_finish : label:string -> setup -> row
+(** Run until every client has issued its request budget, capped at
+    300 simulated seconds (a client still short counts as finishing at
+    the cap). *)
+
 val finish_requests : unit -> int option
 
 val run_table1 : unit -> row list

@@ -97,7 +97,7 @@ let measure_burst ~setup ~size =
     Workloads.Netperf.burst_rr ~engine:tb.Testbed.engine
       ~vm:client.Host.Server.vm
       ~dst_ip:(Host.Vm.ip server.Host.Server.vm)
-      ~size ()
+      ~size
   in
   Testbed.run_for tb ~seconds:warmup;
   Workloads.Transactions.Client.reset_measurement c ~now:(Engine.now tb.engine);

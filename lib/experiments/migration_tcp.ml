@@ -32,18 +32,14 @@ let run ?(migrate_at = 1.0) ?(duration = 4.0) () =
       ~tenant:(Host.Vm.tenant sender.Host.Server.vm)
   in
   let conn = ref None in
-  let config =
-    {
-      Tcpmodel.Tcp_conn.default_config with
-      (* A modest receive window keeps the in-flight population at
-         migration time near the testbed's (~tens of segments). *)
-      Tcpmodel.Tcp_conn.receive_window = 128 * 1024;
-    }
-  in
   let c =
-    Tcpmodel.Tcp_conn.create ~engine:tb.Testbed.engine ~config ~flow
+    (* A modest receive window keeps the in-flight population at
+       migration time near the testbed's (~tens of segments). *)
+    Tcpmodel.Tcp_conn.create ~engine:tb.Testbed.engine
+      ~receive_window:(128 * 1024) ~flow
       ~transmit_data:(fun pkt -> Host.Vm.send sender.Host.Server.vm pkt)
       ~transmit_ack:(fun pkt -> Host.Vm.send receiver.Host.Server.vm pkt)
+      ()
   in
   conn := Some c;
   Host.Vm.register_flow_handler receiver.Host.Server.vm flow (fun pkt ->

@@ -58,8 +58,7 @@ let attach t r (tb : Testbed.t) =
       Core_switch.register_server t.core ~server_ip:(Host.Server.ip s) ~tor_ip)
     tb.servers
 
-let connect_peers t racks =
-  Obs.Trace.set_clock (fun () -> Cluster.now t.cluster);
+let connect_peers racks =
   Array.iter
     (fun ((tb : Testbed.t), up) ->
       Array.iter

@@ -52,9 +52,6 @@ val attach : t -> int -> Testbed.t -> unit
     rack's ToR, {!Fabric.Core_switch.attach_rack} for its loopback and
     {!Fabric.Core_switch.register_server} for each of its servers. *)
 
-val connect_peers :
-  t -> (Testbed.t * Netcore.Packet.t Fabric.Channel.t) array -> unit
+val connect_peers : (Testbed.t * Netcore.Packet.t Fabric.Channel.t) array -> unit
 (** The ToR peer mesh: each rack reaches every other rack's ToR through
-    its given uplink, and the core routes on the outer GRE header.
-    Also points the trace clock at the cluster clock, which
-    {!Testbed.create} had pointed at each rack's own engine. *)
+    its given uplink, and the core routes on the outer GRE header. *)

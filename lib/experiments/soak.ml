@@ -199,7 +199,7 @@ let run ?(config = default_config) () =
           server_cursor = ref 0;
         })
   in
-  Multirack.connect_peers mr (Array.map (fun rk -> (rk.tb, rk.uplink)) racks);
+  Multirack.connect_peers (Array.map (fun rk -> (rk.tb, rk.uplink)) racks);
   Array.iter (fun rk -> Fastrak.Rule_manager.start rk.rm) racks;
   (* Express-lane ring under load: rack r's sender streams endlessly to
      rack r+1's sink over the pinned hardware path. These are the flows

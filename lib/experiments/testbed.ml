@@ -20,10 +20,6 @@ let create ?engine ?(seed = 42) ?(config = Compute.Cost_params.baseline)
   let engine =
     match engine with Some e -> e | None -> Engine.create ~seed ()
   in
-  (* Emission sites below the engine (TCAM, VRF) stamp events with the
-     registered clock; the newest testbed's engine wins. Multi-rack
-     builders override this with the cluster clock afterwards. *)
-  Obs.Trace.set_clock (fun () -> Engine.now engine);
   let tor =
     Tor.Tor_switch.create ~engine ~ip:(tor_address ~rack ()) ~tcam_capacity
   in
@@ -42,26 +38,13 @@ type vm_spec = {
   tenant : Netcore.Tenant.id;
   ip_last_octet : int;
   tx_limit : Rules.Rate_limit_spec.t;
-  rx_limit : Rules.Rate_limit_spec.t;
   sriov : bool;
-  acl_count : int;
 }
 
 let vm_spec ?(vcpus = 4) ?(tenant = default_tenant)
-    ?(tx_limit = Rules.Rate_limit_spec.unlimited)
-    ?(rx_limit = Rules.Rate_limit_spec.unlimited) ?(sriov = true)
-    ?(acl_count = 0) ~server ~name ~ip_last_octet () =
-  {
-    server;
-    vm_name = name;
-    vcpus;
-    tenant;
-    ip_last_octet;
-    tx_limit;
-    rx_limit;
-    sriov;
-    acl_count;
-  }
+    ?(tx_limit = Rules.Rate_limit_spec.unlimited) ?(sriov = true) ~server
+    ~name ~ip_last_octet () =
+  { server; vm_name = name; vcpus; tenant; ip_last_octet; tx_limit; sriov }
 
 let vm_ip ~tenant ~last_octet =
   Ipv4.of_octets 10 (Netcore.Tenant.to_int tenant land 0xFF) 0 last_octet
@@ -76,8 +59,7 @@ let add_vm t spec =
       ~mac:(Netcore.Mac.vm_mac ~server:spec.server ~vm:spec.ip_last_octet)
   in
   let policy =
-    Rules.Policy.create ~tenant:spec.tenant ~vm_ip:ip ~tx_limit:spec.tx_limit
-      ~rx_limit:spec.rx_limit ()
+    Rules.Policy.create ~tenant:spec.tenant ~vm_ip:ip ~tx_limit:spec.tx_limit ()
   in
   Rules.Policy.add_acl policy (Rules.Security_rule.allow_all spec.tenant);
   (* Placing a VM registers its contracted tx rate with the SLO
@@ -86,17 +68,6 @@ let add_vm t spec =
   Obs.Slo.add_contract
     ~tenant:(Netcore.Tenant.to_int spec.tenant)
     ~tx_bps:spec.tx_limit.Rules.Rate_limit_spec.rate_bps ();
-  (* Extra specific rules to exercise slow-path scan cost: allow rules
-     on distinct ports that real traffic never matches first. *)
-  for i = 1 to spec.acl_count do
-    Rules.Policy.add_acl policy
-      (Rules.Security_rule.make ~priority:2
-         { Fkey.Pattern.any with
-           tenant = Some spec.tenant;
-           dst_port = Some (20000 + i);
-         }
-         Rules.Security_rule.Allow)
-  done;
   Host.Server.add_vm t.servers.(spec.server) ~vm ~policy ~sriov:spec.sriov
 
 let all_attached t =

@@ -40,25 +40,25 @@ type vm_spec = {
   tenant : Netcore.Tenant.id;
   ip_last_octet : int;  (** VM address is 10.<tenant>.0.<octet>. *)
   tx_limit : Rules.Rate_limit_spec.t;
-  rx_limit : Rules.Rate_limit_spec.t;
   sriov : bool;
-  acl_count : int;  (** Extra allow rules installed (10,000-rule test). *)
 }
 
 val vm_spec :
   ?vcpus:int ->
   ?tenant:Netcore.Tenant.id ->
   ?tx_limit:Rules.Rate_limit_spec.t ->
-  ?rx_limit:Rules.Rate_limit_spec.t ->
   ?sriov:bool ->
-  ?acl_count:int ->
   server:int ->
   name:string ->
   ip_last_octet:int ->
   unit ->
   vm_spec
+(** Defaults: 4 vCPUs, tenant 7, no tx limit, an SR-IOV VF. *)
 
 val add_vm : t -> vm_spec -> Host.Server.attached
+(** Place the VM on its server with a policy of one allow-all ACL, the
+    spec's tx limit and no rx limit, and register the tx limit as the
+    tenant's contract with {!Obs.Slo}. *)
 
 val peer_ips : t -> Host.Server.attached -> Netcore.Ipv4.t list
 (** The addresses of every other VM in the testbed, in server order. *)

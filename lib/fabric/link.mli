@@ -4,28 +4,21 @@
     The serialization stage is a single-server queue, so concurrent
     senders on the same port contend — this is where wire-level
     congestion appears in the model. Messages larger than one MTU frame
-    occupy the wire for the total of their frames (TSO burst). *)
+    occupy the wire for the total of their frames (TSO burst).
+
+    A link is reliable: injected faults ride {!Channel}, the one
+    fabric attach point for a {!Faults.Injector}. *)
 
 type t
 
 val create :
-  ?faults:Faults.Injector.t ->
   engine:Dcsim.Engine.t ->
   gbps:float ->
   latency:Dcsim.Simtime.span ->
   deliver:(Netcore.Packet.t -> unit) ->
-  unit ->
   t
 (** A link serialising at [gbps], then delaying each message by
-    [latency] before handing it to [deliver].
-
-    With [?faults], each packet leaving the wire draws a verdict from
-    the injector: drops are counted (the [fabric.link.drops] counter),
-    jitter only ever {e adds} to [latency], and duplicates deliver a
-    {!Netcore.Packet.copy}. Reordering verdicts are ignored — a
-    point-to-point wire has no alternate path. Without [?faults] the
-    delivery path is untouched, keeping fault-free runs
-    byte-identical. *)
+    [latency] before handing it to [deliver]. *)
 
 val wire_bytes : Netcore.Packet.t -> int
 (** On-the-wire bytes of a message: payload plus per-frame headers,

@@ -24,18 +24,15 @@ let create ~engine ~name ~ip ~config ~tor =
     Fabric.Link.create ~engine ~gbps:Cost.link_gbps
       ~latency:Cost.nic_fixed_latency
       ~deliver:(fun pkt -> Tor.Tor_switch.receive tor pkt)
-      ()
   in
   let sriov_uplink =
     Fabric.Link.create ~engine ~gbps:Cost.link_gbps
       ~latency:Cost.nic_fixed_latency
       ~deliver:(fun pkt -> Tor.Tor_switch.receive tor pkt)
-      ()
   in
   let ovs =
     Vswitch.Ovs.create ~engine ~config ~host_pool ~server_ip:ip
       ~transmit:(fun pkt -> ignore (Fabric.Link.transmit vswitch_uplink pkt))
-      ()
   in
   let sriov = Nic.Sriov.create ~engine ~host_pool ~wire:sriov_uplink () in
   Tor.Tor_switch.attach_server tor ~server_ip:ip

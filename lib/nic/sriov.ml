@@ -117,7 +117,8 @@ let receive_from_wire t pkt =
           Obs.Metrics.add
             (Obs.Metrics.labeled_counter fam_vf_rx_bytes tenant)
             pkt.Packet.payload;
-          Obs.Slo.observe_goodput ~tenant pkt.Packet.payload;
+          Obs.Slo.observe_goodput ~tenant ~now:(Engine.now t.engine)
+            pkt.Packet.payload;
           Shaping.Shaper.enqueue vf.rx_shaper pkt
       | exception Not_found ->
           t.dropped <- t.dropped + 1;

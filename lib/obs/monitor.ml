@@ -33,13 +33,18 @@ type t = {
   (* span id -> kind, for begin/end pairing *)
   open_spans : (int, string) Hashtbl.t;
   migrations : (string, mg_state) Hashtbl.t;
-  no_blackhole_window : Simtime.span;
   flows : (string, flow_state) Hashtbl.t;
-  context_events : int;
 }
 
-let create ?(mode = Warn)
-    ?(no_blackhole_window = Simtime.span_ms 1000.0) ?(context_events = 8) () =
+(* How long a flow with demand may go without delivery progress:
+   comfortably above the worst-case lane-failover time, so a healthy
+   failover never trips it. *)
+let no_blackhole_window = Simtime.span_ms 1000.0
+
+(* Flight-recorder events each violation record embeds as context. *)
+let context_events = 8
+
+let create ?(mode = Warn) () =
   {
     mode;
     violations_rev = [];
@@ -48,9 +53,7 @@ let create ?(mode = Warn)
     last_seq = Hashtbl.create 8;
     open_spans = Hashtbl.create 64;
     migrations = Hashtbl.create 8;
-    no_blackhole_window;
     flows = Hashtbl.create 16;
-    context_events;
   }
 
 
@@ -81,8 +84,8 @@ let violate t ~at ~monitor detail =
      event by the time the monitor observes it. *)
   let context =
     match Flight.installed () with
-    | Some ring when t.context_events > 0 -> Flight.last ring t.context_events
-    | Some _ | None -> []
+    | Some ring -> Flight.last ring context_events
+    | None -> []
   in
   let v = { at; monitor; detail; context } in
   t.violations_rev <- v :: t.violations_rev;
@@ -189,7 +192,7 @@ let observe t at (ev : Trace.event) =
           if made_progress || not has_demand then st.progress_at <- at
           else begin
             let stalled = Simtime.diff at st.progress_at in
-            if Simtime.span_compare stalled t.no_blackhole_window > 0 then begin
+            if Simtime.span_compare stalled no_blackhole_window > 0 then begin
               (* Restart the window so Warn mode reports a stuck flow
                  once per window rather than once per heartbeat. *)
               st.progress_at <- at;

@@ -47,10 +47,9 @@ type violation = {
   monitor : string;  (** Monitor name, e.g. ["tcam_capacity"]. *)
   detail : string;  (** Human-readable description of the breach. *)
   context : (Dcsim.Simtime.t * Trace.event) list;
-      (** The last few events the installed {!Obs.Flight} recorder held
-          when the breach was recorded (oldest first, bounded by
-          [create]'s [context_events]); empty when no recorder is
-          installed. *)
+      (** The last (at most 8) events the installed {!Obs.Flight}
+          recorder held when the breach was recorded, oldest first;
+          empty when no recorder is installed. *)
 }
 
 exception Strict_violation of violation
@@ -59,18 +58,11 @@ exception Strict_violation of violation
 
 type t
 
-val create :
-  ?mode:mode ->
-  ?no_blackhole_window:Dcsim.Simtime.span ->
-  ?context_events:int ->
-  unit ->
-  t
-(** A fresh monitor with empty state; [mode] defaults to [Warn].
-    [no_blackhole_window] bounds how long a flow with demand may go
-    without delivery progress (default 1 s — comfortably above the
-    worst-case lane-failover time, so a healthy failover never trips
-    it). [context_events] (default 8) caps how many flight-recorder
-    events each violation record embeds as context; 0 disables. *)
+val create : ?mode:mode -> unit -> t
+(** A fresh monitor with empty state; [mode] defaults to [Warn]. Its
+    [no_blackhole] check allows a flow with demand 1 s without delivery
+    progress — comfortably above the worst-case lane-failover time, so
+    a healthy failover never trips it. *)
 
 val attach : t -> unit
 (** Subscribe to the live trace stream in front of the current sink

@@ -2,10 +2,10 @@ module Simtime = Dcsim.Simtime
 module Stats = Dcsim.Stats
 
 (* Per-tenant accounting cell. Goodput is cumulative delivered bytes
-   stamped with the trace clock at first and last delivery, so the
-   achieved rate is bytes over the tenant's own active window — robust
-   across experiments of different lengths. Latency is a log-bucketed
-   histogram (constant memory, p99 on demand). *)
+   stamped with the delivering engine's clock at first and last
+   delivery, so the achieved rate is bytes over the tenant's own active
+   window — robust across experiments of different lengths. Latency is
+   a log-bucketed histogram (constant memory, p99 on demand). *)
 type cell = {
   mutable contracted_bps : float;  (* nan = no contract registered *)
   mutable p99_slo_us : float;  (* nan = no latency target *)
@@ -44,21 +44,20 @@ let add_contract ~tenant ?tx_bps ?p99_us () =
   | None -> ());
   match p99_us with Some us -> c.p99_slo_us <- us | None -> ()
 
-let observe_goodput ~tenant bytes =
+let observe_goodput ~tenant ~now bytes =
   let c = cell tenant in
-  let at = Trace.now () in
-  if c.bytes = 0 then c.first_at <- at;
+  if c.bytes = 0 then c.first_at <- now;
   c.bytes <- c.bytes + bytes;
-  c.last_at <- at
+  c.last_at <- now
 
 let observe_latency_us ~tenant us = Stats.Histogram.add (cell tenant).latency us
 
 (* The FPS machinery deliberately over-provisions each path by the
    overflow allowance (and boosts a maxed path by up to 1.25x), so a
    tenant legitimately rides above its contracted limit for short
-   stretches. The default tolerance absorbs that headroom; anything
-   beyond it is an isolation breach. *)
-let default_tolerance = 0.25
+   stretches. The tolerance absorbs that headroom; anything beyond it
+   is an isolation breach. *)
+let tolerance = 0.25
 
 type row = {
   tenant : int;
@@ -73,7 +72,7 @@ type row = {
   latency_ok : bool;
 }
 
-let row_of_cell ~tolerance tenant (c : cell) =
+let row_of_cell tenant (c : cell) =
   let window_s =
     if c.bytes = 0 then 0.0
     else Simtime.span_to_sec (Simtime.diff c.last_at c.first_at)
@@ -109,11 +108,14 @@ let row_of_cell ~tolerance tenant (c : cell) =
     latency_ok;
   }
 
-let scoreboard ?(tolerance = default_tolerance) () =
+(* Rows with each tenant's last delivery instant, sorted by tenant. *)
+let stamped_rows () =
   Netcore.Int_table.fold
-    (fun tenant c acc -> row_of_cell ~tolerance tenant c :: acc)
+    (fun tenant c acc -> (row_of_cell tenant c, c.last_at) :: acc)
     cells []
-  |> List.sort (fun a b -> compare a.tenant b.tenant)
+  |> List.sort (fun (a, _) (b, _) -> compare a.tenant b.tenant)
+
+let scoreboard () = List.map fst (stamped_rows ())
 
 let fmt_bps v =
   if Float.is_nan v then "-"
@@ -131,8 +133,8 @@ let verdict r =
   | true, false -> "P99 BREACH"
   | false, false -> "RATE+P99 BREACH"
 
-let report ?(tolerance = default_tolerance) () =
-  let rows = scoreboard ~tolerance () in
+let report () =
+  let rows = scoreboard () in
   let b = Buffer.create 512 in
   if rows = [] then
     Buffer.add_string b "tenant_slo: no tenants observed\n"
@@ -166,9 +168,9 @@ let report ?(tolerance = default_tolerance) () =
   end;
   Buffer.contents b
 
-let check ?(tolerance = default_tolerance) monitor ~at =
+let check monitor =
   List.iter
-    (fun r ->
+    (fun (r, at) ->
       if not r.rate_ok then
         Monitor.breach monitor ~at ~monitor:"tenant_slo"
           (Printf.sprintf
@@ -182,4 +184,4 @@ let check ?(tolerance = default_tolerance) monitor ~at =
              r.tenant
              (fmt_us r.latency_p99_us)
              (fmt_us r.latency_slo_us)))
-    (scoreboard ~tolerance ())
+    (stamped_rows ())

@@ -11,8 +11,8 @@
     computes.
 
     The scoreboard is the harness tenant-interference experiments
-    assert against: a tenant riding {e above} its contracted rate
-    (beyond the FPS overflow headroom the tolerance absorbs) is an
+    assert against: a tenant riding {e above} its contracted rate by
+    more than 25% (a tolerance for the FPS overflow headroom) is an
     isolation breach, and {!check} reports it through an
     {!Obs.Monitor} as a [tenant_slo] violation — strict mode turns it
     into a non-zero exit. The CLI prints {!report} per experiment
@@ -34,8 +34,8 @@ type row = {
   latency_samples : int;
   latency_slo_us : float;  (** Registered target; [nan] = none. *)
   rate_ok : bool;
-      (** Achieved within contracted × (1 + tolerance); vacuously true
-          without a contract or without measurable traffic. *)
+      (** Achieved within contracted × 1.25; vacuously true without a
+          contract or without measurable traffic. *)
   latency_ok : bool;
 }
 
@@ -44,30 +44,30 @@ val add_contract : tenant:int -> ?tx_bps:float -> ?p99_us:float -> unit -> unit
     tenant's contracted rate (one call per VM; [infinity] for an
     unlimited VM absorbs the sum), [p99_us] sets the latency target. *)
 
-val observe_goodput : tenant:int -> int -> unit
-(** Count delivered payload bytes, stamped with {!Trace.now}. Called by
-    the vswitch and SR-IOV delivery sites. *)
+val observe_goodput : tenant:int -> now:Dcsim.Simtime.t -> int -> unit
+(** Count delivered payload bytes, stamped with [now], the delivering
+    engine's clock. Called by the vswitch and SR-IOV delivery sites. *)
 
 val observe_latency_us : tenant:int -> float -> unit
 (** Feed one request latency sample (µs). Called by the
     request/response workloads on each completed transaction. *)
 
-val scoreboard : ?tolerance:float -> unit -> row list
-(** One row per tenant seen by any feed, sorted by tenant id.
-    [tolerance] (default 0.25) is the fraction above the contracted
-    rate still considered conformant — FPS deliberately over-provisions
-    each path by the overflow allowance, so a small excursion is not a
-    breach. *)
+val scoreboard : unit -> row list
+(** One row per tenant seen by any feed, sorted by tenant id. A rate up
+    to 25% above the contract is still conformant: FPS deliberately
+    over-provisions each path by the overflow allowance, so a small
+    excursion is not a breach. *)
 
-val report : ?tolerance:float -> unit -> string
+val report : unit -> string
 (** The scoreboard as an aligned text table with a per-tenant verdict
     ([ok] / [RATE BREACH] / [P99 BREACH]); one line when no tenant was
     observed. *)
 
-val check : ?tolerance:float -> Monitor.t -> at:Dcsim.Simtime.t -> unit
+val check : Monitor.t -> unit
 (** Evaluate the scoreboard and report every breaching tenant through
-    [monitor] as a [tenant_slo] violation ({!Monitor.breach}) — so a
-    strict monitor turns an SLO breach into {!Monitor.Strict_violation}. *)
+    [monitor] as a [tenant_slo] violation ({!Monitor.breach}), stamped
+    at that tenant's last delivery — so a strict monitor turns an SLO
+    breach into {!Monitor.Strict_violation}. *)
 
 val reset : unit -> unit
 (** Drop all cells: contracts, goodput and latency state. *)

@@ -25,7 +25,7 @@ val none : id
     [parent] of root spans in the wire encoding. *)
 
 val start :
-  ?now:Dcsim.Simtime.t ->
+  now:Dcsim.Simtime.t ->
   ?parent:id ->
   kind:string ->
   name:string ->
@@ -35,13 +35,14 @@ val start :
 (** Open a span and emit its {!Trace.Span_begin}. [kind] groups spans
     of one family (["directive"], ["install"], ["offload"],
     ["migration"], ["aggregate"]); [name] is the human label; [track]
-    names the timeline row (a server name or ["tor"]). Returns {!none}
-    without emitting when tracing is off. *)
+    names the timeline row (a server name or ["tor"]); [now] is the
+    opening instant on the caller's engine. Returns {!none} without
+    emitting when tracing is off. *)
 
-val finish : ?now:Dcsim.Simtime.t -> id -> outcome:string -> unit
-(** Close a span with its outcome. No-op on {!none} or when tracing is
-    off (an unfinished span is closed synthetically by the exporter at
-    the trace's final instant). *)
+val finish : now:Dcsim.Simtime.t -> id -> outcome:string -> unit
+(** Close a span at [now] with its outcome. No-op on {!none} or when
+    tracing is off (an unfinished span is closed synthetically by the
+    exporter at the trace's final instant). *)
 
 val reset : unit -> unit
 (** Restart id allocation from 1 (tests only — ids must stay unique

@@ -146,17 +146,17 @@ type series = {
 type row = { at : Simtime.t; series_name : string; stats : quantiles }
 
 type t = {
-  mutable on : bool;
   by_name : (string, series) Hashtbl.t;
   mutable ordered : series list;  (* newest first; rows reverse it *)
   mutable rows_rev : row list;
 }
 
-let create () = { on = false; by_name = Hashtbl.create 16; ordered = []; rows_rev = [] }
+let create () = { by_name = Hashtbl.create 16; ordered = []; rows_rev = [] }
 let default = create ()
-let enable ?(collector = default) () = collector.on <- true
-let disable ?(collector = default) () = collector.on <- false
-let enabled ?(collector = default) () = collector.on
+let on = ref false
+let enable () = on := true
+let disable () = on := false
+let enabled () = !on
 
 let series ?(collector = default) name =
   match Hashtbl.find_opt collector.by_name name with

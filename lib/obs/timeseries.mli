@@ -43,11 +43,12 @@ type t
 
 val create : unit -> t
 
-val enable : ?collector:t -> unit -> unit
-val disable : ?collector:t -> unit -> unit
+val enable : unit -> unit
+val disable : unit -> unit
 
-val enabled : ?collector:t -> unit -> bool
-(** The guard observation sites check before computing a value. *)
+val enabled : unit -> bool
+(** Whether the default collector is on: the guard observation sites
+    check before computing a value. *)
 
 val series : ?collector:t -> string -> series
 (** Get or create the series named [name]. Series names follow the

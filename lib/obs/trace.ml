@@ -607,9 +607,6 @@ type sink =
   | Callback of (Simtime.t -> event -> unit)
 
 let sink = ref Off
-let clock = ref (fun () -> Simtime.zero)
-let set_clock f = clock := f
-let now () = !clock ()
 let enabled () = match !sink with Off -> false | Jsonl _ | Callback _ -> true
 
 (* One scratch buffer shared by the JSONL sink (there is at most one
@@ -628,12 +625,7 @@ let emit_to sink now event =
       Buffer.output_buffer oc jsonl_scratch
   | Callback f -> f now event
 
-let emit ?now event =
-  match !sink with
-  | Off -> ()
-  | s ->
-      let now = match now with Some t -> t | None -> !clock () in
-      emit_to s now event
+let emit ~now event = match !sink with Off -> () | s -> emit_to s now event
 
 let use_jsonl oc = sink := Jsonl oc
 let use_callback f = sink := Callback f

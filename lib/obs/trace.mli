@@ -2,9 +2,10 @@
 
     Every decision the FasTrak control plane makes — promoting a flow to
     the express lane, evicting its rules from the TCAM, re-splitting a
-    rate limit — is announced as a typed {!event} stamped with the sim
-    clock. Events are serialised as one JSON object per line (JSONL), so
-    a run's trace can be replayed, diffed, or fed to external tooling.
+    rate limit — is announced as a typed {!event} stamped with the
+    emitting engine's sim time. Events are serialised as one JSON
+    object per line (JSONL), so a run's trace can be replayed, diffed,
+    or fed to external tooling.
 
     Tracing is off by default and the disabled path is a no-op: emission
     sites guard with {!enabled} before constructing an event, so an
@@ -180,10 +181,11 @@ val enabled : unit -> bool
     building an event so that disabled tracing costs one load and one
     branch. *)
 
-val emit : ?now:Dcsim.Simtime.t -> event -> unit
-(** Hand an event to the current sink; a no-op when tracing is off.
-    [now] defaults to the registered {!set_clock} clock — pass it
-    explicitly wherever an engine is in scope. *)
+val emit : now:Dcsim.Simtime.t -> event -> unit
+(** Hand an event, stamped [now], to the current sink; a no-op when
+    tracing is off. [now] is the clock of the engine the emitting site
+    runs on: there is no process-wide clock, so two simulations in one
+    process never stamp each other's events. *)
 
 val use_jsonl : out_channel -> unit
 (** Route events to [oc], one JSON object per line. The caller keeps
@@ -208,17 +210,6 @@ val disable_count : unit -> int
     added with {!use_tee} stays in the chain exactly while {!enabled}
     is true and this count has not moved, which is how {!Obs.Monitor}
     answers "is a monitor attached right now". *)
-
-val set_clock : (unit -> Dcsim.Simtime.t) -> unit
-(** Register the running engine's clock for emission sites that have no
-    engine handle of their own (the TCAM and VRF live below the
-    engine). [Experiments.Testbed.create] registers each new testbed's
-    engine automatically. *)
-
-val now : unit -> Dcsim.Simtime.t
-(** The registered clock's current sim time ({!Dcsim.Simtime.zero}
-    before any {!set_clock}). Always-on consumers that need a stamp but
-    have no engine handle (the {!Obs.Slo} goodput feed) read this. *)
 
 (** {1 Codec} *)
 

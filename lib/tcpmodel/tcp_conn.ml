@@ -3,22 +3,10 @@ module Engine = Dcsim.Engine
 module Packet = Netcore.Packet
 module Fkey = Netcore.Fkey
 
-type config = {
-  mss : int;
-  init_cwnd_segments : int;
-  rto_min : Simtime.span;
-  delayed_ack_timeout : Simtime.span;
-  receive_window : int;
-}
-
-let default_config =
-  {
-    mss = Netcore.Hdr.max_tcp_payload;
-    init_cwnd_segments = 10;
-    rto_min = Simtime.span_ms 200.0;
-    delayed_ack_timeout = Simtime.span_ms 40.0;
-    receive_window = 1 lsl 20;
-  }
+let mss = Netcore.Hdr.max_tcp_payload
+let init_cwnd_segments = 10
+let rto_min = Simtime.span_ms 200.0
+let delayed_ack_timeout = Simtime.span_ms 40.0
 
 module Trace = struct
   (* Sample [k] is slot [2 * (k mod chunk_samples)] (time in ns) and the
@@ -60,7 +48,7 @@ end
 
 type t = {
   engine : Engine.t;
-  config : config;
+  receive_window : int;  (* bytes; caps the flight size *)
   flow : Fkey.t;
   transmit_data : Packet.t -> unit;
   transmit_ack : Packet.t -> unit;
@@ -94,17 +82,18 @@ type t = {
   mutable delivered_cb : int -> unit;
 }
 
-let create ~engine ~config ~flow ~transmit_data ~transmit_ack =
+let create ~engine ?(receive_window = 1 lsl 20) ~flow ~transmit_data
+    ~transmit_ack () =
   {
     engine;
-    config;
+    receive_window;
     flow;
     transmit_data;
     transmit_ack;
     snd_una = 0;
     snd_nxt = 0;
     app_limit = 0;
-    cwnd = config.mss * config.init_cwnd_segments;
+    cwnd = mss * init_cwnd_segments;
     ssthresh = max_int / 2;
     dupacks = 0;
     in_recovery = false;
@@ -157,7 +146,7 @@ and emit_segment t ~seq ~len =
   let flags = { Packet.syn = false; fin = false; is_ack = false } in
   (* A segment riding a multi-segment flight travels in a train and
      gets GSO/GRO treatment; isolated segments pay full wakeup costs. *)
-  let bulk = t.snd_nxt - t.snd_una > 4 * t.config.mss in
+  let bulk = t.snd_nxt - t.snd_una > 4 * mss in
   let pkt =
     Packet.create ~now ~flow:t.flow ~payload:len
       ~l4:(Packet.Tcp_seg { seq; ack = 0; len; flags })
@@ -170,12 +159,12 @@ and emit_segment t ~seq ~len =
   t.transmit_data pkt
 
 and try_send t =
-  let window = Stdlib.min t.cwnd t.config.receive_window in
+  let window = Stdlib.min t.cwnd t.receive_window in
   let continue = ref true in
   while !continue do
     let available = t.app_limit - t.snd_nxt in
     let in_flight = t.snd_nxt - t.snd_una in
-    let len = Stdlib.min t.config.mss available in
+    let len = Stdlib.min mss available in
     if len > 0 && in_flight + len <= window then begin
       emit_segment t ~seq:t.snd_nxt ~len;
       t.snd_nxt <- t.snd_nxt + len;
@@ -185,7 +174,7 @@ and try_send t =
   done
 
 and retransmit_first_unacked t =
-  let len = Stdlib.min t.config.mss (t.app_limit - t.snd_una) in
+  let len = Stdlib.min mss (t.app_limit - t.snd_una) in
   if len > 0 then begin
     (* A retransmission invalidates any in-flight RTT probe. *)
     t.rtt_probe <- None;
@@ -197,8 +186,8 @@ and on_rto t =
   if t.snd_nxt > t.snd_una then begin
     t.timeouts <- t.timeouts + 1;
     let flight = t.snd_nxt - t.snd_una in
-    t.ssthresh <- Stdlib.max (flight / 2) (2 * t.config.mss);
-    t.cwnd <- t.config.mss;
+    t.ssthresh <- Stdlib.max (flight / 2) (2 * mss);
+    t.cwnd <- mss;
     t.dupacks <- 0;
     t.in_recovery <- false;
     t.rto_backoff <- Stdlib.min (t.rto_backoff + 1) 6;
@@ -231,8 +220,8 @@ let update_rtt t ~ack ~now =
       let rto = srtt +. Float.max (4.0 *. t.rttvar) 0.000_001 in
       let rto_span = Simtime.span_sec rto in
       t.rto <-
-        (if Simtime.span_compare rto_span t.config.rto_min < 0 then
-           t.config.rto_min
+        (if Simtime.span_compare rto_span rto_min < 0 then
+           rto_min
          else rto_span);
       t.rto_backoff <- 0
   | _ -> ()
@@ -265,18 +254,18 @@ let deliver_to_sender t pkt =
             (* NewReno partial ack: the next hole is lost too. *)
             t.fast_retransmits <- t.fast_retransmits + 1;
             retransmit_first_unacked t;
-            t.cwnd <- Stdlib.max t.ssthresh (t.cwnd - newly_acked + t.config.mss)
+            t.cwnd <- Stdlib.max t.ssthresh (t.cwnd - newly_acked + mss)
           end
         end
         else begin
           t.dupacks <- 0;
           if t.cwnd < t.ssthresh then
             (* Slow start. *)
-            t.cwnd <- t.cwnd + t.config.mss
+            t.cwnd <- t.cwnd + mss
           else
             (* Congestion avoidance: ~one MSS per RTT. *)
             t.cwnd <-
-              t.cwnd + Stdlib.max 1 (t.config.mss * t.config.mss / t.cwnd)
+              t.cwnd + Stdlib.max 1 (mss * mss / t.cwnd)
         end;
         if t.snd_nxt > t.snd_una then arm_rto t else cancel_rto t;
         try_send t
@@ -287,15 +276,15 @@ let deliver_to_sender t pkt =
         t.dupacks <- t.dupacks + 1;
         if t.in_recovery then begin
           (* Inflate during recovery; each dupack signals a departure. *)
-          t.cwnd <- t.cwnd + t.config.mss;
+          t.cwnd <- t.cwnd + mss;
           try_send t
         end
         else if t.dupacks = 3 then begin
           t.fast_retransmits <- t.fast_retransmits + 1;
           t.recoveries <- t.recoveries + 1;
           let flight = t.snd_nxt - t.snd_una in
-          t.ssthresh <- Stdlib.max (flight / 2) (2 * t.config.mss);
-          t.cwnd <- t.ssthresh + (3 * t.config.mss);
+          t.ssthresh <- Stdlib.max (flight / 2) (2 * mss);
+          t.cwnd <- t.ssthresh + (3 * mss);
           t.in_recovery <- true;
           t.recover <- t.snd_nxt;
           retransmit_first_unacked t;
@@ -328,7 +317,7 @@ let emit_ack t ~delayed =
 let arm_delack t =
   if t.delack_timer = None then begin
     let handle =
-      Engine.after t.engine t.config.delayed_ack_timeout (fun () ->
+      Engine.after t.engine delayed_ack_timeout (fun () ->
           t.delack_timer <- None;
           emit_ack t ~delayed:true)
     in

@@ -10,31 +10,27 @@
     Implemented behaviour: slow start, congestion avoidance, duplicate
     acks, fast retransmit + fast recovery on 3 dupacks, retransmission
     timeout with exponential backoff, delayed acks (one ack per two
-    segments or a 40 ms timer), SRTT/RTTVAR-based RTO (RFC 6298). *)
+    segments or a 40 ms timer), SRTT/RTTVAR-based RTO (RFC 6298).
 
-type config = {
-  mss : int;
-  init_cwnd_segments : int;
-  rto_min : Dcsim.Simtime.span;
-  delayed_ack_timeout : Dcsim.Simtime.span;
-  receive_window : int;  (** Bytes; caps the flight size. *)
-}
-
-val default_config : config
+    Every connection segments at {!Netcore.Hdr.max_tcp_payload} bytes,
+    starts with a 10-segment congestion window and never lets its RTO
+    fall below 200 ms. *)
 
 type t
 
 val create :
   engine:Dcsim.Engine.t ->
-  config:config ->
+  ?receive_window:int ->
   flow:Netcore.Fkey.t ->
   transmit_data:(Netcore.Packet.t -> unit) ->
   transmit_ack:(Netcore.Packet.t -> unit) ->
+  unit ->
   t
 (** [flow] is the forward (data) direction; acks travel on the reverse
-    key. The transmit callbacks fire whenever an endpoint emits a
-    segment; they must not call back into the connection synchronously
-    (schedule deliveries through the engine instead). *)
+    key. [receive_window] (bytes, default 1 MiB) caps the flight size.
+    The transmit callbacks fire whenever an endpoint emits a segment;
+    they must not call back into the connection synchronously (schedule
+    deliveries through the engine instead). *)
 
 val send : t -> int -> unit
 (** Append bytes to the application send queue; transmission starts (or

@@ -90,7 +90,7 @@ let vrf t (tenant : Netcore.Tenant.id) =
   match Int_table.find t.vrf_of_tenant (tenant :> int) with
   | v -> v
   | exception Not_found ->
-      let v = Vrf.create ~tenant ~tcam:t.tcam in
+      let v = Vrf.create ~engine:t.engine ~tenant ~tcam:t.tcam in
       Vrf.set_install_fault v t.vrf_install_fault;
       t.vrfs <- v :: t.vrfs;
       Int_table.replace t.vrf_of_tenant (tenant :> int) v;
@@ -101,7 +101,7 @@ let attach_server t ~server_ip ~to_vswitch ~to_sriov =
   let mk_port deliver =
     let link =
       Fabric.Link.create ~engine:t.engine ~gbps:Cost.link_gbps
-        ~latency:Cost.tor_forward_latency ~deliver ()
+        ~latency:Cost.tor_forward_latency ~deliver
     in
     Qos_queue.create ~engine:t.engine ~classes:8 ~link
   in

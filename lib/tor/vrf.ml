@@ -9,6 +9,7 @@ type entry = { id : int; compiled : Rules.Rule_compiler.compiled }
 type space = { mask : Mask.t; mutable buckets : entry list array; mutable size : int }
 
 type t = {
+  engine : Dcsim.Engine.t;  (* stamps the TCAM trace events *)
   tenant : Netcore.Tenant.id;
   tcam : Tcam.t;
   mutable entries : entry list;  (* newest first *)
@@ -30,8 +31,9 @@ let m_install_entries = Obs.Metrics.summary "tor.vrf.install_entries"
 let m_install_faults = Obs.Metrics.counter "tor.tcam.install_faults"
 let m_soft_errors = Obs.Metrics.counter "tor.tcam.soft_errors"
 
-let create ~tenant ~tcam =
+let create ~engine ~tenant ~tcam =
   {
+    engine;
     tenant;
     tcam;
     entries = [];
@@ -96,7 +98,7 @@ let install t compiled =
        there is nothing to roll back. *)
     Obs.Metrics.incr m_install_faults;
     if Obs.Trace.enabled () then
-      Obs.Trace.emit
+      Obs.Trace.emit ~now:(Dcsim.Engine.now t.engine)
         (Obs.Trace.Tcam_error
            { tenant = t.tenant; kind = "install_fault"; entries = entries_needed });
     Error `Install_fault
@@ -118,7 +120,7 @@ let install t compiled =
     Obs.Metrics.incr m_installs;
     Obs.Metrics.observe m_install_entries (float_of_int entries_needed);
     if Obs.Trace.enabled () then
-      Obs.Trace.emit
+      Obs.Trace.emit ~now:(Dcsim.Engine.now t.engine)
         (Obs.Trace.Tcam_install
            {
              tenant = t.tenant;
@@ -138,7 +140,7 @@ let remove t handle =
       Tcam.release t.tcam entry.compiled.Rules.Rule_compiler.tcam_entries;
       Obs.Metrics.incr m_removes;
       if Obs.Trace.enabled () then
-        Obs.Trace.emit
+        Obs.Trace.emit ~now:(Dcsim.Engine.now t.engine)
           (Obs.Trace.Tcam_evict
              {
                tenant = t.tenant;
@@ -174,7 +176,7 @@ let evict_random t ~rng =
       let entries_lost = victim.compiled.Rules.Rule_compiler.tcam_entries in
       Obs.Metrics.incr m_soft_errors;
       if Obs.Trace.enabled () then
-        Obs.Trace.emit
+        Obs.Trace.emit ~now:(Dcsim.Engine.now t.engine)
           (Obs.Trace.Tcam_error
              { tenant = t.tenant; kind = "soft_error"; entries = entries_lost });
       remove t victim.id;

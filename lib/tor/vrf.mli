@@ -7,8 +7,9 @@
 
 type t
 
-val create : tenant:Netcore.Tenant.id -> tcam:Tcam.t -> t
-(** An empty VRF for [tenant] drawing entries from the shared [tcam]. *)
+val create : engine:Dcsim.Engine.t -> tenant:Netcore.Tenant.id -> tcam:Tcam.t -> t
+(** An empty VRF for [tenant] drawing entries from the shared [tcam].
+    Its TCAM trace events are stamped with [engine]'s clock. *)
 
 val tenant : t -> Netcore.Tenant.id
 (** The owning tenant. *)

@@ -147,14 +147,11 @@ type t = {
   mutable kernel_hits : int;
 }
 
-let create ?cache_config ~engine ~config ~host_pool ~server_ip ~transmit () =
-  let cache_config =
-    match cache_config with Some c -> c | None -> !Flow_cache.default_config
-  in
+let create ~engine ~config ~host_pool ~server_ip ~transmit =
   {
     engine;
     config;
-    cache_config;
+    cache_config = !Flow_cache.default_config;
     host_pool;
     server_ip;
     transmit;
@@ -403,7 +400,8 @@ let apply_verdict t vif config verdict pkt direction =
           Obs.Metrics.add
             (Obs.Metrics.labeled_counter fam_rx_bytes tenant)
             pkt.Packet.payload;
-          Obs.Slo.observe_goodput ~tenant pkt.Packet.payload;
+          Obs.Slo.observe_goodput ~tenant ~now:(Engine.now t.engine)
+            pkt.Packet.payload;
           Shaping.Shaper.enqueue vif.rx_shaper pkt)
 
 (* A group's continuation has run: when the last one finishes, scrub

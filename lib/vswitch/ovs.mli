@@ -17,18 +17,16 @@
 type t
 
 val create :
-  ?cache_config:Flow_cache.config ->
   engine:Dcsim.Engine.t ->
   config:Compute.Cost_params.vswitch_config ->
   host_pool:Compute.Cpu_pool.t ->
   server_ip:Netcore.Ipv4.t ->
   transmit:(Netcore.Packet.t -> unit) ->
-  unit ->
   t
 (** [transmit] hands fully-processed packets to the physical NIC /
     link. [host_pool] is the shared kernel CPU pool of the server.
-    [cache_config] sizes each VIF's datapath cache; defaults to the
-    current {!Flow_cache.default_config}. *)
+    Each VIF's datapath cache is sized by {!Flow_cache.default_config}
+    as it reads when the vswitch is created. *)
 
 (** {2 VIFs} *)
 

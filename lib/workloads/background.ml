@@ -19,8 +19,7 @@ let duty_noise ~engine ~pool ~period ~duty =
       Compute.Cpu_pool.submit pool ~cost:busy (fun () -> ());
       `Continue)
 
-let scp ~engine ~vm ~dst_ip ?(total_bytes = 4 * 1024 * 1024 * 1024)
-    ?(rate_bps = 135.0 *. 1448.0 *. 8.0) () =
+let scp ~engine ~vm ~dst_ip ?(rate_bps = 135.0 *. 1448.0 *. 8.0) () =
   let config =
     {
       (Stream.default_config ~dst_ip) with
@@ -29,7 +28,7 @@ let scp ~engine ~vm ~dst_ip ?(total_bytes = 4 * 1024 * 1024 * 1024)
       message_size = 1448;
       window = 64;
       ack_every = 1;
-      total_bytes = Some total_bytes;
+      total_bytes = Some (4 * 1024 * 1024 * 1024);
       paced_rate_bps = Some rate_bps;
     }
   in

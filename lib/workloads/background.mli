@@ -16,13 +16,12 @@ val scp :
   engine:Dcsim.Engine.t ->
   vm:Host.Vm.t ->
   dst_ip:Netcore.Ipv4.t ->
-  ?total_bytes:int ->
   ?rate_bps:float ->
   unit ->
   scp
-(** Default: 4 GB at ~1.56 Mb/s application rate (which is 135 x 1448 B
-    messages per second), plus disk-I/O CPU noise of ~25% of one core
-    on the VM kernel. *)
+(** 4 GiB of 1448 B messages paced at [rate_bps] (default ~1.56 Mb/s,
+    which is 135 messages per second), plus disk-I/O CPU noise of ~25%
+    of one core on the VM kernel. *)
 
 val scp_stream : scp -> Stream.t
 

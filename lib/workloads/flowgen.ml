@@ -5,7 +5,6 @@ module Fkey = Netcore.Fkey
 
 type config = {
   arrival_rate : float;
-  pareto_shape : float;
   mean_flow_bytes : float;
   hot_fraction : float;
   hot_services : int;
@@ -17,7 +16,6 @@ type config = {
 let default_config =
   {
     arrival_rate = 50.0;
-    pareto_shape = 1.2;
     mean_flow_bytes = 50_000.0;
     hot_fraction = 0.8;
     hot_services = 4;
@@ -86,13 +84,14 @@ let launch_to t ~dst_port ~size_bytes =
         launch_flow t ~src_port ~dst_port ~size_bytes
   end
 
+(* The tail index of the Pareto flow-size draw. *)
+let pareto_shape = 1.2
+
 let draw_size t =
   let scale =
-    t.config.mean_flow_bytes
-    *. (t.config.pareto_shape -. 1.0)
-    /. t.config.pareto_shape
+    t.config.mean_flow_bytes *. (pareto_shape -. 1.0) /. pareto_shape
   in
-  int_of_float (Dcsim.Rng.pareto t.rng ~shape:t.config.pareto_shape ~scale)
+  int_of_float (Dcsim.Rng.pareto t.rng ~shape:pareto_shape ~scale)
 
 let launch t =
   if t.running then begin

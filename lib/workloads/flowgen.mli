@@ -13,8 +13,8 @@
 
 type config = {
   arrival_rate : float;  (** Flows per second. *)
-  pareto_shape : float;  (** Size distribution tail index (e.g. 1.2). *)
   mean_flow_bytes : float;
+      (** Mean of the Pareto flow-size draw (tail index 1.2). *)
   hot_fraction : float;  (** Probability an arrival hits the hot set. *)
   hot_services : int;  (** Size of the hot destination set. *)
   cold_services : int;

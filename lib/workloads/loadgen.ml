@@ -55,7 +55,6 @@ type config = {
   on_mean : Simtime.span;
   off_mean : Simtime.span;
   churn_period : Simtime.span option;
-  stats_interval : Simtime.span;
 }
 
 let default_config =
@@ -66,8 +65,10 @@ let default_config =
     on_mean = Simtime.span_ms 500.0;
     off_mean = Simtime.span_ms 100.0;
     churn_period = None;
-    stats_interval = Simtime.span_ms 100.0;
   }
+
+(* The concurrency and arrival-rate series sample once per interval. *)
+let stats_interval = Simtime.span_ms 100.0
 
 (* ---------- orchestrator ---------- *)
 
@@ -79,7 +80,6 @@ type t = {
   rng : Dcsim.Rng.t;
   series_live : Obs.Timeseries.series;
   series_rate : Obs.Timeseries.series;
-  collector : Obs.Timeseries.t;
   mutable started_at : Simtime.t;
   mutable arrivals : int;
   mutable thinned : int;
@@ -175,9 +175,9 @@ let live_flows t =
   Array.fold_left (fun acc g -> acc + Flowgen.live_flows g) 0 t.gens
 
 let start_stats t =
-  Engine.every t.engine t.config.stats_interval (fun () ->
+  Engine.every t.engine stats_interval (fun () ->
       Obs.Timeseries.observe t.series_live (float_of_int (live_flows t));
-      let secs = Simtime.span_to_sec t.config.stats_interval in
+      let secs = Simtime.span_to_sec stats_interval in
       Obs.Timeseries.observe t.series_rate
         (float_of_int t.window_arrivals /. secs);
       t.window_arrivals <- 0;
@@ -188,7 +188,6 @@ let start ~engine ?incast ?churn ~gens config =
   (* A private collector: aggregate state is three P² estimator sets,
      O(1) regardless of how many flows the run has launched. *)
   let collector = Obs.Timeseries.create () in
-  Obs.Timeseries.enable ~collector ();
   let t =
     {
       engine;
@@ -198,7 +197,6 @@ let start ~engine ?incast ?churn ~gens config =
       rng = Dcsim.Rng.split (Engine.rng engine) "loadgen";
       series_live = Obs.Timeseries.series ~collector "workloads.live_flows";
       series_rate = Obs.Timeseries.series ~collector "workloads.arrival_rate";
-      collector;
       started_at = Engine.now engine;
       arrivals = 0;
       thinned = 0;

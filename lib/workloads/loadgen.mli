@@ -60,7 +60,6 @@ type config = {
   churn_period : Dcsim.Simtime.span option;
       (** Mean gap between churn events; [None] disables churn even
           when hooks are supplied. *)
-  stats_interval : Dcsim.Simtime.span;
 }
 
 val default_config : config
@@ -88,8 +87,10 @@ type stats = {
   flows_completed : int;
   flows_skipped : int;  (** Shed: source port space exhausted. *)
   bytes_offered : int;
-  live_q : Obs.Timeseries.quantiles;  (** Concurrency over time. *)
-  rate_q : Obs.Timeseries.quantiles;  (** Admitted arrival rate. *)
+  live_q : Obs.Timeseries.quantiles;
+      (** Concurrency, sampled every 100 ms. *)
+  rate_q : Obs.Timeseries.quantiles;
+      (** Admitted arrival rate over each 100 ms window. *)
 }
 
 val stats : t -> stats

@@ -4,10 +4,12 @@ let port = 11211
 let request_size = 64
 let value_size = 1024
 
-let install_server ~vm ?(service_cost = Simtime.span_us 2.5) () =
+let service_cost = Simtime.span_us 2.5
+
+let install_server ~vm =
   Transactions.Server.install ~vm ~port ~service_cost ~response_size:value_size ()
 
-let memslap ~engine ~vm ~servers ?(concurrency = 8) ?total_requests () =
+let memslap ~engine ~vm ~servers ~concurrency ~total_requests =
   Transactions.Client.start ~engine ~vm
     {
       Transactions.Client.servers = List.map (fun ip -> (ip, port)) servers;

@@ -11,15 +11,16 @@ val port : int
 val request_size : int
 (** 64 B: key plus protocol overhead. *)
 
-val install_server : vm:Host.Vm.t -> ?service_cost:Dcsim.Simtime.span -> unit -> unit
+val install_server : vm:Host.Vm.t -> unit
+(** Serve [port] with 1024 B values at 2.5 us of service per request. *)
 
 val memslap :
   engine:Dcsim.Engine.t ->
   vm:Host.Vm.t ->
   servers:Netcore.Ipv4.t list ->
-  ?concurrency:int ->
-  ?total_requests:int ->
-  unit ->
+  concurrency:int ->
+  total_requests:int option ->
   Transactions.Client.t
-(** [concurrency] (default 8) pipelined requests over one connection
-    per server. *)
+(** [concurrency] pipelined requests over one connection per server,
+    from source ports 45000 up; [total_requests] stops the client after
+    that many ([None] runs until stopped). *)

@@ -30,12 +30,12 @@ let tcp_rr ~engine ~vm ~dst_ip ~size =
       src_port_base = 42000;
     }
 
-let burst_rr ~engine ~vm ~dst_ip ~size ?(threads = 3) ?(burst = 32) () =
+let burst_rr ~engine ~vm ~dst_ip ~size =
   Transactions.Client.start ~engine ~vm
     {
       Transactions.Client.servers = [ (dst_ip, rr_port) ];
-      connections = threads;
-      outstanding = burst;
+      connections = 3;
+      outstanding = 32;
       request_size = size;
       total_requests = None;
       src_port_base = 43000;

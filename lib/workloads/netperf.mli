@@ -40,9 +40,5 @@ val burst_rr :
   vm:Host.Vm.t ->
   dst_ip:Netcore.Ipv4.t ->
   size:int ->
-  ?threads:int ->
-  ?burst:int ->
-  unit ->
   Transactions.Client.t
-(** Pipelined RR: [threads] (default 3) connections x [burst]
-    (default 32) outstanding. *)
+(** Pipelined RR: 3 connections x 32 outstanding. *)

@@ -26,7 +26,6 @@ let test_link_delivery_timing () =
     Fabric.Link.create ~engine ~gbps:10.0
       ~latency:(Simtime.span_us 1.0)
       ~deliver:(fun _ -> arrived := Engine.now engine)
-      ()
   in
   let p = pkt ~payload:1000 (flow ()) in
   let expected_ser =
@@ -45,7 +44,6 @@ let test_link_fifo_contention () =
   let link =
     Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p -> order := p.Packet.payload :: !order)
-      ()
   in
   for i = 1 to 5 do
     ignore (Fabric.Link.transmit link (pkt ~payload:(1000 + i) (flow ())))
@@ -95,7 +93,7 @@ let compiled_for ?(dport = 80) () =
 
 let test_vrf_install_permits () =
   let tcam = Tor.Tcam.create ~capacity:16 in
-  let vrf = Tor.Vrf.create ~tenant ~tcam in
+  let vrf = Tor.Vrf.create ~engine:(Engine.create ()) ~tenant ~tcam in
   checki "default deny" (-1) (Tor.Vrf.classify vrf (flow ()));
   let compiled = compiled_for () in
   let handle =
@@ -119,7 +117,7 @@ let test_vrf_install_permits () =
 
 let test_vrf_tcam_full () =
   let tcam = Tor.Tcam.create ~capacity:1 in
-  let vrf = Tor.Vrf.create ~tenant ~tcam in
+  let vrf = Tor.Vrf.create ~engine:(Engine.create ()) ~tenant ~tcam in
   (match Tor.Vrf.install vrf (compiled_for ()) with
   | Error (`Tcam_full | `Install_fault) -> ()
   | Ok _ -> Alcotest.fail "must not fit");
@@ -127,7 +125,7 @@ let test_vrf_tcam_full () =
 
 let test_vrf_tunnel_refcount () =
   let tcam = Tor.Tcam.create ~capacity:16 in
-  let vrf = Tor.Vrf.create ~tenant ~tcam in
+  let vrf = Tor.Vrf.create ~engine:(Engine.create ()) ~tenant ~tcam in
   let h1 = Result.get_ok (Tor.Vrf.install vrf (compiled_for ~dport:80 ())) in
   let _h2 = Result.get_ok (Tor.Vrf.install vrf (compiled_for ~dport:81 ())) in
   Tor.Vrf.remove vrf h1;
@@ -222,7 +220,10 @@ let prop_vrf_classify_matches_scan =
       (* A small TCAM, so some installs find it full. Every compiled
          entry takes one TCAM entry (no tunnels). *)
       let tcam_capacity = 20 in
-      let vrf = Tor.Vrf.create ~tenant ~tcam:(Tor.Tcam.create ~capacity:tcam_capacity) in
+      let vrf =
+        Tor.Vrf.create ~engine:(Engine.create ()) ~tenant
+          ~tcam:(Tor.Tcam.create ~capacity:tcam_capacity)
+      in
       let rng = Dcsim.Rng.create ~seed:(List.length ops) in
       let live = ref [] (* (handle, compiled), newest first *) in
       let reference flow =
@@ -353,7 +354,6 @@ let test_qos_strict_priority () =
   let link =
     Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p -> order := p.Packet.payload :: !order)
-      ()
   in
   let q = Tor.Qos_queue.create ~engine ~classes:4 ~link in
   (* First packet starts transmitting immediately; the rest queue and
@@ -394,7 +394,6 @@ let test_qos_wire_never_queues () =
         delivered := id :: !delivered;
         checki "wire idle at delivery" 0 (Fabric.Link.queue_length (Option.get !link_ref));
         Option.iter enqueue (follow_up id))
-      ()
   in
   link_ref := Some link;
   q_ref := Some (Tor.Qos_queue.create ~engine ~classes ~link);
@@ -666,7 +665,6 @@ let test_ovs_batch_upcall_dedup () =
     Vswitch.Ovs.create ~engine ~config:Compute.Cost_params.baseline ~host_pool
       ~server_ip:(Ipv4.of_string "192.168.1.1")
       ~transmit:(fun _ -> ())
-      ()
   in
   let policy = Rules.Policy.create ~tenant ~vm_ip:(Ipv4.of_string "10.7.0.1") () in
   Rules.Policy.add_acl policy
@@ -687,7 +685,7 @@ let test_sriov_vf_exhaustion () =
   let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   let wire =
     Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
-      ~deliver:(fun _ -> ()) ()
+      ~deliver:(fun _ -> ())
   in
   let nic = Nic.Sriov.create ~engine ~max_vfs:2 ~host_pool ~wire () in
   let alloc i =
@@ -709,7 +707,7 @@ let test_sriov_steering () =
   let host_pool = Compute.Cpu_pool.create ~engine ~cpus:2 in
   let wire =
     Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
-      ~deliver:(fun _ -> ()) ()
+      ~deliver:(fun _ -> ())
   in
   let nic = Nic.Sriov.create ~engine ~host_pool ~wire () in
   let got = ref 0 in
@@ -740,7 +738,6 @@ let test_sriov_vlan_tag_on_tx () =
   let wire =
     Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
       ~deliver:(fun p -> tagged := Packet.vlan_of p)
-      ()
   in
   let nic = Nic.Sriov.create ~engine ~host_pool ~wire () in
   let vf =

@@ -1139,25 +1139,17 @@ let test_slo_scoreboard_and_breach () =
     go 0
   in
   Obs.Slo.reset ();
-  let clock = ref Simtime.zero in
-  Trace.set_clock (fun () -> !clock);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Slo.reset ();
-      Trace.set_clock (fun () -> Simtime.zero))
-    (fun () ->
+  let at = Simtime.of_sec in
+  Fun.protect ~finally:Obs.Slo.reset (fun () ->
       (* Tenant 1: contracted 1 Mbit/s, delivers 2 Mbit over 1 s — a
          2x overshoot, far beyond the +25% tolerance. *)
       Obs.Slo.add_contract ~tenant:1 ~tx_bps:1e6 ();
-      clock := Simtime.of_sec 1.0;
-      Obs.Slo.observe_goodput ~tenant:1 125_000;
-      clock := Simtime.of_sec 2.0;
-      Obs.Slo.observe_goodput ~tenant:1 125_000;
+      Obs.Slo.observe_goodput ~tenant:1 ~now:(at 1.0) 125_000;
+      Obs.Slo.observe_goodput ~tenant:1 ~now:(at 2.0) 125_000;
       (* Tenant 2: within contract, but misses its p99 target. *)
       Obs.Slo.add_contract ~tenant:2 ~tx_bps:1e9 ~p99_us:100.0 ();
-      Obs.Slo.observe_goodput ~tenant:2 1000;
-      clock := Simtime.of_sec 3.0;
-      Obs.Slo.observe_goodput ~tenant:2 1000;
+      Obs.Slo.observe_goodput ~tenant:2 ~now:(at 2.0) 1000;
+      Obs.Slo.observe_goodput ~tenant:2 ~now:(at 3.0) 1000;
       for _ = 1 to 100 do
         Obs.Slo.observe_latency_us ~tenant:2 900.0
       done;
@@ -1172,15 +1164,59 @@ let test_slo_scoreboard_and_breach () =
           checkb "p99 breach flagged" true (not r2.Obs.Slo.latency_ok);
           (* Breaches surface through a monitor as tenant_slo. *)
           let mon = Obs.Monitor.create ~mode:Obs.Monitor.Warn () in
-          Obs.Slo.check mon ~at:!clock;
+          Obs.Slo.check mon;
           checki "one violation per breach" 2
             (List.length (Obs.Monitor.violations mon));
+          checkb "each breach stamped at its tenant's last delivery" true
+            (List.map (fun v -> v.Obs.Monitor.at) (Obs.Monitor.violations mon)
+            = [ at 2.0; at 3.0 ]);
           checkb "report renders both verdicts" true
             (let rep = Obs.Slo.report () in
              contains rep "RATE BREACH" && contains rep "P99 BREACH")
       | rows ->
           Alcotest.fail
             (Printf.sprintf "expected 2 scoreboard rows, got %d"
+               (List.length rows)))
+
+(* Deliveries are stamped with the delivering engine's clock: building
+   a second testbed after the first must not freeze the first's
+   goodput window at the second's idle clock. *)
+let test_slo_stamps_each_testbed_clock () =
+  Obs.Slo.reset ();
+  Fun.protect ~finally:Obs.Slo.reset (fun () ->
+      let tb = Experiments.Testbed.create ~server_count:2 () in
+      let add server name octet =
+        Experiments.Testbed.add_vm tb
+          (Experiments.Testbed.vm_spec ~server ~name ~ip_last_octet:octet ())
+      in
+      let a = add 0 "client" 1 and b = add 1 "server" 2 in
+      Experiments.Testbed.connect_tunnels tb;
+      ignore (Experiments.Testbed.create ~server_count:1 ());
+      Workloads.Transactions.Server.install ~vm:b.Host.Server.vm ~port:9000
+        ~response_size:64 ();
+      ignore
+        (Workloads.Transactions.Client.start ~engine:tb.Experiments.Testbed.engine
+           ~vm:a.Host.Server.vm
+           {
+             Workloads.Transactions.Client.servers =
+               [ (Host.Vm.ip b.Host.Server.vm, 9000) ];
+             connections = 1;
+             outstanding = 1;
+             request_size = 64;
+             total_requests = None;
+             src_port_base = 50_000;
+           });
+      Experiments.Testbed.run_for tb ~seconds:0.5;
+      match Obs.Slo.scoreboard () with
+      | [ r ] ->
+          checkb "goodput delivered" true (r.Obs.Slo.goodput_bytes > 0);
+          checkb "window spans the run" true
+            (r.Obs.Slo.window_s > 0.4 && r.Obs.Slo.window_s <= 0.5);
+          checkb "achieved rate measured" true
+            (Float.is_finite r.Obs.Slo.achieved_bps)
+      | rows ->
+          Alcotest.fail
+            (Printf.sprintf "expected 1 scoreboard row, got %d"
                (List.length rows)))
 
 let suite =
@@ -1214,4 +1250,5 @@ let suite =
     t "labeled escaping and reopen" test_labeled_escaping_and_reopen;
     t "metrics json escapes names" test_metrics_json_escapes_names;
     t "slo scoreboard and breach" test_slo_scoreboard_and_breach;
+    t "slo stamps each testbed's clock" test_slo_stamps_each_testbed_clock;
   ]

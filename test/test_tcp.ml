@@ -37,9 +37,9 @@ let make_net ?(latency_us = 50.0) () =
   }
 
 (* [after_ack] runs right after each ack reaches the sender. *)
-let connect ?(config = Tcp.default_config) ?(after_ack = ignore) net =
+let connect ?receive_window ?(after_ack = ignore) net =
   let c =
-    Tcp.create ~engine:net.engine ~config ~flow:(flow ())
+    Tcp.create ~engine:net.engine ?receive_window ~flow:(flow ())
       ~transmit_data:(fun pkt ->
         if not (net.drop_data pkt) then
           ignore
@@ -52,6 +52,7 @@ let connect ?(config = Tcp.default_config) ?(after_ack = ignore) net =
                  let c = Option.get net.conn in
                  Tcp.deliver_to_sender c pkt;
                  after_ack c)))
+      ()
   in
   net.conn <- Some c;
   c
@@ -134,7 +135,7 @@ let test_blackhole_rto () =
   run net 10.0;
   checki "nothing acked" 0 (Tcp.bytes_acked c);
   checkb "timeouts fired with backoff" true (Tcp.timeouts c >= 2);
-  checkb "cwnd collapsed" true (Tcp.cwnd c <= 2 * Tcp.default_config.Tcp.mss)
+  checkb "cwnd collapsed" true (Tcp.cwnd c <= 2 * Netcore.Hdr.max_tcp_payload)
 
 let test_ack_loss_tolerated () =
   (* Cumulative acks make sparse ack loss harmless. *)
@@ -181,9 +182,8 @@ let test_loss_halves_cwnd () =
   checki "transfer completed" 40_000_000 (Tcp.bytes_acked c)
 
 let test_receive_window_caps_flight () =
-  let config = { Tcp.default_config with Tcp.receive_window = 8 * 1460 } in
   let net = make_net ~latency_us:5000.0 () in
-  let c = connect ~config net in
+  let c = connect ~receive_window:(8 * 1460) net in
   Tcp.send c 1_000_000;
   run net 0.02;
   checkb "flight within rwnd" true (Tcp.in_flight c <= 8 * 1460)

@@ -422,7 +422,7 @@ let burst_tps path =
     Workloads.Netperf.burst_rr ~engine:tb.Experiments.Testbed.engine
       ~vm:a.Host.Server.vm
       ~dst_ip:(Host.Vm.ip b.Host.Server.vm)
-      ~size:64 ()
+      ~size:64
   in
   Experiments.Testbed.run_for tb ~seconds:0.4;
   Workloads.Transactions.Client.reset_measurement c
