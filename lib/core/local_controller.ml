@@ -25,12 +25,9 @@ type offloaded = {
 type vm_rate_state = {
   mutable last_vif_tx : int;
   mutable last_vf_tx : int;
-  mutable last_vif_rx : int;
-  mutable last_vf_rx : int;
   mutable last_vif_backlog : float;
   mutable last_vf_backlog : float;
-  mutable current_tx_split : Fps.split option;
-  mutable current_rx_split : Fps.split option;
+  mutable current_split : Fps.split option;
 }
 
 let m_path_to_express = Obs.Metrics.counter "fastrak.path_to_express"
@@ -119,104 +116,68 @@ let rate_state t vm_ip =
         {
           last_vif_tx = 0;
           last_vf_tx = 0;
-          last_vif_rx = 0;
-          last_vf_rx = 0;
           last_vif_backlog = 0.0;
           last_vf_backlog = 0.0;
-          current_tx_split = None;
-          current_rx_split = None;
+          current_split = None;
         }
       in
       Hashtbl.replace t.rate_states (ip_key vm_ip) s;
       s
 
-(* One direction's FPS step: split a finite [total_bps] limit across the
-   VIF and VF, trace the split and apply it. Returns the split now in
-   force, which is [current] untouched for an unlimited direction. *)
-let fps_step t ~vm_ip ~direction ~total_bps ~current input ~set_soft
-    ~set_hard =
-  if total_bps = infinity then current
-  else begin
-    let overflow_bps = t.config.Config.overflow_bps in
-    let split = Fps.split ~total_bps ~overflow_bps ~current input in
-    if Obs.Trace.enabled () then
-      Obs.Trace.emit ~now:(Engine.now t.engine)
-        (Obs.Trace.Fps_split
-           {
-             vm_ip;
-             direction;
-             soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
-             hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
-             total_bps;
-             overflow_bps;
-           });
-    set_soft split.Fps.soft;
-    set_hard split.Fps.hard;
-    Some split
-  end
-
 (* FPS re-adjustment (§4.3.2): each control interval, split every VM's
-   contracted limit across the VIF and VF in proportion to measured
-   per-path demand, boosting a path that maxed out its previous split. *)
+   contracted transmit limit across the VIF and VF in proportion to
+   measured per-path demand, boosting a path that maxed out its previous
+   split. *)
 let apply_fps t =
   let interval_sec =
     Simtime.span_to_sec t.config.Config.epoch_period
     *. float_of_int t.config.Config.epochs_per_interval
   in
+  let overflow_bps = t.config.Config.overflow_bps in
   List.iter
     (fun (a : Host.Server.attached) ->
-      let policy = Vswitch.Ovs.vif_policy a.vif in
-      let tx_total = (Rules.Policy.tx_limit policy).Rules.Rate_limit_spec.rate_bps in
-      let rx_total = (Rules.Policy.rx_limit policy).Rules.Rate_limit_spec.rate_bps in
+      let total_bps =
+        (Rules.Policy.tx_limit (Vswitch.Ovs.vif_policy a.vif))
+          .Rules.Rate_limit_spec.rate_bps
+      in
       match a.vf with
-      | None -> ()  (* single path: the VIF keeps the whole limit *)
-      | Some vf ->
-          if tx_total <> infinity || rx_total <> infinity then begin
-            let st = rate_state t (Host.Vm.ip a.vm) in
-            let vif_tx = Vswitch.Ovs.vif_tx_bytes a.vif in
-            let vf_tx = Nic.Sriov.vf_tx_bytes vf in
-            let vif_rx = Vswitch.Ovs.vif_rx_bytes a.vif in
-            let vf_rx = Nic.Sriov.vf_rx_bytes vf in
-            let vif_backlog = Vswitch.Ovs.vif_tx_backlogged_seconds a.vif in
-            let vf_backlog = Nic.Sriov.vf_tx_backlogged_seconds vf in
-            let bps last current =
-              float_of_int (current - last) *. 8.0 /. interval_sec
-            in
-            let maxed last current = current -. last > 0.2 *. interval_sec in
-            let input_tx =
+      | Some vf when total_bps <> infinity ->
+          let st = rate_state t (Host.Vm.ip a.vm) in
+          let vif_tx = Vswitch.Ovs.vif_tx_bytes a.vif in
+          let vf_tx = Nic.Sriov.vf_tx_bytes vf in
+          let vif_backlog = Vswitch.Ovs.vif_tx_backlogged_seconds a.vif in
+          let vf_backlog = Nic.Sriov.vf_tx_backlogged_seconds vf in
+          let bps last current =
+            float_of_int (current - last) *. 8.0 /. interval_sec
+          in
+          let maxed last current = current -. last > 0.2 *. interval_sec in
+          let split =
+            Fps.split ~total_bps ~overflow_bps ~current:st.current_split
               {
                 Fps.demand_soft_bps = bps st.last_vif_tx vif_tx;
                 demand_hard_bps = bps st.last_vf_tx vf_tx;
                 soft_maxed = maxed st.last_vif_backlog vif_backlog;
                 hard_maxed = maxed st.last_vf_backlog vf_backlog;
               }
-            in
-            let input_rx =
-              {
-                Fps.demand_soft_bps = bps st.last_vif_rx vif_rx;
-                demand_hard_bps = bps st.last_vf_rx vf_rx;
-                soft_maxed = false;
-                hard_maxed = false;
-              }
-            in
-            let vm_ip = Host.Vm.ip a.vm in
-            st.current_tx_split <-
-              fps_step t ~vm_ip ~direction:Obs.Trace.Tx ~total_bps:tx_total
-                ~current:st.current_tx_split input_tx
-                ~set_soft:(Vswitch.Ovs.set_vif_tx_limit a.vif)
-                ~set_hard:(Nic.Sriov.set_vf_tx_limit vf);
-            st.current_rx_split <-
-              fps_step t ~vm_ip ~direction:Obs.Trace.Rx ~total_bps:rx_total
-                ~current:st.current_rx_split input_rx
-                ~set_soft:(Vswitch.Ovs.set_vif_rx_limit a.vif)
-                ~set_hard:(Nic.Sriov.set_vf_rx_limit vf);
-            st.last_vif_tx <- vif_tx;
-            st.last_vf_tx <- vf_tx;
-            st.last_vif_rx <- vif_rx;
-            st.last_vf_rx <- vf_rx;
-            st.last_vif_backlog <- vif_backlog;
-            st.last_vf_backlog <- vf_backlog
-          end)
+          in
+          if Obs.Trace.enabled () then
+            Obs.Trace.emit ~now:(Engine.now t.engine)
+              (Obs.Trace.Fps_split
+                 {
+                   vm_ip = Host.Vm.ip a.vm;
+                   soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
+                   hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
+                   total_bps;
+                   overflow_bps;
+                 });
+          Vswitch.Ovs.set_vif_tx_limit a.vif split.Fps.soft;
+          Nic.Sriov.set_vf_tx_limit vf split.Fps.hard;
+          st.current_split <- Some split;
+          st.last_vif_tx <- vif_tx;
+          st.last_vf_tx <- vf_tx;
+          st.last_vif_backlog <- vif_backlog;
+          st.last_vf_backlog <- vf_backlog
+      | Some _ | None -> ()  (* unlimited, or one path: the VIF keeps it all *))
     (Host.Server.vms t.server)
 
 let start t =

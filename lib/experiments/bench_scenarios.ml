@@ -206,7 +206,7 @@ let measurement ~smoke =
 (* --- event queue --- *)
 
 (* Drain the way the engine's loop does: [min_time], then [pop_min]. *)
-let drain_queue q =
+let pop_all q =
   while (Dcsim.Event_queue.min_time q :> int) < (Simtime.never :> int) do
     ignore (Dcsim.Event_queue.pop_min q)
   done
@@ -221,7 +221,7 @@ let eventq_churn ~smoke ~events =
     (fun () ->
       let q = Dcsim.Event_queue.create () in
       Array.iter (fun ns -> ignore (Dcsim.Event_queue.push q (Simtime.of_ns ns) ns)) times;
-      drain_queue q)
+      pop_all q)
 
 let eventq_cancel_heavy ~smoke ~events =
   let rng = Rng.create ~seed:11 in
@@ -242,7 +242,7 @@ let eventq_cancel_heavy ~smoke ~events =
       Array.iter
         (fun (i, h) -> if doomed.(i) then ignore (Dcsim.Event_queue.cancel q h))
         handles;
-      drain_queue q)
+      pop_all q)
 
 (* The retransmission-timer pattern: [timers] armed timers, and each
    step cancels one and re-arms it later, as TCP does on every ack.
@@ -292,7 +292,6 @@ let obs_emit_site ~now ~vm i =
       (Obs.Trace.Fps_split
          {
            vm_ip = vm;
-           direction = Obs.Trace.Tx;
            soft_bps = float_of_int i;
            hard_bps = 1e9;
            total_bps = 1e9;
@@ -362,7 +361,6 @@ let obs_flight_case ~smoke =
     Obs.Trace.Fps_split
       {
         vm_ip = ip_of_index 9;
-        direction = Obs.Trace.Tx;
         soft_bps = 1e8;
         hard_bps = 1e9;
         total_bps = 1e9;

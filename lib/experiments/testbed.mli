@@ -56,9 +56,9 @@ val vm_spec :
 (** Defaults: 4 vCPUs, tenant 7, no tx limit, an SR-IOV VF. *)
 
 val add_vm : t -> vm_spec -> Host.Server.attached
-(** Place the VM on its server with a policy of one allow-all ACL, the
-    spec's tx limit and no rx limit, and register the tx limit as the
-    tenant's contract with {!Obs.Slo}. *)
+(** Place the VM on its server with a policy of one allow-all ACL and
+    the spec's tx limit, and register the tx limit as the tenant's
+    contract with {!Obs.Slo}. *)
 
 val peer_ips : t -> Host.Server.attached -> Netcore.Ipv4.t list
 (** The addresses of every other VM in the testbed, in server order. *)

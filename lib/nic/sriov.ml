@@ -22,7 +22,6 @@ type vf = {
   vm_ip : Netcore.Ipv4.t;
   deliver : Packet.t -> unit;
   tx_shaper : Shaping.Shaper.t;
-  rx_shaper : Shaping.Shaper.t;
 }
 
 type t = {
@@ -60,7 +59,6 @@ let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
       Compute.Cpu_pool.submit t.host_pool ~cost:Cost.vf_rx_host_interrupt_cost
         (fun () -> deliver pkt)
     in
-    let vf_ref = ref None in
     let vf =
       {
         mac;
@@ -73,17 +71,8 @@ let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
             ~spec:Rules.Rate_limit_spec.unlimited
             ~forward:(fun pkt -> ignore (Fabric.Link.transmit t.wire pkt))
             ();
-        rx_shaper =
-          Shaping.Shaper.create ~engine:t.engine
-            ~spec:Rules.Rate_limit_spec.unlimited
-            ~forward:(fun pkt ->
-              match !vf_ref with
-              | Some v -> v.deliver pkt
-              | None -> assert false)
-            ();
       }
     in
-    vf_ref := Some vf;
     t.vfs <- vf :: t.vfs;
     Hashtbl.replace t.steering (steering_key ~vlan vm_ip) vf;
     Ok vf
@@ -91,11 +80,9 @@ let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
 
 let vf_count t = List.length t.vfs
 let set_vf_tx_limit vf spec = Shaping.Shaper.set_spec vf.tx_shaper spec
-let set_vf_rx_limit vf spec = Shaping.Shaper.set_spec vf.rx_shaper spec
 let vf_tx_limit vf = Shaping.Shaper.spec vf.tx_shaper
 let vf_tx_backlogged_seconds vf = Shaping.Shaper.backlogged_seconds vf.tx_shaper
 let vf_tx_bytes vf = Shaping.Shaper.forwarded_bytes vf.tx_shaper
-let vf_rx_bytes vf = Shaping.Shaper.forwarded_bytes vf.rx_shaper
 
 let transmit_from_vf vf pkt =
   Obs.Metrics.incr m_vf_tx;
@@ -119,7 +106,7 @@ let receive_from_wire t pkt =
             pkt.Packet.payload;
           Obs.Slo.observe_goodput ~tenant ~now:(Engine.now t.engine)
             pkt.Packet.payload;
-          Shaping.Shaper.enqueue vf.rx_shaper pkt
+          vf.deliver pkt
       | exception Not_found ->
           t.dropped <- t.dropped + 1;
           Obs.Metrics.incr m_steering_drops)

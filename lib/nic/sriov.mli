@@ -3,10 +3,11 @@
     The physical function is partitioned into virtual functions (VFs),
     each assignable to one VM. Transmit: the VF tags the packet with
     the VM's tenant VLAN (configured by FasTrak, §4.2.1), applies the
-    hardware rate limiter, and DMAs to the wire — no hypervisor
-    involvement. Receive: the NIC steers by (VLAN, destination MAC) to
-    the right VF; the hypervisor's only work is interrupt isolation,
-    charged to the host pool at a fixed small cost. *)
+    hardware rate limiter (unlimited until {!set_vf_tx_limit}), and
+    DMAs to the wire — no hypervisor involvement. Receive: the NIC steers by
+    (VLAN, destination IP) to the right VF, with no rate limit; the
+    hypervisor's only work is interrupt isolation, charged to the host
+    pool at a fixed small cost. *)
 
 type t
 type vf
@@ -35,13 +36,10 @@ val allocate_vf :
 val vf_count : t -> int
 
 val set_vf_tx_limit : vf -> Rules.Rate_limit_spec.t -> unit
-val set_vf_rx_limit : vf -> Rules.Rate_limit_spec.t -> unit
 val vf_tx_limit : vf -> Rules.Rate_limit_spec.t
 val vf_tx_backlogged_seconds : vf -> float
 val vf_tx_bytes : vf -> int
 (** Cumulative bytes through the VF tx shaper (hardware-path demand). *)
-
-val vf_rx_bytes : vf -> int
 
 val transmit_from_vf : vf -> Netcore.Packet.t -> unit
 (** Guest transmit entry: VLAN tag + hardware shaping + wire. The small

@@ -3,7 +3,6 @@ module Fkey = Netcore.Fkey
 module Ipv4 = Netcore.Ipv4
 module Tenant = Netcore.Tenant
 
-type direction = Tx | Rx
 type path = Software | Express
 
 type event =
@@ -36,7 +35,6 @@ type event =
     }
   | Fps_split of {
       vm_ip : Ipv4.t;
-      direction : direction;
       soft_bps : float;
       hard_bps : float;
       total_bps : float;
@@ -247,10 +245,9 @@ let encode_into b now event =
       kv_i b "entries" entries;
       kv_i b "used" used;
       kv_i b "capacity" capacity
-  | Fps_split { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps } ->
+  | Fps_split { vm_ip; soft_bps; hard_bps; total_bps; overflow_bps } ->
       ev "fps_split";
       kv_ip b "vm_ip" vm_ip;
-      kv_s b "dir" (match direction with Tx -> "tx" | Rx -> "rx");
       kv_f b "soft_bps" soft_bps;
       kv_f b "hard_bps" hard_bps;
       kv_f b "total_bps" total_bps;
@@ -477,17 +474,11 @@ let of_jsonl line =
            else Tcam_evict { tenant; entries; used; capacity })
     | "fps_split" ->
         let* vm_ip = ip "vm_ip" in
-        let* dir = str "dir" in
-        let* direction =
-          match dir with "tx" -> Some Tx | "rx" -> Some Rx | _ -> None
-        in
         let* soft_bps = flt "soft_bps" in
         let* hard_bps = flt "hard_bps" in
         let* total_bps = flt "total_bps" in
         let* overflow_bps = flt "overflow_bps" in
-        Some
-          (Fps_split
-             { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps })
+        Some (Fps_split { vm_ip; soft_bps; hard_bps; total_bps; overflow_bps })
     | "path_transition" ->
         let* vm_ip = ip "vm_ip" in
         let* pattern = pat "pattern" in

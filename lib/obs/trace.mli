@@ -16,8 +16,6 @@
     module that emits it, and [ARCHITECTURE.md] for where each event
     sits in a packet's life. *)
 
-type direction = Tx | Rx
-
 type path = Software | Express
 (** [Software] is the vswitch (VIF) path, [Express] the SR-IOV (VF)
     hardware path. *)
@@ -54,7 +52,6 @@ type event =
     }  (** A VRF rule set was removed and its entries returned. *)
   | Fps_split of {
       vm_ip : Netcore.Ipv4.t;
-      direction : direction;
       soft_bps : float;  (** New VIF limit (Ls + O). *)
       hard_bps : float;  (** New VF limit (Lh + O). *)
       total_bps : float;  (** The contracted limit being split (Ls + Lh). *)

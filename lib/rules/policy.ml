@@ -3,8 +3,7 @@ module Fkey = Netcore.Fkey
 type t = {
   tenant : Netcore.Tenant.id;
   vm_ip : Netcore.Ipv4.t;
-  mutable tx_limit : Rate_limit_spec.t;
-  mutable rx_limit : Rate_limit_spec.t;
+  tx_limit : Rate_limit_spec.t;
   mutable acls : Security_rule.t list;  (* Priority desc, insertion-newest first among ties. *)
   mutable qos : Qos_rule.t list;
   tunnels : Tunnel_rule.Map.t;
@@ -13,13 +12,11 @@ type t = {
          value they captured to detect stale verdicts in O(1). *)
 }
 
-let create ~tenant ~vm_ip ?(tx_limit = Rate_limit_spec.unlimited)
-    ?(rx_limit = Rate_limit_spec.unlimited) () =
+let create ~tenant ~vm_ip ?(tx_limit = Rate_limit_spec.unlimited) () =
   {
     tenant;
     vm_ip;
     tx_limit;
-    rx_limit;
     acls = [ Security_rule.deny_all tenant ];
     qos = [];
     tunnels = Tunnel_rule.Map.create ();
@@ -29,13 +26,8 @@ let create ~tenant ~vm_ip ?(tx_limit = Rate_limit_spec.unlimited)
 let tenant t = t.tenant
 let vm_ip t = t.vm_ip
 let tx_limit t = t.tx_limit
-let rx_limit t = t.rx_limit
 let generation t = t.generation
 let touch t = t.generation <- t.generation + 1
-
-let set_tx_limit t l =
-  t.tx_limit <- l;
-  touch t
 
 let insert_by_priority priority_of rule rules =
   let rec place = function
@@ -149,8 +141,8 @@ let verdict_to_string v =
   Printf.sprintf "%s/q%d/%s" action v.queue tunnel
 
 let pp ppf t =
-  Format.fprintf ppf "policy %a/%a: %d acls, %d qos, %d tunnels, tx %a rx %a"
+  Format.fprintf ppf "policy %a/%a: %d acls, %d qos, %d tunnels, tx %a"
     Netcore.Tenant.pp t.tenant Netcore.Ipv4.pp t.vm_ip (List.length t.acls)
     (List.length t.qos)
     (Tunnel_rule.Map.size t.tunnels)
-    Rate_limit_spec.pp t.tx_limit Rate_limit_spec.pp t.rx_limit
+    Rate_limit_spec.pp t.tx_limit

@@ -1,8 +1,8 @@
 (** The complete network-virtualization policy of one VM.
 
     This is the "unified set" FasTrak manages (§1): security ACLs, QoS
-    rules, tunnel mappings and the contracted per-interface rate limits.
-    The vswitch enforces it in software; the rule compiler extracts the
+    rules, tunnel mappings and the contracted transmit limit. The
+    vswitch enforces it in software; the rule compiler extracts the
     flow-specific slice for hardware offload. *)
 
 type t
@@ -11,17 +11,16 @@ val create :
   tenant:Netcore.Tenant.id ->
   vm_ip:Netcore.Ipv4.t ->
   ?tx_limit:Rate_limit_spec.t ->
-  ?rx_limit:Rate_limit_spec.t ->
   unit ->
   t
-(** Limits default to {!Rate_limit_spec.unlimited}. A freshly created
-    policy contains the default-deny ACL backstop only. *)
+(** The transmit limit defaults to {!Rate_limit_spec.unlimited} and is
+    fixed for the policy's lifetime: FPS re-splits it across the VIF
+    and VF shapers, never here. A freshly created policy contains the
+    default-deny ACL backstop only. *)
 
 val tenant : t -> Netcore.Tenant.id
 val vm_ip : t -> Netcore.Ipv4.t
 val tx_limit : t -> Rate_limit_spec.t
-val rx_limit : t -> Rate_limit_spec.t
-val set_tx_limit : t -> Rate_limit_spec.t -> unit
 
 val add_acl : t -> Security_rule.t -> unit
 val add_qos : t -> Qos_rule.t -> unit
@@ -52,10 +51,9 @@ val classify_masked : t -> Netcore.Fkey.t -> verdict * Netcore.Fkey.Pattern.Mask
     megaflow the datapath cache may install. *)
 
 val generation : t -> int
-(** Monotonic mutation counter: bumped by every [set_*_limit],
-    [add_acl], [add_qos], [install_tunnel] and [remove_tunnel]. Datapath
-    caches compare it to the generation they captured to detect stale
-    verdicts in O(1). *)
+(** Monotonic mutation counter: bumped by every [add_acl], [add_qos],
+    [install_tunnel] and [remove_tunnel]. Datapath caches compare it to
+    the generation they captured to detect stale verdicts in O(1). *)
 
 val verdict_to_string : verdict -> string
 (** Compact ["allow/q0/10.0.0.2"]-style encoding, used by trace events

@@ -80,7 +80,6 @@ let set_spec t spec =
      the queue and the bucket before forwarding. *)
   if t.draining then drain t
 let spec t = Token_bucket.spec t.bucket
-let queue_length t = Queue.length t.queue
 let forwarded t = t.forwarded
 let forwarded_bytes t = t.forwarded_bytes
 
@@ -92,8 +91,3 @@ let backlogged_seconds t =
         Simtime.span_to_ns (Simtime.diff (Engine.now t.engine) since)
   in
   float_of_int (t.backlog_ns + live) /. 1e9
-
-let drain_queue t callback =
-  while not (Queue.is_empty t.queue) do
-    callback (Queue.pop t.queue)
-  done

@@ -20,13 +20,8 @@ val create :
 val enqueue : t -> Netcore.Packet.t -> unit
 val set_spec : t -> Rules.Rate_limit_spec.t -> unit
 val spec : t -> Rules.Rate_limit_spec.t
-val queue_length : t -> int
 val forwarded : t -> int
 val forwarded_bytes : t -> int
 
 val backlogged_seconds : t -> float
 (** Cumulative time the queue was non-empty — the "maxed out" signal. *)
-
-val drain_queue : t -> (Netcore.Packet.t -> unit) -> unit
-(** Remove all queued packets, handing each to the callback (used to
-    model in-flight packets dropped at flow-migration time). *)

@@ -2,7 +2,7 @@ module Simtime = Dcsim.Simtime
 
 type t = {
   mutable spec : Rules.Rate_limit_spec.t;
-  mutable tokens : float;  (* bytes; may go negative under consume_forced *)
+  mutable tokens : float;  (* bytes *)
   mutable last_refill : Simtime.t;
 }
 
@@ -49,12 +49,6 @@ let try_consume t ~now ~bytes_len =
       true
     end
     else false
-  end
-
-let consume_forced t ~now ~bytes_len =
-  if not (Rules.Rate_limit_spec.is_unlimited t.spec) then begin
-    refill t ~now;
-    t.tokens <- t.tokens -. float_of_int bytes_len
   end
 
 let time_until_conform t ~now ~bytes_len =

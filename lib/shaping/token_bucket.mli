@@ -23,10 +23,6 @@ val try_consume : t -> now:Dcsim.Simtime.t -> bytes_len:int -> bool
 (** Consume tokens if the packet conforms; otherwise leave the bucket
     untouched and return false. *)
 
-val consume_forced : t -> now:Dcsim.Simtime.t -> bytes_len:int -> unit
-(** Consume unconditionally (bucket may go negative) — models policers
-    that account after forwarding. *)
-
 val time_until_conform : t -> now:Dcsim.Simtime.t -> bytes_len:int -> Dcsim.Simtime.span
 (** Delay until a packet of the given size would conform;
     [Simtime.span_zero] if it conforms now. Infinite rates always

@@ -114,7 +114,6 @@ type vif = {
   deliver : Packet.t -> unit;
   vhost : Compute.Cpu_pool.t;
   tx_shaper : Shaping.Shaper.t;
-  rx_shaper : Shaping.Shaper.t;
   cache : Flow_cache.t;
   mutable filling : batch;  (* accumulating until the next vhost wakeup *)
   mutable free_batches : batch list;  (* recycled, fully-drained batches *)
@@ -210,7 +209,6 @@ let add_vif t ~policy ~deliver =
       t.transmit pkt
     end
   in
-  let vif_ref = ref None in
   let guard_deliver pkt =
     if is_blocked t pkt.Packet.flow then drop t pkt else deliver pkt
   in
@@ -225,21 +223,12 @@ let add_vif t ~policy ~deliver =
         Shaping.Shaper.create ~engine
           ~spec:(Rules.Policy.tx_limit policy)
           ~forward:guard_transmit ();
-      rx_shaper =
-        Shaping.Shaper.create ~engine
-          ~spec:(Rules.Policy.rx_limit policy)
-          ~forward:(fun pkt ->
-            match !vif_ref with
-            | Some v -> v.deliver pkt
-            | None -> assert false)
-          ();
       cache = Flow_cache.create ~config:t.cache_config ~name ~policy ();
       filling = create_batch ();
       free_batches = [];
       wakeup_pending = false;
     }
   in
-  vif_ref := Some vif;
   t.vifs <- vif :: t.vifs;
   vm_register t ~tenant:(Rules.Policy.tenant policy)
     ~ip:(Rules.Policy.vm_ip policy) vif;
@@ -258,25 +247,18 @@ let set_vif_tx_limit vif spec =
   Shaping.Shaper.set_spec vif.tx_shaper spec;
   revalidate_vif vif ~reason:"fps_resplit"
 
-let set_vif_rx_limit vif spec =
-  Shaping.Shaper.set_spec vif.rx_shaper spec;
-  revalidate_vif vif ~reason:"fps_resplit"
-
 let vif_tx_limit vif = Shaping.Shaper.spec vif.tx_shaper
 let vif_tx_backlogged_seconds vif = Shaping.Shaper.backlogged_seconds vif.tx_shaper
 let vif_tx_bytes vif = Shaping.Shaper.forwarded_bytes vif.tx_shaper
-let vif_rx_bytes vif = Shaping.Shaper.forwarded_bytes vif.rx_shaper
 let vif_vhost_pool vif = vif.vhost
 
 (* Effective config for cost purposes: a FasTrak-installed rate limit
    makes the htb code path run even if the experiment's static config
    did not ask for rate limiting. *)
 let effective_config t vif =
-  let has_limit =
-    (not (Rules.Rate_limit_spec.is_unlimited (Shaping.Shaper.spec vif.tx_shaper)))
-    || not (Rules.Rate_limit_spec.is_unlimited (Shaping.Shaper.spec vif.rx_shaper))
-  in
-  if has_limit then { t.config with Cost.rate_limiting = true } else t.config
+  if Rules.Rate_limit_spec.is_unlimited (Shaping.Shaper.spec vif.tx_shaper) then
+    t.config
+  else { t.config with Cost.rate_limiting = true }
 
 (* The revalidator sweep runs off the engine clock only while at least
    one VIF cache holds entries; it stops itself when they all drain so
@@ -402,7 +384,7 @@ let apply_verdict t vif config verdict pkt direction =
             pkt.Packet.payload;
           Obs.Slo.observe_goodput ~tenant ~now:(Engine.now t.engine)
             pkt.Packet.payload;
-          Shaping.Shaper.enqueue vif.rx_shaper pkt)
+          vif.deliver pkt)
 
 (* A group's continuation has run: when the last one finishes, scrub
    the packet references (so the pool does not retain them past the

@@ -38,9 +38,9 @@ val add_vif :
   deliver:(Netcore.Packet.t -> unit) ->
   vif
 (** [deliver] hands received packets up into the guest (the guest-side
-    receive cost is charged by the VM, not here). The VIF's tx/rx rate
-    limits are initialised from the policy and can be re-adjusted (FPS)
-    via {!set_vif_tx_limit}/{!set_vif_rx_limit}. *)
+    receive cost is charged by the VM, not here). The VIF's transmit
+    shaper starts at the policy's tx limit and FPS re-adjusts it via
+    {!set_vif_tx_limit}; receive is not rate-limited. *)
 
 val vif_policy : vif -> Rules.Policy.t
 
@@ -52,15 +52,12 @@ val set_vif_tx_limit : vif -> Rules.Rate_limit_spec.t -> unit
     rate changes alter no verdict, so entries are re-checked rather
     than flushed. *)
 
-val set_vif_rx_limit : vif -> Rules.Rate_limit_spec.t -> unit
 val vif_tx_limit : vif -> Rules.Rate_limit_spec.t
 val vif_tx_backlogged_seconds : vif -> float
 (** Time the VIF's tx shaper was backlogged — FPS's "maxed out" signal. *)
 
 val vif_tx_bytes : vif -> int
 (** Cumulative bytes forwarded by the tx shaper (software-path demand). *)
-
-val vif_rx_bytes : vif -> int
 
 val vif_vhost_pool : vif -> Compute.Cpu_pool.t
 (** The VIF's vhost service thread, for CPU accounting. *)

@@ -722,6 +722,84 @@ let test_rule_manager_vm_migration () =
   checkb "commit succeeds" true
     (Fastrak.Rule_manager.commit_vm_migration rm mg ~new_server:"server1")
 
+(* FPS end to end, on the topology of examples/rate_limit_split.ml: a VM
+   with a 2 Gb/s transmit limit sends one stream through the vswitch and
+   one pinned to its VF, and every control interval the local controller
+   splits the limit across the two shapers. *)
+let test_fps_splits_finite_limit_end_to_end () =
+  let splits = ref [] in
+  Obs.Trace.disable ();
+  Obs.Trace.use_callback (fun _ ev ->
+      match ev with Obs.Trace.Fps_split _ -> splits := ev :: !splits | _ -> ());
+  let mon = Obs.Monitor.create ~mode:Obs.Monitor.Strict () in
+  Obs.Monitor.attach mon;
+  Fun.protect ~finally:Obs.Trace.disable (fun () ->
+      let tb = Experiments.Testbed.create ~server_count:2 () in
+      let vm =
+        Experiments.Testbed.add_vm tb
+          (Experiments.Testbed.vm_spec ~server:0 ~name:"limited"
+             ~ip_last_octet:1 ~tx_limit:(Rules.Rate_limit_spec.gbps 2.0) ())
+      in
+      let sink =
+        Experiments.Testbed.add_vm tb
+          (Experiments.Testbed.vm_spec ~server:1 ~name:"sink" ~ip_last_octet:2 ())
+      in
+      Experiments.Testbed.connect_tunnels tb;
+      let sink_ip = Host.Vm.ip sink.Host.Server.vm in
+      List.iter
+        (fun (port, src_port) ->
+          Workloads.Stream.install_sink ~vm:sink.Host.Server.vm ~port ();
+          ignore
+            (Workloads.Stream.start ~engine:tb.Experiments.Testbed.engine
+               ~vm:vm.Host.Server.vm
+               {
+                 (Workloads.Stream.default_config ~dst_ip:sink_ip) with
+                 Workloads.Stream.dst_port = port;
+                 src_port;
+                 message_size = 32000;
+               }))
+        [ (5001, 41001); (5002, 41002) ];
+      let pattern =
+        {
+          (Fkey.Pattern.from_vm (Host.Vm.ip vm.Host.Server.vm) tenant) with
+          Fkey.Pattern.src_port = Some 41002;
+        }
+      in
+      ignore
+        (Experiments.Testbed.pin tb.Experiments.Testbed.tor vm ~selection:pattern
+           ~destinations:[ sink_ip ]);
+      ignore
+        (Host.Bonding.install_rule vm.Host.Server.bonding ~pattern ~priority:5
+           Host.Bonding.Vf);
+      let rm =
+        Fastrak.Rule_manager.create ~engine:tb.Experiments.Testbed.engine
+          ~config:
+            {
+              Fastrak.Config.default with
+              Fastrak.Config.epoch_period = Simtime.span_ms 200.0;
+              poll_gap = Simtime.span_ms 80.0;
+              min_score = infinity;
+            }
+          ~tor:tb.Experiments.Testbed.tor
+          ~servers:(Array.to_list tb.Experiments.Testbed.servers)
+          ()
+      in
+      Fastrak.Rule_manager.start rm;
+      Experiments.Testbed.run_for tb ~seconds:2.5;
+      checkb "fps_split fired" true (!splits <> []);
+      checki "no violations" 0 (Obs.Monitor.total mon);
+      match (!splits, vm.Host.Server.vf) with
+      | ( Obs.Trace.Fps_split { soft_bps; hard_bps; total_bps; overflow_bps; _ } :: _,
+          Some vf ) ->
+          let rate spec = spec.Rules.Rate_limit_spec.rate_bps in
+          checkf 0.0 "vif limit is the last soft rate" soft_bps
+            (rate (Vswitch.Ovs.vif_tx_limit vm.Host.Server.vif));
+          checkf 0.0 "vf limit is the last hard rate" hard_bps
+            (rate (Nic.Sriov.vf_tx_limit vf));
+          checkb "soft + hard <= total + 2 overflow" true
+            (soft_bps +. hard_bps <= total_bps +. (2.0 *. overflow_bps))
+      | _ -> Alcotest.fail "expected an fps_split and a VF")
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -755,4 +833,6 @@ let suite =
     t "rule manager ignores cold flow" test_rule_manager_ignores_cold_flow;
     t "rule manager demotes idle" test_rule_manager_demotes_idle;
     t "rule manager vm migration" test_rule_manager_vm_migration;
+    t "fps splits a finite limit end to end"
+      test_fps_splits_finite_limit_end_to_end;
   ]

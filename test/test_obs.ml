@@ -62,7 +62,6 @@ let sample_events =
     Trace.Fps_split
       {
         vm_ip = vm2;
-        direction = Trace.Tx;
         soft_bps = 7.5e8;
         hard_bps = 2.5e8;
         total_bps = 9.0e8;
@@ -71,7 +70,6 @@ let sample_events =
     Trace.Fps_split
       {
         vm_ip = vm2;
-        direction = Trace.Rx;
         soft_bps = 0.1 +. 0.2;  (* not exactly representable: exercises %.17g *)
         hard_bps = 1e9;
         total_bps = 1e9 +. (0.1 +. 0.2);
@@ -170,6 +168,21 @@ let test_jsonl_rejects_garbage () =
     (Trace.of_jsonl
        {|{"t_ns":1,"t":0.0,"ev":"ctrl_drop","channel":"c","channel":"d"}|}
     = None)
+
+(* FPS used to split a receive limit too, so older traces carry a
+   "dir":"tx" key on every fps_split line. trace-export must keep
+   reading them; the reader skips the key. *)
+let test_jsonl_reads_fps_split_dir_key () =
+  let line =
+    {|{"t_ns":800000000,"t":0.800000000,"ev":"fps_split","vm_ip":"10.7.0.1","dir":"tx","soft_bps":450000000,"hard_bps":1650000000,"total_bps":2000000000,"overflow_bps":50000000}|}
+  in
+  match Trace.of_jsonl line with
+  | Some (_, (Trace.Fps_split { soft_bps; hard_bps; _ } as ev)) ->
+      checkb "rates read" true (soft_bps = 4.5e8 && hard_bps = 1.65e9);
+      checks "re-encodes without dir"
+        {|{"t_ns":800000000,"t":0.800000000,"ev":"fps_split","vm_ip":"10.7.0.1","soft_bps":450000000,"hard_bps":1650000000,"total_bps":2000000000,"overflow_bps":50000000}|}
+        (Trace.to_jsonl (Simtime.of_ns 800_000_000) ev)
+  | _ -> Alcotest.fail "fps_split with a dir key did not parse"
 
 let test_pattern_codec () =
   List.iter
@@ -450,13 +463,10 @@ let prop_jsonl_round_trip =
          return (Trace.Tcam_install { tenant; entries; used; capacity }));
         (let* tenant = gen_tenant and* entries = int and* used = int and* capacity = int in
          return (Trace.Tcam_evict { tenant; entries; used; capacity }));
-        (let* vm_ip = gen_ip
-         and* direction = oneof [ return Trace.Tx; return Trace.Rx ]
-         and* soft_bps = gen_float and* hard_bps = gen_float
+        (let* vm_ip = gen_ip and* soft_bps = gen_float and* hard_bps = gen_float
          and* total_bps = gen_float and* overflow_bps = gen_float in
          return
-           (Trace.Fps_split
-              { vm_ip; direction; soft_bps; hard_bps; total_bps; overflow_bps }));
+           (Trace.Fps_split { vm_ip; soft_bps; hard_bps; total_bps; overflow_bps }));
         (let* vm_ip = gen_ip and* pattern = gen_pattern
          and* path = oneof [ return Trace.Software; return Trace.Express ] in
          return (Trace.Path_transition { vm_ip; pattern; path }));
@@ -594,7 +604,6 @@ let test_monitor_catches_violations () =
     (Trace.Fps_split
        {
          vm_ip = vm1;
-         direction = Trace.Tx;
          soft_bps = 9e8;
          hard_bps = 9e8;
          total_bps = 1e9;
@@ -667,7 +676,6 @@ let test_monitor_accepts_legal_stream () =
     (Trace.Fps_split
        {
          vm_ip = vm1;
-         direction = Trace.Rx;
          soft_bps = 6e8;
          hard_bps = 6e8;
          total_bps = 1e9;
@@ -1224,6 +1232,7 @@ let suite =
   [
     t "jsonl round trip" test_jsonl_round_trip;
     t "jsonl rejects garbage" test_jsonl_rejects_garbage;
+    t "jsonl reads fps_split with a dir key" test_jsonl_reads_fps_split_dir_key;
     t "pattern codec" test_pattern_codec;
     t "live run traces and metrics" test_trace_and_metrics_of_live_run;
     t "no-op sink identical results" test_noop_sink_identical_results;

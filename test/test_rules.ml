@@ -228,7 +228,9 @@ let test_policy_limits () =
   let p = make_policy () in
   checkb "default unlimited" true
     (Rules.Rate_limit_spec.is_unlimited (Rules.Policy.tx_limit p));
-  Rules.Policy.set_tx_limit p (Rules.Rate_limit_spec.gbps 1.0);
+  let p =
+    Rules.Policy.create ~tenant ~vm_ip ~tx_limit:(Rules.Rate_limit_spec.gbps 1.0) ()
+  in
   checkb "set" false (Rules.Rate_limit_spec.is_unlimited (Rules.Policy.tx_limit p))
 
 (* --- Rule compiler --- *)

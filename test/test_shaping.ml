@@ -106,15 +106,6 @@ let test_bucket_unlimited_to_limited_starts_empty () =
   Alcotest.check (Alcotest.float 0.0) "kept earned tokens" 10_000.0
     (Shaping.Token_bucket.available b2 ~now:Simtime.zero)
 
-let test_bucket_forced_negative () =
-  let b =
-    Shaping.Token_bucket.create
-      (Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:100 ())
-      ~now:Simtime.zero
-  in
-  Shaping.Token_bucket.consume_forced b ~now:Simtime.zero ~bytes_len:1_000;
-  checkb "negative balance" true (Shaping.Token_bucket.available b ~now:Simtime.zero < 0.0)
-
 (* --- Shaper (needs an engine) --- *)
 
 let test_shaper_passthrough_unlimited () =
@@ -172,26 +163,6 @@ let test_shaper_preserves_order () =
   Alcotest.check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3; 4; 5 ]
     (List.rev !order)
 
-let test_shaper_drain_queue () =
-  let engine = Engine.create () in
-  let forwarded = ref 0 and drained = ref 0 in
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e3 ~burst_bytes:1_000 () in
-  let s =
-    Shaping.Shaper.create ~engine ~spec
-      ~forward:(fun _ -> incr forwarded)
-      ~size_of:(fun _ -> 1_000)
-      ()
-  in
-  for _ = 1 to 5 do
-    Shaping.Shaper.enqueue s
-      (Packet.data_packet ~now:Simtime.zero ~flow:(flow ()) ~payload:0)
-  done;
-  (* Only the burst-window packet leaves immediately; drain the rest. *)
-  Shaping.Shaper.drain_queue s (fun _ -> incr drained);
-  checki "one through" 1 !forwarded;
-  checki "four drained" 4 !drained;
-  checki "queue empty" 0 (Shaping.Shaper.queue_length s)
-
 let test_shaper_set_spec_takes_effect () =
   let engine = Engine.create () in
   let out = ref 0 in
@@ -248,11 +219,9 @@ let suite =
     t "bucket set_spec clamps" test_bucket_set_spec_clamps;
     t "bucket unlimited to limited starts empty"
       test_bucket_unlimited_to_limited_starts_empty;
-    t "bucket forced negative" test_bucket_forced_negative;
     t "shaper passthrough" test_shaper_passthrough_unlimited;
     t "shaper enforces rate" test_shaper_enforces_rate;
     t "shaper preserves order" test_shaper_preserves_order;
-    t "shaper drain queue" test_shaper_drain_queue;
     t "shaper set_spec" test_shaper_set_spec_takes_effect;
     QCheck_alcotest.to_alcotest prop_shaper_rate_bound;
   ]
