@@ -46,21 +46,12 @@ let () =
        Netcore.Fkey.Pattern.src_port = Some 41002;
      }
    in
-   let policy = Vswitch.Ovs.vif_policy vm.Host.Server.vif in
-   match
-     Rules.Rule_compiler.compile ~policy ~selection:pattern
-       ~destinations:[ Host.Vm.ip sink.Host.Server.vm ]
-   with
-   | Ok compiled ->
-       ignore
-         (Tor.Vrf.install
-            (Tor.Tor_switch.vrf tb.Experiments.Testbed.tor
-               (Host.Vm.tenant vm.Host.Server.vm))
-            compiled);
-       ignore
-         (Host.Bonding.install_rule vm.Host.Server.bonding ~pattern ~priority:5
-            Host.Bonding.Vf)
-   | Error _ -> failwith "compile failed");
+   ignore
+     (Experiments.Testbed.pin tb.Experiments.Testbed.tor vm ~selection:pattern
+        ~destinations:[ Host.Vm.ip sink.Host.Server.vm ]);
+   ignore
+     (Host.Bonding.install_rule vm.Host.Server.bonding ~pattern ~priority:5
+        Host.Bonding.Vf));
   let rm =
     Fastrak.Rule_manager.create ~engine:tb.Experiments.Testbed.engine
       ~config:

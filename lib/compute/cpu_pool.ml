@@ -1,5 +1,6 @@
 module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
+module Fifo = Dcsim.Fifo
 
 type job = { cost : Simtime.span; continuation : unit -> unit }
 
@@ -7,7 +8,7 @@ type t = {
   engine : Engine.t;
   total_cpus : int;
   mutable free_cpus : int;
-  waiting : job Queue.t;
+  waiting : job Fifo.t;
   mutable busy_ns : int;
   mutable completed : int;
 }
@@ -18,7 +19,7 @@ let create ~engine ~cpus =
     engine;
     total_cpus = cpus;
     free_cpus = cpus;
-    waiting = Queue.create ();
+    waiting = Fifo.create ();
     busy_ns = 0;
     completed = 0;
   }
@@ -34,15 +35,15 @@ let rec start_job t job =
          dispatch t))
 
 and dispatch t =
-  if t.free_cpus > 0 && not (Queue.is_empty t.waiting) then begin
-    let job = Queue.pop t.waiting in
+  if t.free_cpus > 0 && not (Fifo.is_empty t.waiting) then begin
+    let job = Fifo.pop t.waiting in
     start_job t job
   end
 
 let submit t ~cost continuation =
   let job = { cost; continuation } in
-  if t.free_cpus > 0 && Queue.is_empty t.waiting then start_job t job
-  else Queue.push job t.waiting
+  if t.free_cpus > 0 && Fifo.is_empty t.waiting then start_job t job
+  else Fifo.push t.waiting job
 
 let run_inline t ~cost = t.busy_ns <- t.busy_ns + Simtime.span_to_ns cost
 let busy_seconds t = float_of_int t.busy_ns /. 1e9
@@ -56,7 +57,7 @@ let cpus_used t ~over =
   let window = Simtime.span_to_sec over in
   if window <= 0.0 then 0.0 else busy_seconds t /. window
 
-let queue_length t = Queue.length t.waiting
+let queue_length t = Fifo.length t.waiting
 let busy_cpus t = t.total_cpus - t.free_cpus
 let jobs_completed t = t.completed
 let reset_accounting t = t.busy_ns <- 0

@@ -139,10 +139,3 @@ let verdict_to_string v =
         Format.asprintf "%a" Netcore.Ipv4.pp ep.Tunnel_rule.server_ip
   in
   Printf.sprintf "%s/q%d/%s" action v.queue tunnel
-
-let pp ppf t =
-  Format.fprintf ppf "policy %a/%a: %d acls, %d qos, %d tunnels, tx %a"
-    Netcore.Tenant.pp t.tenant Netcore.Ipv4.pp t.vm_ip (List.length t.acls)
-    (List.length t.qos)
-    (Tunnel_rule.Map.size t.tunnels)
-    Rate_limit_spec.pp t.tx_limit

@@ -59,5 +59,3 @@ val verdict_to_string : verdict -> string
 (** Compact ["allow/q0/10.0.0.2"]-style encoding, used by trace events
     so the coherence monitor can compare verdicts without depending on
     this library. *)
-
-val pp : Format.formatter -> t -> unit

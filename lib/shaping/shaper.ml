@@ -1,5 +1,6 @@
 module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
+module Fifo = Dcsim.Fifo
 module Packet = Netcore.Packet
 
 type t = {
@@ -7,7 +8,7 @@ type t = {
   bucket : Token_bucket.t;
   forward : Packet.t -> unit;
   size_of : Packet.t -> int;
-  queue : Packet.t Queue.t;
+  queue : Packet.t Fifo.t;
   mutable draining : bool;
   mutable forwarded : int;
   mutable forwarded_bytes : int;
@@ -21,7 +22,7 @@ let create ~engine ~spec ~forward ?(size_of = Packet.wire_size) () =
     bucket = Token_bucket.create spec ~now:(Engine.now engine);
     forward;
     size_of;
-    queue = Queue.create ();
+    queue = Fifo.create ();
     draining = false;
     forwarded = 0;
     forwarded_bytes = 0;
@@ -41,32 +42,33 @@ let note_backlog_end t =
       t.backlog_since <- None
 
 let rec drain t =
-  match Queue.peek_opt t.queue with
-  | None ->
-      t.draining <- false;
-      note_backlog_end t
-  | Some pkt ->
-      let now = Engine.now t.engine in
-      let bytes_len = t.size_of pkt in
-      if Token_bucket.try_consume t.bucket ~now ~bytes_len then begin
-        ignore (Queue.pop t.queue);
-        t.forwarded <- t.forwarded + 1;
-        t.forwarded_bytes <- t.forwarded_bytes + bytes_len;
-        t.forward pkt;
-        drain t
-      end
-      else begin
-        let wait = Token_bucket.time_until_conform t.bucket ~now ~bytes_len in
-        (* Guard against a zero wait produced by rounding: retry one
-           microsecond later rather than spinning. *)
-        let wait =
-          if Simtime.span_to_ns wait <= 0 then Simtime.span_us 1.0 else wait
-        in
-        ignore (Engine.after t.engine wait (fun () -> drain t))
-      end
+  if Fifo.is_empty t.queue then begin
+    t.draining <- false;
+    note_backlog_end t
+  end
+  else
+    let pkt = Fifo.peek t.queue in
+    let now = Engine.now t.engine in
+    let bytes_len = t.size_of pkt in
+    if Token_bucket.try_consume t.bucket ~now ~bytes_len then begin
+      ignore (Fifo.pop t.queue);
+      t.forwarded <- t.forwarded + 1;
+      t.forwarded_bytes <- t.forwarded_bytes + bytes_len;
+      t.forward pkt;
+      drain t
+    end
+    else begin
+      let wait = Token_bucket.time_until_conform t.bucket ~now ~bytes_len in
+      (* Guard against a zero wait produced by rounding: retry one
+         microsecond later rather than spinning. *)
+      let wait =
+        if Simtime.span_to_ns wait <= 0 then Simtime.span_us 1.0 else wait
+      in
+      ignore (Engine.after t.engine wait (fun () -> drain t))
+    end
 
 let enqueue t pkt =
-  Queue.push pkt t.queue;
+  Fifo.push t.queue pkt;
   if not t.draining then begin
     t.draining <- true;
     note_backlog_start t;

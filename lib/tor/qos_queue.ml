@@ -1,9 +1,10 @@
 module Engine = Dcsim.Engine
 module Packet = Netcore.Packet
+module Fifo = Dcsim.Fifo
 
 type t = {
   engine : Engine.t;
-  queues : Packet.t Queue.t array;
+  queues : Packet.t Fifo.t array;
   link : Fabric.Link.t;
   mutable busy : bool;
   mutable queued : int;  (* packets waiting, all classes *)
@@ -17,7 +18,7 @@ let m_depth = Obs.Metrics.summary "tor.qos.depth"
 
 (* The highest non-empty class at or below [i], or -1. *)
 let rec highest_nonempty queues i =
-  if i < 0 || not (Queue.is_empty queues.(i)) then i
+  if i < 0 || not (Fifo.is_empty queues.(i)) then i
   else highest_nonempty queues (i - 1)
 
 (* Hand the best packet to the link and wake again when the link has
@@ -26,7 +27,7 @@ let pump t =
   let i = highest_nonempty t.queues (Array.length t.queues - 1) in
   if i < 0 then t.busy <- false
   else begin
-    let pkt = Queue.pop t.queues.(i) in
+    let pkt = Fifo.pop t.queues.(i) in
     t.queued <- t.queued - 1;
     t.sent <- t.sent + 1;
     Obs.Metrics.incr m_sent;
@@ -36,7 +37,7 @@ let pump t =
 
 let create ~engine ~classes ~link =
   if classes <= 0 then invalid_arg "Qos_queue.create: classes must be positive";
-  let queues = Array.init classes (fun _ -> Queue.create ()) in
+  let queues = Array.init classes (fun _ -> Fifo.create ()) in
   let rec t =
     {
       engine;
@@ -52,7 +53,7 @@ let create ~engine ~classes ~link =
 
 let enqueue t ~queue pkt =
   let queue = Stdlib.max 0 (Stdlib.min queue (Array.length t.queues - 1)) in
-  Queue.push pkt t.queues.(queue);
+  Fifo.push t.queues.(queue) pkt;
   t.queued <- t.queued + 1;
   Obs.Metrics.incr m_enqueued;
   Obs.Metrics.observe m_depth (float_of_int t.queued);

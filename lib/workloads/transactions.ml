@@ -2,6 +2,7 @@ module Simtime = Dcsim.Simtime
 module Engine = Dcsim.Engine
 module Packet = Netcore.Packet
 module Fkey = Netcore.Fkey
+module Fifo = Dcsim.Fifo
 
 module Server = struct
   let install ~vm ~port ?(service_cost = Compute.Cost_params.server_app_default_cost)
@@ -30,7 +31,7 @@ module Client = struct
 
   type conn = {
     flow : Fkey.t;
-    send_times : Simtime.t Queue.t;  (* FIFO; responses match in order *)
+    send_times : Simtime.t Fifo.t;  (* FIFO; responses match in order *)
     mutable conn_issued : int;
     mutable budget : int;  (* max_int when unbounded *)
   }
@@ -63,7 +64,7 @@ module Client = struct
       conn.conn_issued <- conn.conn_issued + 1;
       t.issued <- t.issued + 1;
       let now = Engine.now t.engine in
-      Queue.push now conn.send_times;
+      Fifo.push conn.send_times now;
       let pkt =
         Packet.create ~now ~flow:conn.flow ~payload:t.config.request_size ()
       in
@@ -71,23 +72,23 @@ module Client = struct
     end
 
   let on_response t conn _pkt =
-    (match Queue.take_opt conn.send_times with
-    | None -> ()
-    | Some sent_at ->
-        let now = Engine.now t.engine in
-        let latency_us = Simtime.span_to_us (Simtime.diff now sent_at) in
-        Dcsim.Stats.Histogram.add t.latency latency_us;
-        Obs.Slo.observe_latency_us
-          ~tenant:(Netcore.Tenant.to_int (Host.Vm.tenant t.vm))
-          latency_us;
-        t.completed <- t.completed + 1;
-        t.window_completed <- t.window_completed + 1;
-        (match t.config.total_requests with
-        | Some n when t.completed = n ->
-            t.finish_time <- Some now;
-            t.running <- false;
-            t.finish_cb ()
-        | _ -> ()));
+    if not (Fifo.is_empty conn.send_times) then begin
+      let sent_at = Fifo.pop conn.send_times in
+      let now = Engine.now t.engine in
+      let latency_us = Simtime.span_to_us (Simtime.diff now sent_at) in
+      Dcsim.Stats.Histogram.add t.latency latency_us;
+      Obs.Slo.observe_latency_us
+        ~tenant:(Netcore.Tenant.to_int (Host.Vm.tenant t.vm))
+        latency_us;
+      t.completed <- t.completed + 1;
+      t.window_completed <- t.window_completed + 1;
+      match t.config.total_requests with
+      | Some n when t.completed = n ->
+          t.finish_time <- Some now;
+          t.running <- false;
+          t.finish_cb ()
+      | _ -> ()
+    end;
     issue t conn
 
   (* Requests lost in flight (e.g. dropped during a rule migration) are
@@ -100,20 +101,22 @@ module Client = struct
              let now = Engine.now engine in
              Array.iter
                (fun conn ->
-                 match Queue.peek_opt conn.send_times with
-                 | Some sent_at
-                   when Simtime.span_compare (Simtime.diff now sent_at)
-                          retry_timeout
-                        > 0 ->
-                     ignore (Queue.pop conn.send_times);
-                     t.retries <- t.retries + 1;
-                     Queue.push now conn.send_times;
-                     let pkt =
-                       Packet.create ~now ~flow:conn.flow
-                         ~payload:t.config.request_size ()
-                     in
-                     Host.Vm.send t.vm pkt
-                 | _ -> ())
+                 if
+                   (not (Fifo.is_empty conn.send_times))
+                   && Simtime.span_compare
+                        (Simtime.diff now (Fifo.peek conn.send_times))
+                        retry_timeout
+                      > 0
+                 then begin
+                   ignore (Fifo.pop conn.send_times);
+                   t.retries <- t.retries + 1;
+                   Fifo.push conn.send_times now;
+                   let pkt =
+                     Packet.create ~now ~flow:conn.flow
+                       ~payload:t.config.request_size ()
+                   in
+                   Host.Vm.send t.vm pkt
+                 end)
                t.conns;
              watchdog t engine))
 
@@ -132,7 +135,7 @@ module Client = struct
                     + server_index)
                   ~dst_port ~proto:Fkey.Tcp ~tenant:(Host.Vm.tenant vm)
               in
-              { flow; send_times = Queue.create (); conn_issued = 0; budget = max_int })
+              { flow; send_times = Fifo.create (); conn_issued = 0; budget = max_int })
             config.servers)
         (List.init config.connections (fun i -> i))
     in

@@ -80,6 +80,33 @@ let test_run_inline () =
   Compute.Cpu_pool.run_inline pool ~cost:(Simtime.span_ms 2.0);
   checkf "accounted without queueing" 0.002 (Compute.Cpu_pool.busy_seconds pool)
 
+(* A saturated pool's run queue lives all run and is never empty, so
+   anything it still references at a minor collection is promoted. A
+   job that has run is garbage: nearly everything the jobs allocate
+   must die young. *)
+let test_pool_queue_promotes_little () =
+  let engine = Engine.create () in
+  let pool = Compute.Cpu_pool.create ~engine ~cpus:1 in
+  let jobs = 100_000 and submitted = ref 0 in
+  let rec submit () =
+    if !submitted < jobs then begin
+      incr submitted;
+      Compute.Cpu_pool.submit pool ~cost:(Simtime.span_us 1.0) submit
+    end
+  in
+  (* One job runs and two wait; each completion submits one more. *)
+  Gc.minor ();
+  let before = Gc.quick_stat () in
+  for _ = 1 to 3 do submit () done;
+  Engine.run engine;
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  checki "jobs" jobs (Compute.Cpu_pool.jobs_completed pool);
+  let minor = after.Gc.minor_words -. before.Gc.minor_words in
+  let promoted = after.Gc.promoted_words -. before.Gc.promoted_words in
+  if promoted >= 0.1 *. minor then
+    Alcotest.failf "promoted %.0f of %.0f minor words" promoted minor
+
 (* --- Cost params: structural sanity of the calibration --- *)
 
 let test_units_tunneling_defeats_tso () =
@@ -140,6 +167,7 @@ let suite =
     t "pool accounting" test_pool_accounting;
     t "pool queue introspection" test_pool_queue_introspection;
     t "run_inline" test_run_inline;
+    t "saturated pool promotes little" test_pool_queue_promotes_little;
     t "units: tunneling defeats TSO" test_units_tunneling_defeats_tso;
     t "vhost cost ordering" test_vhost_cost_ordering;
     t "guest costs" test_guest_costs;

@@ -245,6 +245,32 @@ let test_ring_basics () =
   check (Alcotest.float 0.0) "median of filtered" 3.5
     (Dcsim.Stats.median_in_place scratch n)
 
+(* --- Fifo --- *)
+
+(* The queue overwrites a popped slot at once, so what it handed back
+   is garbage as soon as the caller drops it, while the queue and its
+   other elements live on. *)
+let test_fifo_pop_releases () =
+  let q = Dcsim.Fifo.create () in
+  let popped = Weak.create 1 in
+  let[@inline never] push_and_pop fresh =
+    Weak.set popped 0 (Some fresh);
+    Dcsim.Fifo.push q fresh;
+    Dcsim.Fifo.push q (Bytes.make 16 'b');
+    ignore (Sys.opaque_identity (Dcsim.Fifo.pop q))
+  in
+  push_and_pop (Bytes.make 16 'a');
+  Gc.full_major ();
+  checkb "popped element collected" true (Option.is_none (Weak.get popped 0));
+  checki "queue still holds one" 1 (Dcsim.Fifo.length q);
+  check Alcotest.string "the other one" "bbbbbbbbbbbbbbbb"
+    (Bytes.to_string (Dcsim.Fifo.pop q));
+  checkb "now empty" true (Dcsim.Fifo.is_empty q);
+  Alcotest.check_raises "pop when empty" (Invalid_argument "Fifo.pop: empty")
+    (fun () -> ignore (Dcsim.Fifo.pop q));
+  Alcotest.check_raises "peek when empty" (Invalid_argument "Fifo.peek: empty")
+    (fun () -> ignore (Dcsim.Fifo.peek q))
+
 let test_median_in_place () =
   let a = [| 5.0; 1.0; 3.0; 0.0; 0.0 |] in
   check (Alcotest.float 0.0) "prefix median" 3.0 (Dcsim.Stats.median_in_place a 3);
@@ -576,6 +602,57 @@ let prop_event_queue_length_under_churn =
       in
       consistent && drain 0 = !live)
 
+(* [Stdlib.Queue] is the reference for [Dcsim.Fifo]. Each sequence
+   runs in phases: balanced, so the head wraps and the next growth
+   unrolls a wrapped array; push-heavy, so the array doubles from 8 to
+   64 or more slots; balanced again, so the head wraps the larger array;
+   then pop-heavy until it drains, popping and peeking when empty too. *)
+let prop_fifo_model =
+  let ops ~push ~pop lo hi =
+    QCheck2.Gen.(
+      list_size (int_range lo hi)
+        (frequency
+           [ (push, pure `Push); (pop, pure `Pop); (1, pure `Peek) ]))
+  in
+  QCheck2.Test.make ~name:"fifo matches Stdlib.Queue" ~count:200
+    QCheck2.Gen.(
+      map List.concat
+        (flatten_l
+           [
+             ops ~push:3 ~pop:3 10 40;
+             ops ~push:6 ~pop:1 80 160;
+             ops ~push:3 ~pop:3 100 300;
+             ops ~push:1 ~pop:6 100 200;
+           ]))
+    (fun ops ->
+      let module Fifo = Dcsim.Fifo in
+      let q = Fifo.create () and model = Queue.create () in
+      let next = ref 0 in
+      (* Both return the same element, or both refuse an empty queue. *)
+      let same f g =
+        let model = match g () with x -> Some x | exception Queue.Empty -> None in
+        match f () with
+        | x -> model = Some x
+        | exception Invalid_argument _ -> model = None
+      in
+      let step op =
+        (match op with
+        | `Push ->
+            Fifo.push q !next;
+            Queue.push !next model;
+            incr next;
+            true
+        | `Pop -> same (fun () -> Fifo.pop q) (fun () -> Queue.pop model)
+        | `Peek -> same (fun () -> Fifo.peek q) (fun () -> Queue.peek model))
+        && Fifo.length q = Queue.length model
+        && Fifo.is_empty q = Queue.is_empty model
+      in
+      let rec drain () =
+        Queue.is_empty model
+        || (Fifo.pop q = Queue.pop model && drain ())
+      in
+      List.for_all step ops && drain () && Fifo.is_empty q)
+
 let prop_histogram_percentile_monotone =
   QCheck2.Test.make ~name:"histogram percentiles are monotone" ~count:100
     QCheck2.Gen.(list_size (int_range 1 200) (float_bound_exclusive 100000.0))
@@ -624,6 +701,7 @@ let suite =
     t "event queue cancel root/last/interior" test_queue_cancel_positions;
     t "event queue peek skips cancelled" test_queue_peek_skips_cancelled;
     t "ring buffer basics" test_ring_basics;
+    t "fifo releases popped elements" test_fifo_pop_releases;
     t "median in place" test_median_in_place;
     t "engine runs in order" test_engine_runs_in_order;
     t "engine until" test_engine_until;
@@ -646,6 +724,7 @@ let suite =
     t "median" test_median;
     QCheck_alcotest.to_alcotest prop_event_queue_model;
     QCheck_alcotest.to_alcotest prop_event_queue_length_under_churn;
+    QCheck_alcotest.to_alcotest prop_fifo_model;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_summary_mean_bounds;
   ]
