@@ -3,10 +3,7 @@ module Simtime = Dcsim.Simtime
 type t = {
   poll_gap : Simtime.span;
   epoch_period : Simtime.span;
-  epochs_per_interval : int;
   history_intervals : int;
-  overflow_bps : float;
-  max_offloads : int option;
   min_score : float;
   dead_peer_failures : int;
   migration_timeout : Simtime.span;
@@ -17,16 +14,15 @@ let default =
   {
     poll_gap = Simtime.span_ms 100.0;
     epoch_period = Simtime.span_sec 5.0;
-    epochs_per_interval = 2;
     history_intervals = 3;
-    overflow_bps = 50e6;
-    max_offloads = None;
     min_score = 100.0;
     dead_peer_failures = 3;
     migration_timeout = Simtime.span_sec 30.0;
     tcam_audit_interval = None;
   }
 
+let epochs_per_interval = 2
+let overflow_bps = 50e6
 let controller_latency = Simtime.span_us 200.0
 let directive_timeout = Simtime.span_ms 25.0
 let directive_attempts = 5

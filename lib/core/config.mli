@@ -2,19 +2,14 @@
 
     The measurement cadence: pps/bps are measured over a [poll_gap]
     window ("twice within an interval of t = 100 ms"), repeated every
-    [epoch_period] (T), for [epochs_per_interval] epochs (N); every N
+    [epoch_period] (T), for {!epochs_per_interval} epochs (N); every N
     epochs is one control interval. Medians are kept over the last
     [history_intervals] (M) control intervals. *)
 
 type t = {
   poll_gap : Dcsim.Simtime.span;  (** t: window over which pps is measured. *)
   epoch_period : Dcsim.Simtime.span;  (** T: epoch repetition period. *)
-  epochs_per_interval : int;  (** N. *)
   history_intervals : int;  (** M. *)
-  overflow_bps : float;  (** O: slack added to each split rate limit. *)
-  max_offloads : int option;
-      (** Cap on concurrently offloaded aggregates (the §6.2.1
-          experiment modifies FasTrak "to offload only one"). *)
   min_score : float;
       (** Offload threshold: aggregates scoring below this never move
           to hardware (keeps trickle flows in software). *)
@@ -33,10 +28,19 @@ type t = {
 }
 
 val default : t
-(** t = 100 ms, T = 5 s, N = 2, M = 3, O = 50 Mb/s, no offload cap,
-    min_score 100; 3 consecutive failed directives declare a peer dead,
-    and an unconfirmed migration aborts after 30 s. The TCAM audit is
-    off. *)
+(** t = 100 ms, T = 5 s, M = 3, min_score 100; 3 consecutive failed
+    directives declare a peer dead, and an unconfirmed migration aborts
+    after 30 s. The TCAM audit is off. *)
+
+(** {1 Measurement and rate-split constants}
+
+    Every experiment measures and splits rate limits at these values. *)
+
+val epochs_per_interval : int
+(** N: epochs per control interval, 2. *)
+
+val overflow_bps : float
+(** O: slack FPS adds to each split rate limit, 50 Mb/s. *)
 
 (** {1 Control-channel and recovery constants}
 

@@ -131,9 +131,9 @@ let rate_state t vm_ip =
 let apply_fps t =
   let interval_sec =
     Simtime.span_to_sec t.config.Config.epoch_period
-    *. float_of_int t.config.Config.epochs_per_interval
+    *. float_of_int Config.epochs_per_interval
   in
-  let overflow_bps = t.config.Config.overflow_bps in
+  let overflow_bps = Config.overflow_bps in
   List.iter
     (fun (a : Host.Server.attached) ->
       let total_bps =

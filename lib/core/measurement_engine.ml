@@ -56,7 +56,7 @@ let m_reports = Obs.Metrics.counter "fastrak.me.reports"
 let m_counter_resets = Obs.Metrics.counter "fastrak.me.counter_resets"
 
 let history_limit config =
-  Stdlib.max 1 (config.Config.epochs_per_interval * config.Config.history_intervals)
+  Stdlib.max 1 (Config.epochs_per_interval * config.Config.history_intervals)
 
 let create ~engine ~config ~name ~poll ~classify =
   {
@@ -229,7 +229,7 @@ let start t =
                if t.running then
                  run_epoch t (fun () ->
                      let next = epoch_in_interval + 1 in
-                     if next >= t.config.Config.epochs_per_interval then begin
+                     if next >= Config.epochs_per_interval then begin
                        t.report_cb (build_report t);
                        interval_loop 0
                      end

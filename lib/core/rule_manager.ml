@@ -22,7 +22,7 @@ type migration = {
   mutable mg_span : Obs.Span.id;  (* prepare -> commit/abort *)
 }
 
-let create ~engine ~config ~tor ~servers ?tenant_priority ?group_of ?faults () =
+let create ~engine ~config ~tor ~servers ?faults () =
   let lookup_vm ~tenant ~vm_ip =
     ignore tenant;
     List.find_map
@@ -32,10 +32,7 @@ let create ~engine ~config ~tor ~servers ?tenant_priority ?group_of ?faults () =
         | None -> None)
       servers
   in
-  let tor_ctrl =
-    Tor_controller.create ~engine ~config ~tor ~lookup_vm ?tenant_priority
-      ?group_of ()
-  in
+  let tor_ctrl = Tor_controller.create ~engine ~config ~tor ~lookup_vm in
   (* Each control channel gets its own injector on a decorrelated RNG
      stream, so one channel's draws never perturb another's. A [None]
      or channel-fault-free schedule builds no injector at all: the

@@ -14,16 +14,13 @@ val create :
   config:Config.t ->
   tor:Tor.Tor_switch.t ->
   servers:Host.Server.t list ->
-  ?tenant_priority:(Netcore.Tenant.id -> float) ->
-  ?group_of:(Netcore.Fkey.Pattern.t -> int option) ->
   ?faults:Faults.Schedule.t ->
   unit ->
   t
 (** Build the whole control plane for one rack: a local controller per
     server in [servers], the TOR controller, and the latency-bearing
-    report/directive channels between them. [tenant_priority] is the
-    per-tenant weight c in S = n x m_pps x c; [group_of] assigns
-    patterns to all-or-none offload groups.
+    report/directive channels between them. Every aggregate is ranked
+    by S = n x m_pps x c with c = 1 ({!Scoring.score}).
 
     [faults], when its channel dimensions are armed
     ({!Faults.Schedule.has_channel_faults}), puts every control channel

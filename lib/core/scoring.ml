@@ -1,2 +1,1 @@
-let score ~epochs_active ~median_pps ?(priority = 1.0) () =
-  float_of_int epochs_active *. median_pps *. priority
+let score ~epochs_active ~median_pps = float_of_int epochs_active *. median_pps

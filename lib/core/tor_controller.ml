@@ -132,8 +132,6 @@ type t = {
     tenant:Netcore.Tenant.id ->
     vm_ip:Netcore.Ipv4.t ->
     (Host.Server.t * Host.Server.attached) option;
-  tenant_priority : Netcore.Tenant.id -> float;
-  group_of : Fkey.Pattern.t -> int option;
   tor_me : Measurement_engine.t;
   mutable locals : (string * peer) list;
   mutable next_seq : int;
@@ -160,8 +158,7 @@ type t = {
   decide_scratch : Decision_engine.scratch;
 }
 
-let create ~engine ~config ~tor ~lookup_vm ?(tenant_priority = fun _ -> 1.0)
-    ?(group_of = fun _ -> None) () =
+let create ~engine ~config ~tor ~lookup_vm =
   let t_ref = ref None in
   let classify flow =
     match !t_ref with
@@ -193,8 +190,6 @@ let create ~engine ~config ~tor ~lookup_vm ?(tenant_priority = fun _ -> 1.0)
       config;
       tor;
       lookup_vm;
-      tenant_priority;
-      group_of;
       tor_me;
       locals = [];
       next_seq = 0;
@@ -232,11 +227,6 @@ let register_local t ~name ~directive_channel =
   in
   t.locals <- (name, peer) :: t.locals
 
-let entry_score t (e : Measurement_engine.entry) =
-  Scoring.score ~epochs_active:e.epochs_active ~median_pps:e.median_pps
-    ~priority:(t.tenant_priority e.owner.Measurement_engine.tenant)
-    ()
-
 let max_destinations = 16
 
 let build_candidates t =
@@ -269,7 +259,9 @@ let build_candidates t =
       (match source_server with
       | Some s -> Hashtbl.replace server_of e.pattern s
       | None -> ());
-      let score = entry_score t e in
+      let score =
+        Scoring.score ~epochs_active:e.epochs_active ~median_pps:e.median_pps
+      in
       let candidate =
         {
           Decision_engine.pattern = e.pattern;
@@ -277,7 +269,6 @@ let build_candidates t =
           vm_ip = e.owner.Measurement_engine.vm_ip;
           score;
           tcam_entries = 1 + List.length dests;
-          group = t.group_of e.pattern;
         }
       in
       match Hashtbl.find_opt table e.pattern with
@@ -795,7 +786,6 @@ let run_decision t =
             vm_ip = os.os_vm_ip;
             score = os.os_score;
             tcam_entries = os.os_entries;
-            group = t.group_of os.os_pattern;
           } ))
       t.offloaded
   in
@@ -803,7 +793,6 @@ let run_decision t =
     Decision_engine.decide ~scratch:t.decide_scratch ~candidates
       ~offloaded:offloaded_for_decide
       ~tcam_free:(Tor.Tcam.available (Tor.Tor_switch.tcam t.tor))
-      ~max_offloads:t.config.Config.max_offloads
       ~min_score:t.config.Config.min_score ()
   in
   (* Demote first so the freed TCAM entries are real by the time the
@@ -831,7 +820,7 @@ let start t =
     Measurement_engine.start t.tor_me;
     let interval =
       Simtime.span_scale
-        (float_of_int t.config.Config.epochs_per_interval)
+        (float_of_int Config.epochs_per_interval)
         t.config.Config.epoch_period
     in
     (* Offset the decision tick slightly after the local controllers'
@@ -904,7 +893,6 @@ let reinstall t rules =
             vm_ip = rr.rr_vm_ip;
             score = rr.rr_score;
             tcam_entries = 0;
-            group = t.group_of rr.rr_pattern;
           }
           ~server:rr.rr_server)
     rules

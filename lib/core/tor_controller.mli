@@ -18,15 +18,11 @@ val create :
     (tenant:Netcore.Tenant.id ->
     vm_ip:Netcore.Ipv4.t ->
     (Host.Server.t * Host.Server.attached) option) ->
-  ?tenant_priority:(Netcore.Tenant.id -> float) ->
-  ?group_of:(Netcore.Fkey.Pattern.t -> int option) ->
-  unit ->
   t
 (** Build the controller for [tor], including its measurement engine
     over the ToR's hardware flow counters. [lookup_vm] resolves a VM to
     its hosting server (needed to compile offload rules against the
-    VM's policy); [tenant_priority] and [group_of] are as in
-    {!Rule_manager.create}. *)
+    VM's policy). *)
 
 val register_local :
   t ->

@@ -82,10 +82,6 @@ let mk_candidates rng n =
         vm_ip = ip_of_index i;
         score = Rng.float rng 10_000.0;
         tcam_entries = 1 + Rng.int rng 4;
-        (* ~5% of candidates belong to an all-or-none group. *)
-        group =
-          (if Rng.int rng 100 < 5 then Some (Rng.int rng (Stdlib.max 1 (n / 50)))
-           else None);
       })
 
 (* The currently-offloaded set: every k-th candidate (their previous
@@ -157,7 +153,6 @@ let measurement ~smoke =
       Fastrak.Config.default with
       Fastrak.Config.epoch_period;
       poll_gap = Simtime.span_ms 4.0;
-      epochs_per_interval = 2;
       history_intervals = 3;
     }
   in

@@ -176,22 +176,20 @@ let prop_fps_split_finite =
 
 let test_scoring () =
   checkf 1e-9 "S = n*pps" 600.0
-    (Fastrak.Scoring.score ~epochs_active:3 ~median_pps:200.0 ());
-  checkf 1e-9 "priority multiplies" 1200.0
-    (Fastrak.Scoring.score ~epochs_active:3 ~median_pps:200.0 ~priority:2.0 ());
+    (Fastrak.Scoring.score ~epochs_active:3 ~median_pps:200.0);
   checkf 1e-9 "inactive scores zero" 0.0
-    (Fastrak.Scoring.score ~epochs_active:0 ~median_pps:5000.0 ())
+    (Fastrak.Scoring.score ~epochs_active:0 ~median_pps:5000.0)
 
 let test_scoring_mfu_not_elephant () =
   (* A service with 1000 small flows at ~3 packets each (3000 pps) must
      outrank a single elephant at 300 pps, regardless of bytes. *)
-  let service = Fastrak.Scoring.score ~epochs_active:6 ~median_pps:3000.0 () in
-  let elephant = Fastrak.Scoring.score ~epochs_active:6 ~median_pps:300.0 () in
+  let service = Fastrak.Scoring.score ~epochs_active:6 ~median_pps:3000.0 in
+  let elephant = Fastrak.Scoring.score ~epochs_active:6 ~median_pps:300.0 in
   checkb "pps rules" true (service > elephant)
 
 (* --- Decision engine --- *)
 
-let candidate ?(score = 100.0) ?(entries = 2) ?(group = None) ~port () =
+let candidate ?(score = 100.0) ?(entries = 2) ~port () =
   {
     Fastrak.Decision_engine.pattern =
       { Fkey.Pattern.any with Fkey.Pattern.src_port = Some port };
@@ -199,20 +197,19 @@ let candidate ?(score = 100.0) ?(entries = 2) ?(group = None) ~port () =
     vm_ip = Ipv4.of_string "10.7.0.1";
     score;
     tcam_entries = entries;
-    group;
   }
 
-let decide ?(offloaded = []) ?(tcam_free = 100) ?(max_offloads = None)
-    ?(min_score = 1.0) candidates =
-  Fastrak.Decision_engine.decide ~candidates ~offloaded ~tcam_free ~max_offloads
-    ~min_score ()
+let decide ?(offloaded = []) ?(tcam_free = 100) ?(min_score = 1.0) candidates =
+  Fastrak.Decision_engine.decide ~candidates ~offloaded ~tcam_free ~min_score ()
 
-let ports l =
-  List.sort compare
-    (List.filter_map
-       (fun (c : Fastrak.Decision_engine.candidate) ->
-         c.Fastrak.Decision_engine.pattern.Fkey.Pattern.src_port)
-       l)
+(* A decision list's ports in list order, then as a sorted set. *)
+let port_list l =
+  List.filter_map
+    (fun (c : Fastrak.Decision_engine.candidate) ->
+      c.Fastrak.Decision_engine.pattern.Fkey.Pattern.src_port)
+    l
+
+let ports l = List.sort compare (port_list l)
 
 let test_decide_ranks_by_score () =
   let d =
@@ -230,14 +227,6 @@ let test_decide_respects_capacity () =
 let test_decide_min_score () =
   let d = decide ~min_score:50.0 [ candidate ~score:10.0 ~port:1 () ] in
   checki "below threshold" 0 (List.length d.Fastrak.Decision_engine.offload)
-
-let test_decide_max_offloads () =
-  let d =
-    decide ~max_offloads:(Some 1)
-      [ candidate ~score:10.0 ~port:1 (); candidate ~score:30.0 ~port:2 () ]
-  in
-  Alcotest.check (Alcotest.list Alcotest.int) "one only" [ 2 ]
-    (ports d.Fastrak.Decision_engine.offload)
 
 let test_decide_demotes_losers () =
   let old = candidate ~score:5.0 ~port:1 () in
@@ -271,54 +260,11 @@ let test_decide_idle_offloaded_demoted () =
   Alcotest.check (Alcotest.list Alcotest.int) "idle demoted" [ 1 ]
     (ports d.Fastrak.Decision_engine.demote)
 
-let test_decide_group_all_or_none () =
-  (* Group of two needing 4 entries total: with only 3 free, neither
-     member may be taken even though one would fit. *)
-  let g = Some 1 in
-  let d =
-    decide ~tcam_free:3
-      [ candidate ~score:100.0 ~entries:2 ~group:g ~port:1 ();
-        candidate ~score:90.0 ~entries:2 ~group:g ~port:2 () ]
-  in
-  checki "none taken" 0 (List.length d.Fastrak.Decision_engine.offload);
-  let d2 =
-    decide ~tcam_free:4
-      [ candidate ~score:100.0 ~entries:2 ~group:g ~port:1 ();
-        candidate ~score:90.0 ~entries:2 ~group:g ~port:2 () ]
-  in
-  checki "both taken" 2 (List.length d2.Fastrak.Decision_engine.offload)
-
-let test_decide_group_negative_scores () =
-  (* Regression: [build_units] used to fold group scores from 0.0, so a
-     group whose members all score below zero ranked at 0.0 — above any
-     hotter (less negative) singleton. With a budget that fits only one
-     unit, the pre-fix code offloads the cold group instead of the hot
-     singleton. *)
-  let g = Some 1 in
-  let candidates =
-    [
-      candidate ~score:(-10.0) ~entries:1 ~group:g ~port:1 ();
-      candidate ~score:(-20.0) ~entries:1 ~group:g ~port:2 ();
-      candidate ~score:(-5.0) ~entries:2 ~port:3 ();
-    ]
-  in
-  let d = decide ~min_score:(-100.0) ~tcam_free:2 candidates in
-  Alcotest.check (Alcotest.list Alcotest.int) "hot singleton outranks cold group"
-    [ 3 ]
-    (ports d.Fastrak.Decision_engine.offload);
-  (* The bug lived in [build_units], which the list baseline still
-     goes through — it must agree. *)
-  let b =
-    Fastrak.Decision_engine.decide_list_baseline ~candidates ~offloaded:[]
-      ~tcam_free:2 ~max_offloads:None ~min_score:(-100.0) ()
-  in
-  Alcotest.check (Alcotest.list Alcotest.int) "baseline agrees" [ 3 ]
-    (ports b.Fastrak.Decision_engine.offload)
-
 let test_decide_matches_list_baseline () =
   (* The hashtable rewrite must agree with the retained list-based
-     implementation on randomized inputs: same offload/demote/keep
-     sets. Seeded via Dcsim.Rng so failures reproduce. *)
+     implementation on randomized inputs: the same offload/demote/keep
+     lists in the same order, since the controller applies them in
+     list order. Seeded via Dcsim.Rng so failures reproduce. *)
   let rng = Dcsim.Rng.create ~seed:20260806 in
   for trial = 1 to 200 do
     let n = 1 + Dcsim.Rng.int rng 60 in
@@ -327,9 +273,6 @@ let test_decide_matches_list_baseline () =
           candidate
             ~score:(Dcsim.Rng.float rng 1000.0)
             ~entries:(1 + Dcsim.Rng.int rng 4)
-            ~group:
-              (if Dcsim.Rng.int rng 10 = 0 then Some (Dcsim.Rng.int rng 5)
-               else None)
             ~port:i ())
     in
     let offloaded =
@@ -341,24 +284,22 @@ let test_decide_matches_list_baseline () =
         candidates
     in
     let tcam_free = Dcsim.Rng.int rng 120 in
-    let max_offloads =
-      if Dcsim.Rng.bool rng then None else Some (Dcsim.Rng.int rng (n + 1))
-    in
     let min_score = Dcsim.Rng.float rng 500.0 in
     let fast =
-      Fastrak.Decision_engine.decide ~candidates ~offloaded ~tcam_free
-        ~max_offloads ~min_score ()
+      Fastrak.Decision_engine.decide ~candidates ~offloaded ~tcam_free ~min_score
+        ()
     in
     let slow =
       Fastrak.Decision_engine.decide_list_baseline ~candidates ~offloaded
-        ~tcam_free ~max_offloads ~min_score ()
+        ~tcam_free ~min_score ()
     in
     let label what =
       Printf.sprintf "trial %d (%d cands, %d offloaded): %s" trial n
         (List.length offloaded) what
     in
     let check_same what a b =
-      Alcotest.check (Alcotest.list Alcotest.int) (label what) (ports a) (ports b)
+      Alcotest.check (Alcotest.list Alcotest.int) (label what) (port_list a)
+        (port_list b)
     in
     check_same "offload" slow.Fastrak.Decision_engine.offload
       fast.Fastrak.Decision_engine.offload;
@@ -382,9 +323,6 @@ let test_decide_scratch_reuse_matches_baseline () =
           candidate
             ~score:(Dcsim.Rng.float rng 1000.0)
             ~entries:(1 + Dcsim.Rng.int rng 4)
-            ~group:
-              (if Dcsim.Rng.int rng 10 = 0 then Some (Dcsim.Rng.int rng 5)
-               else None)
             ~port:i ())
     in
     let offloaded =
@@ -396,24 +334,22 @@ let test_decide_scratch_reuse_matches_baseline () =
         candidates
     in
     let tcam_free = Dcsim.Rng.int rng 120 in
-    let max_offloads =
-      if Dcsim.Rng.bool rng then None else Some (Dcsim.Rng.int rng (n + 1))
-    in
     let min_score = Dcsim.Rng.float rng 500.0 in
     let fast =
       Fastrak.Decision_engine.decide ~scratch ~candidates ~offloaded ~tcam_free
-        ~max_offloads ~min_score ()
+        ~min_score ()
     in
     let slow =
       Fastrak.Decision_engine.decide_list_baseline ~candidates ~offloaded
-        ~tcam_free ~max_offloads ~min_score ()
+        ~tcam_free ~min_score ()
     in
     let label what =
       Printf.sprintf "trial %d (%d cands, %d offloaded): %s" trial n
         (List.length offloaded) what
     in
     let check_same what a b =
-      Alcotest.check (Alcotest.list Alcotest.int) (label what) (ports a) (ports b)
+      Alcotest.check (Alcotest.list Alcotest.int) (label what) (port_list a)
+        (port_list b)
     in
     check_same "offload" slow.Fastrak.Decision_engine.offload
       fast.Fastrak.Decision_engine.offload;
@@ -430,7 +366,6 @@ let me_config =
     Fastrak.Config.default with
     Fastrak.Config.epoch_period = Simtime.span_ms 100.0;
     poll_gap = Simtime.span_ms 40.0;
-    epochs_per_interval = 2;
     history_intervals = 2;
   }
 
@@ -816,12 +751,9 @@ let suite =
     t "decide ranks by score" test_decide_ranks_by_score;
     t "decide respects capacity" test_decide_respects_capacity;
     t "decide min score" test_decide_min_score;
-    t "decide max offloads" test_decide_max_offloads;
     t "decide demotes losers" test_decide_demotes_losers;
     t "decide keeps winners" test_decide_keeps_winners;
     t "decide demotes idle" test_decide_idle_offloaded_demoted;
-    t "decide group all-or-none" test_decide_group_all_or_none;
-    t "decide group of negative scores" test_decide_group_negative_scores;
     t "decide matches list baseline" test_decide_matches_list_baseline;
     t "decide with reused scratch matches baseline"
       test_decide_scratch_reuse_matches_baseline;
