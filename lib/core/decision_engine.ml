@@ -61,16 +61,24 @@ let push_elig s c =
   s.order.(e) <- e;
   s.e_len <- e + 1
 
-(* In-place heapsort of [s.order]'s first [n] slots: descending score,
-   ties by ascending index (= arrival order), i.e. exactly the
-   [List.stable_sort] rank order of the list baseline — without
-   allocating the sorted list. *)
+(* Rank order: descending score, equal scores by ascending pattern.
+   A total order on the candidate, so no decision depends on the order
+   the caller's tables happened to list candidates in. *)
+let rank a b =
+  match Float.compare b.score a.score with
+  | 0 -> Fkey.Pattern.compare a.pattern b.pattern
+  | c -> c
+
+(* In-place heapsort of [s.order]'s first [n] slots by [rank], the
+   rest of a tie by ascending index (= arrival order), i.e. exactly the
+   [List.stable_sort] order of the list baseline — without allocating
+   the sorted list. *)
 let sort_order s n =
   let ord = s.order and elig = s.elig in
   (* [gt a b]: candidate [a] sorts strictly after candidate [b]. *)
   let gt a b =
-    let sa = elig.(a).score and sb = elig.(b).score in
-    sa < sb || (sa = sb && a > b)
+    let c = rank elig.(a) elig.(b) in
+    c > 0 || (c = 0 && a > b)
   in
   let sift_down start len =
     let root = ref start in
@@ -153,9 +161,7 @@ let decide_list_baseline ~candidates ~offloaded ~tcam_free ~min_score () =
     tcam_free + List.fold_left (fun s (_, c) -> s + c.tcam_entries) 0 offloaded
   in
   let ranked =
-    List.stable_sort
-      (fun a b -> Float.compare b.score a.score)
-      (List.filter (fun c -> c.score >= min_score) candidates)
+    List.stable_sort rank (List.filter (fun c -> c.score >= min_score) candidates)
   in
   let selected, _ =
     List.fold_left

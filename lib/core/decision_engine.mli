@@ -48,7 +48,9 @@ val decide :
     that. [candidates] must include fresh scores for offloaded
     aggregates (the TOR ME measures them); an offloaded aggregate
     absent from [candidates] is treated as idle and demoted. Equal
-    scores rank in [candidates] order.
+    scores rank by ascending {!Netcore.Fkey.Pattern.compare}, so the
+    decision does not depend on the order of [candidates] (only
+    candidates with equal score and pattern keep their list order).
 
     Complexity: O((c + o) log c) for [c] candidates and [o] offloaded
     entries — one sort plus pattern-keyed hashtable membership; no

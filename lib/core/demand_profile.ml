@@ -34,6 +34,16 @@ let update t (report : Measurement_engine.report) =
           })
     report.entries
 
+let expire t ~before =
+  Hashtbl.filter_map_inplace
+    (fun _ e -> if e.last_interval < before then None else Some e)
+    t.table
+
+let restamp t ~interval =
+  Hashtbl.filter_map_inplace
+    (fun _ e -> Some { e with last_interval = interval })
+    t.table
+
 let entries t = Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
 let entry_count t = Hashtbl.length t.table
 

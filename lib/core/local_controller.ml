@@ -76,10 +76,12 @@ let classify_for server flow =
   else None
 
 let create ~engine ~config ~server =
+  let ovs = Host.Server.ovs server in
   let me =
     Measurement_engine.create ~engine ~config
       ~name:(Host.Server.name server ^ ".me")
-      ~poll:(fun () -> Vswitch.Ovs.active_flows (Host.Server.ovs server))
+      ~poll:(fun () -> Vswitch.Ovs.active_flows ovs)
+      ~expire:(fun () -> Vswitch.Ovs.expire_idle_flows ovs)
       ~classify:(classify_for server)
   in
   let t =
@@ -192,6 +194,13 @@ let start t =
                ~vm_ip:owner.Measurement_engine.vm_ip)
             { report with entries = [ e ] })
         report.Measurement_engine.entries;
+      (* An entry no report refreshed for a whole history window
+         describes an aggregate the ME has dropped. *)
+      let before =
+        report.Measurement_engine.interval_index
+        - t.config.Config.history_intervals + 1
+      in
+      Hashtbl.iter (fun _ p -> Demand_profile.expire p ~before) t.profiles;
       apply_fps t;
       t.uplink_sink (Report { server = server_name t; report }));
   Measurement_engine.start t.me
@@ -221,7 +230,13 @@ let handle_directive t = function
             (* In-flight packets of the redirected flows still sitting in
                the vswitch pipeline are lost (§6.2.2). Blocking the exact
                flows drops them as they surface; the placer sends all new
-               packets via the VF, so the block never sees live traffic. *)
+               packets via the VF, so the block never sees live traffic.
+               [active_flows] lists only flows that counted a packet
+               since the ME's previous epoch began. That is enough:
+               every stock epoch lasts at least 5 ms, far longer than a
+               packet stays in the vswitch pipeline in any stock run,
+               so blocking a flow idle for longer only ever removed its
+               flow-cache entry. *)
             let ovs = Host.Server.ovs t.server in
             let matching =
               List.filter_map
@@ -401,7 +416,12 @@ let take_profile t ~vm_ip =
   | None -> None
 
 let adopt_profile t p =
+  (* Entries age from their adoption, on this controller's ME clock. *)
+  Demand_profile.restamp p
+    ~interval:(Measurement_engine.intervals_completed t.me);
   Hashtbl.replace t.profiles (ip_key (Demand_profile.vm_ip p)) p
+
+let aggregate_count t = Measurement_engine.aggregate_count t.me
 
 let revalidate_vm_cache t ~vm_ip ~reason =
   match Host.Server.find_attached t.server ~vm_ip with

@@ -75,7 +75,12 @@ val take_profile : t -> vm_ip:Netcore.Ipv4.t -> Demand_profile.t option
     destination (commit) or back here (abort). *)
 
 val adopt_profile : t -> Demand_profile.t -> unit
-(** Install a migrated-in VM's profile (S4). *)
+(** Install a migrated-in VM's profile (S4). Its entries age from now,
+    on this controller's ME clock. *)
+
+val aggregate_count : t -> int
+(** Aggregates this controller's ME holds a history for
+    ({!Measurement_engine.aggregate_count}). *)
 
 val revalidate_vm_cache : t -> vm_ip:Netcore.Ipv4.t -> reason:string -> unit
 (** Revalidate the datapath flow cache of the VM's VIF on this server

@@ -30,7 +30,8 @@ type record = {
   mutable rec_destinations : Netcore.Ipv4.t list;  (* most recent first, deduped *)
   mutable dest_count : int;
   (* Aggregate lifecycle span: first classified packet -> the first
-     report interval with no active samples ("idle"). *)
+     report interval with no active samples ("idle"), which is also
+     when the record is dropped. *)
   mutable rec_span : Obs.Span.id;
 }
 
@@ -39,6 +40,7 @@ type t = {
   config : Config.t;
   me_name : string;
   poll : unit -> (Fkey.t * int * int) list;
+  expire : unit -> unit;
   classify : Fkey.t -> (Fkey.Pattern.t * owner) option;
   records : (Fkey.Pattern.t, record) Hashtbl.t;
   (* Scratch for interval medians, grown to the history capacity once;
@@ -58,12 +60,13 @@ let m_counter_resets = Obs.Metrics.counter "fastrak.me.counter_resets"
 let history_limit config =
   Stdlib.max 1 (Config.epochs_per_interval * config.Config.history_intervals)
 
-let create ~engine ~config ~name ~poll ~classify =
+let create ~engine ~config ~name ~poll ~expire ~classify =
   {
     engine;
     config;
     me_name = name;
     poll;
+    expire;
     classify;
     records = Hashtbl.create 64;
     scratch = Array.make (history_limit config) 0.0;
@@ -84,9 +87,14 @@ let add_destination record dst =
     record.dest_count <- record.dest_count + 1
   end
 
-(* One epoch: snapshot counters, snapshot again after poll_gap, fold the
-   deltas into per-aggregate pps/bps samples. *)
+(* One epoch: expire idle flows, snapshot counters, snapshot again
+   after poll_gap, fold the deltas into per-aggregate pps/bps samples.
+   Expiring before the first snapshot keeps every delta what it would
+   be without expiry: an expired flow had a zero delta last epoch, and
+   if it resumes it reads as absent (0) in the first snapshot and
+   counts from zero in the second. *)
 let run_epoch t k =
+  t.expire ();
   let snapshot () =
     let table = Fkey.Table.create 64 in
     List.iter (fun (flow, p, b) -> Fkey.Table.replace table flow (p, b)) (t.poll ());
@@ -110,11 +118,13 @@ let run_epoch t k =
                    | Some v -> v
                    | None -> (0, 0)
                  in
-                 (* Kernel counters jump backwards when a flow is
-                    evicted from the exact-match cache and re-created
-                    between the two polls; a negative delta is a reset
-                    artefact, not negative traffic. Clamp at zero so
-                    the sample cannot poison the interval medians. *)
+                 (* Flow_stats counters only grow between the two polls,
+                    so this never fires on the stock sources. A source
+                    whose counters can restart (a datapath that
+                    re-creates an evicted flow) would read a negative
+                    delta: a reset artefact, not negative traffic.
+                    Clamp at zero so the sample cannot poison the
+                    interval medians. *)
                  if p2 < p1 || b2 < b1 then Obs.Metrics.incr m_counter_resets;
                  let dp = float_of_int (Stdlib.max 0 (p2 - p1)) /. gap_sec in
                  let db =
@@ -184,40 +194,41 @@ let median_active t ring =
   Dcsim.Stats.median_in_place t.scratch n
 
 let build_report t =
-  let entries =
-    Hashtbl.fold
-      (fun pattern record acc ->
-        let actives = Dcsim.Ring.count positive record.pps_history in
-        if actives = 0 then begin
-          (* The aggregate went quiet for a whole history window: close
-             its lifecycle span (no-op if already closed or untraced).
-             A later revival keeps the same record and is not re-opened. *)
-          Obs.Span.finish ~now:(Engine.now t.engine) record.rec_span
-            ~outcome:"idle";
-          record.rec_span <- Obs.Span.none;
-          acc
-        end
-        else begin
-          let latest ring = Option.value (Dcsim.Ring.latest ring) ~default:0.0 in
-          let entry =
-            {
-              pattern;
-              owner = record.rec_owner;
-              last_pps = latest record.pps_history;
-              last_bps = latest record.bps_history;
-              median_pps = median_active t record.pps_history;
-              median_bps = median_active t record.bps_history;
-              epochs_active = actives;
-              destinations = record.rec_destinations;
-            }
-          in
-          entry :: acc
-        end)
-      t.records []
-  in
+  let entries = ref [] in
+  Hashtbl.filter_map_inplace
+    (fun pattern record ->
+      let actives = Dcsim.Ring.count positive record.pps_history in
+      if actives = 0 then begin
+        (* The aggregate went quiet for a whole history window, so it
+           could only ever report zeros: close its lifecycle span
+           (no-op if untraced) and drop the record. Medians and
+           epochs_active count only positive samples, so a returning
+           aggregate's new record reports what this one would have; it
+           opens a new span and learns its destinations afresh. *)
+        Obs.Span.finish ~now:(Engine.now t.engine) record.rec_span
+          ~outcome:"idle";
+        None
+      end
+      else begin
+        let latest ring = Option.value (Dcsim.Ring.latest ring) ~default:0.0 in
+        entries :=
+          {
+            pattern;
+            owner = record.rec_owner;
+            last_pps = latest record.pps_history;
+            last_bps = latest record.bps_history;
+            median_pps = median_active t record.pps_history;
+            median_bps = median_active t record.bps_history;
+            epochs_active = actives;
+            destinations = record.rec_destinations;
+          }
+          :: !entries;
+        Some record
+      end)
+    t.records;
   t.intervals <- t.intervals + 1;
   Obs.Metrics.incr m_reports;
-  { interval_index = t.intervals; entries }
+  { interval_index = t.intervals; entries = !entries }
 
 let start t =
   if not t.running then begin
@@ -240,3 +251,4 @@ let start t =
 
 let stop t = t.running <- false
 let intervals_completed t = t.intervals
+let aggregate_count t = Hashtbl.length t.records

@@ -182,6 +182,7 @@ let create ~engine ~config ~tor ~lookup_vm =
   let tor_me =
     Measurement_engine.create ~engine ~config ~name:"tor.me"
       ~poll:(fun () -> Tor.Tor_switch.offloaded_flows tor)
+      ~expire:(fun () -> Tor.Tor_switch.expire_idle_flows tor)
       ~classify
   in
   let t =
@@ -229,6 +230,9 @@ let register_local t ~name ~directive_channel =
 
 let max_destinations = 16
 
+let destinations t pattern =
+  Option.value (Hashtbl.find_opt t.destinations pattern) ~default:[]
+
 let build_candidates t =
   (* Merge per-pattern: software-side reports (flows not yet offloaded,
      or trailing software traffic) and the TOR ME (offloaded flows). *)
@@ -238,10 +242,15 @@ let build_candidates t =
   let server_of : (Fkey.Pattern.t, string) Hashtbl.t = Hashtbl.create 32 in
   let note_entry source_server (e : Measurement_engine.entry) =
     if e.owner.Measurement_engine.direction = `Outgoing then begin
+      (* [t.destinations] outlives the ME record behind [e]: an ME drops
+         an aggregate idle for a whole history window, and if it
+         returns its new record lists only the destinations seen since.
+         Every earlier one is already held here, so for an aggregate
+         with at most [max_destinations] destinations over its life the
+         merge gives the same list as an ME that forgets nothing: its
+         TCAM cost and compiled rule do not depend on the expiry. *)
       let dests =
-        let previous =
-          Option.value (Hashtbl.find_opt t.destinations e.pattern) ~default:[]
-        in
+        let previous = destinations t e.pattern in
         let merged =
           List.fold_left
             (fun acc d ->
@@ -485,9 +494,7 @@ let covered_by_down_lane t pattern =
   match t.lanes with
   | [] -> false
   | lanes ->
-      let dests =
-        Option.value (Hashtbl.find_opt t.destinations pattern) ~default:[]
-      in
+      let dests = destinations t pattern in
       List.exists
         (fun lane ->
           (not lane.lane_up) && List.exists lane.lane_covers dests)
@@ -500,9 +507,7 @@ let apply_offload t (c : Decision_engine.candidate) ~server =
   | None -> ()
   | Some (_, attached) -> (
       let policy = Vswitch.Ovs.vif_policy attached.Host.Server.vif in
-      let destinations =
-        Option.value (Hashtbl.find_opt t.destinations c.pattern) ~default:[]
-      in
+      let destinations = destinations t c.pattern in
       match
         Rules.Rule_compiler.compile ~policy ~selection:c.pattern ~destinations
       with
@@ -900,10 +905,7 @@ let reinstall t rules =
 (* --- Express-lane liveness and failover --- *)
 
 let lane_covers_os t lane os =
-  let dests =
-    Option.value (Hashtbl.find_opt t.destinations os.os_pattern) ~default:[]
-  in
-  List.exists lane.lane_covers dests
+  List.exists lane.lane_covers (destinations t os.os_pattern)
 
 let lane_fail t lane =
   lane.lane_up <- false;

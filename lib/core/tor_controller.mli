@@ -93,6 +93,11 @@ val offloaded_count : t -> int
 val offloaded_patterns : t -> Netcore.Fkey.Pattern.t list
 (** The installed aggregates' patterns, newest offload first. *)
 
+val destinations : t -> Netcore.Fkey.Pattern.t -> Netcore.Ipv4.t list
+(** The destinations an aggregate's offload rule tunnels to: those its
+    reports have carried, newest first, at most 16. Unlike the MEs'
+    records, they are never expired. *)
+
 val peer_alive : t -> server:string -> bool option
 (** The dead-peer detector's current verdict on a server's local
     controller ([None] if the server is unknown). A peer is declared

@@ -145,58 +145,104 @@ let decision ~smoke =
 
 (* --- measurement engine --- *)
 
-let measurement ~smoke =
+let me_config =
+  {
+    Fastrak.Config.default with
+    Fastrak.Config.epoch_period = Simtime.span_ms 10.0;
+    poll_gap = Simtime.span_ms 4.0;
+    history_intervals = 3;
+  }
+
+(* An ME over [poll]/[expire] on a fresh engine, run for [epochs]
+   epochs. Each epoch starts one period after the previous one's poll
+   gap closed, so [epochs] take [epochs] x (period + gap). *)
+let run_me_epochs ?(setup = ignore) ~poll ~expire ~epochs () =
+  let engine = Engine.create () in
+  setup engine;
+  let me =
+    Fastrak.Measurement_engine.create ~engine ~config:me_config ~name:"bench"
+      ~poll ~expire
+      ~classify:(fun flow ->
+        Some
+          ( Fkey.Pattern.src_aggregate flow,
+            {
+              Fastrak.Measurement_engine.tenant;
+              vm_ip = flow.Fkey.src_ip;
+              direction = `Outgoing;
+            } ))
+  in
+  Fastrak.Measurement_engine.start me;
+  let epoch =
+    Simtime.span_add me_config.Fastrak.Config.epoch_period
+      me_config.Fastrak.Config.poll_gap
+  in
+  Engine.run
+    ~until:(Simtime.add Simtime.zero (Simtime.span_scale (float_of_int epochs +. 0.5) epoch))
+    engine;
+  Fastrak.Measurement_engine.stop me
+
+let bench_flow i =
+  Fkey.make ~src_ip:(ip_of_index i)
+    ~dst_ip:(ip_of_index (i + 1))
+    ~src_port:(1024 + (i land 0x3FFF))
+    ~dst_port:11211 ~proto:Fkey.Tcp ~tenant
+
+(* Every aggregate active in every epoch, from a synthetic source. *)
+let me_epoch ~smoke =
   let aggregates, epochs = if smoke then (200, 4) else (10_000, 10) in
-  let epoch_period = Simtime.span_ms 10.0 in
-  let config =
-    {
-      Fastrak.Config.default with
-      Fastrak.Config.epoch_period;
-      poll_gap = Simtime.span_ms 4.0;
-      history_intervals = 3;
-    }
+  let flows = Array.init aggregates bench_flow in
+  let polls = ref 0 in
+  let poll () =
+    incr polls;
+    let k = !polls in
+    Array.to_list (Array.map (fun f -> (f, k * 10, k * 1000)) flows)
   in
-  let flows =
-    Array.init aggregates (fun i ->
-        Fkey.make ~src_ip:(ip_of_index i)
-          ~dst_ip:(ip_of_index (i + 1))
-          ~src_port:(1024 + (i land 0x3FFF))
-          ~dst_port:11211 ~proto:Fkey.Tcp ~tenant)
+  measure ~smoke
+    ~params:[ ("aggregates", float_of_int aggregates); ("epochs", float_of_int epochs) ]
+    ~unit_:"epoch" ~ops:epochs
+    (Printf.sprintf "me-epoch/%da-%de" aggregates epochs)
+    (run_me_epochs ~poll ~expire:ignore ~epochs)
+
+(* Churn: a real Flow_stats holding many flows that ended long ago
+   (counted before its last sweep, never since) and a few live ones.
+   The first epoch of the untimed warmup run forgets the dead flows, so
+   the timed runs price the steady state, which depends only on the
+   live count; so does the budget. It read 4,069 words per epoch with
+   16 live flows (254 per live flow) under both build profiles. An ME
+   that keeps walking dead flows pays for each of them every epoch and
+   fails it. *)
+let me_churn_words_per_live_flow = 400.0
+
+let me_churn ~smoke =
+  let dead, live, epochs = (10_000, 16, 10) in
+  let stats = Vswitch.Flow_stats.create () in
+  for i = live to live + dead - 1 do
+    Vswitch.Flow_stats.record stats (bench_flow i) ~packets:1 ~bytes:1000
+  done;
+  Vswitch.Flow_stats.expire stats;
+  let live_flows = Array.init live bench_flow in
+  let count_live engine =
+    Engine.every engine (Simtime.span_ms 1.0) (fun () ->
+        Array.iter
+          (fun f -> Vswitch.Flow_stats.record stats f ~packets:1 ~bytes:1000)
+          live_flows;
+        `Continue)
   in
-  let run_scenario () =
-    let engine = Engine.create () in
-    let polls = ref 0 in
-    let poll () =
-      incr polls;
-      let k = !polls in
-      Array.to_list (Array.map (fun f -> (f, k * 10, k * 1000)) flows)
-    in
-    let me =
-      Fastrak.Measurement_engine.create ~engine ~config ~name:"bench" ~poll
-        ~classify:(fun flow ->
-          Some
-            ( Fkey.Pattern.src_aggregate flow,
-              {
-                Fastrak.Measurement_engine.tenant;
-                vm_ip = flow.Fkey.src_ip;
-                direction = `Outgoing;
-              } ))
-    in
-    Fastrak.Measurement_engine.start me;
-    Engine.run
-      ~until:(Simtime.add Simtime.zero
-                (Simtime.span_scale (float_of_int epochs +. 0.5) epoch_period))
-      engine;
-    Fastrak.Measurement_engine.stop me
-  in
-  [
-    measure ~smoke
-      ~params:
-        [ ("aggregates", float_of_int aggregates); ("epochs", float_of_int epochs) ]
-      ~unit_:"epoch" ~ops:epochs
-      (Printf.sprintf "me-epoch/%da-%de" aggregates epochs)
-      run_scenario;
-  ]
+  measure ~smoke
+    ~budget:(me_churn_words_per_live_flow *. float_of_int live)
+    ~params:
+      [
+        ("dead", float_of_int dead); ("live", float_of_int live);
+        ("epochs", float_of_int epochs);
+      ]
+    ~unit_:"epoch" ~ops:epochs
+    (Printf.sprintf "me-churn/%dd-%dl-%de" dead live epochs)
+    (run_me_epochs ~setup:count_live
+       ~poll:(fun () -> Vswitch.Flow_stats.to_list stats)
+       ~expire:(fun () -> Vswitch.Flow_stats.expire stats)
+       ~epochs)
+
+let measurement ~smoke = [ me_epoch ~smoke; me_churn ~smoke ]
 
 (* --- event queue --- *)
 

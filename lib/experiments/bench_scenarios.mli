@@ -53,7 +53,10 @@ val groups : (string * (smoke:bool -> result list)) list
       budgeted 10k case); sizes that keep it affordable also time
       {!Fastrak.Decision_engine.decide_list_baseline}.
     - ["measurement"]: measurement-engine epochs over 10k aggregates
-      (smoke: 200): counter polls, ring updates, reports with medians.
+      (smoke: 200): counter polls, ring updates, reports with medians;
+      and the budgeted [me-churn] row, an ME over a real
+      {!Vswitch.Flow_stats} holding 10k long-finished flows and 16
+      live ones, priced per live flow.
     - ["eventqueue"]: push/drain churn, a variant cancelling 90% of
       its events, and re-arming 1024 timers (zero budget).
     - ["obs"]: one trace emission site with tracing off, a callback

@@ -285,5 +285,6 @@ let receive t pkt =
       | exception Not_found -> drop_no_route t)
 
 let offloaded_flows t = Vswitch.Flow_stats.to_list t.offloaded_stats
+let expire_idle_flows t = Vswitch.Flow_stats.expire t.offloaded_stats
 let acl_drops t = t.acl_drops
 let no_route_drops t = t.no_route_drops

@@ -103,6 +103,10 @@ val offloaded_flows : t -> (Netcore.Fkey.t * int * int) list
 (** Cumulative (packets, bytes) per flow on the hardware path — what
     the TOR ME polls (§4.3.1). *)
 
+val expire_idle_flows : t -> unit
+(** {!Vswitch.Flow_stats.expire} on the hardware-path counters; the
+    TOR ME calls it at the start of each epoch. *)
+
 val acl_drops : t -> int
 (** Packets killed by a VRF's default deny (§4.1.3). *)
 

@@ -503,6 +503,7 @@ let receive_from_nic t pkt =
   else deliver_local pkt
 
 let active_flows t = Flow_stats.to_list t.stats
+let expire_idle_flows t = Flow_stats.expire t.stats
 
 let blocked_flows t = Fkey.Table.fold (fun flow () acc -> flow :: acc) t.blocked []
 

@@ -76,7 +76,13 @@ val receive_from_nic : t -> Netcore.Packet.t -> unit
 
 val active_flows : t -> (Netcore.Fkey.t * int * int) list
 (** Cumulative (packets, bytes) per exact flow observed by the
-    datapath, tx and rx merged — what the local ME polls. *)
+    datapath, tx and rx merged — what the local ME polls. A flow
+    stays listed until {!expire_idle_flows} finds it idle. *)
+
+val expire_idle_flows : t -> unit
+(** {!Flow_stats.expire} on the datapath's counters: forget the flows
+    that counted no packet since the previous call. The local ME calls
+    it at the start of each epoch. *)
 
 val set_flow_blocked : t -> Netcore.Fkey.t -> bool -> unit
 (** While blocked, packets of this flow surfacing anywhere in the

@@ -573,11 +573,27 @@ let test_ovs_flow_stats () =
   done;
   Experiments.Testbed.run_for tb ~seconds:0.1;
   let ovs = Host.Server.ovs tb.Experiments.Testbed.servers.(0) in
-  match List.find_opt (fun (fl, _, _) -> Fkey.equal fl f) (Vswitch.Ovs.active_flows ovs) with
-  | Some (_, packets, bytes) ->
-      checki "packets" 7 packets;
-      checki "bytes" 3500 bytes
-  | None -> Alcotest.fail "flow stats missing"
+  let check what expected =
+    Alcotest.(check (option (pair int int)))
+      what expected
+      (List.find_map
+         (fun (fl, packets, bytes) ->
+           if Fkey.equal fl f then Some (packets, bytes) else None)
+         (Vswitch.Ovs.active_flows ovs))
+  in
+  check "packets and bytes" (Some (7, 3500));
+  (* A sweep keeps a flow that counted since the previous one, forgets
+     it at the next sweep if it stayed idle, and a resumed flow counts
+     from zero. *)
+  Vswitch.Ovs.expire_idle_flows ovs;
+  check "moved since it entered: kept" (Some (7, 3500));
+  Vswitch.Ovs.expire_idle_flows ovs;
+  check "idle since the last sweep: forgotten" None;
+  for _ = 1 to 2 do
+    Host.Vm.send a.Host.Server.vm (pkt ~payload:500 f)
+  done;
+  Experiments.Testbed.run_for tb ~seconds:0.1;
+  check "resumed from zero" (Some (2, 1000))
 
 let test_ovs_upcall_once_per_flow () =
   let tb, a, b = two_vm_testbed () in

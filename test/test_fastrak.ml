@@ -359,6 +359,52 @@ let test_decide_scratch_reuse_matches_baseline () =
       fast.Fastrak.Decision_engine.keep
   done
 
+(* Equal scores under a budget that binds: which tied candidate wins,
+   and the order of every output list, must not depend on the order
+   [candidates] arrive in. The ToR controller lists them in hashtable
+   order, and that order moves when the MEs drop idle records. *)
+let prop_decide_ignores_candidate_order =
+  let print (cands, _, _, tcam_free) =
+    Printf.sprintf "tcam_free %d; (port, score, entries): %s" tcam_free
+      (String.concat " "
+         (List.map2
+            (fun port (c : Fastrak.Decision_engine.candidate) ->
+              Printf.sprintf "(%d,%g,%d)" port c.score c.tcam_entries)
+            (port_list cands) cands))
+  in
+  QCheck2.Test.make ~name:"decide ignores candidate order" ~count:300 ~print
+    QCheck2.Gen.(
+      let* specs =
+        list_size (int_range 2 40)
+          (triple (oneofl [ 10.0; 20.0; 30.0 ]) (int_range 1 4) bool)
+      in
+      let candidates =
+        List.mapi
+          (fun port (score, entries, _) -> candidate ~score ~entries ~port ())
+          specs
+      in
+      let offloaded =
+        List.filter_map
+          (fun ((c : Fastrak.Decision_engine.candidate), (_, _, off)) ->
+            if off then Some (c.pattern, c) else None)
+          (List.combine candidates specs)
+      in
+      let* tcam_free = int_range 0 (List.length specs) in
+      let+ shuffled = shuffle_l candidates in
+      (candidates, shuffled, offloaded, tcam_free))
+    (fun (candidates, shuffled, offloaded, tcam_free) ->
+      let lists (d : Fastrak.Decision_engine.decision) =
+        List.map port_list
+          Fastrak.Decision_engine.[ d.offload; d.demote; d.keep ]
+      in
+      let same decide = lists (decide candidates) = lists (decide shuffled) in
+      same (fun candidates ->
+          Fastrak.Decision_engine.decide ~candidates ~offloaded ~tcam_free
+            ~min_score:1.0 ())
+      && same (fun candidates ->
+             Fastrak.Decision_engine.decide_list_baseline ~candidates ~offloaded
+               ~tcam_free ~min_score:1.0 ()))
+
 (* --- Measurement engine --- *)
 
 let me_config =
@@ -383,6 +429,7 @@ let test_me_measures_pps () =
   let me =
     Fastrak.Measurement_engine.create ~engine ~config:me_config ~name:"t"
       ~poll:(fun () -> [ (f, !packets, !packets * 100) ])
+      ~expire:ignore
       ~classify:(fun flow ->
         Some
           ( Fkey.Pattern.src_aggregate flow,
@@ -420,6 +467,7 @@ let test_me_idle_flows_dropped_from_report () =
   let me =
     Fastrak.Measurement_engine.create ~engine ~config:me_config ~name:"t"
       ~poll:(fun () -> [ (f, 42, 4200) ])
+      ~expire:ignore
       ~classify:(fun flow ->
         Some
           ( Fkey.Pattern.src_aggregate flow,
@@ -438,10 +486,11 @@ let test_me_idle_flows_dropped_from_report () =
   | None -> Alcotest.fail "expected a report"
 
 let test_me_counter_reset_clamped () =
-  (* A flow evicted from the exact-match cache and re-created between
-     polls restarts its kernel counters from zero; the resulting
-     negative delta must be clamped (counted as a reset), not reported
-     as negative pps that poisons the medians. *)
+  (* A poll source whose counters restart from zero between the two
+     polls (a datapath that re-creates an evicted flow; Flow_stats
+     never does) reads a negative delta; it must be clamped (counted
+     as a reset), not reported as negative pps that poisons the
+     medians. *)
   let engine = Engine.create () in
   let f =
     Fkey.make ~src_ip:(Ipv4.of_string "10.7.0.1") ~dst_ip:(Ipv4.of_string "10.7.0.2")
@@ -459,6 +508,7 @@ let test_me_counter_reset_clamped () =
   let me =
     Fastrak.Measurement_engine.create ~engine ~config:me_config ~name:"t"
       ~poll:(fun () -> [ (f, !packets, !packets * 100) ])
+      ~expire:ignore
       ~classify:(fun flow ->
         Some
           ( Fkey.Pattern.src_aggregate flow,
@@ -485,6 +535,193 @@ let test_me_counter_reset_clamped () =
           checkb "last_pps non-negative" true (e.last_pps >= 0.0))
         r.Fastrak.Measurement_engine.entries)
     !reports
+
+(* The expiring ME against a reference that forgets nothing. A few
+   flows in two aggregates follow random on/off schedules and count
+   into a real Flow_stats that the ME polls and expires. The reference
+   keeps every flow's cumulative counters and every aggregate's
+   samples forever and recomputes each report from them: what the ME
+   reported before flows and aggregates expired. Interval by interval
+   the two must list the same aggregates with the same figures. *)
+module Forgetless = struct
+  type t = {
+    cum : (int * int) Fkey.Table.t;  (* every flow ever counted *)
+    mutable first_poll : (int * int) Fkey.Table.t option;
+    samples : (Fkey.Pattern.t, (float * float) list) Hashtbl.t;
+        (* per aggregate, newest first, one per epoch since first seen *)
+  }
+
+  let create () =
+    { cum = Fkey.Table.create 8; first_poll = None; samples = Hashtbl.create 8 }
+
+  let record t flow ~packets ~bytes =
+    let p, b = Option.value (Fkey.Table.find_opt t.cum flow) ~default:(0, 0) in
+    Fkey.Table.replace t.cum flow (p + packets, b + bytes)
+
+  (* Called at each of the ME's polls: the first of an epoch snapshots,
+     the second turns the deltas into one sample per aggregate. *)
+  let poll t ~gap_sec =
+    match t.first_poll with
+    | None -> t.first_poll <- Some (Fkey.Table.copy t.cum)
+    | Some snap ->
+        t.first_poll <- None;
+        let epoch = Hashtbl.create 8 in
+        Fkey.Table.iter
+          (fun flow (p2, b2) ->
+            let p1, b1 =
+              Option.value (Fkey.Table.find_opt snap flow) ~default:(0, 0)
+            in
+            let pattern = Fkey.Pattern.src_aggregate flow in
+            let pps, bps =
+              Option.value (Hashtbl.find_opt epoch pattern) ~default:(0.0, 0.0)
+            in
+            Hashtbl.replace epoch pattern
+              ( pps +. (float_of_int (p2 - p1) /. gap_sec),
+                bps +. (float_of_int (b2 - b1) *. 8.0 /. gap_sec) ))
+          t.cum;
+        Hashtbl.iter
+          (fun pattern sample ->
+            let older =
+              Option.value (Hashtbl.find_opt t.samples pattern) ~default:[]
+            in
+            Hashtbl.replace t.samples pattern (sample :: older))
+          epoch
+
+  (* (pattern, last pps, last bps, median pps, median bps, epochs
+     active) for every aggregate with a positive sample in its last
+     [window] epochs, sorted by pattern. *)
+  let report t ~window =
+    let median l =
+      let a = Array.of_list l in
+      Dcsim.Stats.median_in_place a (Array.length a)
+    in
+    Hashtbl.fold
+      (fun pattern samples acc ->
+        let recent = List.filteri (fun i _ -> i < window) samples in
+        let active f = List.filter (fun x -> x > 0.0) (List.map f recent) in
+        match (recent, active fst) with
+        | _, [] | [], _ -> acc
+        | (last_pps, last_bps) :: _, pps ->
+            ( pattern,
+              (last_pps, last_bps, median pps, median (active snd)),
+              List.length pps )
+            :: acc)
+      t.samples []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Fkey.Pattern.compare a b)
+end
+
+let prop_me_matches_forgetless_reference =
+  (* Four flows, two per aggregate; each follows its own list of
+     (milliseconds, packets per ms) segments, 0 packets meaning off,
+     and is off once its list ends. *)
+  let flows =
+    List.map
+      (fun (src, port, dst) ->
+        Fkey.make ~src_ip:(Ipv4.of_string src) ~dst_ip:(Ipv4.of_string dst)
+          ~src_port:port ~dst_port:80 ~proto:Fkey.Tcp ~tenant)
+      [
+        ("10.7.0.1", 10, "10.7.0.2");
+        ("10.7.0.1", 10, "10.7.0.3");
+        ("10.7.0.4", 20, "10.7.0.5");
+        ("10.7.0.4", 20, "10.7.0.6");
+      ]
+  in
+  let segment =
+    QCheck2.Gen.(pair (int_range 1 60) (frequency [ (1, pure 0); (1, int_range 1 4) ]))
+  in
+  let print schedules =
+    String.concat " | "
+      (List.map
+         (fun segs ->
+           String.concat " "
+             (List.map (fun (ms, r) -> Printf.sprintf "%dms@%d" ms r) segs))
+         schedules)
+  in
+  QCheck2.Test.make ~name:"expiring ME matches a forgetless reference" ~count:60
+    ~print
+    QCheck2.Gen.(list_repeat (List.length flows) (list_size (int_range 1 12) segment))
+    (fun schedules ->
+      let config =
+        {
+          Fastrak.Config.default with
+          Fastrak.Config.epoch_period = Simtime.span_ms 10.0;
+          poll_gap = Simtime.span_ms 4.0;
+          history_intervals = 2;
+        }
+      in
+      let window = Fastrak.Config.epochs_per_interval * config.history_intervals in
+      let gap_sec = Simtime.span_to_sec config.poll_gap in
+      let engine = Engine.create () in
+      let stats = Vswitch.Flow_stats.create () in
+      let reference = Forgetless.create () in
+      (* Packets per ms of each flow at millisecond [ms]. *)
+      let rate_at segs ms =
+        let rec go start = function
+          | [] -> 0
+          | (len, r) :: rest -> if ms < start + len then r else go (start + len) rest
+        in
+        go 0 segs
+      in
+      let ms = ref 0 in
+      Engine.every engine ~start:(Simtime.of_ms 0.5) (Simtime.span_ms 1.0) (fun () ->
+          List.iter2
+            (fun flow segs ->
+              let r = rate_at segs !ms in
+              if r > 0 then begin
+                Vswitch.Flow_stats.record stats flow ~packets:r ~bytes:(700 * r);
+                Forgetless.record reference flow ~packets:r ~bytes:(700 * r)
+              end)
+            flows schedules;
+          incr ms;
+          `Continue);
+      let me =
+        Fastrak.Measurement_engine.create ~engine ~config ~name:"t"
+          ~poll:(fun () ->
+            Forgetless.poll reference ~gap_sec;
+            Vswitch.Flow_stats.to_list stats)
+          ~expire:(fun () -> Vswitch.Flow_stats.expire stats)
+          ~classify:(fun flow ->
+            Some
+              ( Fkey.Pattern.src_aggregate flow,
+                {
+                  Fastrak.Measurement_engine.tenant;
+                  vm_ip = flow.Fkey.src_ip;
+                  direction = `Outgoing;
+                } ))
+      in
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+      let mismatches = ref [] in
+      Fastrak.Measurement_engine.on_report me (fun r ->
+          let got =
+            List.sort
+              (fun (a : Fastrak.Measurement_engine.entry) b ->
+                Fkey.Pattern.compare a.pattern b.pattern)
+              r.Fastrak.Measurement_engine.entries
+          in
+          let want = Forgetless.report reference ~window in
+          let agree =
+            List.length got = List.length want
+            && List.for_all2
+                 (fun (e : Fastrak.Measurement_engine.entry)
+                      (pattern, (lp, lb, mp, mb), active) ->
+                   Fkey.Pattern.equal e.pattern pattern
+                   && e.epochs_active = active
+                   && close e.last_pps lp && close e.last_bps lb
+                   && close e.median_pps mp && close e.median_bps mb)
+                 got want
+          in
+          (* Only aggregates still in their window keep a record. *)
+          if (not agree)
+             || Fastrak.Measurement_engine.aggregate_count me <> List.length got
+          then
+            mismatches := r.Fastrak.Measurement_engine.interval_index :: !mismatches);
+      Fastrak.Measurement_engine.start me;
+      Engine.run ~until:(Simtime.of_ms 700.0) engine;
+      match !mismatches with
+      | [] -> Fastrak.Measurement_engine.intervals_completed me > 20
+      | l ->
+          QCheck2.Test.fail_reportf "reports differ at intervals %s"
+            (String.concat "," (List.rev_map string_of_int l)))
 
 (* --- Demand profile --- *)
 
@@ -522,11 +759,20 @@ let test_profile_update_and_clone () =
   (* Cloning re-homes patterns to the new address. *)
   let clone = Fastrak.Demand_profile.clone_for p ~vm_ip:other in
   checki "clone carries history" 1 (Fastrak.Demand_profile.entry_count clone);
-  match Fastrak.Demand_profile.entries clone with
+  (match Fastrak.Demand_profile.entries clone with
   | [ e ] ->
       checkb "rehomed" true
         (e.Fastrak.Demand_profile.pattern.Fkey.Pattern.src_ip = Some other)
-  | _ -> Alcotest.fail "expected one entry"
+  | _ -> Alcotest.fail "expected one entry");
+  (* An entry last refreshed at interval 1 leaves once expiry reaches
+     past it; an adopted copy, re-stamped, ages from its adoption. *)
+  Fastrak.Demand_profile.expire p ~before:1;
+  checki "refreshed at 1: kept" 1 (Fastrak.Demand_profile.entry_count p);
+  Fastrak.Demand_profile.expire p ~before:2;
+  checki "older: expired" 0 (Fastrak.Demand_profile.entry_count p);
+  Fastrak.Demand_profile.restamp clone ~interval:9;
+  Fastrak.Demand_profile.expire clone ~before:9;
+  checki "re-stamped: kept" 1 (Fastrak.Demand_profile.entry_count clone)
 
 (* --- End-to-end rule manager --- *)
 
@@ -657,6 +903,103 @@ let test_rule_manager_vm_migration () =
   checkb "commit succeeds" true
     (Fastrak.Rule_manager.commit_vm_migration rm mg ~new_server:"server1")
 
+(* Per-flow state ends when the flow does, on one server. A flow that
+   stops leaves the vswitch's flow table within two epochs; once its
+   history window is all zero its aggregate leaves the ME and its VM's
+   demand profile; when it resumes at a new rate it is measured from
+   scratch. The ToR controller's destinations for the aggregate are
+   never expired. *)
+let test_idle_flow_leaves_every_table () =
+  let tb = Experiments.Testbed.create ~server_count:1 () in
+  let add name octet =
+    Experiments.Testbed.add_vm tb
+      (Experiments.Testbed.vm_spec ~server:0 ~name ~ip_last_octet:octet ())
+  in
+  let a = add "src" 1 and b = add "dst" 2 in
+  Experiments.Testbed.connect_tunnels tb;
+  let a_ip = Host.Vm.ip a.Host.Server.vm and b_ip = Host.Vm.ip b.Host.Server.vm in
+  let engine = tb.Experiments.Testbed.engine in
+  (* me_config's cadence: epochs start at 100 + 140k ms (100 ms period
+     plus the 40 ms poll gap), reports close at 280k ms, and the
+     history window is the last 4 epochs. Nothing scores high enough
+     to offload, so the flow stays on the vswitch. *)
+  let rm =
+    Fastrak.Rule_manager.create ~engine
+      ~config:{ me_config with Fastrak.Config.min_score = infinity }
+      ~tor:tb.Experiments.Testbed.tor
+      ~servers:(Array.to_list tb.Experiments.Testbed.servers)
+      ()
+  in
+  let local = Option.get (Fastrak.Rule_manager.local_controller rm ~server:"server0") in
+  let tor_ctrl = Fastrak.Rule_manager.tor_controller rm in
+  let ovs = Host.Server.ovs tb.Experiments.Testbed.servers.(0) in
+  Workloads.Stream.install_sink ~vm:b.Host.Server.vm ~port:5001 ();
+  let stream pps =
+    Workloads.Stream.start ~engine ~vm:a.Host.Server.vm
+      {
+        (Workloads.Stream.default_config ~dst_ip:b_ip) with
+        Workloads.Stream.message_size = 1000;
+        paced_rate_bps = Some (float_of_int pps *. 8000.0);
+      }
+  in
+  let flow =
+    Fkey.make ~src_ip:a_ip ~dst_ip:b_ip ~src_port:40000 ~dst_port:5001
+      ~proto:Fkey.Tcp ~tenant
+  in
+  let pattern = Fkey.Pattern.src_aggregate flow in
+  let counted () =
+    List.exists (fun (f, _, _) -> Fkey.equal f flow) (Vswitch.Ovs.active_flows ovs)
+  in
+  let profile_entry () =
+    Option.bind (Fastrak.Local_controller.profile local ~vm_ip:a_ip) (fun p ->
+        List.find_opt
+          (fun (e : Fastrak.Demand_profile.entry) ->
+            Fkey.Pattern.equal e.Fastrak.Demand_profile.pattern pattern)
+          (Fastrak.Demand_profile.entries p))
+  in
+  let check_dests () =
+    Alcotest.(check (list string))
+      "destinations kept" [ Ipv4.to_string b_ip ]
+      (List.map Ipv4.to_string (Fastrak.Tor_controller.destinations tor_ctrl pattern))
+  in
+  (* Both VMs sit on one vswitch, so each packet counts twice: leaving
+     a's VIF and entering b's. *)
+  let median_pps () =
+    Option.map (fun (e : Fastrak.Demand_profile.entry) -> e.median_pps) (profile_entry ())
+  in
+  let run_to sec = Engine.run ~until:(Simtime.of_sec sec) engine in
+  Fastrak.Rule_manager.start rm;
+  let first = stream 1000 in
+  run_to 1.13;
+  checkb "flow counted" true (counted ());
+  Alcotest.(check (option (float 100.0))) "aggregate profiled" (Some 2000.0) (median_pps ());
+  check_dests ();
+  Workloads.Stream.stop first;
+  (* The sweep at 1.22 s still sees packets since 1.08 s; the one at
+     1.36 s sees none since 1.22 s. *)
+  run_to 1.41;
+  checkb "flow expired within two epochs" false (counted ());
+  (* Epochs 9-12 (1.22-1.68 s) are all zero, so the report at 1.68 s
+     drops the record. The profile entry, last refreshed by the report
+     at 1.40 s (interval 5), expires at 1.96 s (interval 7). *)
+  run_to 2.0;
+  checki "ME holds no aggregate" 0 (Fastrak.Local_controller.aggregate_count local);
+  checkb "profile entry expired" true (profile_entry () = None);
+  check_dests ();
+  let second = stream 3000 in
+  (* Epochs 15 and 16 (2.06 s and 2.20 s) both see the new rate; the
+     report at 2.24 s is the first to carry the aggregate again. *)
+  run_to 2.25;
+  checkb "flow counted again" true (counted ());
+  checkb "ME tracks it again" true (Fastrak.Local_controller.aggregate_count local > 0);
+  (match profile_entry () with
+  | Some e ->
+      checki "only the new epochs" 2 e.Fastrak.Demand_profile.epochs_active;
+      checkf 100.0 "the new median" 6000.0 e.Fastrak.Demand_profile.median_pps
+  | None -> Alcotest.fail "expected the returning aggregate in the profile");
+  check_dests ();
+  Workloads.Stream.stop second
+
 (* FPS end to end, on the topology of examples/rate_limit_split.ml: a VM
    with a 2 Gb/s transmit limit sends one stream through the vswitch and
    one pinned to its VF, and every control interval the local controller
@@ -757,14 +1100,17 @@ let suite =
     t "decide matches list baseline" test_decide_matches_list_baseline;
     t "decide with reused scratch matches baseline"
       test_decide_scratch_reuse_matches_baseline;
+    QCheck_alcotest.to_alcotest prop_decide_ignores_candidate_order;
     t "measurement engine pps" test_me_measures_pps;
     t "measurement engine idle flows" test_me_idle_flows_dropped_from_report;
     t "measurement engine counter reset" test_me_counter_reset_clamped;
+    QCheck_alcotest.to_alcotest prop_me_matches_forgetless_reference;
     t "demand profile update/clone" test_profile_update_and_clone;
     t "rule manager offloads hot flow" test_rule_manager_offloads_hot_flow;
     t "rule manager ignores cold flow" test_rule_manager_ignores_cold_flow;
     t "rule manager demotes idle" test_rule_manager_demotes_idle;
     t "rule manager vm migration" test_rule_manager_vm_migration;
+    t "idle flow leaves every table" test_idle_flow_leaves_every_table;
     t "fps splits a finite limit end to end"
       test_fps_splits_finite_limit_end_to_end;
   ]
