@@ -10,10 +10,10 @@
 # or a config field updates `expected` in the same diff. From the repo
 # root: sh bin/check_settable_surface.sh lib/*/*.mli
 
-expected=144
+expected=143
 
-opts=$(awk '/^val / {n=$2} /\?[a-z_]+:/ {s=$0; while (match(s, /\?[a-z_]+:/)) {print FILENAME, n, substr(s, RSTART, RLENGTH); s=substr(s, RSTART+RLENGTH)}}' "$@" | sort -u | wc -l)
-fields=$(awk 'FNR==1 {on=0} /^ *type (config|vm_spec) = \{/ || (FILENAME ~ /(^|\/)lib\/core\/config\.mli$/ && /^type t = \{/) {on=1; next} on && /^ *\}/ {on=0} on && /^ *(mutable )?[a-z_]+ :/ {c++} END {print c+0}' "$@")
+opts=$(awk '/^val / {n=$2} /\?[a-z_][a-z0-9_]*:/ {s=$0; while (match(s, /\?[a-z_][a-z0-9_]*:/)) {print FILENAME, n, substr(s, RSTART, RLENGTH); s=substr(s, RSTART+RLENGTH)}}' "$@" | sort -u | wc -l)
+fields=$(awk 'FNR==1 {on=0} /^ *type (config|vm_spec) = \{/ || (FILENAME ~ /(^|\/)lib\/core\/config\.mli$/ && /^type t = \{/) {on=1; next} on && /^ *\}/ {on=0} on && /^ *(mutable )?[a-z_][a-z0-9_]* :/ {c++} END {print c+0}' "$@")
 total=$((opts + fields))
 echo "settable surface: optional args $opts + config fields $fields = $total"
 if [ "$total" -ne "$expected" ]; then

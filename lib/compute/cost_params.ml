@@ -82,7 +82,7 @@ let units_for config ~bytes_len =
   if config.tunneling then
     (* VXLAN defeats NIC TSO/LRO: segmentation in software, one unit per
        wire frame. *)
-    (bytes_len + Netcore.Hdr.max_tcp_payload - 1) / Netcore.Hdr.max_tcp_payload
+    Netcore.Hdr.frames ~payload:bytes_len
   else (bytes_len + tso_unit - 1) / tso_unit
 
 (* Guest stack: serialized on the VM's kernel vCPU. Calibration: one

@@ -62,7 +62,3 @@ let clone_for t ~vm_ip =
       Hashtbl.replace clone.table pattern { e with pattern })
     t.table;
   clone
-
-let pp ppf t =
-  Format.fprintf ppf "profile %a/%a: %d aggregates" Netcore.Tenant.pp t.tenant
-    Netcore.Ipv4.pp t.vm_ip (Hashtbl.length t.table)

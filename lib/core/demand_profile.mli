@@ -42,5 +42,3 @@ val clone_for : t -> vm_ip:Netcore.Ipv4.t -> t
 (** The profile a VM cloned from this one starts with (same history,
     patterns re-homed to the new address where they referenced the old
     one). *)
-
-val pp : Format.formatter -> t -> unit

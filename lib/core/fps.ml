@@ -70,7 +70,3 @@ let split ~total_bps ~overflow_bps ~current input =
       hard = Rules.Rate_limit_spec.make ~rate_bps:(checked "hard" (lh +. overflow)) ();
     }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "fps{soft=%a hard=%a}" Rules.Rate_limit_spec.pp t.soft
-    Rules.Rate_limit_spec.pp t.hard

@@ -41,6 +41,3 @@ val split :
     returned rates are finite and non-negative; a NaN [total_bps]
     raises [Invalid_argument], as does an internal computation that
     would otherwise install a NaN or negative rate. *)
-
-val pp : Format.formatter -> split -> unit
-(** Debug printer: [fps{soft=... hard=...}]. *)

@@ -68,7 +68,7 @@ val groups : (string * (smoke:bool -> result list)) list
       and a capped-LRU churn.
     - ["hotpath"]: {!Vswitch.Flow_cache.find_exact},
       {!Netcore.Fkey.hash}, the NIC placer's cached
-      {!Rules.Rule_table.find} and {!Tor.Vrf.classify}, all zero budget.
+      {!Rules.Rule_table.find} and {!Tor.Vrf.permits}, all zero budget.
     - ["engine"]: the event loop on one engine and across 17 shards
       (zero budget), then whole-datacenter events/sec ({!Dcscale}) at
       1/4/16/64 racks (smoke: 1/4) against a single-engine baseline.

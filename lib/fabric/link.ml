@@ -24,7 +24,7 @@ let create ~engine ~gbps ~latency ~deliver =
 
 let wire_bytes pkt =
   let payload = pkt.Packet.payload in
-  let frames = Stdlib.max 1 ((payload + Hdr.max_tcp_payload - 1) / Hdr.max_tcp_payload) in
+  let frames = Hdr.frames ~payload in
   let per_frame_overhead =
     Packet.wire_size pkt - payload + Compute.Cost_params.wire_overhead_per_frame
   in

@@ -7,16 +7,6 @@ let udp = 8
 let gre = 8
 let vxlan = udp + 8
 
-let tcp_frame ~payload = ethernet + ipv4 + tcp + payload
-
-let tcp_frame_vxlan ~payload =
-  (* Inner frame (without FCS duplication) + outer Ethernet/IP/UDP/VXLAN. *)
-  ethernet + ipv4 + vxlan + (ethernet - 4) + ipv4 + tcp + payload
-
-let tcp_frame_gre ~payload = ethernet + ipv4 + gre + ipv4 + tcp + payload
-
 let max_tcp_payload = mtu - ipv4 - tcp
-
-let segments_of ~data =
-  if data <= 0 then invalid_arg "Hdr.segments_of: data must be positive";
-  (data + max_tcp_payload - 1) / max_tcp_payload
+let frames ~payload =
+  Stdlib.max 1 ((payload + max_tcp_payload - 1) / max_tcp_payload)

@@ -21,18 +21,10 @@ val vxlan : int
 (** VXLAN = outer UDP (8) + VXLAN header (8). Outer IP/Ethernet are
     added separately when computing the full encapsulated frame. *)
 
-val tcp_frame : payload:int -> int
-(** Total wire bytes of a plain TCP segment carrying [payload] bytes. *)
-
-val tcp_frame_vxlan : payload:int -> int
-(** Same segment VXLAN-encapsulated (outer Ethernet+IP+UDP+VXLAN). *)
-
-val tcp_frame_gre : payload:int -> int
-(** Same segment GRE-encapsulated at the ToR (outer IP+GRE). *)
-
 val max_tcp_payload : int
 (** MSS: MTU minus IP and TCP headers. *)
 
-val segments_of : data:int -> int
-(** Number of MSS-sized segments needed for [data] bytes (>= 1 segment
-    for 0-byte sends is not granted: [data] must be > 0). *)
+val frames : payload:int -> int
+(** MTU-sized frames a [payload]-byte message occupies on the wire:
+    [payload / max_tcp_payload] rounded up, and at least 1, so an empty
+    message still takes a frame. *)

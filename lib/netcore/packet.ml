@@ -56,8 +56,4 @@ let wire_size t =
 
 let vlan_of t = match t.encaps with Vlan v :: _ -> Some v | _ -> None
 
-let pp ppf t =
-  Format.fprintf ppf "pkt#%d %a payload=%dB encaps=%d" t.uid Fkey.pp t.flow
-    t.payload (List.length t.encaps)
-
 let reset_uid_counter () = uid_counter := 0

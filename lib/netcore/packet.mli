@@ -64,6 +64,5 @@ val wire_size : t -> int
 val vlan_of : t -> int option
 (** The VLAN tag if the outermost encap is a VLAN. *)
 
-val pp : Format.formatter -> t -> unit
 val reset_uid_counter : unit -> unit
 (** For test isolation: restart uid allocation from zero. *)

@@ -5,7 +5,6 @@ type t = {
   vm_ip : Netcore.Ipv4.t;
   tx_limit : Rate_limit_spec.t;
   mutable acls : Security_rule.t list;  (* Priority desc, insertion-newest first among ties. *)
-  mutable qos : Qos_rule.t list;
   tunnels : Tunnel_rule.Map.t;
   mutable generation : int;
       (* Bumped by every mutation; datapath caches compare it to the
@@ -18,7 +17,6 @@ let create ~tenant ~vm_ip ?(tx_limit = Rate_limit_spec.unlimited) () =
     vm_ip;
     tx_limit;
     acls = [ Security_rule.deny_all tenant ];
-    qos = [];
     tunnels = Tunnel_rule.Map.create ();
     generation = 0;
   }
@@ -29,20 +27,13 @@ let tx_limit t = t.tx_limit
 let generation t = t.generation
 let touch t = t.generation <- t.generation + 1
 
-let insert_by_priority priority_of rule rules =
+let add_acl t (rule : Security_rule.t) =
   let rec place = function
     | [] -> [ rule ]
-    | r :: rest as l ->
-        if priority_of rule >= priority_of r then rule :: l else r :: place rest
+    | (r : Security_rule.t) :: rest as l ->
+        if rule.priority >= r.priority then rule :: l else r :: place rest
   in
-  place rules
-
-let add_acl t rule =
-  t.acls <- insert_by_priority (fun (r : Security_rule.t) -> r.priority) rule t.acls;
-  touch t
-
-let add_qos t rule =
-  t.qos <- insert_by_priority (fun (r : Qos_rule.t) -> r.priority) rule t.qos;
+  t.acls <- place t.acls;
   touch t
 
 let install_tunnel t rule =
@@ -55,14 +46,12 @@ let remove_tunnel t ~vm_ip =
 
 let acl_count t = List.length t.acls
 let acls t = t.acls
-let qos_rules t = t.qos
 
 let tunnel_lookup t ~dst_ip =
   Tunnel_rule.Map.lookup t.tunnels ~tenant:t.tenant ~vm_ip:dst_ip
 
 type verdict = {
   action : Security_rule.action;
-  queue : int;
   tunnel : Tunnel_rule.endpoint option;
 }
 
@@ -74,49 +63,34 @@ let classify t key =
     | Some r -> r.Security_rule.action
     | None -> Security_rule.Deny
   in
-  let queue =
-    match List.find_opt (fun r -> Qos_rule.matches r key) t.qos with
-    | Some r -> r.Qos_rule.queue
-    | None -> 0
-  in
   let tunnel = tunnel_lookup t ~dst_ip:key.Fkey.dst_ip in
-  { action; queue; tunnel }
+  { action; tunnel }
 
-(* [scan_masked matches pattern_of rules key] folds the same scan as
-   [List.find_opt matches] but also unions the pattern fields of every
-   rule visited (including the deciding one). The union is the soundness
-   core of the megaflow mask: any flow agreeing with [key] on those
-   fields fails the same non-matching rules (each pins at least one
-   differing field) and passes the same deciding rule, so it must get
-   the same outcome. *)
-let scan_masked matches pattern_of rules key =
+(* [scan_masked rules key] folds the same scan as [matching_acl] but
+   also unions the pattern fields of every rule visited (including the
+   deciding one). The union is the soundness core of the megaflow mask:
+   any flow agreeing with [key] on those fields fails the same
+   non-matching rules (each pins at least one differing field) and
+   passes the same deciding rule, so it must get the same outcome. *)
+let scan_masked rules key =
   let module Mask = Fkey.Pattern.Mask in
   let rec go mask = function
     | [] -> (None, mask)
-    | r :: rest ->
-        let mask = Mask.union mask (Mask.of_pattern (pattern_of r)) in
-        if matches r key then (Some r, mask) else go mask rest
+    | (r : Security_rule.t) :: rest ->
+        let mask = Mask.union mask (Mask.of_pattern r.pattern) in
+        if Security_rule.matches r key then (Some r, mask) else go mask rest
   in
   go Mask.none rules
 
 let classify_masked t key =
   let module Mask = Fkey.Pattern.Mask in
-  let deciding, acl_mask =
-    scan_masked Security_rule.matches
-      (fun (r : Security_rule.t) -> r.pattern)
-      t.acls key
-  in
+  let deciding, mask = scan_masked t.acls key in
   let action =
     match deciding with
     | Some r -> r.Security_rule.action
     | None -> Security_rule.Deny
   in
-  let qos_match, qos_mask =
-    scan_masked Qos_rule.matches (fun (r : Qos_rule.t) -> r.pattern) t.qos key
-  in
-  let queue = match qos_match with Some r -> r.Qos_rule.queue | None -> 0 in
   let tunnel = tunnel_lookup t ~dst_ip:key.Fkey.dst_ip in
-  let mask = Mask.union acl_mask qos_mask in
   (* The tunnel map is keyed by (tenant, dst IP): once any tunnel is
      installed, flows to different destinations can resolve to different
      endpoints, so the mask must pin dst_ip (tenant is fixed per
@@ -126,7 +100,7 @@ let classify_masked t key =
       Mask.union mask { Mask.none with Mask.dst_ip = true; tenant = true }
     else mask
   in
-  ({ action; queue; tunnel }, mask)
+  ({ action; tunnel }, mask)
 
 let verdict_to_string v =
   let action =
@@ -138,4 +112,4 @@ let verdict_to_string v =
     | Some ep ->
         Format.asprintf "%a" Netcore.Ipv4.pp ep.Tunnel_rule.server_ip
   in
-  Printf.sprintf "%s/q%d/%s" action v.queue tunnel
+  Printf.sprintf "%s/%s" action tunnel

@@ -1,7 +1,7 @@
 (** The complete network-virtualization policy of one VM.
 
-    This is the "unified set" FasTrak manages (§1): security ACLs, QoS
-    rules, tunnel mappings and the contracted transmit limit. The
+    This is the "unified set" FasTrak manages (§1): security ACLs,
+    tunnel mappings and the contracted transmit limit. The
     vswitch enforces it in software; the rule compiler extracts the
     flow-specific slice for hardware offload. *)
 
@@ -23,17 +23,14 @@ val vm_ip : t -> Netcore.Ipv4.t
 val tx_limit : t -> Rate_limit_spec.t
 
 val add_acl : t -> Security_rule.t -> unit
-val add_qos : t -> Qos_rule.t -> unit
 val install_tunnel : t -> Tunnel_rule.t -> unit
 val remove_tunnel : t -> vm_ip:Netcore.Ipv4.t -> unit
 val acl_count : t -> int
 val acls : t -> Security_rule.t list
-val qos_rules : t -> Qos_rule.t list
 val tunnel_lookup : t -> dst_ip:Netcore.Ipv4.t -> Tunnel_rule.endpoint option
 
 type verdict = {
   action : Security_rule.action;
-  queue : int;  (** QoS queue; 0 when no rule matches. *)
   tunnel : Tunnel_rule.endpoint option;
       (** Destination location, [None] if the mapping is unknown (packet
           must be dropped or sent to the controller). *)
@@ -51,11 +48,11 @@ val classify_masked : t -> Netcore.Fkey.t -> verdict * Netcore.Fkey.Pattern.Mask
     megaflow the datapath cache may install. *)
 
 val generation : t -> int
-(** Monotonic mutation counter: bumped by every [add_acl], [add_qos],
+(** Monotonic mutation counter: bumped by every [add_acl],
     [install_tunnel] and [remove_tunnel]. Datapath caches compare it to
     the generation they captured to detect stale verdicts in O(1). *)
 
 val verdict_to_string : verdict -> string
-(** Compact ["allow/q0/10.0.0.2"]-style encoding, used by trace events
+(** Compact ["allow/10.0.0.2"]-style encoding, used by trace events
     so the coherence monitor can compare verdicts without depending on
     this library. *)

@@ -3,7 +3,6 @@ module Fkey = Netcore.Fkey
 type compiled = {
   tenant : Netcore.Tenant.id;
   acl_pattern : Fkey.Pattern.t;
-  queue : int;
   tunnels : Tunnel_rule.t list;
   tcam_entries : int;
 }
@@ -50,15 +49,6 @@ let compile ~policy ~selection ~destinations =
       (* The hardware rule must not allow more than both the selection
          and the software ACL that justified it. *)
       let acl_pattern = { inter with Fkey.Pattern.tenant = Some tenant } in
-      let queue =
-        match
-          List.find_opt
-            (fun (q : Qos_rule.t) -> intersect selection q.pattern <> None)
-            (Policy.qos_rules policy)
-        with
-        | Some q -> q.Qos_rule.queue
-        | None -> 0
-      in
       let rec gather acc = function
         | [] -> Ok (List.rev acc)
         | dst :: rest -> (
@@ -74,7 +64,6 @@ let compile ~policy ~selection ~destinations =
             {
               tenant;
               acl_pattern;
-              queue;
               tunnels;
               tcam_entries = 1 + List.length tunnels;
             })

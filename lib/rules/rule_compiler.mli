@@ -6,15 +6,14 @@
     placed in the TOR" (§4.3). Given the flow (or aggregate) selected
     for offload and the owning VM's policy, this module produces the
     exact set of VRF entries the ToR needs: an explicit allow ACL no
-    broader than the selection, the QoS queue, and the GRE tunnel
-    mapping(s) for the destination(s). *)
+    broader than the selection and the GRE tunnel mapping(s) for the
+    destination(s). *)
 
 type compiled = {
   tenant : Netcore.Tenant.id;
   acl_pattern : Netcore.Fkey.Pattern.t;
       (** Most-specific allow pattern: the intersection of the selection
           with the matching policy ACL. *)
-  queue : int;
   tunnels : Tunnel_rule.t list;
       (** GRE mappings the ToR must hold for this selection. *)
   tcam_entries : int;

@@ -4,31 +4,20 @@ type t = {
   pattern : Netcore.Fkey.Pattern.t;
   action : action;
   priority : int;
-  comment : string;
 }
 
-let make ?priority ?(comment = "") pattern action =
+let make ?priority pattern action =
   let priority =
     match priority with
     | Some p -> p
     | None -> Netcore.Fkey.Pattern.specificity pattern
   in
-  { pattern; action; priority; comment }
+  { pattern; action; priority }
 
 let allow_all tenant =
-  make ~priority:0 ~comment:"allow-all"
-    { Netcore.Fkey.Pattern.any with tenant = Some tenant }
-    Allow
+  make ~priority:0 { Netcore.Fkey.Pattern.any with tenant = Some tenant } Allow
 
 let deny_all tenant =
-  make ~priority:(-1) ~comment:"default-deny"
-    { Netcore.Fkey.Pattern.any with tenant = Some tenant }
-    Deny
+  make ~priority:(-1) { Netcore.Fkey.Pattern.any with tenant = Some tenant } Deny
 
 let matches t key = Netcore.Fkey.Pattern.matches t.pattern key
-
-let pp ppf t =
-  Format.fprintf ppf "acl[%d] %s %a%s" t.priority
-    (match t.action with Allow -> "allow" | Deny -> "deny")
-    Netcore.Fkey.Pattern.pp t.pattern
-    (if t.comment = "" then "" else " (* " ^ t.comment ^ " *)")

@@ -11,11 +11,9 @@ type t = {
   pattern : Netcore.Fkey.Pattern.t;
   action : action;
   priority : int;  (** Higher wins. *)
-  comment : string;
 }
 
-val make :
-  ?priority:int -> ?comment:string -> Netcore.Fkey.Pattern.t -> action -> t
+val make : ?priority:int -> Netcore.Fkey.Pattern.t -> action -> t
 (** Default priority is the pattern's specificity. *)
 
 val allow_all : Netcore.Tenant.id -> t
@@ -26,4 +24,3 @@ val deny_all : Netcore.Tenant.id -> t
 (** Default deny backstop (priority -1, below any real rule). *)
 
 val matches : t -> Netcore.Fkey.t -> bool
-val pp : Format.formatter -> t -> unit

@@ -8,11 +8,6 @@ type t = {
 
 let make ~tenant ~vm_ip endpoint = { tenant; vm_ip; endpoint }
 
-let pp ppf t =
-  Format.fprintf ppf "tunnel %a/%a -> server %a tor %a" Netcore.Tenant.pp
-    t.tenant Netcore.Ipv4.pp t.vm_ip Netcore.Ipv4.pp t.endpoint.server_ip
-    Netcore.Ipv4.pp t.endpoint.tor_ip
-
 module Map = struct
   type rule = t
   type t = (int * int, endpoint) Hashtbl.t

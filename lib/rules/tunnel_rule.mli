@@ -20,8 +20,6 @@ type t = {
 val make :
   tenant:Netcore.Tenant.id -> vm_ip:Netcore.Ipv4.t -> endpoint -> t
 
-val pp : Format.formatter -> t -> unit
-
 module Map : sig
   (** Mutable mapping used by vswitches, ToRs and controllers. *)
 

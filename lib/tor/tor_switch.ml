@@ -103,7 +103,7 @@ let attach_server t ~server_ip ~to_vswitch ~to_sriov =
       Fabric.Link.create ~engine:t.engine ~gbps:Cost.link_gbps
         ~latency:Cost.tor_forward_latency ~deliver
     in
-    Qos_queue.create ~engine:t.engine ~classes:8 ~link
+    Qos_queue.create ~engine:t.engine ~link
   in
   Int_table.replace t.servers (ip_key server_ip)
     { vswitch_q = mk_port to_vswitch; sriov_q = mk_port to_sriov }
@@ -149,23 +149,19 @@ let drop_acl t tenant =
   Obs.Metrics.incr
     (Obs.Metrics.labeled_counter fam_acl_drops (Netcore.Tenant.to_int tenant))
 
-let to_server_vswitch t ~server_key ~queue pkt =
+let to_server_vswitch t ~server_key pkt =
   match Int_table.find t.servers server_key with
   | port ->
       note_forwarded path_software;
-      Qos_queue.enqueue port.vswitch_q ~queue pkt
+      Qos_queue.enqueue port.vswitch_q pkt
   | exception Not_found -> drop_no_route t
 
-let to_server_sriov t ~server_key ~queue pkt =
+let to_server_sriov t ~server_key pkt =
   match Int_table.find t.servers server_key with
   | port ->
       note_forwarded path_express;
-      Qos_queue.enqueue port.sriov_q ~queue pkt
+      Qos_queue.enqueue port.sriov_q pkt
   | exception Not_found -> drop_no_route t
-
-let wire_frames payload =
-  Stdlib.max 1
-    ((payload + Netcore.Hdr.max_tcp_payload - 1) / Netcore.Hdr.max_tcp_payload)
 
 let forward_to_peer t ~tor_ip pkt =
   match Int_table.find t.peers (ip_key tor_ip) with
@@ -205,19 +201,15 @@ let handle_gre_rx t pkt ~key:tenant =
     match t.probe_sink with
     | Some sink -> sink ~remote_tor:flow.Fkey.src_ip ~seq:flow.Fkey.src_port
     | None -> drop_no_route t)
-  else begin
-  let queue = Vrf.classify (vrf t tenant) flow in
-  if queue < 0 then drop_acl t tenant
-  else begin
+  else if not (Vrf.permits (vrf t tenant) flow) then drop_acl t tenant
+  else
     match vm_lookup t ~tenant ~dst_ip:flow.Fkey.dst_ip with
     | exception Not_found -> drop_no_route t
     | server_key, _ ->
         Packet.push_encap pkt (Packet.Vlan (Netcore.Tenant.to_vlan tenant));
         ignore
           (Engine.after t.engine Cost.tor_vrf_latency (fun () ->
-               to_server_sriov t ~server_key ~queue pkt))
-  end
-  end
+               to_server_sriov t ~server_key pkt))
 
 (* Hardware-path transmission: VLAN-tagged packet from an SR-IOV VF. *)
 let handle_vlan_tx t pkt ~vlan =
@@ -226,13 +218,13 @@ let handle_vlan_tx t pkt ~vlan =
   | tenant ->
       let vrf_table = vrf t tenant in
       let flow = pkt.Packet.flow in
-      if Vrf.classify vrf_table flow < 0 then
+      if not (Vrf.permits vrf_table flow) then
         (* Default deny: disallowed traffic injected via SR-IOV dies
            here (§4.1.3). *)
         drop_acl t tenant
       else begin
         Vswitch.Flow_stats.record t.offloaded_stats flow
-          ~packets:(wire_frames pkt.Packet.payload)
+          ~packets:(Netcore.Hdr.frames ~payload:pkt.Packet.payload)
           ~bytes:pkt.Packet.payload;
         match Vrf.tunnel_for vrf_table ~dst_ip:flow.Fkey.dst_ip with
         | None -> drop_no_route t
@@ -267,7 +259,7 @@ let receive t pkt =
       let server_key = ip_key tunnel_dst in
       match (Int_table.mem t.servers server_key, t.uplink) with
       | true, _ | false, None ->
-          to_server_vswitch t ~server_key ~queue:0 pkt
+          to_server_vswitch t ~server_key pkt
       | false, Some up ->
           note_forwarded path_peer;
           up pkt)
@@ -275,13 +267,13 @@ let receive t pkt =
       (* Plain packet (untunneled software path): route by VM location. *)
       let flow = pkt.Packet.flow in
       match vm_lookup t ~tenant:flow.Fkey.tenant ~dst_ip:flow.Fkey.dst_ip with
-      | server_key, `Vswitch -> to_server_vswitch t ~server_key ~queue:0 pkt
+      | server_key, `Vswitch -> to_server_vswitch t ~server_key pkt
       | server_key, `Sriov ->
           (* Statically steered to the hardware path: tag with the
              tenant VLAN so the NIC can pick the VF. *)
           Packet.push_encap pkt
             (Packet.Vlan (Netcore.Tenant.to_vlan flow.Fkey.tenant));
-          to_server_sriov t ~server_key ~queue:0 pkt
+          to_server_sriov t ~server_key pkt
       | exception Not_found -> drop_no_route t)
 
 let offloaded_flows t = Vswitch.Flow_stats.to_list t.offloaded_stats

@@ -8,7 +8,7 @@
     Receive path (GRE packet addressed to this ToR): the GRE key
     selects the VRF; after decap and ACL check the packet is tagged
     with the tenant VLAN and sent to the destination server through the
-    port's QoS queues.
+    port's egress FIFO ({!Qos_queue}).
 
     VXLAN-encapsulated and plain packets (the software path) are routed
     unchanged — the vswitch did all rule processing. *)
@@ -37,8 +37,8 @@ val attach_server :
   to_sriov:(Netcore.Packet.t -> unit) ->
   unit
 (** Create the two downlinks to a server: one to the NIC port owned by
-    the vswitch, one to the SR-IOV port. Both are QoS-queued 10 GbE
-    links. *)
+    the vswitch, one to the SR-IOV port. Each is a 10 GbE link behind
+    its own paced FIFO. *)
 
 val register_vm :
   t ->

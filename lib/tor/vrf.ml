@@ -5,14 +5,14 @@ type entry = { id : int; compiled : Rules.Rule_compiler.compiled }
 
 (* One table of the tuple-space index: the [size] live entries whose
    [acl_pattern] has this mask, in a power-of-two array of buckets
-   indexed by [Mask.hash_pattern], each bucket newest first. *)
+   indexed by [Mask.hash_pattern]. *)
 type space = { mask : Mask.t; mutable buckets : entry list array; mutable size : int }
 
 type t = {
   engine : Dcsim.Engine.t;  (* stamps the TCAM trace events *)
   tenant : Netcore.Tenant.id;
   tcam : Tcam.t;
-  mutable entries : entry list;  (* newest first *)
+  mutable entries : entry list;  (* newest first; [evict_random] draws by index *)
   mutable spaces : space list;  (* one per distinct mask in [entries] *)
   tunnels : Rules.Tunnel_rule.Map.t;
   mutable tunnel_refcounts : (int, int) Hashtbl.t;  (* vm_ip -> refs *)
@@ -68,18 +68,15 @@ let push s e =
   let b = bucket s e in
   s.buckets.(b) <- e :: s.buckets.(b)
 
-(* [e] is already the head of [t.entries]. At a load factor above 1
-   the space doubles and is refilled oldest first, so every bucket
-   stays newest first. *)
+(* [e] is already in [t.entries]. At a load factor above 1 the space
+   doubles and is refilled from [t.entries]. *)
 let index_add t e =
   let s = space_of t e in
   s.size <- s.size + 1;
   if s.size <= Array.length s.buckets then push s e
   else begin
     s.buckets <- Array.make (2 * Array.length s.buckets) [];
-    List.iter
-      (fun x -> if Mask.equal (mask_of x) s.mask then push s x)
-      (List.rev t.entries)
+    List.iter (fun x -> if Mask.equal (mask_of x) s.mask then push s x) t.entries
   end
 
 (* A mask leaves the index with its last entry. *)
@@ -182,26 +179,22 @@ let evict_random t ~rng =
       remove t victim.id;
       Some victim.id
 
-(* [probe] looks [flow] up in each space; [scan] walks one bucket.
-   [id] and [queue] are the newest match so far. A bucket is newest
-   first, so its first match is its best and an entry no newer than
-   [id] ends the walk. The hash only narrows: [matches] decides. *)
-let rec probe flow ~id ~queue = function
-  | [] -> queue
+(* [probe] looks [flow] up in each space and [scan] walks one bucket,
+   until an entry matches. The hash only narrows: [matches] decides. *)
+let rec probe flow = function
+  | [] -> false
   | s :: spaces ->
       let buckets = s.buckets in
-      scan flow ~id ~queue spaces
+      scan flow spaces
         buckets.(Mask.hash_flow s.mask flow land (Array.length buckets - 1))
 
-and scan flow ~id ~queue spaces = function
-  | e :: rest when e.id > id ->
-      let c = e.compiled in
-      if Fkey.Pattern.matches c.Rules.Rule_compiler.acl_pattern flow then
-        probe flow ~id:e.id ~queue:c.queue spaces
-      else scan flow ~id ~queue spaces rest
-  | _ -> probe flow ~id ~queue spaces
+and scan flow spaces = function
+  | e :: rest ->
+      Fkey.Pattern.matches e.compiled.Rules.Rule_compiler.acl_pattern flow
+      || scan flow spaces rest
+  | [] -> probe flow spaces
 
-let classify t flow = probe flow ~id:(-1) ~queue:(-1) t.spaces
+let permits t flow = probe flow t.spaces
 
 let tunnel_for t ~dst_ip =
   Rules.Tunnel_rule.Map.lookup t.tunnels ~tenant:t.tenant ~vm_ip:dst_ip

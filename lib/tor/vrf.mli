@@ -1,9 +1,9 @@
 (** A per-tenant Virtual Routing and Forwarding table (§4.1.3).
 
     Holds the rules FasTrak offloads for one tenant: explicit allow
-    ACLs (default deny), GRE tunnel mappings keyed by destination VM,
-    and QoS queue assignments. Rule installation draws entries from the
-    shared {!Tcam}; removal returns them. *)
+    ACLs (default deny) and GRE tunnel mappings keyed by destination
+    VM. Rule installation draws entries from the shared {!Tcam};
+    removal returns them. *)
 
 type t
 
@@ -53,17 +53,17 @@ val evict_random : t -> rng:Dcsim.Rng.t -> handle option
     the evicted handle, or [None] if the VRF is empty. Bumps
     [tor.tcam.soft_errors] and emits a [Tcam_error] trace event. *)
 
-val classify : t -> Netcore.Fkey.t -> int
-(** ACL check and QoS lookup in one probe: the queue of the newest
-    installed rule set whose allow-pattern covers the flow, or -1 when
-    none does. -1 is the default deny (§4.1.3: a malicious VM pushing
-    disallowed traffic through the SR-IOV path is dropped here).
+val permits : t -> Netcore.Fkey.t -> bool
+(** The ACL check: true iff some installed rule set's allow-pattern
+    covers the flow. False is the default deny (§4.1.3: a malicious VM
+    pushing disallowed traffic through the SR-IOV path is dropped
+    here).
 
     The lookup is a tuple-space index, one hash table per distinct
     pattern mask, so its cost follows the number of masks, not of
-    entries. A candidate counts only if its pattern matches the flow,
-    so a hash collision can never allow a denied flow. Allocates
-    nothing. *)
+    entries, and it stops at the first match. A candidate counts only
+    if its pattern matches the flow, so a hash collision can never
+    allow a denied flow. Allocates nothing. *)
 
 val tunnel_for :
   t -> dst_ip:Netcore.Ipv4.t -> Rules.Tunnel_rule.endpoint option

@@ -172,7 +172,7 @@ let dummy_flow =
     ~tenant:(Netcore.Tenant.of_int 0)
 
 let dummy_verdict =
-  { Rules.Policy.action = Rules.Security_rule.Deny; queue = 0; tunnel = None }
+  { Rules.Policy.action = Rules.Security_rule.Deny; tunnel = None }
 
 let dummy_exact =
   {

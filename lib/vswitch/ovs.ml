@@ -317,10 +317,6 @@ let classify t vif flow k =
                      maybe_start_sweeper t;
                      k verdict))))
 
-let wire_frames payload =
-  Stdlib.max 1
-    ((payload + Netcore.Hdr.max_tcp_payload - 1) / Netcore.Hdr.max_tcp_payload)
-
 let vhost_cost config pkt =
   let payload = pkt.Packet.payload in
   let units = Cost.units_for config ~bytes_len:payload in
@@ -353,7 +349,7 @@ let apply_verdict t vif config verdict pkt direction =
   | Rules.Security_rule.Allow -> (
       let flow = pkt.Packet.flow in
       Flow_stats.record t.stats flow
-        ~packets:(wire_frames pkt.Packet.payload)
+        ~packets:(Netcore.Hdr.frames ~payload:pkt.Packet.payload)
         ~bytes:pkt.Packet.payload;
       match direction with
       | Tx ->

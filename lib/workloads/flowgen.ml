@@ -4,7 +4,6 @@ module Packet = Netcore.Packet
 module Fkey = Netcore.Fkey
 
 type config = {
-  arrival_rate : float;
   mean_flow_bytes : float;
   hot_fraction : float;
   hot_services : int;
@@ -15,7 +14,6 @@ type config = {
 
 let default_config =
   {
-    arrival_rate = 50.0;
     mean_flow_bytes = 50_000.0;
     hot_fraction = 0.8;
     hot_services = 4;
@@ -36,7 +34,6 @@ type t = {
   mutable flows_completed : int;
   mutable flows_skipped : int;
   mutable bytes_offered : int;
-  mutable running : bool;
 }
 
 let install_sinks ~vm ~dst_port_base config =
@@ -56,7 +53,7 @@ let launch_flow t ~src_port ~dst_port ~size_bytes =
   let messages = Stdlib.max 1 (size_bytes / t.config.message_size) in
   let gap = t.config.message_gap in
   let rec send_remaining remaining =
-    if remaining > 0 && t.running then begin
+    if remaining > 0 then begin
       let pkt =
         Packet.create ~now:(Engine.now t.engine) ~flow
           ~payload:t.config.message_size ()
@@ -66,23 +63,21 @@ let launch_flow t ~src_port ~dst_port ~size_bytes =
     end
     else begin
       Portspace.release t.ports src_port;
-      if remaining = 0 then t.flows_completed <- t.flows_completed + 1
+      t.flows_completed <- t.flows_completed + 1
     end
   in
   send_remaining messages
 
 let launch_to t ~dst_port ~size_bytes =
-  if t.running then begin
-    match Portspace.alloc t.ports with
-    | None ->
-        (* Every ephemeral port is held by a live flow: shed the
-           arrival rather than alias one. *)
-        t.flows_skipped <- t.flows_skipped + 1
-    | Some src_port ->
-        t.flows_started <- t.flows_started + 1;
-        t.bytes_offered <- t.bytes_offered + size_bytes;
-        launch_flow t ~src_port ~dst_port ~size_bytes
-  end
+  match Portspace.alloc t.ports with
+  | None ->
+      (* Every ephemeral port is held by a live flow: shed the arrival
+         rather than alias one. *)
+      t.flows_skipped <- t.flows_skipped + 1
+  | Some src_port ->
+      t.flows_started <- t.flows_started + 1;
+      t.bytes_offered <- t.bytes_offered + size_bytes;
+      launch_flow t ~src_port ~dst_port ~size_bytes
 
 (* The tail index of the Pareto flow-size draw. *)
 let pareto_shape = 1.2
@@ -94,16 +89,14 @@ let draw_size t =
   int_of_float (Dcsim.Rng.pareto t.rng ~shape:pareto_shape ~scale)
 
 let launch t =
-  if t.running then begin
-    let hot = Dcsim.Rng.float t.rng 1.0 < t.config.hot_fraction in
-    let dst_port =
-      if hot then t.dst_port_base + Dcsim.Rng.int t.rng t.config.hot_services
-      else
-        t.dst_port_base + t.config.hot_services
-        + Dcsim.Rng.int t.rng (Stdlib.max 1 t.config.cold_services)
-    in
-    launch_to t ~dst_port ~size_bytes:(draw_size t)
-  end
+  let hot = Dcsim.Rng.float t.rng 1.0 < t.config.hot_fraction in
+  let dst_port =
+    if hot then t.dst_port_base + Dcsim.Rng.int t.rng t.config.hot_services
+    else
+      t.dst_port_base + t.config.hot_services
+      + Dcsim.Rng.int t.rng (Stdlib.max 1 t.config.cold_services)
+  in
+  launch_to t ~dst_port ~size_bytes:(draw_size t)
 
 let create ~engine ~vm ~dst_ip ~dst_port_base config =
   {
@@ -118,24 +111,7 @@ let create ~engine ~vm ~dst_ip ~dst_port_base config =
     flows_completed = 0;
     flows_skipped = 0;
     bytes_offered = 0;
-    running = true;
   }
-
-let start ~engine ~vm ~dst_ip ~dst_port_base config =
-  let t = create ~engine ~vm ~dst_ip ~dst_port_base config in
-  let rec arrival () =
-    if t.running then begin
-      let gap_sec = Dcsim.Rng.exponential t.rng ~mean:(1.0 /. config.arrival_rate) in
-      ignore
-        (Engine.after engine (Simtime.span_sec gap_sec) (fun () ->
-             if t.running then begin
-               launch t;
-               arrival ()
-             end))
-    end
-  in
-  arrival ();
-  t
 
 let state_words t = Obj.reachable_words (Obj.repr t.ports)
 let flows_started t = t.flows_started
@@ -143,4 +119,3 @@ let flows_completed t = t.flows_completed
 let flows_skipped t = t.flows_skipped
 let live_flows t = Portspace.in_use t.ports
 let bytes_offered t = t.bytes_offered
-let stop t = t.running <- false

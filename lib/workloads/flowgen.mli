@@ -1,9 +1,10 @@
 (** Synthetic many-flow traffic with temporal locality.
 
-    Open-loop generator used by scale tests and the ablation benches:
-    flows arrive as a Poisson process over a pool of (source VM,
-    destination) pairs; flow sizes are Pareto (heavy-tailed — most
-    flows small, a few elephants); a configurable fraction of arrivals
+    Open-loop flows from one source VM to the destination services of
+    one destination VM. The generator has no arrival clock of its own:
+    the caller launches each flow ({!Loadgen} owns the diurnal, bursty
+    arrival process). Flow sizes are Pareto (heavy-tailed — most flows
+    small, a few elephants); a configurable fraction of launches
     re-uses a "hot" working set of destination services, giving the
     temporal locality FasTrak exploits.
 
@@ -12,7 +13,6 @@
     recycled only after its flow's last message. *)
 
 type config = {
-  arrival_rate : float;  (** Flows per second. *)
   mean_flow_bytes : float;
       (** Mean of the Pareto flow-size draw (tail index 1.2). *)
   hot_fraction : float;  (** Probability an arrival hits the hot set. *)
@@ -21,7 +21,8 @@ type config = {
   message_size : int;
   message_gap : Dcsim.Simtime.span;
       (** Pacing gap between a flow's messages; with the arrival rate
-          this sets how many flows are concurrently live. *)
+          of the caller's launches this sets how many flows are
+          concurrently live. *)
 }
 
 val default_config : config
@@ -35,21 +36,10 @@ val create :
   dst_port_base:int ->
   config ->
   t
-(** A generator with no arrival clock of its own: flows are launched
-    only through {!launch} / {!launch_to}. This is what {!Loadgen}
-    uses — it owns the (diurnal, bursty) arrival process. *)
-
-val start :
-  engine:Dcsim.Engine.t ->
-  vm:Host.Vm.t ->
-  dst_ip:Netcore.Ipv4.t ->
-  dst_port_base:int ->
-  config ->
-  t
-(** [create] plus an internal Poisson arrival clock at
-    [arrival_rate]. Destination services are ports [dst_port_base ..
-    dst_port_base + hot + cold) on the destination VM; install
-    {!Stream.install_sink} on each, or a listener that discards. *)
+(** A generator of flows from [vm] to [dst_ip]. Destination services
+    are ports [dst_port_base .. dst_port_base + hot + cold) on the
+    destination VM; {!install_sinks} installs a discarding listener on
+    each. Flows start only through {!launch} / {!launch_to}. *)
 
 val install_sinks :
   vm:Host.Vm.t -> dst_port_base:int -> config -> unit
@@ -78,5 +68,3 @@ val bytes_offered : t -> int
 val state_words : t -> int
 (** Heap words of the generator's flow bookkeeping (the port bitset):
     constant in the number of flows launched or live. *)
-
-val stop : t -> unit

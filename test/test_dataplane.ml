@@ -94,22 +94,19 @@ let compiled_for ?(dport = 80) () =
 let test_vrf_install_permits () =
   let tcam = Tor.Tcam.create ~capacity:16 in
   let vrf = Tor.Vrf.create ~engine:(Engine.create ()) ~tenant ~tcam in
-  checki "default deny" (-1) (Tor.Vrf.classify vrf (flow ()));
-  let compiled = compiled_for () in
+  checkb "default deny" false (Tor.Vrf.permits vrf (flow ()));
   let handle =
-    match Tor.Vrf.install vrf compiled with
+    match Tor.Vrf.install vrf (compiled_for ()) with
     | Ok h -> h
     | Error (`Tcam_full | `Install_fault) -> Alcotest.fail "unexpected tcam full"
   in
-  checki "permits after install, in the entry's queue"
-    compiled.Rules.Rule_compiler.queue
-    (Tor.Vrf.classify vrf (flow ()));
-  checki "other flow still denied" (-1) (Tor.Vrf.classify vrf (flow ~dport:22 ()));
+  checkb "permits after install" true (Tor.Vrf.permits vrf (flow ()));
+  checkb "other flow still denied" false (Tor.Vrf.permits vrf (flow ~dport:22 ()));
   checkb "tunnel installed" true
     (Tor.Vrf.tunnel_for vrf ~dst_ip:(Ipv4.of_string "10.7.0.2") <> None);
   checki "tcam entries" 2 (Tor.Tcam.used tcam);
   Tor.Vrf.remove vrf handle;
-  checki "deny after remove" (-1) (Tor.Vrf.classify vrf (flow ()));
+  checkb "deny after remove" false (Tor.Vrf.permits vrf (flow ()));
   checki "tcam returned" 0 (Tor.Tcam.used tcam);
   (* Idempotent removal. *)
   Tor.Vrf.remove vrf handle;
@@ -133,13 +130,12 @@ let test_vrf_tunnel_refcount () =
   checkb "tunnel survives shared removal" true
     (Tor.Vrf.tunnel_for vrf ~dst_ip:(Ipv4.of_string "10.7.0.2") <> None)
 
-(* --- Vrf.classify against the newest-first list scan ---
+(* --- Vrf.permits against a scan of the live entries ---
 
-   The reference is the lookup the index replaced: the first entry of
-   the newest-first list whose pattern matches wins, and no match is
-   the default deny. A three-address, two-port universe makes patterns
-   overlap, so one flow is often matched by several entries with
-   different queues. *)
+   The reference is the lookup the index replaced: a flow is permitted
+   iff some live entry's pattern matches it, and no match is the
+   default deny. A three-address, two-port universe makes patterns
+   overlap, so one flow is often matched by several entries. *)
 
 let universe_ip i = Ipv4.of_octets 10 7 0 (1 + i)
 
@@ -185,24 +181,23 @@ let acl_gen =
         })
       (int_bound 63) universe_flow_gen)
 
-(* The selection intersected with the ACL, in [queue]; [None] when the
-   two are disjoint and the compiler refuses. *)
-let compile_entry (selection, acl, queue) =
+(* The selection intersected with the ACL; [None] when the two are
+   disjoint and the compiler refuses. *)
+let compile_entry (selection, acl) =
   let policy = Rules.Policy.create ~tenant ~vm_ip:(universe_ip 0) () in
   Rules.Policy.add_acl policy (Rules.Security_rule.make ~priority:5 acl Allow);
-  Rules.Policy.add_qos policy (Rules.Qos_rule.make Fkey.Pattern.any ~queue);
   Result.to_option
     (Rules.Rule_compiler.compile ~policy ~selection ~destinations:[])
 
 type vrf_op =
-  | Install of (Fkey.Pattern.t * Fkey.Pattern.t * int)
-  | Install_faulted of (Fkey.Pattern.t * Fkey.Pattern.t * int)
+  | Install of (Fkey.Pattern.t * Fkey.Pattern.t)
+  | Install_faulted of (Fkey.Pattern.t * Fkey.Pattern.t)
   | Remove of int
   | Evict
   | Probe of Fkey.t
 
 let vrf_op_gen =
-  let entry = QCheck2.Gen.(triple selection_gen acl_gen (int_bound 7)) in
+  let entry = QCheck2.Gen.pair selection_gen acl_gen in
   QCheck2.Gen.(
     frequency
       [
@@ -213,8 +208,8 @@ let vrf_op_gen =
         (6, map (fun f -> Probe f) universe_flow_gen);
       ])
 
-let prop_vrf_classify_matches_scan =
-  QCheck2.Test.make ~name:"vrf classify matches the newest-first scan" ~count:300
+let prop_vrf_permits_matches_scan =
+  QCheck2.Test.make ~name:"vrf permits matches the any-match scan" ~count:300
     QCheck2.Gen.(list_size (int_range 10 60) vrf_op_gen)
     (fun ops ->
       (* A small TCAM, so some installs find it full. Every compiled
@@ -227,15 +222,11 @@ let prop_vrf_classify_matches_scan =
       let rng = Dcsim.Rng.create ~seed:(List.length ops) in
       let live = ref [] (* (handle, compiled), newest first *) in
       let reference flow =
-        match
-          List.find_opt
-            (fun (_, c) -> Fkey.Pattern.matches c.Rules.Rule_compiler.acl_pattern flow)
-            !live
-        with
-        | Some (_, c) -> c.Rules.Rule_compiler.queue
-        | None -> -1
+        List.exists
+          (fun (_, c) -> Fkey.Pattern.matches c.Rules.Rule_compiler.acl_pattern flow)
+          !live
       in
-      let agrees flow = Tor.Vrf.classify vrf flow = reference flow in
+      let agrees flow = Tor.Vrf.permits vrf flow = reference flow in
       let forget h = live := List.filter (fun (h', _) -> h' <> h) !live in
       let step op =
         (match op with
@@ -276,7 +267,7 @@ let prop_vrf_classify_matches_scan =
       in
       List.for_all step ops && List.for_all agrees universe)
 
-(* --- Receiving ToR: default deny and the newest entry's class --- *)
+(* --- Receiving ToR: default deny --- *)
 
 let tor_ip = Ipv4.of_string "192.168.0.1"
 let server_ip = Ipv4.of_string "192.168.1.11"
@@ -299,8 +290,8 @@ let gre_rx tor ?(payload = 1000) f =
   Packet.push_encap p (Packet.Gre { tunnel_dst = tor_ip; key = tenant });
   Tor.Tor_switch.receive tor p
 
-let vrf_entry acl_pattern ~queue =
-  { Rules.Rule_compiler.tenant; acl_pattern; queue; tunnels = []; tcam_entries = 1 }
+let vrf_entry acl_pattern =
+  { Rules.Rule_compiler.tenant; acl_pattern; tunnels = []; tcam_entries = 1 }
 
 let test_receiving_tor_default_deny () =
   let engine, tor, delivered = receiving_tor ~dst:"10.7.0.2" in
@@ -308,7 +299,7 @@ let test_receiving_tor_default_deny () =
   ignore
     (Result.get_ok
        (Tor.Vrf.install (Tor.Tor_switch.vrf tor tenant)
-          (vrf_entry (Fkey.Pattern.exact allowed) ~queue:0)));
+          (vrf_entry (Fkey.Pattern.exact allowed))));
   gre_rx tor ~payload:1 (flow ~dport:22 ());
   Engine.run engine;
   checki "denied flow counted" 1 (Tor.Tor_switch.acl_drops tor);
@@ -318,72 +309,22 @@ let test_receiving_tor_default_deny () =
   checki "allowed flow not counted" 1 (Tor.Tor_switch.acl_drops tor);
   Alcotest.(check (list int)) "allowed flow delivered" [ 2 ] !delivered
 
-(* The class a packet rides shows in strict-priority order: a blocker
-   takes the wire, then a packet of [f] and a reference packet in
-   class 3 wait behind it. [f] leaves first iff its class is above 3. *)
-let test_receiving_tor_newest_entry_class () =
-  let engine, tor, delivered = receiving_tor ~dst:"10.7.0.2" in
-  let vrf = Tor.Tor_switch.vrf tor tenant in
-  let f = flow ~dport:80 () and reference = flow ~dport:443 () in
-  let install pattern queue =
-    Result.get_ok (Tor.Vrf.install vrf (vrf_entry pattern ~queue))
-  in
-  ignore (install (Fkey.Pattern.exact reference) 3);
-  ignore (install (Fkey.Pattern.from_vm (Ipv4.of_string "10.7.0.1") tenant) 1);
-  let newest = install (Fkey.Pattern.exact f) 6 in
-  let race () =
-    delivered := [];
-    gre_rx tor ~payload:9000 reference;
-    gre_rx tor ~payload:443 reference;
-    gre_rx tor ~payload:80 f;
-    Engine.run engine;
-    List.rev !delivered
-  in
-  Alcotest.(check (list int)) "newest entry's class 6 overtakes class 3"
-    [ 9000; 80; 443 ] (race ());
-  Tor.Vrf.remove vrf newest;
-  Alcotest.(check (list int)) "older entry's class 1 waits behind class 3"
-    [ 9000; 443; 80 ] (race ());
-  checki "no deny" 0 (Tor.Tor_switch.acl_drops tor)
-
 (* --- Qos queue --- *)
 
-let test_qos_strict_priority () =
-  let engine = Engine.create () in
-  let order = ref [] in
-  let link =
-    Fabric.Link.create ~engine ~gbps:10.0 ~latency:Simtime.span_zero
-      ~deliver:(fun p -> order := p.Packet.payload :: !order)
-  in
-  let q = Tor.Qos_queue.create ~engine ~classes:4 ~link in
-  (* First packet starts transmitting immediately; the rest queue and
-     must leave highest class first. *)
-  Tor.Qos_queue.enqueue q ~queue:0 (pkt ~payload:9000 (flow ()));
-  Tor.Qos_queue.enqueue q ~queue:0 (pkt ~payload:1 (flow ()));
-  Tor.Qos_queue.enqueue q ~queue:3 (pkt ~payload:2 (flow ()));
-  Tor.Qos_queue.enqueue q ~queue:1 (pkt ~payload:3 (flow ()));
-  Engine.run engine;
-  Alcotest.check (Alcotest.list Alcotest.int) "priority order"
-    [ 9000; 2; 3; 1 ] (List.rev !order);
-  checki "sent" 4 (Tor.Qos_queue.packets_sent q)
-
 (* The invariant qos_queue.mli states: the port paces itself on the
-   link, so the link's own queue stays empty and the port alone
-   decides the order. A burst of mixed classes and sizes saturates the
-   port; each delivery enqueues one more packet while the next one is
-   on the wire. Expected order, from a model: when a packet finishes,
-   the best waiting packet (highest class, then oldest) starts, and
-   only then does the finished packet's delivery add its follow-up. *)
+   link, so the link's own queue stays empty and packets leave in
+   arrival order. A burst of mixed sizes saturates the port; each
+   delivery enqueues one more packet while the next one is on the
+   wire. *)
 let test_qos_wire_never_queues () =
   let engine = Engine.create () in
-  let classes = 4 in
   let link_ref = ref None and q_ref = ref None in
-  let delivered = ref [] in
+  let enqueued = ref [] and delivered = ref [] in
   let enqueue id =
     let link = Option.get !link_ref and q = Option.get !q_ref in
     checki "wire idle at enqueue" 0 (Fabric.Link.queue_length link);
-    Tor.Qos_queue.enqueue q ~queue:(id * 7 mod classes)
-      (pkt ~payload:(64 + (id * 2741 mod 9000)) (flow ~sport:id ()))
+    enqueued := id :: !enqueued;
+    Tor.Qos_queue.enqueue q (pkt ~payload:(64 + (id * 2741 mod 9000)) (flow ~sport:id ()))
   in
   let burst = 40 in
   let follow_up id = if id < burst then Some (burst + id) else None in
@@ -396,30 +337,14 @@ let test_qos_wire_never_queues () =
         Option.iter enqueue (follow_up id))
   in
   link_ref := Some link;
-  q_ref := Some (Tor.Qos_queue.create ~engine ~classes ~link);
+  let q = Tor.Qos_queue.create ~engine ~link in
+  q_ref := Some q;
   for id = 0 to burst - 1 do
     enqueue id
   done;
   Engine.run engine;
-  let expected =
-    let best waiting =
-      List.fold_left
-        (fun b id -> if id * 7 mod classes > b * 7 mod classes then id else b)
-        (List.hd waiting) waiting
-    in
-    let rec go order in_flight waiting =
-      let order = in_flight :: order in
-      match (waiting, follow_up in_flight) with
-      | [], None -> List.rev order
-      | [], Some f -> go order f []
-      | waiting, f ->
-          let next = best waiting in
-          go order next (List.filter (( <> ) next) waiting @ Option.to_list f)
-    in
-    go [] 0 (List.init (burst - 1) (fun i -> i + 1))
-  in
-  Alcotest.(check (list int)) "strict priority, FIFO within a class" expected
-    (List.rev !delivered)
+  checki "every packet sent" (2 * burst) (Tor.Qos_queue.packets_sent q);
+  Alcotest.(check (list int)) "arrival order" (List.rev !enqueued) (List.rev !delivered)
 
 (* --- End-to-end through a Testbed rack --- *)
 
@@ -804,11 +729,9 @@ let suite =
     t "vrf install/permits/remove" test_vrf_install_permits;
     t "vrf tcam full atomic" test_vrf_tcam_full;
     t "vrf tunnel refcount" test_vrf_tunnel_refcount;
-    t "qos strict priority" test_qos_strict_priority;
     t "qos wire never queues" test_qos_wire_never_queues;
-    QCheck_alcotest.to_alcotest prop_vrf_classify_matches_scan;
+    QCheck_alcotest.to_alcotest prop_vrf_permits_matches_scan;
     t "receiving tor default deny" test_receiving_tor_default_deny;
-    t "receiving tor newest entry class" test_receiving_tor_newest_entry_class;
     t "software path end-to-end" test_software_path_delivery;
     t "hardware path end-to-end" test_hardware_path_delivery;
     t "hardware path default deny" test_hardware_path_default_deny;

@@ -633,8 +633,8 @@ let test_monitor_cache_coherence () =
          vif = "vif0";
          flow = sample_pattern;
          tier = `Exact;
-         cached = "allow/q0/-";
-         fresh = "allow/q0/-";
+         cached = "allow/-";
+         fresh = "allow/-";
        });
   obs (Trace.Cache_miss { vif = "vif0"; flow = sample_pattern });
   obs
@@ -649,8 +649,8 @@ let test_monitor_cache_coherence () =
          vif = "vif0";
          flow = sample_pattern;
          tier = `Megaflow;
-         cached = "allow/q0/-";
-         fresh = "deny/q0/-";
+         cached = "allow/-";
+         fresh = "deny/-";
        });
   obs
     (Trace.Cache_invalidate

@@ -1,5 +1,5 @@
-(* Tests for the rule model: ACLs, QoS, tunnels, the priority table with
-   its exact-match cache, policies, and the offload rule compiler. *)
+(* Tests for the rule model: ACLs, tunnels, the priority table with its
+   exact-match cache, policies, and the offload rule compiler. *)
 
 module Fkey = Netcore.Fkey
 module Ipv4 = Netcore.Ipv4
@@ -36,18 +36,6 @@ let test_security_deny_all () =
       ~proto:Fkey.Tcp ~tenant:(Netcore.Tenant.of_int 9)
   in
   checkb "other tenant unmatched" false (Rules.Security_rule.matches r other)
-
-(* --- Qos rules --- *)
-
-let test_qos_rule () =
-  let r =
-    Rules.Qos_rule.make
-      { Fkey.Pattern.any with Fkey.Pattern.dst_port = Some 80 }
-      ~queue:3
-  in
-  checkb "matches port" true (Rules.Qos_rule.matches r (flow ()));
-  checkb "other port" false (Rules.Qos_rule.matches r (flow ~dport:81 ()));
-  checki "queue" 3 r.Rules.Qos_rule.queue
 
 (* --- Tunnel map --- *)
 
@@ -187,10 +175,6 @@ let make_policy () =
     (Rules.Security_rule.make ~priority:5
        { Fkey.Pattern.any with Fkey.Pattern.dst_port = Some 80; tenant = Some tenant }
        Allow);
-  Rules.Policy.add_qos p
-    (Rules.Qos_rule.make ~priority:5
-       { Fkey.Pattern.any with Fkey.Pattern.dst_port = Some 80 }
-       ~queue:2);
   Rules.Policy.install_tunnel p (Rules.Tunnel_rule.make ~tenant ~vm_ip:peer_ip endpoint);
   p
 
@@ -198,14 +182,12 @@ let test_policy_classify_allow () =
   let p = make_policy () in
   let v = Rules.Policy.classify p (flow ()) in
   checkb "allow" true (v.Rules.Policy.action = Rules.Security_rule.Allow);
-  checki "queue" 2 v.Rules.Policy.queue;
   checkb "tunnel found" true (v.Rules.Policy.tunnel <> None)
 
 let test_policy_default_deny () =
   let p = make_policy () in
   let v = Rules.Policy.classify p (flow ~dport:22 ()) in
-  checkb "deny" true (v.Rules.Policy.action = Rules.Security_rule.Deny);
-  checki "best effort queue" 0 v.Rules.Policy.queue
+  checkb "deny" true (v.Rules.Policy.action = Rules.Security_rule.Deny)
 
 let test_policy_priority_overrides () =
   let p = make_policy () in
@@ -242,8 +224,7 @@ let test_compile_flow_ok () =
       checki "entries" 2 c.Rules.Rule_compiler.tcam_entries;
       checki "one tunnel" 1 (List.length c.Rules.Rule_compiler.tunnels);
       checkb "acl covers flow" true
-        (Fkey.Pattern.matches c.Rules.Rule_compiler.acl_pattern (flow ()));
-      checki "queue carried" 2 c.Rules.Rule_compiler.queue
+        (Fkey.Pattern.matches c.Rules.Rule_compiler.acl_pattern (flow ()))
   | Error e ->
       Alcotest.failf "unexpected: %s"
         (Format.asprintf "%a" Rules.Rule_compiler.pp_error e)
@@ -321,7 +302,6 @@ let suite =
   [
     t "security defaults" test_security_defaults;
     t "security deny_all" test_security_deny_all;
-    t "qos rule" test_qos_rule;
     t "tunnel map" test_tunnel_map;
     t "rate limit spec" test_rate_limit_spec;
     t "table priority" test_table_priority;

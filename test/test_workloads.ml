@@ -131,46 +131,33 @@ let test_scp_paced_low_pps () =
   (* §6.2.1: ~135 pps outgoing. *)
   checkb "~135 pps" true (Float.abs (pps -. 135.0) < 15.0)
 
-let test_flowgen_generates () =
-  let tb, a, b = pair_testbed () in
-  let config =
-    { Workloads.Flowgen.default_config with Workloads.Flowgen.arrival_rate = 200.0 }
-  in
-  Workloads.Flowgen.install_sinks ~vm:b.Host.Server.vm ~dst_port_base:30000 config;
-  let g =
-    Workloads.Flowgen.start ~engine:tb.Experiments.Testbed.engine
-      ~vm:a.Host.Server.vm
-      ~dst_ip:(Host.Vm.ip b.Host.Server.vm)
-      ~dst_port_base:30000 config
-  in
-  Experiments.Testbed.run_for tb ~seconds:1.0;
-  let started = Workloads.Flowgen.flows_started g in
-  checkb "poisson arrivals ~200" true (started > 120 && started < 300);
-  checkb "bytes offered" true (Workloads.Flowgen.bytes_offered g > 0);
-  Workloads.Flowgen.stop g;
-  let frozen = Workloads.Flowgen.flows_started g in
-  Experiments.Testbed.run_for tb ~seconds:0.5;
-  checki "stop stops arrivals" frozen (Workloads.Flowgen.flows_started g)
-
+(* 500 launches 2 ms apart over one second; the hot destination
+   ports must dominate the OVS flow table. *)
 let test_flowgen_locality () =
   let tb, a, b = pair_testbed () in
   let config =
     {
       Workloads.Flowgen.default_config with
-      Workloads.Flowgen.arrival_rate = 500.0;
-      hot_fraction = 0.9;
+      Workloads.Flowgen.hot_fraction = 0.9;
       hot_services = 2;
       cold_services = 50;
     }
   in
   Workloads.Flowgen.install_sinks ~vm:b.Host.Server.vm ~dst_port_base:30000 config;
-  ignore
-    (Workloads.Flowgen.start ~engine:tb.Experiments.Testbed.engine
-       ~vm:a.Host.Server.vm
-       ~dst_ip:(Host.Vm.ip b.Host.Server.vm)
-       ~dst_port_base:30000 config);
+  let engine = tb.Experiments.Testbed.engine in
+  let g =
+    Workloads.Flowgen.create ~engine ~vm:a.Host.Server.vm
+      ~dst_ip:(Host.Vm.ip b.Host.Server.vm)
+      ~dst_port_base:30000 config
+  in
+  for i = 0 to 499 do
+    ignore
+      (Engine.after engine
+         (Simtime.span_us (2000.0 *. float_of_int i))
+         (fun () -> Workloads.Flowgen.launch g))
+  done;
   Experiments.Testbed.run_for tb ~seconds:1.0;
-  (* The hot destination ports must dominate the OVS flow table. *)
+  checki "every launch started" 500 (Workloads.Flowgen.flows_started g);
   let ovs = Host.Server.ovs tb.Experiments.Testbed.servers.(0) in
   let hot, cold =
     List.fold_left
@@ -532,7 +519,6 @@ let suite =
     t "stream goodput" test_stream_goodput_measured;
     t "stream total bytes" test_stream_total_bytes_stops;
     t "scp paced at ~135 pps" test_scp_paced_low_pps;
-    t "flowgen generates" test_flowgen_generates;
     t "flowgen locality" test_flowgen_locality;
     t "portspace basics" test_portspace_basics;
     t "flowgen no src-port aliasing past 10k flows"
