@@ -38,8 +38,7 @@ let () =
       ignore
         (Workloads.Background.scp ~engine:tb.Experiments.Testbed.engine
            ~vm:a.Host.Server.vm
-           ~dst_ip:(Host.Vm.ip target.Host.Server.vm)
-           ()))
+           ~dst_ip:(Host.Vm.ip target.Host.Server.vm)))
     mem_vms;
   let mem_ips = List.map (fun (a : Host.Server.attached) -> Host.Vm.ip a.vm) mem_vms in
   let memslaps =

@@ -69,11 +69,7 @@ let () =
   Fastrak.Rule_manager.start rm;
   let show label =
     let vif_limit = Vswitch.Ovs.vif_tx_limit vm.Host.Server.vif in
-    let vf_limit =
-      match vm.Host.Server.vf with
-      | Some vf -> Nic.Sriov.vf_tx_limit vf
-      | None -> Rules.Rate_limit_spec.unlimited
-    in
+    let vf_limit = Nic.Sriov.vf_tx_limit vm.Host.Server.vf in
     let now = Dcsim.Engine.now tb.Experiments.Testbed.engine in
     Printf.printf "  %-12s vif-limit=%-22s vf-limit=%-22s soft=%.2f hard=%.2f Gb/s\n"
       label

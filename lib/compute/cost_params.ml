@@ -1,26 +1,17 @@
 module Simtime = Dcsim.Simtime
 
-type vswitch_config = {
-  security_rules : bool;
-  tunneling : bool;
-  rate_limiting : bool;
-}
+type vswitch_config = { tunneling : bool; rate_limiting : bool }
 
-let baseline = { security_rules = false; tunneling = false; rate_limiting = false }
-let with_security = { baseline with security_rules = true }
+let baseline = { tunneling = false; rate_limiting = false }
 let with_tunneling = { baseline with tunneling = true }
 let with_rate_limiting = { baseline with rate_limiting = true }
-let combined = { baseline with tunneling = true; rate_limiting = true }
+let combined = { tunneling = true; rate_limiting = true }
 
 let pp_config ppf c =
   let tags =
     List.filter_map
       (fun (flag, tag) -> if flag then Some tag else None)
-      [
-        (c.security_rules, "security");
-        (c.tunneling, "tunneling");
-        (c.rate_limiting, "rate-limit");
-      ]
+      [ (c.tunneling, "tunneling"); (c.rate_limiting, "rate-limit") ]
   in
   match tags with
   | [] -> Format.pp_print_string ppf "baseline"
@@ -34,12 +25,11 @@ let pp_config ppf c =
    cost so a vhost wakeup can amortise it across a batch: packets of
    the same flow in one batch share a single classification
    ([classify_lookup_us] is charged per distinct flow per batch, see
-   lib/vswitch/ovs.ml). Security-rule checking itself is O(1) against
-   the kernel cache and adds only a hair (the paper measured no
+   lib/vswitch/ovs.ml). Security rules add no cost term: a cached
+   verdict is O(1) whatever the rule count (the paper measured no
    difference with 10,000 rules installed). *)
 let vhost_base_us = 13.7
 let classify_lookup_us = 0.3
-let vhost_security_us = 0.2
 let vhost_tunnel_us = 5.0
 let vhost_htb_us = 2.0
 let vhost_per_byte_ns = 0.08
@@ -47,7 +37,6 @@ let vhost_per_byte_ns = 0.08
 let vhost_serial_cost config ~unit_bytes =
   let us =
     vhost_base_us
-    +. (if config.security_rules then vhost_security_us else 0.0)
     +. (if config.tunneling then vhost_tunnel_us else 0.0)
     +. (if config.rate_limiting then vhost_htb_us else 0.0)
     +. (vhost_per_byte_ns *. float_of_int unit_bytes /. 1000.0)

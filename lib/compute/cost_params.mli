@@ -22,13 +22,11 @@
     host (§2.2). *)
 
 type vswitch_config = {
-  security_rules : bool;  (** ACL checking configured ("OVS+Security"). *)
   tunneling : bool;  (** VXLAN encap/decap ("OVS+Tunneling"). *)
   rate_limiting : bool;  (** tc htb on the VIF ("OVS+Rate limiting"). *)
 }
 
 val baseline : vswitch_config
-val with_security : vswitch_config
 val with_tunneling : vswitch_config
 val with_rate_limiting : vswitch_config
 val combined : vswitch_config

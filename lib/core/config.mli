@@ -4,23 +4,14 @@
     window ("twice within an interval of t = 100 ms"), repeated every
     [epoch_period] (T), for {!epochs_per_interval} epochs (N); every N
     epochs is one control interval. Medians are kept over the last
-    [history_intervals] (M) control intervals. *)
+    {!history_intervals} (M) control intervals. *)
 
 type t = {
   poll_gap : Dcsim.Simtime.span;  (** t: window over which pps is measured. *)
   epoch_period : Dcsim.Simtime.span;  (** T: epoch repetition period. *)
-  history_intervals : int;  (** M. *)
   min_score : float;
       (** Offload threshold: aggregates scoring below this never move
           to hardware (keeps trickle flows in software). *)
-  dead_peer_failures : int;
-      (** Consecutive failed directives after which a server's local
-          controller is declared dead and its offloaded flows are
-          demoted back to software. *)
-  migration_timeout : Dcsim.Simtime.span;
-      (** How long a begun VM migration may stay unconfirmed before the
-          rule manager aborts it and re-installs the returned rules at
-          the source. *)
   tcam_audit_interval : Dcsim.Simtime.span option;
       (** Period of the anti-entropy audit sweep reconciling actual
           TCAM contents against controller intent (reinstall missing
@@ -28,9 +19,7 @@ type t = {
 }
 
 val default : t
-(** t = 100 ms, T = 5 s, M = 3, min_score 100; 3 consecutive failed
-    directives declare a peer dead, and an unconfirmed migration aborts
-    after 30 s. The TCAM audit is off. *)
+(** t = 100 ms, T = 5 s, min_score 100. The TCAM audit is off. *)
 
 (** {1 Measurement and rate-split constants}
 
@@ -38,6 +27,9 @@ val default : t
 
 val epochs_per_interval : int
 (** N: epochs per control interval, 2. *)
+
+val history_intervals : int
+(** M: control intervals of history the medians are kept over, 3. *)
 
 val overflow_bps : float
 (** O: slack FPS adds to each split rate limit, 50 Mb/s. *)
@@ -70,3 +62,13 @@ val lane_down_misses : int
 val lane_up_oks : int
 (** Consecutive replying probe intervals before a down lane is
     declared healthy again (hysteresis against flapping): 5. *)
+
+val dead_peer_failures : int
+(** Consecutive failed directives after which a server's local
+    controller is declared dead and its offloaded flows are demoted
+    back to software: 3. *)
+
+val migration_timeout : Dcsim.Simtime.span
+(** How long a begun VM migration may stay unconfirmed before the rule
+    manager aborts it and re-installs the returned rules at the source:
+    30 s. *)

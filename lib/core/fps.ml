@@ -66,7 +66,7 @@ let split ~total_bps ~overflow_bps ~current input =
       else v
     in
     {
-      soft = Rules.Rate_limit_spec.make ~rate_bps:(checked "soft" (ls +. overflow)) ();
-      hard = Rules.Rate_limit_spec.make ~rate_bps:(checked "hard" (lh +. overflow)) ();
+      soft = Rules.Rate_limit_spec.make ~rate_bps:(checked "soft" (ls +. overflow));
+      hard = Rules.Rate_limit_spec.make ~rate_bps:(checked "hard" (lh +. overflow));
     }
   end

@@ -142,44 +142,44 @@ let apply_fps t =
         (Rules.Policy.tx_limit (Vswitch.Ovs.vif_policy a.vif))
           .Rules.Rate_limit_spec.rate_bps
       in
-      match a.vf with
-      | Some vf when total_bps <> infinity ->
-          let st = rate_state t (Host.Vm.ip a.vm) in
-          let vif_tx = Vswitch.Ovs.vif_tx_bytes a.vif in
-          let vf_tx = Nic.Sriov.vf_tx_bytes vf in
-          let vif_backlog = Vswitch.Ovs.vif_tx_backlogged_seconds a.vif in
-          let vf_backlog = Nic.Sriov.vf_tx_backlogged_seconds vf in
-          let bps last current =
-            float_of_int (current - last) *. 8.0 /. interval_sec
-          in
-          let maxed last current = current -. last > 0.2 *. interval_sec in
-          let split =
-            Fps.split ~total_bps ~overflow_bps ~current:st.current_split
-              {
-                Fps.demand_soft_bps = bps st.last_vif_tx vif_tx;
-                demand_hard_bps = bps st.last_vf_tx vf_tx;
-                soft_maxed = maxed st.last_vif_backlog vif_backlog;
-                hard_maxed = maxed st.last_vf_backlog vf_backlog;
-              }
-          in
-          if Obs.Trace.enabled () then
-            Obs.Trace.emit ~now:(Engine.now t.engine)
-              (Obs.Trace.Fps_split
-                 {
-                   vm_ip = Host.Vm.ip a.vm;
-                   soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
-                   hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
-                   total_bps;
-                   overflow_bps;
-                 });
-          Vswitch.Ovs.set_vif_tx_limit a.vif split.Fps.soft;
-          Nic.Sriov.set_vf_tx_limit vf split.Fps.hard;
-          st.current_split <- Some split;
-          st.last_vif_tx <- vif_tx;
-          st.last_vf_tx <- vf_tx;
-          st.last_vif_backlog <- vif_backlog;
-          st.last_vf_backlog <- vf_backlog
-      | Some _ | None -> ()  (* unlimited, or one path: the VIF keeps it all *))
+      (* An unlimited VM has nothing to split. *)
+      if total_bps <> infinity then begin
+        let st = rate_state t (Host.Vm.ip a.vm) in
+        let vif_tx = Vswitch.Ovs.vif_tx_bytes a.vif in
+        let vf_tx = Nic.Sriov.vf_tx_bytes a.vf in
+        let vif_backlog = Vswitch.Ovs.vif_tx_backlogged_seconds a.vif in
+        let vf_backlog = Nic.Sriov.vf_tx_backlogged_seconds a.vf in
+        let bps last current =
+          float_of_int (current - last) *. 8.0 /. interval_sec
+        in
+        let maxed last current = current -. last > 0.2 *. interval_sec in
+        let split =
+          Fps.split ~total_bps ~overflow_bps ~current:st.current_split
+            {
+              Fps.demand_soft_bps = bps st.last_vif_tx vif_tx;
+              demand_hard_bps = bps st.last_vf_tx vf_tx;
+              soft_maxed = maxed st.last_vif_backlog vif_backlog;
+              hard_maxed = maxed st.last_vf_backlog vf_backlog;
+            }
+        in
+        if Obs.Trace.enabled () then
+          Obs.Trace.emit ~now:(Engine.now t.engine)
+            (Obs.Trace.Fps_split
+               {
+                 vm_ip = Host.Vm.ip a.vm;
+                 soft_bps = split.Fps.soft.Rules.Rate_limit_spec.rate_bps;
+                 hard_bps = split.Fps.hard.Rules.Rate_limit_spec.rate_bps;
+                 total_bps;
+                 overflow_bps;
+               });
+        Vswitch.Ovs.set_vif_tx_limit a.vif split.Fps.soft;
+        Nic.Sriov.set_vf_tx_limit a.vf split.Fps.hard;
+        st.current_split <- Some split;
+        st.last_vif_tx <- vif_tx;
+        st.last_vf_tx <- vf_tx;
+        st.last_vif_backlog <- vif_backlog;
+        st.last_vf_backlog <- vf_backlog
+      end)
     (Host.Server.vms t.server)
 
 let start t =
@@ -198,7 +198,7 @@ let start t =
          describes an aggregate the ME has dropped. *)
       let before =
         report.Measurement_engine.interval_index
-        - t.config.Config.history_intervals + 1
+        - Config.history_intervals + 1
       in
       Hashtbl.iter (fun _ p -> Demand_profile.expire p ~before) t.profiles;
       apply_fps t;

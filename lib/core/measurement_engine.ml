@@ -57,8 +57,7 @@ let m_epochs = Obs.Metrics.counter "fastrak.me.epochs"
 let m_reports = Obs.Metrics.counter "fastrak.me.reports"
 let m_counter_resets = Obs.Metrics.counter "fastrak.me.counter_resets"
 
-let history_limit config =
-  Stdlib.max 1 (Config.epochs_per_interval * config.Config.history_intervals)
+let history_limit = Config.epochs_per_interval * Config.history_intervals
 
 let create ~engine ~config ~name ~poll ~expire ~classify =
   {
@@ -69,7 +68,7 @@ let create ~engine ~config ~name ~poll ~expire ~classify =
     expire;
     classify;
     records = Hashtbl.create 64;
-    scratch = Array.make (history_limit config) 0.0;
+    scratch = Array.make history_limit 0.0;
     running = false;
     epochs = 0;
     intervals = 0;
@@ -138,9 +137,9 @@ let run_epoch t k =
                          {
                            rec_owner = owner;
                            pps_history =
-                             Dcsim.Ring.create ~capacity:(history_limit t.config);
+                             Dcsim.Ring.create ~capacity:history_limit;
                            bps_history =
-                             Dcsim.Ring.create ~capacity:(history_limit t.config);
+                             Dcsim.Ring.create ~capacity:history_limit;
                            rec_destinations = [];
                            dest_count = 0;
                            rec_span = Obs.Span.none;

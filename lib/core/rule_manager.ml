@@ -238,7 +238,7 @@ let begin_vm_migration t ~tenant ~vm_ip =
   | None -> ());
   mg.mg_timer <-
     Some
-      (Engine.after t.engine t.config.Config.migration_timeout (fun () ->
+      (Engine.after t.engine Config.migration_timeout (fun () ->
            mg.mg_timer <- None;
            abort_vm_migration t mg));
   mg

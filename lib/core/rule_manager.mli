@@ -71,7 +71,7 @@ val settle : t list -> advance:(Dcsim.Simtime.span -> unit) -> unit
     (§4.1.2) returns every offloaded flow of the VM to its hypervisor
     and detaches the demand profile that "is migrated along with the
     VM"; commit adopts the profile at the destination. A migration left
-    unconfirmed for {!Config.t.migration_timeout} aborts automatically:
+    unconfirmed for {!Config.migration_timeout} aborts automatically:
     the profile returns to the source local controller and the returned
     rules are re-installed, so no demand history is ever lost to a
     failed migration. *)

@@ -111,6 +111,16 @@ let ts_hard_pps = Obs.Timeseries.series "path.express.pps"
 let c_soft_tx = Obs.Metrics.counter "vswitch.tx_packets"
 let c_hard_tx = Obs.Metrics.counter "nic.vf_tx_packets"
 
+(* The pps series read process-wide counters, which every rack's
+   controller would read alike: the first controller to reach an
+   instant samples them and ticks, the others only add their TCAM
+   occupancy. [pps_prev] is the last (instant, vswitch tx, VF tx)
+   sample, [tenant_prev] the last combined tx count per tenant. A run
+   creates all its controllers before it starts, so [create] clears
+   both for the next run. *)
+let pps_prev : (Simtime.t * int * int) option ref = ref None
+let tenant_prev : (int, int) Hashtbl.t = Hashtbl.create 16
+
 (* Tenant-labeled breakdowns of offload churn. *)
 let fam_promotions =
   Obs.Metrics.counter_family ~label:"tenant" "fastrak.promotions"
@@ -149,16 +159,13 @@ type t = {
      live in hardware, absent from intent, but not orphans. *)
   pending_removal : (int * Tor.Vrf.handle, unit) Hashtbl.t;
   mutable running : bool;
-  (* Last (instant, vswitch tx, VF tx) sample for per-path pps deltas. *)
-  mutable ts_prev : (Simtime.t * int * int) option;
-  (* Last combined (vswitch + VF) tx count per tenant, for the
-     per-tenant pps deltas. *)
-  ts_tenant_prev : (int, int) Hashtbl.t;
   (* Pooled working storage reused by every decide call. *)
   decide_scratch : Decision_engine.scratch;
 }
 
 let create ~engine ~config ~tor ~lookup_vm =
+  pps_prev := None;
+  Hashtbl.reset tenant_prev;
   let t_ref = ref None in
   let classify flow =
     match !t_ref with
@@ -203,8 +210,6 @@ let create ~engine ~config ~tor ~lookup_vm =
       managed = Hashtbl.create 32;
       pending_removal = Hashtbl.create 8;
       running = false;
-      ts_prev = None;
-      ts_tenant_prev = Hashtbl.create 16;
       decide_scratch = Decision_engine.create_scratch ();
     }
   in
@@ -397,7 +402,7 @@ and on_timeout t peer ~seq p =
     Obs.Metrics.incr m_failures;
     peer.consecutive_failures <- peer.consecutive_failures + 1;
     Obs.Span.finish ~now:(Engine.now t.engine) p.p_span ~outcome:"failed";
-    if peer.alive && peer.consecutive_failures >= t.config.Config.dead_peer_failures
+    if peer.alive && peer.consecutive_failures >= Config.dead_peer_failures
     then mark_dead t peer;
     p.p_on_result `Failed
   end
@@ -737,7 +742,7 @@ let receive_uplink t = function
    deltas per tenant, fed into dynamically named "tenant.<id>.pps"
    series. Runs once per interval (not per packet), so the string
    building and list walks here are off the hot path. *)
-let sample_tenant_pps t ~dt =
+let sample_tenant_pps ~dt =
   let totals = Hashtbl.create 16 in
   List.iter
     (fun (tenant, n) ->
@@ -748,34 +753,40 @@ let sample_tenant_pps t ~dt =
   Hashtbl.iter
     (fun tenant total ->
       let prev =
-        Option.value ~default:0 (Hashtbl.find_opt t.ts_tenant_prev tenant)
+        Option.value ~default:0 (Hashtbl.find_opt tenant_prev tenant)
       in
       Obs.Timeseries.observe
         (Obs.Timeseries.series (Printf.sprintf "tenant.%d.pps" tenant))
         (float_of_int (total - prev) /. dt);
-      Hashtbl.replace t.ts_tenant_prev tenant total)
+      Hashtbl.replace tenant_prev tenant total)
     totals
 
-(* One timeseries sample per control interval: TCAM occupancy,
-   per-path and per-tenant pps (counter deltas over the elapsed sim
-   time), then a tick that snapshots every series' quantiles. *)
+(* One timeseries sample per control interval: TCAM occupancy, then,
+   once per instant, per-path and per-tenant pps (counter deltas over
+   the elapsed sim time) and a tick that snapshots every series'
+   quantiles. *)
 let sample_timeseries t =
   let now = Engine.now t.engine in
   Obs.Timeseries.observe ts_tcam
     (float_of_int (Tor.Tcam.used (Tor.Tor_switch.tcam t.tor)));
-  let soft = Obs.Metrics.counter_value c_soft_tx in
-  let hard = Obs.Metrics.counter_value c_hard_tx in
-  (match t.ts_prev with
-  | Some (prev_t, prev_soft, prev_hard) ->
-      let dt = Simtime.span_to_sec (Simtime.diff now prev_t) in
-      if dt > 0.0 then begin
-        Obs.Timeseries.observe ts_soft_pps (float_of_int (soft - prev_soft) /. dt);
-        Obs.Timeseries.observe ts_hard_pps (float_of_int (hard - prev_hard) /. dt);
-        sample_tenant_pps t ~dt
-      end
-  | None -> ());
-  t.ts_prev <- Some (now, soft, hard);
-  Obs.Timeseries.tick ~now ()
+  match !pps_prev with
+  | Some (prev_t, _, _) when Simtime.compare prev_t now = 0 -> ()
+  | prev ->
+      let soft = Obs.Metrics.counter_value c_soft_tx in
+      let hard = Obs.Metrics.counter_value c_hard_tx in
+      (match prev with
+      | Some (prev_t, prev_soft, prev_hard) ->
+          let dt = Simtime.span_to_sec (Simtime.diff now prev_t) in
+          if dt > 0.0 then begin
+            Obs.Timeseries.observe ts_soft_pps
+              (float_of_int (soft - prev_soft) /. dt);
+            Obs.Timeseries.observe ts_hard_pps
+              (float_of_int (hard - prev_hard) /. dt);
+            sample_tenant_pps ~dt
+          end
+      | None -> ());
+      pps_prev := Some (now, soft, hard);
+      Obs.Timeseries.tick ~now ()
 
 let run_decision t =
   if Obs.Timeseries.enabled () then sample_timeseries t;

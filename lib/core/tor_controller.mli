@@ -101,7 +101,7 @@ val destinations : t -> Netcore.Fkey.Pattern.t -> Netcore.Ipv4.t list
 val peer_alive : t -> server:string -> bool option
 (** The dead-peer detector's current verdict on a server's local
     controller ([None] if the server is unknown). A peer is declared
-    dead after {!Config.t.dead_peer_failures} consecutive failed
+    dead after {!Config.dead_peer_failures} consecutive failed
     directives, demoting all its offloaded flows; any uplink contact
     revives it. *)
 

@@ -1,16 +1,7 @@
 type t = {
   shards : Engine.t array;
   mutable lookahead : Simtime.span option;
-  (* Index of the executing shard, or -1: an index, not an [Engine.t
-     option], so setting it per shard per window allocates nothing. *)
-  mutable running : int;
-  mutable stopping : bool;
   mutable windows : int;
-  (* End of the last lockstep window started. After a mid-window stop,
-     shards may sit at different clocks below this; the next [run]
-     first completes the interrupted window so every shard is back on a
-     common boundary before new windows open. *)
-  mutable horizon : Simtime.t;
 }
 
 let create ~shards =
@@ -24,14 +15,7 @@ let create ~shards =
         shards;
       ignore e)
     shards;
-  {
-    shards;
-    lookahead = None;
-    running = -1;
-    stopping = false;
-    windows = 0;
-    horizon = Simtime.zero;
-  }
+  { shards; lookahead = None; windows = 0 }
 
 let shard_count t = Array.length t.shards
 
@@ -60,34 +44,16 @@ let events_processed t =
 
 let windows_run t = t.windows
 
-let stop t =
-  t.stopping <- true;
-  if t.running >= 0 then Engine.stop t.shards.(t.running)
-
 (* Run every shard in array order to the exclusive [window_end] — an
    idle shard too ends there — or, when the inclusive [limit] falls
-   inside the window, under [Engine.run ~until]'s parking rule. [running]
-   lets [stop] reach the executing shard. *)
+   inside the window, under [Engine.run ~until]'s parking rule. *)
 let run_window t ~(window_end : Simtime.t) ~(limit : Simtime.t) =
   let final = (limit :> int) < (window_end :> int) in
   for i = 0 to Array.length t.shards - 1 do
-    if not t.stopping then begin
-      let e = t.shards.(i) in
-      t.running <- i;
-      if final then Engine.run ~until:limit e
-      else Engine.run_window e ~until_exclusive:window_end;
-      t.running <- -1
-    end
+    let e = t.shards.(i) in
+    if final then Engine.run ~until:limit e
+    else Engine.run_window e ~until_exclusive:window_end
   done
-
-(* One shard: no cross-shard channel can exist, so no lookahead bound
-   is needed and the cluster degenerates to the plain event loop — a
-   single-rack run keeps its exact historical event schedule. *)
-let run_single ?until t =
-  t.running <- 0;
-  Fun.protect
-    ~finally:(fun () -> t.running <- -1)
-    (fun () -> Engine.run ?until t.shards.(0))
 
 let run_sharded ?until t =
   let lookahead =
@@ -99,15 +65,8 @@ let run_sharded ?until t =
            cross-shard Fabric.Channels with ~cluster)"
   in
   let limit = Option.value until ~default:Simtime.never in
-  (* Complete a window a previous [stop] interrupted: within one window
-     every send still lands at or after the horizon, so finishing it is
-     safe and restores all shards to a common boundary. *)
-  if
-    Simtime.(t.horizon > Simtime.zero)
-    && Array.exists (fun e -> Simtime.(Engine.now e < t.horizon)) t.shards
-  then run_window t ~window_end:t.horizon ~limit:Simtime.never;
   let continue = ref true in
-  while !continue && not t.stopping do
+  while !continue do
     let start = min_time t in
     if (start :> int) = (Simtime.never :> int) then continue := false
     else if (start :> int) > (limit :> int) then begin
@@ -119,16 +78,14 @@ let run_sharded ?until t =
     else begin
       let window_end = Simtime.add start lookahead in
       t.windows <- t.windows + 1;
-      t.horizon <- window_end;
       run_window t ~window_end ~limit;
-      (* A fully executed window (partial or not) leaves every shard on
-         a consistent boundary: nothing to complete on the next [run]. *)
-      if not t.stopping then t.horizon <- Simtime.zero;
       if (limit :> int) < (window_end :> int) then continue := false
     end
   done
 
+(* One shard: no cross-shard channel can exist, so no lookahead bound
+   is needed and the cluster degenerates to the plain event loop — a
+   single-rack run keeps its exact historical event schedule. *)
 let run ?until t =
-  t.stopping <- false;
-  if Array.length t.shards = 1 then run_single ?until t
+  if Array.length t.shards = 1 then Engine.run ?until t.shards.(0)
   else run_sharded ?until t

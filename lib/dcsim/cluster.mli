@@ -43,24 +43,17 @@ val lookahead : t -> Simtime.span option
     or [None] if no channel has registered yet. *)
 
 val run : ?until:Simtime.t -> t -> unit
-(** Advance all shards in lockstep windows until every queue drains,
-    [until] is reached, or {!stop} is called. Every shard, idle or not,
-    ends a full window on its end; in the window holding [until] each
-    shard follows [Engine.run ~until]'s parking rule. Empty stretches
-    are skipped: each window starts at the earliest pending event.
+(** Advance all shards in lockstep windows until every queue drains or
+    [until] is reached. Every shard, idle or not, ends a full window on
+    its end, so all shards share one boundary between windows; in the
+    window holding [until] each shard follows [Engine.run ~until]'s
+    parking rule. Empty stretches are skipped: each window starts at
+    the earliest pending event.
 
     With a single shard this is exactly [Engine.run ?until]. With
     several, a lookahead bound must have been registered.
-
-    After a {!stop} interrupted a window, the next [run] first finishes
-    that window (its sends all land beyond the stored horizon, so this
-    is safe) — which may execute events past a smaller [until]; [stop]
-    is a coarse emergency brake, not a precision limit.
     @raise Invalid_argument on a multi-shard run with no registered
     lookahead. *)
-
-val stop : t -> unit
-(** Request that {!run} return after the currently executing event. *)
 
 val events_processed : t -> int
 (** Total events executed, summed over shards. *)

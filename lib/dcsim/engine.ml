@@ -2,7 +2,6 @@ type t = {
   mutable clock : Simtime.t;
   queue : (unit -> unit) Event_queue.t;
   rng : Rng.t;
-  mutable stopping : bool;
   mutable processed : int;
 }
 
@@ -13,7 +12,6 @@ let create ?(seed = 42) () =
     clock = Simtime.zero;
     queue = Event_queue.create ();
     rng = Rng.create ~seed;
-    stopping = false;
     processed = 0;
   }
 
@@ -54,22 +52,19 @@ let advance_clock t (time : Simtime.t) =
   if (t.clock :> int) < (time :> int) then t.clock <- time
 
 (* The one event loop behind every entry point: fire events while the
-   earliest is strictly before [bound] and no [stop] is pending.
-   Nothing here allocates, and neither does the queue. *)
+   earliest is strictly before [bound]. Nothing here allocates, and
+   neither does the queue. *)
 let rec fire_before t bound =
-  if not t.stopping then begin
-    let time = Event_queue.min_time t.queue in
-    if (time :> int) < bound then begin
-      let fn = Event_queue.pop_min t.queue in
-      t.clock <- time;
-      t.processed <- t.processed + 1;
-      fn ();
-      fire_before t bound
-    end
+  let time = Event_queue.min_time t.queue in
+  if (time :> int) < bound then begin
+    let fn = Event_queue.pop_min t.queue in
+    t.clock <- time;
+    t.processed <- t.processed + 1;
+    fn ();
+    fire_before t bound
   end
 
 let run ?until t =
-  t.stopping <- false;
   match until with
   | None -> fire_before t (Simtime.never :> int)
   | Some (limit : Simtime.t) ->
@@ -77,19 +72,16 @@ let run ?until t =
       (* Park at the limit only while a later event is still queued: a
          queue that drained early leaves the clock on its last event.
          Never park backwards, or [at] would accept the past. *)
-      if (not t.stopping) && not (Event_queue.is_empty t.queue) then
-        advance_clock t limit
+      if not (Event_queue.is_empty t.queue) then advance_clock t limit
 
 let run_window t ~(until_exclusive : Simtime.t) =
-  t.stopping <- false;
   fire_before t (until_exclusive :> int);
   (* Leave the clock at the window boundary so a cross-shard injection
      landing exactly on the boundary (the earliest instant the lookahead
      invariant allows) still satisfies [at]'s not-in-the-past guard. *)
-  if not t.stopping then advance_clock t until_exclusive
+  advance_clock t until_exclusive
 
 let min_time t = Event_queue.min_time t.queue
 let pending_events t = Event_queue.length t.queue
 
-let stop t = t.stopping <- true
 let events_processed t = t.processed

@@ -2,7 +2,7 @@
 
     The engine owns the clock and the event queue. Components schedule
     closures to run at future instants; [run] executes them in time
-    order until the queue drains or a stop condition triggers. *)
+    order until the queue drains or a time limit is reached. *)
 
 type t
 
@@ -40,9 +40,7 @@ val run_window : t -> until_exclusive:Simtime.t -> unit
     a sharded run (see {!Cluster}). Unlike {!run}'s inclusive [until],
     the exclusive bound guarantees that an event another shard schedules
     here {e at} the boundary (the earliest instant the conservative
-    lookahead allows) is still in this engine's future. If {!stop} fires
-    mid-window the clock stays on the last executed event so the window
-    can be resumed. *)
+    lookahead allows) is still in this engine's future. *)
 
 val min_time : t -> Simtime.t
 (** Timestamp of the earliest pending event, or {!Simtime.never} if
@@ -56,10 +54,6 @@ val advance_clock : t -> Simtime.t -> unit
     [time] is not in the future). The cluster scheduler uses this to
     park idle shards at a time-limit boundary, mirroring what {!run}
     [?until] does to a busy shard's clock. *)
-
-val stop : t -> unit
-(** Request that [run] (or {!run_window}) return after the current
-    event completes. *)
 
 val events_processed : t -> int
 (** Total events executed by this engine since {!create}. *)

@@ -157,9 +157,3 @@ let min_time t = if t.size = 0 then Simtime.never else t.times.(0)
 let pop_min t =
   if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
   remove_at t 0
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let time = t.times.(0) in
-    Some (time, remove_at t 0)

@@ -33,6 +33,3 @@ val min_time : 'a t -> Simtime.t
 val pop_min : 'a t -> 'a
 (** Remove the {!min_time} event and return its payload, allocating
     nothing. @raise Invalid_argument if empty. *)
-
-val pop : 'a t -> (Simtime.t * 'a) option
-(** Boxed {!min_time} + {!pop_min}, for callers off the hot path. *)

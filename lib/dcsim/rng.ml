@@ -15,7 +15,6 @@ let int t bound =
   Random.State.int t.state bound
 
 let float t bound = Random.State.float t.state bound
-let bool t = Random.State.bool t.state
 
 let uniform_span t span =
   let ns = Simtime.span_to_ns span in
@@ -28,12 +27,3 @@ let exponential t ~mean =
 let pareto t ~shape ~scale =
   let u = 1.0 -. float t 1.0 in
   scale /. (u ** (1.0 /. shape))
-
-let lognormal t ~mu ~sigma =
-  let u1 = 1.0 -. float t 1.0 and u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  exp (mu +. (sigma *. z))
-
-let gaussian t ~mu ~sigma =
-  let u1 = 1.0 -. float t 1.0 and u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))

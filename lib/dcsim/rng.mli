@@ -19,8 +19,6 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [0, bound). *)
 
-val bool : t -> bool
-
 val uniform_span : t -> Simtime.span -> Simtime.span
 (** Uniform duration in [0, span). *)
 
@@ -29,10 +27,3 @@ val exponential : t -> mean:float -> float
 
 val pareto : t -> shape:float -> scale:float -> float
 (** Pareto draw: heavy-tailed, used for flow-size distributions. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Normal draw via Box–Muller. *)
-
-val lognormal : t -> mu:float -> sigma:float -> float
-(** Log-normal draw: [exp] of a normal with the given log-space
-    parameters. Mean of the distribution is [exp (mu + sigma^2/2)]. *)

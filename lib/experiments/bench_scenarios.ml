@@ -150,7 +150,6 @@ let me_config =
     Fastrak.Config.default with
     Fastrak.Config.epoch_period = Simtime.span_ms 10.0;
     poll_gap = Simtime.span_ms 4.0;
-    history_intervals = 3;
   }
 
 (* An ME over [poll]/[expire] on a fresh engine, run for [epochs]
@@ -688,15 +687,14 @@ let loadgen_vm ~engine ~name ~octet =
     ~ip:(Ipv4.of_octets 10 7 9 octet)
     ~mac:(Netcore.Mac.of_int (0x9000 + octet))
 
-(* Launch-to-completion cost of one generated flow: every flow is a
-   single message, and the engine drains between batches so ports
-   recycle and the queue never grows across runs. ops_per_sec is the
-   flows/sec the generator sustains. A launch allocates the packet
-   record, the flow key and the pacing closure (the gate reads about
-   74 words); a per-flow history buffer would blow the budget. *)
+(* Launch-to-completion cost of one generated flow: most flows are a
+   single message, and the engine drains each batch. ops_per_sec is the
+   flows/sec the generator sustains. Each timed run builds its own
+   engine and generator from one seed, so every run launches the same
+   flows and the words per op repeat whatever the run count. A launch
+   allocates the packet record, the flow key and the pacing closure;
+   a per-flow history buffer would blow the budget. *)
 let loadgen_launch_case ~smoke =
-  let engine = Engine.create ~seed:7 () in
-  let vm = loadgen_vm ~engine ~name:"bench.gen" ~octet:1 in
   let config =
     {
       Workloads.Flowgen.default_config with
@@ -704,15 +702,17 @@ let loadgen_launch_case ~smoke =
       message_gap = Simtime.span_us 1.0;
     }
   in
-  let fg =
-    Workloads.Flowgen.create ~engine ~vm ~dst_ip:(Ipv4.of_octets 10 7 9 99)
-      ~dst_port_base:30000 config
-  in
   let n = if smoke then 2_000 else 20_000 in
   measure ~smoke ~budget:160.0
     ~params:[ ("flows_per_run", float_of_int n); ("message_bytes", 1448.0) ]
     ~unit_:"flow" ~ops:n "loadgen/flow-launch"
     (fun () ->
+      let engine = Engine.create ~seed:7 () in
+      let vm = loadgen_vm ~engine ~name:"bench.gen" ~octet:1 in
+      let fg =
+        Workloads.Flowgen.create ~engine ~vm ~dst_ip:(Ipv4.of_octets 10 7 9 99)
+          ~dst_port_base:30000 config
+      in
       for _ = 1 to n do
         Workloads.Flowgen.launch fg
       done;

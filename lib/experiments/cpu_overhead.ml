@@ -40,9 +40,7 @@ let run_case ~label ~config ~sriov ?(vm_count = 4)
       (fun ((sender : Host.Server.attached), (sink : Host.Server.attached)) ->
         Testbed.force_path_vf tb sender;
         Testbed.force_path_vf tb sink;
-        match sender.vf with
-        | Some vf -> Nic.Sriov.set_vf_tx_limit vf vf_limit
-        | None -> ())
+        Nic.Sriov.set_vf_tx_limit sender.vf vf_limit)
       pairs;
   let streams =
     List.concat_map

@@ -78,8 +78,7 @@ let build ?(tcam_capacity = 2048) ~mem_vm_count ~vf_indices ~background
           ignore
             (Workloads.Background.scp ~engine:tb.Testbed.engine
                ~vm:a.Host.Server.vm
-               ~dst_ip:(Host.Vm.ip target.Host.Server.vm)
-               ()))
+               ~dst_ip:(Host.Vm.ip target.Host.Server.vm)))
         mem_vms);
   let server_ips =
     List.map (fun (a : Host.Server.attached) -> Host.Vm.ip a.Host.Server.vm) mem_vms

@@ -51,9 +51,7 @@ let make_setup ?(vif_limit = Rules.Rate_limit_spec.unlimited) ~path () =
       Testbed.force_path_vf tb server;
       List.iter
         (fun (a : Host.Server.attached) ->
-          match a.vf with
-          | Some vf -> Nic.Sriov.set_vf_tx_limit vf hw_limit
-          | None -> ())
+          Nic.Sriov.set_vf_tx_limit a.vf hw_limit)
         [ client; server ]);
   { tb; client; server }
 

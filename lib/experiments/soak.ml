@@ -237,7 +237,7 @@ let run ?(config = default_config) () =
         }
       in
       Flowgen.install_sinks ~vm:rk.sink.Host.Server.vm
-        ~dst_port_base:gen_port_base fg_config;
+        ~dst_port_base:gen_port_base;
       let fgens =
         Array.map
           (fun (g : Host.Server.attached) ->

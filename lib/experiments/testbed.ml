@@ -14,12 +14,10 @@ let default_tenant = Netcore.Tenant.of_int 7
 let server_ip ?(rack = 0) index = Ipv4.of_octets 192 168 (1 + rack) (10 + index)
 let tor_address ?(rack = 0) () = Ipv4.of_octets 192 168 0 (1 + rack)
 
-let create ?engine ?(seed = 42) ?(config = Compute.Cost_params.baseline)
+let create ?engine ?(config = Compute.Cost_params.baseline)
     ?(server_count = 6) ?(tcam_capacity = 2048) ?(rack = 0)
     ?(name_prefix = "") () =
-  let engine =
-    match engine with Some e -> e | None -> Engine.create ~seed ()
-  in
+  let engine = match engine with Some e -> e | None -> Engine.create () in
   let tor =
     Tor.Tor_switch.create ~engine ~ip:(tor_address ~rack ()) ~tcam_capacity
   in
@@ -38,13 +36,12 @@ type vm_spec = {
   tenant : Netcore.Tenant.id;
   ip_last_octet : int;
   tx_limit : Rules.Rate_limit_spec.t;
-  sriov : bool;
 }
 
 let vm_spec ?(vcpus = 4) ?(tenant = default_tenant)
-    ?(tx_limit = Rules.Rate_limit_spec.unlimited) ?(sriov = true) ~server
-    ~name ~ip_last_octet () =
-  { server; vm_name = name; vcpus; tenant; ip_last_octet; tx_limit; sriov }
+    ?(tx_limit = Rules.Rate_limit_spec.unlimited) ~server ~name ~ip_last_octet
+    () =
+  { server; vm_name = name; vcpus; tenant; ip_last_octet; tx_limit }
 
 let vm_ip ~tenant ~last_octet =
   Ipv4.of_octets 10 (Netcore.Tenant.to_int tenant land 0xFF) 0 last_octet
@@ -68,7 +65,7 @@ let add_vm t spec =
   Obs.Slo.add_contract
     ~tenant:(Netcore.Tenant.to_int spec.tenant)
     ~tx_bps:spec.tx_limit.Rules.Rate_limit_spec.rate_bps ();
-  Host.Server.add_vm t.servers.(spec.server) ~vm ~policy ~sriov:spec.sriov
+  Host.Server.add_vm t.servers.(spec.server) ~vm ~policy
 
 let all_attached t =
   Array.to_list t.servers |> List.concat_map (fun s -> Host.Server.vms s)
@@ -121,9 +118,6 @@ let pin tor (a : Host.Server.attached) ~selection ~destinations =
           invalid_arg "Testbed.pin: install refused")
 
 let force_path_vf t (a : Host.Server.attached) =
-  (match a.vf with
-  | None -> invalid_arg "Testbed.force_path_vf: VM has no VF"
-  | Some _ -> ());
   connect_tunnels t;
   let tenant = Host.Vm.tenant a.vm in
   let pattern = Fkey.Pattern.from_vm (Host.Vm.ip a.vm) tenant in

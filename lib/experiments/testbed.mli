@@ -15,7 +15,6 @@ type t = {
 
 val create :
   ?engine:Dcsim.Engine.t ->
-  ?seed:int ->
   ?config:Compute.Cost_params.vswitch_config ->
   ?server_count:int ->
   ?tcam_capacity:int ->
@@ -23,10 +22,10 @@ val create :
   ?name_prefix:string ->
   unit ->
   t
-(** Defaults: seed 42, baseline OVS config, 6 servers (as in §5.1),
-    2048 TCAM entries, rack 0, empty name prefix. Passing [?engine]
-    builds the rack on an existing shard engine instead of creating a
-    fresh one ([seed] is then ignored); [rack] offsets the ToR loopback
+(** Defaults: a fresh engine (seed 42), baseline OVS config, 6 servers
+    (as in §5.1), 2048 TCAM entries, rack 0, empty name prefix. Passing
+    [?engine] builds the rack on an existing shard engine, or on one
+    with another seed; [rack] offsets the ToR loopback
     (192.168.0.[1+rack]) and the server subnet (192.168.[1+rack].x) so
     multiple racks coexist in one address space; [name_prefix] keeps
     server names — and the per-server observability monitors keyed on
@@ -40,25 +39,23 @@ type vm_spec = {
   tenant : Netcore.Tenant.id;
   ip_last_octet : int;  (** VM address is 10.<tenant>.0.<octet>. *)
   tx_limit : Rules.Rate_limit_spec.t;
-  sriov : bool;
 }
 
 val vm_spec :
   ?vcpus:int ->
   ?tenant:Netcore.Tenant.id ->
   ?tx_limit:Rules.Rate_limit_spec.t ->
-  ?sriov:bool ->
   server:int ->
   name:string ->
   ip_last_octet:int ->
   unit ->
   vm_spec
-(** Defaults: 4 vCPUs, tenant 7, no tx limit, an SR-IOV VF. *)
+(** Defaults: 4 vCPUs, tenant 7, no tx limit. *)
 
 val add_vm : t -> vm_spec -> Host.Server.attached
-(** Place the VM on its server with a policy of one allow-all ACL and
-    the spec's tx limit, and register the tx limit as the tenant's
-    contract with {!Obs.Slo}. *)
+(** Place the VM on its server, with its VIF and VF bonded, under a
+    policy of one allow-all ACL and the spec's tx limit, and register
+    the tx limit as the tenant's contract with {!Obs.Slo}. *)
 
 val peer_ips : t -> Host.Server.attached -> Netcore.Ipv4.t list
 (** The addresses of every other VM in the testbed, in server order. *)
@@ -89,7 +86,7 @@ val force_path_vf : t -> Host.Server.attached -> unit
 (** Statically pin all of this VM's outgoing traffic to the SR-IOV path:
     flow placer rule (any -> VF) plus a {!pin} at the ToR for every
     peer destination. Used by the path-comparison microbenchmarks.
-    @raise Invalid_argument if the VM has no VF or the pin fails. *)
+    @raise Invalid_argument if the pin fails. *)
 
 val run_for : t -> seconds:float -> unit
 (** Advance the simulation by [seconds] from now. *)

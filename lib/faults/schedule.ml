@@ -34,10 +34,6 @@ let has_channel_faults t =
 let has_tcam_faults t = t.tcam_install_fail > 0.0 || t.tcam_soft_error > 0.0
 let is_none t = not (has_channel_faults t) && not (has_tcam_faults t)
 
-let lossy ?(drop = 0.05) ?(duplicate = 0.01) ?(reorder = 0.02)
-    ?(jitter = Simtime.span_us 200.0) () =
-  { none with drop; duplicate; reorder; jitter }
-
 (* --- Textual syntax ---
 
    Comma-separated key=value items:
@@ -145,31 +141,32 @@ let of_string s =
           | _ -> Error (Printf.sprintf "unknown fault key %S" key)))
     (Ok none) items
 
+(* Probabilistic channel faults only: the base of the named profiles. *)
+let lossy ~drop ~duplicate ~reorder ~jitter_us =
+  { none with drop; duplicate; reorder; jitter = Simtime.span_us jitter_us }
+
 let profile = function
   | "none" -> Ok none
-  | "lossy" -> Ok (lossy ())
+  | "lossy" ->
+      Ok (lossy ~drop:0.05 ~duplicate:0.01 ~reorder:0.02 ~jitter_us:200.0)
   | "chaos" ->
       Ok
         {
-          (lossy ~drop:0.10 ~duplicate:0.02 ~reorder:0.05
-             ~jitter:(Simtime.span_us 500.0) ())
-          with
+          (lossy ~drop:0.10 ~duplicate:0.02 ~reorder:0.05 ~jitter_us:500.0) with
           windows =
             [ { down_from = Simtime.of_sec 1.0; down_until = Simtime.of_sec 1.3 } ];
         }
   | "smoke" ->
       (* Tiny but representative: enough loss to exercise retries in a
          couple of simulated seconds without slowing CI. *)
-      Ok (lossy ~drop:0.15 ~duplicate:0.05 ~reorder:0.05 ~jitter:(Simtime.span_us 300.0) ())
+      Ok (lossy ~drop:0.15 ~duplicate:0.05 ~reorder:0.05 ~jitter_us:300.0)
   | "fabric" ->
       (* Data-plane chaos: a mid-run express-lane outage long enough to
          trip lane-down detection, steady loss, and TCAM failure modes.
          Meant for the fabric uplinks of the fabric-chaos experiment. *)
       Ok
         {
-          (lossy ~drop:0.02 ~duplicate:0.01 ~reorder:0.02
-             ~jitter:(Simtime.span_us 100.0) ())
-          with
+          (lossy ~drop:0.02 ~duplicate:0.01 ~reorder:0.02 ~jitter_us:100.0) with
           windows =
             [ { down_from = Simtime.of_sec 1.0; down_until = Simtime.of_sec 1.6 } ];
           tcam_install_fail = 0.05;

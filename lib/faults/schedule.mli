@@ -64,16 +64,6 @@ val has_tcam_faults : t -> bool
 (** True iff {!field-tcam_install_fail} or {!field-tcam_soft_error} is
     positive. *)
 
-val lossy :
-  ?drop:float ->
-  ?duplicate:float ->
-  ?reorder:float ->
-  ?jitter:Dcsim.Simtime.span ->
-  unit ->
-  t
-(** Probabilistic faults only. Defaults: 5% drop, 1% duplicate,
-    2% reorder, 200 us jitter. *)
-
 val of_string : string -> (t, string) result
 (** Parse the comma-separated [key=value] syntax, e.g.
     ["drop=0.05,dup=0.01,jitter_us=500,down=1.5:2.0,tcam_fail=0.1"].
@@ -85,7 +75,9 @@ val of_string : string -> (t, string) result
 
 val profile : string -> (t, string) result
 (** Resolve a named profile ([none], [lossy], [chaos], [smoke],
-    [fabric]) or fall back to {!of_string} for a raw spec. *)
+    [fabric]) or fall back to {!of_string} for a raw spec. [lossy] is
+    probabilistic faults only: 5% drop, 1% duplicate, 2% reorder,
+    200 us jitter. *)
 
 val to_string : t -> string
 (** Canonical [of_string]-parseable rendering. *)

@@ -3,7 +3,7 @@ module Cost = Compute.Cost_params
 type attached = {
   vm : Vm.t;
   vif : Vswitch.Ovs.vif;
-  vf : Nic.Sriov.vf option;
+  vf : Nic.Sriov.vf;
   bonding : Bonding.t;
 }
 
@@ -34,7 +34,7 @@ let create ~engine ~name ~ip ~config ~tor =
     Vswitch.Ovs.create ~engine ~config ~host_pool ~server_ip:ip
       ~transmit:(fun pkt -> ignore (Fabric.Link.transmit vswitch_uplink pkt))
   in
-  let sriov = Nic.Sriov.create ~engine ~host_pool ~wire:sriov_uplink () in
+  let sriov = Nic.Sriov.create ~engine ~host_pool ~wire:sriov_uplink in
   Tor.Tor_switch.attach_server tor ~server_ip:ip
     ~to_vswitch:(fun pkt -> Vswitch.Ovs.receive_from_nic ovs pkt)
     ~to_sriov:(fun pkt -> Nic.Sriov.receive_from_wire sriov pkt);
@@ -45,29 +45,22 @@ let ip t = t.ip
 let ovs t = t.ovs
 let host_pool t = t.host_pool
 
-let add_vm t ~vm ~policy ~sriov =
+let add_vm t ~vm ~policy =
   let vif =
     Vswitch.Ovs.add_vif t.ovs ~policy ~deliver:(fun pkt -> Vm.deliver vm pkt)
   in
   let vf =
-    if sriov then begin
-      match
-        Nic.Sriov.allocate_vf t.sriov ~mac:(Vm.mac vm)
-          ~vlan:(Netcore.Tenant.to_vlan (Vm.tenant vm))
-          ~tenant:(Vm.tenant vm) ~vm_ip:(Vm.ip vm)
-          ~deliver:(fun pkt -> Vm.deliver vm pkt)
-      with
-      | Ok vf -> Some vf
-      | Error `No_vfs_left -> invalid_arg "Server.add_vm: out of VFs"
-    end
-    else None
+    match
+      Nic.Sriov.allocate_vf t.sriov ~mac:(Vm.mac vm)
+        ~vlan:(Netcore.Tenant.to_vlan (Vm.tenant vm))
+        ~tenant:(Vm.tenant vm) ~vm_ip:(Vm.ip vm)
+        ~deliver:(fun pkt -> Vm.deliver vm pkt)
+    with
+    | Ok vf -> vf
+    | Error `No_vfs_left -> invalid_arg "Server.add_vm: out of VFs"
   in
   let vif_tx pkt = Vswitch.Ovs.transmit_from_vif t.ovs vif pkt in
-  let vf_tx =
-    match vf with
-    | Some vf -> fun pkt -> Nic.Sriov.transmit_from_vf vf pkt
-    | None -> vif_tx
-  in
+  let vf_tx pkt = Nic.Sriov.transmit_from_vf vf pkt in
   let bonding = Bonding.create ~vif_tx ~vf_tx in
   Vm.set_transmit vm (fun pkt -> Bonding.transmit bonding pkt);
   Tor.Tor_switch.register_vm t.tor ~tenant:(Vm.tenant vm) ~vm_ip:(Vm.ip vm)

@@ -25,16 +25,15 @@ val host_pool : t -> Compute.Cpu_pool.t
 type attached = {
   vm : Vm.t;
   vif : Vswitch.Ovs.vif;
-  vf : Nic.Sriov.vf option;
+  vf : Nic.Sriov.vf;
   bonding : Bonding.t;
 }
 
-val add_vm :
-  t -> vm:Vm.t -> policy:Rules.Policy.t -> sriov:bool -> attached
-(** Attach a VM: create its VIF (always) and a VF (when [sriov]); wire
-    the bonded interface (default path VIF) and register the VM's
-    location with the ToR. The VM's tenant VLAN is allocated from its
-    tenant id. *)
+val add_vm : t -> vm:Vm.t -> policy:Rules.Policy.t -> attached
+(** Attach a VM: create its VIF and its VF, bond the two behind one
+    flow placer (default path VIF, §4.1.1) and register the VM's
+    location with the ToR. The VF is tagged with the VM's tenant VLAN.
+    @raise Invalid_argument if the NIC has no VF left. *)
 
 val vms : t -> attached list
 

@@ -9,8 +9,7 @@ let m_steering_drops = Obs.Metrics.counter "nic.steering_drops"
 
 (* Per-tenant breakdowns of the VF datapath counters; an already-seen
    tenant costs one int-keyed hash probe, so these stay on
-   unconditionally. [nic.vf_rx_bytes] doubles as the SLO goodput feed
-   for express-lane traffic. *)
+   unconditionally. *)
 let fam_vf_tx = Obs.Metrics.counter_family ~label:"tenant" "nic.vf_tx_packets"
 let fam_vf_rx = Obs.Metrics.counter_family ~label:"tenant" "nic.vf_rx_packets"
 let fam_vf_rx_bytes = Obs.Metrics.counter_family ~label:"tenant" "nic.vf_rx_bytes"
@@ -26,7 +25,6 @@ type vf = {
 
 type t = {
   engine : Engine.t;
-  max_vfs : int;
   host_pool : Compute.Cpu_pool.t;
   wire : Fabric.Link.t;
   mutable vfs : vf list;
@@ -40,10 +38,12 @@ type t = {
 let[@inline] steering_key ~vlan ip =
   (vlan lsl 32) lor (ip : Netcore.Ipv4.t :> int)
 
-let create ~engine ?(max_vfs = 64) ~host_pool ~wire () =
+(* The typical VF limit of one port. *)
+let vfs_per_port = 64
+
+let create ~engine ~host_pool ~wire =
   {
     engine;
-    max_vfs;
     host_pool;
     wire;
     vfs = [];
@@ -52,7 +52,7 @@ let create ~engine ?(max_vfs = 64) ~host_pool ~wire () =
   }
 
 let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
-  if List.length t.vfs >= t.max_vfs then Error `No_vfs_left
+  if List.length t.vfs >= vfs_per_port then Error `No_vfs_left
   else begin
     let interrupt_then_deliver pkt =
       (* With SR-IOV the hypervisor only isolates interrupts (§2.2). *)
@@ -69,8 +69,7 @@ let allocate_vf t ~mac ~vlan ~tenant ~vm_ip ~deliver =
         tx_shaper =
           Shaping.Shaper.create ~engine:t.engine
             ~spec:Rules.Rate_limit_spec.unlimited
-            ~forward:(fun pkt -> ignore (Fabric.Link.transmit t.wire pkt))
-            ();
+            ~forward:(fun pkt -> ignore (Fabric.Link.transmit t.wire pkt));
       }
     in
     t.vfs <- vf :: t.vfs;

@@ -14,13 +14,11 @@ type vf
 
 val create :
   engine:Dcsim.Engine.t ->
-  ?max_vfs:int ->
   host_pool:Compute.Cpu_pool.t ->
   wire:Fabric.Link.t ->
-  unit ->
   t
-(** [wire] is the egress link toward the ToR. [max_vfs] defaults to 64
-    (typical VF limit per port). *)
+(** [wire] is the egress link toward the ToR. The port offers 64 VFs,
+    the typical limit per port. *)
 
 val allocate_vf :
   t ->

@@ -25,7 +25,6 @@ and counter_family = {
   f_name : string;
   f_label : string;
   f_render : int -> string;
-  f_max : int;
   f_cache : (int, counter) Hashtbl.t;
   mutable f_overflow : counter option;
 }
@@ -103,10 +102,11 @@ let observe s v = Stats.Summary.add s v
    "base{label=\"value\"}". Values are keyed by int on the hot path
    (tenant ids, rack indexes, path ranks) so the steady-state lookup is
    one int-keyed Hashtbl.find — no string building, no allocation.
-   Once [max_series] distinct values exist, further values share one
+   Once [series_per_family] distinct values exist, further values share one
    overflow series labeled "__other__", keeping cardinality bounded no
    matter what the workload does. *)
 
+let series_per_family = 64
 let overflow_label = "__other__"
 
 let escape_label v =
@@ -138,12 +138,9 @@ let base_name name =
 (* Get-or-create: a family declared under one name anywhere in the
    program is the same family everywhere (one shared key cache), so a
    module sampling [labeled_counter_values] sees keys touched at every
-   other call site. The first declaration fixes the render and the
-   cardinality bound; a re-open only has to agree on the label. *)
-let counter_family ?(registry = default) ?(max_series = 64) ~label
-    ?(render = string_of_int) name =
-  if max_series < 1 then
-    invalid_arg "Obs.Metrics: max_series must be >= 1";
+   other call site. The first declaration fixes the render; a re-open
+   only has to agree on the label. *)
+let counter_family ?(registry = default) ~label ?(render = string_of_int) name =
   match Hashtbl.find_opt registry.families name with
   | Some fam ->
       if not (String.equal fam.f_label label) then
@@ -159,7 +156,6 @@ let counter_family ?(registry = default) ?(max_series = 64) ~label
           f_name = name;
           f_label = label;
           f_render = render;
-          f_max = max_series;
           f_cache = Hashtbl.create 16;
           f_overflow = None;
         }
@@ -170,7 +166,7 @@ let counter_family ?(registry = default) ?(max_series = 64) ~label
 let labeled_counter fam key =
   try Hashtbl.find fam.f_cache key
   with Not_found ->
-    if Hashtbl.length fam.f_cache >= fam.f_max then (
+    if Hashtbl.length fam.f_cache >= series_per_family then (
       match fam.f_overflow with
       | Some i -> i
       | None ->

@@ -65,17 +65,16 @@ val observe : summary -> float -> unit
     index, a path rank — so the steady-state lookup is one int-keyed
     hash probe with no string building and no allocation.
 
-    Cardinality is bounded: after [max_series] distinct keys (default
-    64), every further key shares one overflow series labeled
-    [__other__]. Label values rendered from keys are escaped before
-    they enter the series name (double quote, backslash, newline and
-    closing brace), so a hostile renderer cannot forge names. *)
+    Cardinality is bounded: after 64 distinct keys, every further key
+    shares one overflow series labeled [__other__]. Label values
+    rendered from keys are escaped before they enter the series name
+    (double quote, backslash, newline and closing brace), so a hostile
+    renderer cannot forge names. *)
 
 type counter_family
 
 val counter_family :
   ?registry:t ->
-  ?max_series:int ->
   label:string ->
   ?render:(int -> string) ->
   string ->
@@ -85,9 +84,8 @@ val counter_family :
     [string_of_int]). Re-opening an already-declared family returns
     the {e same} handle — one shared key cache, so
     {!labeled_counter_values} sees keys touched at every call site —
-    keeping the first declaration's render and cardinality bound; the
-    label must agree. Raises [Invalid_argument] when [max_series < 1]
-    or on a label mismatch. *)
+    keeping the first declaration's render; the label must agree.
+    Raises [Invalid_argument] on a label mismatch. *)
 
 val labeled_counter : counter_family -> int -> counter
 (** The series for one key — get-or-create, overflow-bounded. Cache the

@@ -1,15 +1,11 @@
 type t = { rate_bps : float; burst_bytes : int }
 
-let make ?burst_bytes ~rate_bps () =
-  let burst_bytes =
-    match burst_bytes with
-    | Some b -> b
-    | None -> Stdlib.max Netcore.Hdr.mtu (int_of_float (rate_bps /. 8.0 *. 0.1))
-  in
-  { rate_bps; burst_bytes }
+let make ~rate_bps =
+  let bytes_in_100ms = int_of_float (rate_bps /. 8.0 *. 0.1) in
+  { rate_bps; burst_bytes = Stdlib.max Netcore.Hdr.mtu bytes_in_100ms }
 
 let unlimited = { rate_bps = infinity; burst_bytes = max_int }
-let gbps g = make ~rate_bps:(g *. 1e9) ()
+let gbps g = make ~rate_bps:(g *. 1e9)
 let is_unlimited t = t.rate_bps = infinity
 
 let pp ppf t =

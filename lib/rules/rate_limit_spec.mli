@@ -7,9 +7,9 @@ type t = {
   burst_bytes : int;  (** Bucket depth. *)
 }
 
-val make : ?burst_bytes:int -> rate_bps:float -> unit -> t
-(** Default burst is 100 ms worth of the rate (tc's rule of thumb),
-    floor one MTU. *)
+val make : rate_bps:float -> t
+(** The burst is 100 ms worth of the rate (tc's rule of thumb), floor
+    one MTU. *)
 
 val unlimited : t
 val gbps : float -> t

@@ -7,7 +7,6 @@ type t = {
   engine : Engine.t;
   bucket : Token_bucket.t;
   forward : Packet.t -> unit;
-  size_of : Packet.t -> int;
   queue : Packet.t Fifo.t;
   mutable draining : bool;
   mutable forwarded : int;
@@ -16,12 +15,11 @@ type t = {
   mutable backlog_ns : int;
 }
 
-let create ~engine ~spec ~forward ?(size_of = Packet.wire_size) () =
+let create ~engine ~spec ~forward =
   {
     engine;
     bucket = Token_bucket.create spec ~now:(Engine.now engine);
     forward;
-    size_of;
     queue = Fifo.create ();
     draining = false;
     forwarded = 0;
@@ -49,7 +47,7 @@ let rec drain t =
   else
     let pkt = Fifo.peek t.queue in
     let now = Engine.now t.engine in
-    let bytes_len = t.size_of pkt in
+    let bytes_len = Packet.wire_size pkt in
     if Token_bucket.try_consume t.bucket ~now ~bytes_len then begin
       ignore (Fifo.pop t.queue);
       t.forwarded <- t.forwarded + 1;

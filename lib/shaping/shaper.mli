@@ -12,10 +12,8 @@ val create :
   engine:Dcsim.Engine.t ->
   spec:Rules.Rate_limit_spec.t ->
   forward:(Netcore.Packet.t -> unit) ->
-  ?size_of:(Netcore.Packet.t -> int) ->
-  unit ->
   t
-(** [size_of] defaults to {!Netcore.Packet.wire_size}. *)
+(** The bucket charges each packet its {!Netcore.Packet.wire_size}. *)
 
 val enqueue : t -> Netcore.Packet.t -> unit
 val set_spec : t -> Rules.Rate_limit_spec.t -> unit

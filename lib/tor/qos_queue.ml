@@ -7,7 +7,6 @@ type t = {
   waiting : Packet.t Fifo.t;
   link : Fabric.Link.t;
   mutable busy : bool;
-  mutable sent : int;
   repump : unit -> unit;  (* [pump] of this queue, made once *)
 }
 
@@ -21,7 +20,6 @@ let pump t =
   if Fifo.is_empty t.waiting then t.busy <- false
   else begin
     let pkt = Fifo.pop t.waiting in
-    t.sent <- t.sent + 1;
     Obs.Metrics.incr m_sent;
     let serialisation = Fabric.Link.transmit t.link pkt in
     ignore (Engine.after t.engine serialisation t.repump)
@@ -34,7 +32,6 @@ let create ~engine ~link =
       waiting = Fifo.create ();
       link;
       busy = false;
-      sent = 0;
       repump = (fun () -> pump t);
     }
   in
@@ -48,5 +45,3 @@ let enqueue t pkt =
     t.busy <- true;
     pump t
   end
-
-let packets_sent t = t.sent

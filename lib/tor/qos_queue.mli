@@ -13,6 +13,3 @@ val create : engine:Dcsim.Engine.t -> link:Fabric.Link.t -> t
 
 val enqueue : t -> Netcore.Packet.t -> unit
 (** Append a packet; it is sent once every earlier packet has been. *)
-
-val packets_sent : t -> int
-(** Packets handed to the link since creation. *)

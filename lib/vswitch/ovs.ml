@@ -4,15 +4,13 @@ module Packet = Netcore.Packet
 module Fkey = Netcore.Fkey
 module Cost = Compute.Cost_params
 
-(* Userspace slow-path (upcall) model: fixed kernel->user->kernel cost
-   plus a linear scan over the configured ACLs. Subsequent packets hit
-   the two-tier datapath cache (exact tier, then wildcard megaflows —
-   see {!Flow_cache}), so rule-set size does not affect steady-state
-   cost — matching the paper's 10,000-rule result. Cached verdicts are
-   kept coherent with the live policy by generation checks plus a
-   periodic revalidator sweep. *)
+(* Userspace slow-path (upcall) model: a fixed kernel->user->kernel
+   cost. Subsequent packets hit the two-tier datapath cache (exact
+   tier, then wildcard megaflows — see {!Flow_cache}), so rule-set size
+   does not affect cost — matching the paper's 10,000-rule result.
+   Cached verdicts are kept coherent with the live policy by generation
+   checks plus a periodic revalidator sweep. *)
 let upcall_fixed_cost = Simtime.span_us 30.0
-let upcall_per_rule_cost_us = 0.02
 let upcall_extra_latency = Simtime.span_us 100.0
 
 let m_tx = Obs.Metrics.counter "vswitch.tx_packets"
@@ -25,7 +23,7 @@ let m_kernel_hits = Obs.Metrics.counter "vswitch.kernel_hits"
 (* Per-tenant dimensional breakdowns of the flat counters above. A
    series lookup is one int-keyed hash probe (no string building, no
    allocation), so these stay on unconditionally like the flat
-   counters. [vswitch.rx_bytes] doubles as the SLO goodput feed. *)
+   counters. *)
 let fam_tx = Obs.Metrics.counter_family ~label:"tenant" "vswitch.tx_packets"
 let fam_rx = Obs.Metrics.counter_family ~label:"tenant" "vswitch.rx_packets"
 let fam_drops = Obs.Metrics.counter_family ~label:"tenant" "vswitch.drops"
@@ -222,7 +220,7 @@ let add_vif t ~policy ~deliver =
       tx_shaper =
         Shaping.Shaper.create ~engine
           ~spec:(Rules.Policy.tx_limit policy)
-          ~forward:guard_transmit ();
+          ~forward:guard_transmit;
       cache = Flow_cache.create ~config:t.cache_config ~name ~policy ();
       filling = create_batch ();
       free_batches = [];
@@ -300,15 +298,7 @@ let classify t vif flow k =
       | None ->
           t.upcalls <- t.upcalls + 1;
           Obs.Metrics.incr m_upcalls;
-          let scan_cost =
-            if t.config.Cost.security_rules then
-              Simtime.span_us
-                (upcall_per_rule_cost_us
-                *. float_of_int (Rules.Policy.acl_count vif.policy))
-            else Simtime.span_zero
-          in
-          let cost = Simtime.span_add upcall_fixed_cost scan_cost in
-          Compute.Cpu_pool.submit t.host_pool ~cost (fun () ->
+          Compute.Cpu_pool.submit t.host_pool ~cost:upcall_fixed_cost (fun () ->
               ignore
                 (Engine.after t.engine upcall_extra_latency (fun () ->
                      let verdict =

@@ -10,9 +10,11 @@
     tc-htb rate limiting per VIF. A revalidator sweep driven from the
     engine clock keeps cached verdicts coherent with the live policy.
 
-    The four microbenchmark configurations of §3 are expressed through
-    {!Compute.Cost_params.vswitch_config}: baseline, +security rules,
-    +tunneling, +rate limiting (and compositions). *)
+    The microbenchmark configurations of §3 are expressed through
+    {!Compute.Cost_params.vswitch_config}: baseline, +tunneling,
+    +rate limiting and their composition. Security rules cost nothing
+    extra (§3 measured no difference with 10,000 rules): the ACLs are
+    enforced, and a cached verdict is O(1) whatever their count. *)
 
 type t
 

@@ -19,7 +19,10 @@ let duty_noise ~engine ~pool ~period ~duty =
       Compute.Cpu_pool.submit pool ~cost:busy (fun () -> ());
       `Continue)
 
-let scp ~engine ~vm ~dst_ip ?(rate_bps = 135.0 *. 1448.0 *. 8.0) () =
+(* 135 messages of 1448 B per second (§6.2.1), about 1.56 Mb/s. *)
+let scp_rate_bps = 135.0 *. 1448.0 *. 8.0
+
+let scp ~engine ~vm ~dst_ip =
   let config =
     {
       (Stream.default_config ~dst_ip) with
@@ -29,7 +32,7 @@ let scp ~engine ~vm ~dst_ip ?(rate_bps = 135.0 *. 1448.0 *. 8.0) () =
       window = 64;
       ack_every = 1;
       total_bytes = Some (4 * 1024 * 1024 * 1024);
-      paced_rate_bps = Some rate_bps;
+      paced_rate_bps = Some scp_rate_bps;
     }
   in
   let stream = Stream.start ~engine ~vm config in

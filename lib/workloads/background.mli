@@ -13,15 +13,10 @@ type scp
 val install_scp_sink : vm:Host.Vm.t -> unit
 
 val scp :
-  engine:Dcsim.Engine.t ->
-  vm:Host.Vm.t ->
-  dst_ip:Netcore.Ipv4.t ->
-  ?rate_bps:float ->
-  unit ->
-  scp
-(** 4 GiB of 1448 B messages paced at [rate_bps] (default ~1.56 Mb/s,
-    which is 135 messages per second), plus disk-I/O CPU noise of ~25%
-    of one core on the VM kernel. *)
+  engine:Dcsim.Engine.t -> vm:Host.Vm.t -> dst_ip:Netcore.Ipv4.t -> scp
+(** 4 GiB of 1448 B messages paced at 135 messages per second
+    (~1.56 Mb/s), plus disk-I/O CPU noise of ~25% of one core on the VM
+    kernel. *)
 
 val scp_stream : scp -> Stream.t
 

@@ -5,9 +5,6 @@ module Fkey = Netcore.Fkey
 
 type config = {
   mean_flow_bytes : float;
-  hot_fraction : float;
-  hot_services : int;
-  cold_services : int;
   message_size : int;
   message_gap : Simtime.span;
 }
@@ -15,12 +12,13 @@ type config = {
 let default_config =
   {
     mean_flow_bytes = 50_000.0;
-    hot_fraction = 0.8;
-    hot_services = 4;
-    cold_services = 64;
     message_size = 1448;
     message_gap = Simtime.span_us 100.0;
   }
+
+let hot_fraction = 0.8
+let hot_services = 4
+let cold_services = 64
 
 type t = {
   engine : Engine.t;
@@ -36,8 +34,8 @@ type t = {
   mutable bytes_offered : int;
 }
 
-let install_sinks ~vm ~dst_port_base config =
-  for i = 0 to config.hot_services + config.cold_services - 1 do
+let install_sinks ~vm ~dst_port_base =
+  for i = 0 to hot_services + cold_services - 1 do
     Host.Vm.register_listener vm ~port:(dst_port_base + i) (fun _ -> ())
   done
 
@@ -89,12 +87,10 @@ let draw_size t =
   int_of_float (Dcsim.Rng.pareto t.rng ~shape:pareto_shape ~scale)
 
 let launch t =
-  let hot = Dcsim.Rng.float t.rng 1.0 < t.config.hot_fraction in
+  let hot = Dcsim.Rng.float t.rng 1.0 < hot_fraction in
   let dst_port =
-    if hot then t.dst_port_base + Dcsim.Rng.int t.rng t.config.hot_services
-    else
-      t.dst_port_base + t.config.hot_services
-      + Dcsim.Rng.int t.rng (Stdlib.max 1 t.config.cold_services)
+    if hot then t.dst_port_base + Dcsim.Rng.int t.rng hot_services
+    else t.dst_port_base + hot_services + Dcsim.Rng.int t.rng cold_services
   in
   launch_to t ~dst_port ~size_bytes:(draw_size t)
 

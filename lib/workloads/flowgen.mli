@@ -4,9 +4,9 @@
     one destination VM. The generator has no arrival clock of its own:
     the caller launches each flow ({!Loadgen} owns the diurnal, bursty
     arrival process). Flow sizes are Pareto (heavy-tailed — most flows
-    small, a few elephants); a configurable fraction of launches
-    re-uses a "hot" working set of destination services, giving the
-    temporal locality FasTrak exploits.
+    small, a few elephants); 80% of launches re-use a "hot" working set
+    of 4 destination services, giving the temporal locality FasTrak
+    exploits, and the rest spread over 64 cold ones.
 
     Source ports come from a {!Portspace} allocator, so no two live
     flows from the same VM ever share an {!Netcore.Fkey}; a port is
@@ -15,9 +15,6 @@
 type config = {
   mean_flow_bytes : float;
       (** Mean of the Pareto flow-size draw (tail index 1.2). *)
-  hot_fraction : float;  (** Probability an arrival hits the hot set. *)
-  hot_services : int;  (** Size of the hot destination set. *)
-  cold_services : int;
   message_size : int;
   message_gap : Dcsim.Simtime.span;
       (** Pacing gap between a flow's messages; with the arrival rate
@@ -37,12 +34,11 @@ val create :
   config ->
   t
 (** A generator of flows from [vm] to [dst_ip]. Destination services
-    are ports [dst_port_base .. dst_port_base + hot + cold) on the
-    destination VM; {!install_sinks} installs a discarding listener on
+    are the 68 ports from [dst_port_base] on the destination VM, the 4
+    hot ones first; {!install_sinks} installs a discarding listener on
     each. Flows start only through {!launch} / {!launch_to}. *)
 
-val install_sinks :
-  vm:Host.Vm.t -> dst_port_base:int -> config -> unit
+val install_sinks : vm:Host.Vm.t -> dst_port_base:int -> unit
 
 val launch : t -> unit
 (** Launch one flow immediately: hot/cold destination choice and

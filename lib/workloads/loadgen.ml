@@ -3,10 +3,7 @@ module Engine = Dcsim.Engine
 
 (* ---------- diurnal rate curves ---------- *)
 
-type curve =
-  | Flat
-  | Sinusoid of { trough : float }
-  | Piecewise of float array
+type curve = Flat | Sinusoid of { trough : float }
 
 let curve_multiplier curve ~frac =
   let x = frac -. Float.of_int (int_of_float (Float.floor frac)) in
@@ -16,25 +13,10 @@ let curve_multiplier curve ~frac =
       if trough < 0.0 || trough > 1.0 then
         invalid_arg "Loadgen: sinusoid trough must be in [0,1]";
       1.0 +. ((1.0 -. trough) *. sin (2.0 *. Float.pi *. x))
-  | Piecewise segs ->
-      let n = Array.length segs in
-      if n = 0 then invalid_arg "Loadgen: empty piecewise curve";
-      let sum = Array.fold_left ( +. ) 0.0 segs in
-      if sum <= 0.0 then invalid_arg "Loadgen: piecewise curve sums to zero";
-      (* Normalized so the curve's mean is 1: a day of modulated load
-         offers exactly the configured daily volume. *)
-      let i = Stdlib.min (n - 1) (int_of_float (x *. float_of_int n)) in
-      segs.(i) *. float_of_int n /. sum
 
 let curve_peak = function
   | Flat -> 1.0
   | Sinusoid { trough } -> 2.0 -. trough
-  | Piecewise segs ->
-      let n = Array.length segs in
-      if n = 0 then invalid_arg "Loadgen: empty piecewise curve";
-      let sum = Array.fold_left ( +. ) 0.0 segs in
-      let hi = Array.fold_left Stdlib.max neg_infinity segs in
-      hi *. float_of_int n /. sum
 
 (* ---------- configuration ---------- *)
 
@@ -251,8 +233,6 @@ let stats (t : t) : stats =
     live_q = Obs.Timeseries.quantiles t.series_live;
     rate_q = Obs.Timeseries.quantiles t.series_rate;
   }
-
-let arrivals (t : t) = t.arrivals
 
 let state_words t =
   (* Generator-owned bookkeeping only: port bitsets, the on/off gate

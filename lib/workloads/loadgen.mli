@@ -3,8 +3,7 @@
     Drives a pool of {!Flowgen} generators with the traffic structure
     real datacenters show and synthetic Poisson load does not:
 
-    - heavy-tailed flow sizes (each generator's Pareto draw; use
-      {!Dcsim.Rng.lognormal} sizes by pre-drawing if needed);
+    - heavy-tailed flow sizes (each generator's Pareto draw);
     - a diurnal rate {!curve} modulating the arrival process over a
       configurable [day], sampled exactly by thinning — no rate table;
     - per-source ON/OFF bursts with exponential residencies;
@@ -24,9 +23,6 @@ type curve =
   | Sinusoid of { trough : float }
       (** Multiplier [1 + (1-trough)·sin(2πx)] over the day: mean 1,
           minimum [trough], peak [2-trough]. [trough] in [0,1]. *)
-  | Piecewise of float array
-      (** Equal-width segments over the day, normalized to mean 1 so a
-          modulated day offers exactly the configured daily volume. *)
 
 val curve_multiplier : curve -> frac:float -> float
 (** The instantaneous rate multiplier at day-fraction [frac] (wraps
@@ -94,7 +90,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val arrivals : t -> int
 
 val state_words : t -> int
 (** Heap words of generator-owned bookkeeping (port bitsets, gate

@@ -1,6 +1,8 @@
 module Simtime = Dcsim.Simtime
 
 let port = 11211
+
+(* Key plus protocol overhead. *)
 let request_size = 64
 let value_size = 1024
 

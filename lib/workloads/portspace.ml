@@ -12,8 +12,9 @@ type t = {
   mutable in_use : int;
 }
 
-let create ?(lo = 1024) ?(hi = 65536) () =
-  if hi <= lo then invalid_arg "Portspace.create: empty range";
+(* The full non-privileged space. *)
+let create () =
+  let lo = 1024 and hi = 65536 in
   let size = hi - lo in
   {
     lo;

@@ -9,9 +9,9 @@
 
 type t
 
-val create : ?lo:int -> ?hi:int -> unit -> t
-(** Ports are drawn from [\[lo, hi)]. Defaults: [lo = 1024],
-    [hi = 65536] — the full non-privileged space. *)
+val create : unit -> t
+(** Ports are drawn from [\[1024, 65536)], the full non-privileged
+    space: a capacity of 64,512. *)
 
 val alloc : t -> int option
 (** The next free port, or [None] when every port is held by a live

@@ -124,11 +124,7 @@ let test_vhost_cost_ordering () =
   checkb "rate limiting costs more" true
     (us Cost.with_rate_limiting > us Cost.baseline);
   checkb "combined costs most" true
-    (us Cost.combined > us Cost.with_tunneling);
-  (* Security-rule checking is O(1) in the kernel cache: barely above
-     baseline (the paper's 10,000-rule result). *)
-  checkb "security nearly free" true
-    (us Cost.with_security -. us Cost.baseline < 0.5)
+    (us Cost.combined > us Cost.with_tunneling)
 
 let test_guest_costs () =
   let tx = Simtime.span_to_us (Cost.guest_tx_cost ~bytes_len:64) in

@@ -245,35 +245,31 @@ let test_cluster_final_window_parking () =
     (Simtime.to_ns (Engine.now e1));
   checki "empty shard keeps its clock" 0 (Simtime.to_ns (Engine.now e2))
 
-(* A stop mid-window leaves later shards untouched; the next run first
-   finishes that window, and every shard, idle ones included, ends each
-   full window on its end. *)
-let test_cluster_stop_then_resume () =
+(* Every shard, idle ones included, ends each full window on its end,
+   so all shards share one boundary between windows. *)
+let test_cluster_windows_end_together () =
   let e0 = Engine.create () and e1 = Engine.create () and e2 = Engine.create () in
   let cluster = Cluster.create ~shards:[| e0; e1; e2 |] in
   Cluster.constrain_lookahead cluster (span 10_000);
   let fired = ref [] in
-  let at e t f =
-    ignore
-      (Engine.at e (ns t) (fun () ->
-           fired := t :: !fired;
-           f ()))
+  let at e t =
+    ignore (Engine.at e (ns t) (fun () -> fired := t :: !fired))
   in
-  at e0 1_000 (fun () -> Cluster.stop cluster);
-  at e0 2_000 ignore;
-  at e1 3_000 ignore;
+  at e0 1_000;
+  at e0 2_000;
+  at e1 3_000;
   Cluster.run cluster;
-  check Alcotest.(list int) "stopped after the first event" [ 1_000 ]
-    (List.rev !fired);
-  checki "stopped shard stays on its event" 1_000 (Simtime.to_ns (Engine.now e0));
-  checki "later shard untouched" 0 (Simtime.to_ns (Engine.now e1));
-  at e1 12_000 ignore;
+  checki "one window" 1 (Cluster.windows_run cluster);
+  List.iter
+    (fun e -> checki "first window end" 11_000 (Simtime.to_ns (Engine.now e)))
+    [ e0; e1; e2 ];
+  at e1 12_000;
   Cluster.run cluster;
-  check Alcotest.(list int) "interrupted window finished, then the next"
+  check Alcotest.(list int) "every event, in order"
     [ 1_000; 2_000; 3_000; 12_000 ] (List.rev !fired);
   checki "two windows" 2 (Cluster.windows_run cluster);
   List.iter
-    (fun e -> checki "window end" 22_000 (Simtime.to_ns (Engine.now e)))
+    (fun e -> checki "second window end" 22_000 (Simtime.to_ns (Engine.now e)))
     [ e0; e1; e2 ]
 
 let test_cluster_single_shard_degenerates () =
@@ -424,8 +420,8 @@ let suite =
       test_cluster_until_parks_clocks;
     Alcotest.test_case "cluster: final partial window parking" `Quick
       test_cluster_final_window_parking;
-    Alcotest.test_case "cluster: stop then resume finishes the window" `Quick
-      test_cluster_stop_then_resume;
+    Alcotest.test_case "cluster: every shard ends each window on its end"
+      `Quick test_cluster_windows_end_together;
     Alcotest.test_case "cluster: single shard degenerates to Engine.run"
       `Quick test_cluster_single_shard_degenerates;
     QCheck_alcotest.to_alcotest prop_sharded_matches_single;

@@ -259,6 +259,40 @@ let test_reconcile_waits_for_inflight_directive () =
   Alcotest.check Alcotest.string "crash recovered" "recovered"
     r.Fabric_chaos.crash_outcome
 
+(* --- Timeseries across racks --- *)
+
+(* Both racks' controllers sample at the same instants. The pps series
+   read process-wide counters, so they are sampled, and the series
+   ticked, once per instant; each rack still adds its own TCAM
+   occupancy. *)
+let test_timeseries_one_row_per_instant () =
+  let was_on = Obs.Timeseries.enabled () in
+  let before = List.length (Obs.Timeseries.rows ()) in
+  Obs.Timeseries.reset_series ();
+  Obs.Timeseries.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_on then Obs.Timeseries.disable ())
+    (fun () -> ignore (chaos_run ~spec:"none" ()));
+  let rows = List.filteri (fun i _ -> i >= before) (Obs.Timeseries.rows ()) in
+  let key (r : Obs.Timeseries.row) = (Simtime.to_ns r.at, r.series_name) in
+  let keys = List.map key rows in
+  checki "one row per series per instant" (List.length keys)
+    (List.length (List.sort_uniq compare keys));
+  let tcam =
+    List.filter
+      (fun (r : Obs.Timeseries.row) -> r.series_name = "tor.tcam.used")
+      rows
+  in
+  checkb "pps sampled" true
+    (List.exists (fun (_, name) -> name = "path.software.pps") keys);
+  (* Rack 0 ticks after its own observation, rack 1 observes after the
+     tick: the row at the n-th instant counts 2n - 1. *)
+  match List.rev tcam with
+  | last :: _ ->
+      checki "both racks observe the TCAM" ((2 * List.length tcam) - 1)
+        last.Obs.Timeseries.stats.Obs.Timeseries.count
+  | [] -> Alcotest.fail "no TCAM rows"
+
 (* Property: under ANY random link-down window that closes before the
    load stops, the system converges — every lane heals, delivery
    resumes, the TOR-side and server-side offload views reconcile, and
@@ -295,5 +329,7 @@ let suite =
     t "crash restart reconciles" test_crash_restart_reconciles;
     t "reconcile waits for in-flight directive"
       test_reconcile_waits_for_inflight_directive;
+    t "timeseries: one row per series per instant"
+      test_timeseries_one_row_per_instant;
     QCheck_alcotest.to_alcotest prop_recovery_after_random_outage;
   ]

@@ -144,7 +144,7 @@ let test_injector_deterministic () =
   let draw_sequence () =
     let inj =
       Injector.create
-        ~schedule:(Schedule.lossy ())
+        ~schedule:(Result.get_ok (Schedule.profile "lossy"))
         ~rng:(Rng.create ~seed:99)
     in
     List.map
@@ -323,7 +323,10 @@ let fast_config =
 (* One hot transactional client (server0 -> server1) under a FasTrak
    control plane whose channels run the given fault schedule. *)
 let faulty_testbed ?(config = fast_config) ?(tcam_capacity = 2048) ~seed ~faults () =
-  let tb = Experiments.Testbed.create ~seed ~server_count:2 ~tcam_capacity () in
+  let tb =
+    Experiments.Testbed.create ~engine:(Engine.create ~seed ()) ~server_count:2
+      ~tcam_capacity ()
+  in
   let a =
     Experiments.Testbed.add_vm tb
       (Experiments.Testbed.vm_spec ~server:0 ~name:"hot" ~ip_last_octet:1 ())
@@ -365,14 +368,11 @@ let prop_reconcile_after_faults =
       (* The schedule itself is drawn from a Dcsim.Rng stream, so the
          whole case is a pure function of [seed]. *)
       let rng = Rng.create ~seed in
-      let sched =
-        Schedule.lossy
-          ~drop:(Rng.float rng 0.25)
-          ~duplicate:(Rng.float rng 0.10)
-          ~reorder:(Rng.float rng 0.10)
-          ~jitter:(Simtime.span_us (Rng.float rng 500.0))
-          ()
-      in
+      let drop = Rng.float rng 0.25 in
+      let duplicate = Rng.float rng 0.10 in
+      let reorder = Rng.float rng 0.10 in
+      let jitter = Simtime.span_us (Rng.float rng 500.0) in
+      let sched = { Schedule.none with drop; duplicate; reorder; jitter } in
       (* A small TCAM keeps capacity pressure on while faults churn the
          rule set. *)
       let tb, _, _, rm, client =
@@ -398,18 +398,18 @@ let prop_reconcile_after_faults =
         QCheck.Test.fail_report "TOR and server views diverged";
       true)
 
-(* A long link-down window: directives exhaust their retries, the peer
-   is declared dead and its flows demoted (graceful degradation); when
-   the link heals, uplink contact revives the peer, unreconciled
-   demotes replay, and the system re-offloads and reconciles. *)
+(* A long link-down window: directives exhaust their retries, and after
+   [Config.dead_peer_failures] (3) failed directives the peer is
+   declared dead and its flows demoted (graceful degradation); when the
+   link heals, uplink contact revives the peer, unreconciled demotes
+   replay, and the system re-offloads and reconciles. *)
 let test_dead_peer_demotes_and_revives () =
   let sched =
-    match Schedule.of_string "down=0.3:2.0" with
+    match Schedule.of_string "down=0.3:4.0" with
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let config = { fast_config with Fastrak.Config.dead_peer_failures = 1 } in
-  let tb, _, _, rm, _ = faulty_testbed ~config ~seed:42 ~faults:sched () in
+  let tb, _, _, rm, _ = faulty_testbed ~seed:42 ~faults:sched () in
   let deaths = ref 0 and revivals = ref 0 and retries = ref 0 in
   Obs.Trace.use_callback (fun _now ev ->
       match ev with
@@ -418,8 +418,8 @@ let test_dead_peer_demotes_and_revives () =
       | Obs.Trace.Ctrl_retry _ -> incr retries
       | _ -> ());
   Fastrak.Rule_manager.start rm;
-  Experiments.Testbed.run_for tb ~seconds:1.5;
-  (* Mid-window: the offload directive has exhausted its retries. *)
+  Experiments.Testbed.run_for tb ~seconds:3.5;
+  (* Mid-window: three directives have exhausted their retries. *)
   checkb "retried during window" true (!retries > 0);
   checkb "peer declared dead" true (!deaths > 0);
   checkb "dead verdict visible" true
@@ -445,10 +445,7 @@ let test_dead_peer_demotes_and_revives () =
 (* --- VM migration abort --- *)
 
 let test_migration_abort () =
-  let config =
-    { fast_config with Fastrak.Config.migration_timeout = Simtime.span_ms 200.0 }
-  in
-  let tb, a, _, rm, _ = faulty_testbed ~config ~seed:42 ~faults:Schedule.none () in
+  let tb, a, _, rm, _ = faulty_testbed ~seed:42 ~faults:Schedule.none () in
   Fastrak.Rule_manager.start rm;
   Experiments.Testbed.run_for tb ~seconds:1.5;
   checkb "offloaded before migration" true (Fastrak.Rule_manager.offloaded_count rm > 0);
@@ -465,8 +462,11 @@ let test_migration_abort () =
        (fun (p : Fkey.Pattern.t) -> p.Fkey.Pattern.src_ip <> Some a_ip)
        (Fastrak.Tor_controller.offloaded_patterns
           (Fastrak.Rule_manager.tor_controller rm)));
-  (* The destination never confirms: the abort timer fires at 200 ms. *)
-  Experiments.Testbed.run_for tb ~seconds:0.5;
+  (* The destination never confirms: the abort timer fires at
+     [Config.migration_timeout] (30 s). *)
+  Experiments.Testbed.run_for tb ~seconds:29.5;
+  checkb "still preparing" true (Fastrak.Rule_manager.migration_state mg = `Preparing);
+  Experiments.Testbed.run_for tb ~seconds:1.0;
   checkb "aborted" true (Fastrak.Rule_manager.migration_state mg = `Aborted);
   (* The demand profile is back at the source — not lost. *)
   checkb "profile restored at source" true

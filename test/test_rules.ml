@@ -61,7 +61,7 @@ let test_rate_limit_spec () =
     (spec.Rules.Rate_limit_spec.burst_bytes = int_of_float (1e9 /. 8.0 *. 0.1));
   checkb "unlimited" true
     (Rules.Rate_limit_spec.is_unlimited Rules.Rate_limit_spec.unlimited);
-  let small = Rules.Rate_limit_spec.make ~rate_bps:1000.0 () in
+  let small = Rules.Rate_limit_spec.make ~rate_bps:1000.0 in
   checkb "burst floored at MTU" true
     (small.Rules.Rate_limit_spec.burst_bytes >= Netcore.Hdr.mtu)
 

@@ -9,18 +9,32 @@ let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let tenant = Netcore.Tenant.of_int 7
 
-let flow () =
+let flow ?(sport = 1) () =
   Fkey.make
     ~src_ip:(Netcore.Ipv4.of_string "10.7.0.1")
     ~dst_ip:(Netcore.Ipv4.of_string "10.7.0.2")
-    ~src_port:1 ~dst_port:2 ~proto:Fkey.Tcp ~tenant
+    ~src_port:sport ~dst_port:2 ~proto:Fkey.Tcp ~tenant
 
-let mbps m = Rules.Rate_limit_spec.make ~rate_bps:(m *. 1e6) ()
+(* A shaper charges a packet its wire size: the payload plus this. *)
+let headers =
+  Packet.wire_size
+    (Packet.data_packet ~now:Simtime.zero ~flow:(flow ()) ~payload:0)
+
+let sized ?sport bytes =
+  Packet.data_packet ~now:Simtime.zero ~flow:(flow ?sport ())
+    ~payload:(bytes - headers)
+
+let mbps m = Rules.Rate_limit_spec.make ~rate_bps:(m *. 1e6)
+
+(* A bucket of an explicit depth, which [Rate_limit_spec.make] derives
+   from the rate. *)
+let bucket_spec ~rate_bps ~burst_bytes =
+  { Rules.Rate_limit_spec.rate_bps; burst_bytes }
 
 (* --- Token bucket --- *)
 
 let test_bucket_conform_within_burst () =
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:10_000 () in
+  let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:10_000 in
   let b = Shaping.Token_bucket.create spec ~now:Simtime.zero in
   checkb "full burst conforms" true
     (Shaping.Token_bucket.try_consume b ~now:Simtime.zero ~bytes_len:10_000);
@@ -28,7 +42,7 @@ let test_bucket_conform_within_burst () =
     (Shaping.Token_bucket.try_consume b ~now:Simtime.zero ~bytes_len:1)
 
 let test_bucket_refill () =
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:10_000 () in
+  let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:10_000 in
   let b = Shaping.Token_bucket.create spec ~now:Simtime.zero in
   ignore (Shaping.Token_bucket.try_consume b ~now:Simtime.zero ~bytes_len:10_000);
   (* 8 Mb/s = 1 MB/s: after 5 ms, 5000 bytes back. *)
@@ -39,7 +53,7 @@ let test_bucket_refill () =
     (Shaping.Token_bucket.try_consume b ~now:later ~bytes_len:100)
 
 let test_bucket_cap_at_burst () =
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:1_000 () in
+  let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:1_000 in
   let b = Shaping.Token_bucket.create spec ~now:Simtime.zero in
   (* A long idle period must not bank more than the burst. *)
   let much_later = Simtime.of_sec 100.0 in
@@ -47,7 +61,7 @@ let test_bucket_cap_at_burst () =
     (Shaping.Token_bucket.available b ~now:much_later)
 
 let test_bucket_time_until_conform () =
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:1_000 () in
+  let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:1_000 in
   let b = Shaping.Token_bucket.create spec ~now:Simtime.zero in
   ignore (Shaping.Token_bucket.try_consume b ~now:Simtime.zero ~bytes_len:1_000);
   let wait =
@@ -67,11 +81,11 @@ let test_bucket_unlimited () =
 let test_bucket_set_spec_clamps () =
   let b =
     Shaping.Token_bucket.create
-      (Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:100_000 ())
+      (bucket_spec ~rate_bps:8e6 ~burst_bytes:100_000)
       ~now:Simtime.zero
   in
   Shaping.Token_bucket.set_spec b
-    (Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:500 ())
+    (bucket_spec ~rate_bps:8e6 ~burst_bytes:500)
     ~now:Simtime.zero;
   checkb "clamped to new burst" true
     (Shaping.Token_bucket.available b ~now:Simtime.zero <= 500.0)
@@ -85,7 +99,7 @@ let test_bucket_unlimited_to_limited_starts_empty () =
   in
   let later = Simtime.of_sec 10.0 in
   Shaping.Token_bucket.set_spec b
-    (Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:10_000 ())
+    (bucket_spec ~rate_bps:8e6 ~burst_bytes:10_000)
     ~now:later;
   Alcotest.check (Alcotest.float 0.0) "no free burst" 0.0
     (Shaping.Token_bucket.available b ~now:later);
@@ -97,11 +111,11 @@ let test_bucket_unlimited_to_limited_starts_empty () =
   (* Limited->limited keeps accumulated tokens (clamped), as before. *)
   let b2 =
     Shaping.Token_bucket.create
-      (Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:10_000 ())
+      (bucket_spec ~rate_bps:8e6 ~burst_bytes:10_000)
       ~now:Simtime.zero
   in
   Shaping.Token_bucket.set_spec b2
-    (Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:20_000 ())
+    (bucket_spec ~rate_bps:8e6 ~burst_bytes:20_000)
     ~now:Simtime.zero;
   Alcotest.check (Alcotest.float 0.0) "kept earned tokens" 10_000.0
     (Shaping.Token_bucket.available b2 ~now:Simtime.zero)
@@ -114,7 +128,6 @@ let test_shaper_passthrough_unlimited () =
   let s =
     Shaping.Shaper.create ~engine ~spec:Rules.Rate_limit_spec.unlimited
       ~forward:(fun _ -> incr out)
-      ()
   in
   for _ = 1 to 10 do
     Shaping.Shaper.enqueue s
@@ -127,16 +140,13 @@ let test_shaper_passthrough_unlimited () =
 let test_shaper_enforces_rate () =
   let engine = Engine.create () in
   let out_times = ref [] in
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:1_500 () in
+  let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:1_500 in
   let s =
     Shaping.Shaper.create ~engine ~spec
       ~forward:(fun _ -> out_times := Engine.now engine :: !out_times)
-      ~size_of:(fun _ -> 1_000)
-      ()
   in
   for _ = 1 to 11 do
-    Shaping.Shaper.enqueue s
-      (Packet.data_packet ~now:Simtime.zero ~flow:(flow ()) ~payload:1000)
+    Shaping.Shaper.enqueue s (sized 1_000)
   done;
   Engine.run engine;
   checki "all forwarded eventually" 11 (List.length !out_times);
@@ -148,16 +158,13 @@ let test_shaper_enforces_rate () =
 let test_shaper_preserves_order () =
   let engine = Engine.create () in
   let order = ref [] in
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:1_000 () in
+  let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:1_000 in
   let s =
     Shaping.Shaper.create ~engine ~spec
-      ~forward:(fun p -> order := p.Packet.payload :: !order)
-      ~size_of:(fun _ -> 1_000)
-      ()
+      ~forward:(fun p -> order := p.Packet.flow.Fkey.src_port :: !order)
   in
   for i = 1 to 5 do
-    Shaping.Shaper.enqueue s
-      (Packet.data_packet ~now:Simtime.zero ~flow:(flow ()) ~payload:i)
+    Shaping.Shaper.enqueue s (sized ~sport:i 1_000)
   done;
   Engine.run engine;
   Alcotest.check (Alcotest.list Alcotest.int) "fifo" [ 1; 2; 3; 4; 5 ]
@@ -166,16 +173,13 @@ let test_shaper_preserves_order () =
 let test_shaper_set_spec_takes_effect () =
   let engine = Engine.create () in
   let out = ref 0 in
-  let spec = Rules.Rate_limit_spec.make ~rate_bps:8.0 ~burst_bytes:1_000 () in
+  let spec = bucket_spec ~rate_bps:8.0 ~burst_bytes:1_000 in
   let s =
     Shaping.Shaper.create ~engine ~spec
       ~forward:(fun _ -> incr out)
-      ~size_of:(fun _ -> 1_000)
-      ()
   in
   for _ = 1 to 3 do
-    Shaping.Shaper.enqueue s
-      (Packet.data_packet ~now:Simtime.zero ~flow:(flow ()) ~payload:0)
+    Shaping.Shaper.enqueue s (sized 1_000)
   done;
   (* At 1 B/s the tail would take ~2000 s; raising the limit releases it. *)
   Shaping.Shaper.set_spec s (mbps 100.0);
@@ -189,17 +193,14 @@ let prop_shaper_rate_bound =
     QCheck2.Gen.(pair (int_range 1 50) (int_range 500 2000))
     (fun (n_packets, pkt_size) ->
       let engine = Engine.create () in
-      let spec = Rules.Rate_limit_spec.make ~rate_bps:8e6 ~burst_bytes:2_000 () in
+      let spec = bucket_spec ~rate_bps:8e6 ~burst_bytes:2_000 in
       let last = ref Simtime.zero in
       let s =
         Shaping.Shaper.create ~engine ~spec
           ~forward:(fun _ -> last := Engine.now engine)
-          ~size_of:(fun _ -> pkt_size)
-          ()
       in
       for _ = 1 to n_packets do
-        Shaping.Shaper.enqueue s
-          (Packet.data_packet ~now:Simtime.zero ~flow:(flow ()) ~payload:0)
+        Shaping.Shaper.enqueue s (sized pkt_size)
       done;
       Engine.run engine;
       let total_bytes = n_packets * pkt_size in
